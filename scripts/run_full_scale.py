@@ -4,7 +4,8 @@
 Runs the grid study (exponential truth vs. independence working model, g
 sweep), the time-series study (oscillating vs. smooth AR(2), g sweep), and
 the range-mismatch study (exponential vs. exponential, range sweep), then
-prints a compact summary table per study. Expect a few minutes of runtime.
+prints a compact summary table per study. Each study takes about 10 s
+on a 2-core machine.
 
 Usage:
     python scripts/run_full_scale.py [--out-dir results-full] [--seed N]

@@ -6,7 +6,6 @@ from .covariance import (
     CovarianceMatrix,
     GridLayout,
     ar2_cov,
-    cholesky,
     exponential_cov,
     identity_cov,
     separable_cov,

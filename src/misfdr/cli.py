@@ -44,8 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None, help="root seed override")
     parser.add_argument(
         "--threads", type=int,
-        default=int(os.environ.get("MISFDR_THREADS", "1")),
-        help="worker parallelism cap (env fallback MISFDR_THREADS)",
+        help="worker parallelism cap, at least 1 (env fallback MISFDR_THREADS, else 1)",
     )
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -168,11 +167,6 @@ def _read_config(path: str) -> tuple[dict[str, str], bytes]:
 
 def _cmd_kl(args) -> bytes:
     mapping, raw = _read_config(args.config)
-    if mapping.get("noise.mode", "known") != "known":
-        raise ParameterError(
-            "KL divergence requires the known-variance mode: the unknown-variance "
-            "law has no closed-form joint density"
-        )
     config = config_from_mapping(mapping, label="kl")
     if args.seed is not None:
         config = type(config)(**{**vars(config), "root_seed": args.seed})
@@ -233,7 +227,7 @@ def _is_float(token: str) -> bool:
 
 
 def _run_and_write_sweep(config, args) -> None:
-    rows = run_sweep(config, threads=max(1, args.threads))
+    rows = run_sweep(config, threads=args.threads)
     out = os.path.join(args.output_dir, args.out)
     write_sweep_csv(rows, out)
     if args.verbose:
@@ -300,6 +294,18 @@ _COMMANDS = {
 }
 
 
+def _thread_count(threads: int | None) -> int:
+    if threads is None:
+        raw = os.environ.get("MISFDR_THREADS", "1")
+        try:
+            threads = int(raw)
+        except ValueError:
+            raise ParameterError(f"MISFDR_THREADS must be an integer, got {raw!r}") from None
+    if threads < 1:
+        raise ParameterError(f"thread count must be at least 1, got {threads}")
+    return threads
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
@@ -308,6 +314,7 @@ def main(argv=None) -> int:
     except SystemExit as err:
         return int(err.code or 0)
     try:
+        args.threads = _thread_count(args.threads)
         os.makedirs(args.output_dir, exist_ok=True)
         config_bytes = _COMMANDS[args.subcommand](args)
         _write_run_meta(args.output_dir, args.seed, config_bytes, argv)

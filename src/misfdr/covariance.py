@@ -208,8 +208,3 @@ def separable_cov(
         params={"delta": delta, "range": range_, "alpha": alpha,
                 "n_stations": n_s, "n_times": len(times)},
     )
-
-
-def cholesky(cov: CovarianceMatrix) -> np.ndarray:
-    """Lower-triangular factor L with L L' equal to the entries."""
-    return cov.chol

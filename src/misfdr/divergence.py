@@ -15,9 +15,9 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import BoundaryError, ParameterError
-from .posterior import KnownVariance, KnownVarPosterior, ModelSpec, TrueProcess, draw_replications
+from .posterior import KnownVariance, ModelSpec, PosteriorOperator, TrueProcess, draw_replications
 from .rng import as_generator
-from .sampdist import SamplingLaw, law_known_var
+from .sampdist import SamplingLaw, _law, law_known_var
 
 DEFAULT_DRAWS = 1000
 
@@ -70,8 +70,9 @@ def kl_known_var(
             "KL divergence is implemented for known-variance laws only; the "
             "unknown-variance law has no closed-form joint density"
         )
-    if not np.allclose(spec_cor.sigma_spec.entries, truth.sigma1.entries):
-        raise ParameterError("spec_cor must use the true covariance")
+    if not (np.allclose(spec_cor.sigma_spec.entries, truth.sigma1.entries)
+            and np.isclose(spec_cor.noise.sigma0_sq, truth.sigma0_sq)):
+        raise ParameterError("spec_cor must use the true covariance and noise variance")
     if not np.isclose(spec_cor.g, spec_mis.g):
         warnings.warn("correct and misspecified specs use different g", stacklevel=2)
 
@@ -81,7 +82,8 @@ def kl_known_var(
     # Work with phi = Phi^{-1}(h) computed directly from the standardized
     # posterior mean: round-tripping through h loses the tail (h saturates
     # at 1.0 in float64 once phi exceeds ~8.2) and would force exclusions.
-    phi = KnownVarPosterior(spec_cor).standardized(y)
+    op_cor = PosteriorOperator(spec_cor)
+    phi = op_cor.standardized(y)
 
     interior = np.all(np.isfinite(phi), axis=1)
     n_excluded = int(n_draws - interior.sum())
@@ -90,7 +92,7 @@ def kl_known_var(
             f"{n_excluded} of {n_draws} draws produced boundary statistics"
         )
 
-    law_cor = law_known_var(truth, spec_cor)
+    law_cor = _law(truth, op_cor)
     law_mis = law_known_var(truth, spec_mis)
     summands = _log_density_ratio_phi(phi[interior], law_cor, law_mis)
     n_kept = summands.shape[0]

@@ -7,14 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .posterior import (
-    KnownVariance,
-    KnownVarPosterior,
-    ModelSpec,
-    TrueProcess,
-    UnknownVarPosterior,
-    draw_replications,
-)
+from .posterior import ModelSpec, PosteriorOperator, TrueProcess, draw_replications
 from .rng import as_generator
 
 
@@ -41,8 +34,9 @@ def step_up(h: np.ndarray, alpha_star: float) -> DecisionSet:
     if not 0.0 < alpha_star < 1.0:
         raise ParameterError("alpha_star must lie in (0, 1)")
     h = np.asarray(h, dtype=float)
-    if np.any(h < 0.0) or np.any(h > 1.0):
-        raise ParameterError("statistics must lie in [0, 1]")
+    # One comparison each way also rejects NaN, which fails both.
+    if h.size and not (h.min() >= 0.0 and h.max() <= 1.0):
+        raise ParameterError("statistics must be finite and lie in [0, 1]")
     order = np.argsort(h, kind="stable")
     prefix_means = np.cumsum(h[order]) / np.arange(1, h.size + 1)
     qualifying = np.nonzero(prefix_means <= alpha_star)[0]
@@ -55,12 +49,6 @@ def step_up(h: np.ndarray, alpha_star: float) -> DecisionSet:
 def truth_labels(theta: np.ndarray, theta_bound: np.ndarray) -> np.ndarray:
     """True where H0 holds, i.e. theta_i >= bound_i (boundary is null)."""
     return np.asarray(theta) >= np.asarray(theta_bound)
-
-
-def _posterior_operator(spec: ModelSpec):
-    if isinstance(spec.noise, KnownVariance):
-        return KnownVarPosterior(spec)
-    return UnknownVarPosterior(spec)
 
 
 def replication_counts(
@@ -112,7 +100,7 @@ def operating_characteristics(
     gen = as_generator(rng)
     streams = [np.random.default_rng(s) for s in gen.bit_generator.seed_seq.spawn(n_reps)]
     theta, y = draw_replications(truth, streams)
-    h = _posterior_operator(spec).probs(y)
+    h = PosteriorOperator(spec).probs(y)
     nulls = truth_labels(theta, np.broadcast_to(spec.theta0, theta.shape))
     counts = np.array(
         [replication_counts(h[i], nulls[i], alpha_star) for i in range(n_reps)]

@@ -42,9 +42,3 @@ def psd_solve(chol_l: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A x = b given the lower Cholesky factor of A."""
     return cho_solve((chol_l, True), b)
 
-
-def psd_inverse(a: np.ndarray) -> np.ndarray:
-    """Inverse of a symmetric PD matrix via its Cholesky factor."""
-    chol_l, _ = chol_psd(a)
-    inv = psd_solve(chol_l, np.eye(a.shape[0]))
-    return 0.5 * (inv + inv.T)

@@ -8,7 +8,6 @@ analyst's assumed model. Two noise modes are supported: known noise variance
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
@@ -151,121 +150,95 @@ def _resolve_bound(spec: ModelSpec, hyp: Hypotheses | None) -> np.ndarray:
     return bound
 
 
-class KnownVarPosterior:
-    """Precomputed posterior operator for the known-variance model.
+def require_noise(spec: ModelSpec, mode: type) -> None:
+    """Raise unless `spec` uses the noise mode `mode`."""
+    if not isinstance(spec.noise, mode):
+        name = "known-variance" if mode is KnownVariance else "unknown-variance"
+        raise ParameterError(f"spec must use the {name} noise mode")
 
-    Factors the posterior precision once; evaluating the statistics for a
-    batch of datasets is then a single triangular solve.
+
+class PosteriorOperator:
+    """Posterior of theta under one model spec, from one Cholesky factor.
+
+    With noise scale s (sigma0^2 when the variance is known, 1 under the
+    inverse-gamma prior) and K = s I + g Sigma_spec, the posterior covariance
+    (the shape matrix of the multivariate t when the variance is unknown) is
+    A = s (I - s K^{-1}), and with r = y - theta0 the posterior mean is
+    theta0 + r - s K^{-1} r. Under the inverse-gamma prior the posterior is
+    multivariate t with m + 2 alpha degrees of freedom, and its scale depends
+    on y only through the quadratic form r' K^{-1} r. Nothing here inverts
+    Sigma_spec, so an ill-conditioned specification is only ever factored
+    after adding s I.
     """
 
     def __init__(self, spec: ModelSpec):
-        if not isinstance(spec.noise, KnownVariance):
-            raise ParameterError("spec must use the known-variance noise mode")
         self.spec = spec
+        self.known = isinstance(spec.noise, KnownVariance)
+        self.scale = spec.noise.sigma0_sq if self.known else 1.0
         m = spec.m
-        sigma0_sq = spec.noise.sigma0_sq
-        sigma_inv = psd_solve(spec.sigma_spec.chol, np.eye(m))
-        precision = np.eye(m) / sigma0_sq + sigma_inv / spec.g
-        self._prec_chol, _ = chol_psd(precision)
-        self.post_cov = psd_solve(self._prec_chol, np.eye(m))
-        self.post_cov = 0.5 * (self.post_cov + self.post_cov.T)
-        self._prior_pull = sigma_inv @ spec.theta0 / spec.g
-        self._sigma0_sq = sigma0_sq
-        self._post_sd = np.sqrt(np.diag(self.post_cov))
+        diag = np.diag_indices(m)
+        k = spec.g * spec.sigma_spec.entries
+        k[diag] += self.scale
+        self._k_chol, _ = chol_psd(k)
+        a = psd_solve(self._k_chol, np.eye(m))
+        a *= -self.scale * self.scale
+        a[diag] += self.scale
+        a += a.T
+        a *= 0.5
+        self.a = a
+        self._sd = np.sqrt(np.diag(a))
+        self.dof = None if self.known else m + 2 * spec.noise.alpha
+
+    def _solve(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(r, K^{-1} r) with r = y - theta0; accepts (m,) or (n, m)."""
+        resid = np.asarray(y, dtype=float) - self.spec.theta0
+        return resid, psd_solve(self._k_chol, resid.T).T
 
     def posterior_mean(self, y: np.ndarray) -> np.ndarray:
         """Posterior mean of theta given y; accepts (m,) or (n, m)."""
-        y = np.asarray(y, dtype=float)
-        rhs = y / self._sigma0_sq + self._prior_pull
-        return psd_solve(self._prec_chol, rhs.T).T
+        resid, solved = self._solve(y)
+        return self.spec.theta0 + resid - self.scale * solved
 
     def standardized(self, y: np.ndarray, theta_bound: np.ndarray | None = None) -> np.ndarray:
-        """(posterior mean - bound) / posterior sd; equals Phi^{-1}(h) exactly.
+        """(posterior mean - bound) / posterior scale: the argument of the
+        posterior CDF in `probs`, so Phi^{-1}(h) exactly when the variance is
+        known and the Student-t quantile of h when it is not.
 
         Downstream density evaluations work with this quantity directly so
         that tail values are not lost to Phi saturating at 1.0 in float64.
         """
-        bound = self.spec.theta0 if theta_bound is None else theta_bound
-        return (self.posterior_mean(y) - bound) / self._post_sd
+        resid, z = self._solve(y)
+        if not self.known:
+            quad = np.sum(resid * z, axis=-1)
+            t_scale = np.sqrt((2 * self.spec.noise.beta + quad) / self.dof)
+        # In place, so a batch costs two (n, m) arrays: z becomes the shift
+        # r - s K^{-1} r of the posterior mean, then its standardized value.
+        z *= -self.scale
+        z += resid
+        if theta_bound is not None:
+            z += self.spec.theta0 - theta_bound
+        z /= self._sd
+        if not self.known:
+            z /= t_scale[..., None]
+        return z
 
     def probs(self, y: np.ndarray, theta_bound: np.ndarray | None = None) -> np.ndarray:
-        return ndtr(self.standardized(y, theta_bound))
-
-
-class UnknownVarPosterior:
-    """Precomputed posterior operator for the unknown-variance model.
-
-    The posterior of theta is multivariate t with m + 2 alpha degrees of
-    freedom; its scale depends on y only through one quadratic form.
-    """
-
-    def __init__(self, spec: ModelSpec):
-        if not isinstance(spec.noise, UnknownVariance):
-            raise ParameterError("spec must use the unknown-variance noise mode")
-        self.spec = spec
-        m = spec.m
-        sigma_inv = psd_solve(spec.sigma_spec.chol, np.eye(m))
-        precision = np.eye(m) + sigma_inv / spec.g
-        self._prec_chol, _ = chol_psd(precision)
-        self.shape_matrix = psd_solve(self._prec_chol, np.eye(m))
-        self.shape_matrix = 0.5 * (self.shape_matrix + self.shape_matrix.T)
-        self._prior_pull = sigma_inv @ spec.theta0 / spec.g
-        self._marginal_chol, _ = chol_psd(np.eye(m) + spec.g * spec.sigma_spec.entries)
-        self.dof = m + 2 * spec.noise.alpha
-        self._shape_diag = np.diag(self.shape_matrix)
-
-    def posterior_mean(self, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        rhs = y + self._prior_pull
-        return psd_solve(self._prec_chol, rhs.T).T
-
-    def probs(self, y: np.ndarray, theta_bound: np.ndarray | None = None) -> np.ndarray:
-        spec = self.spec
-        bound = spec.theta0 if theta_bound is None else theta_bound
-        y = np.asarray(y, dtype=float)
-        mean = self.posterior_mean(y)
-        resid = y - spec.theta0
-        quad = np.sum(resid * psd_solve(self._marginal_chol, resid.T).T, axis=-1)
-        scale = (2 * spec.noise.beta + quad) / self.dof
-        v_diag = np.expand_dims(scale, -1) * self._shape_diag
-        return stdtr(self.dof, (mean - bound) / np.sqrt(v_diag))
+        """h_i = P(theta_i >= bound_i | y); the bound defaults to the prior mean."""
+        z = self.standardized(y, theta_bound)
+        return ndtr(z) if self.known else stdtr(self.dof, z)
 
 
 def posterior_probs_known_var(
     y: np.ndarray, spec: ModelSpec, hyp: Hypotheses | None = None
 ) -> np.ndarray:
     """h_i = P(H0i | y) under a known-variance model spec."""
-    return KnownVarPosterior(spec).probs(y, _resolve_bound(spec, hyp))
+    require_noise(spec, KnownVariance)
+    return PosteriorOperator(spec).probs(y, _resolve_bound(spec, hyp))
 
 
 def posterior_probs_unknown_var(
     y: np.ndarray, spec: ModelSpec, hyp: Hypotheses | None = None
 ) -> np.ndarray:
     """h_i = P(H0i | y) under an unknown-variance (IG prior) model spec."""
-    return UnknownVarPosterior(spec).probs(y, _resolve_bound(spec, hyp))
-
-
-def dataset_to_csv(path, dataset: Dataset, h: np.ndarray | None = None) -> None:
-    """Write one row per index: i, y, theta, h (h blank if not given)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["i", "y", "theta", "h"])
-        for i in range(len(dataset.y)):
-            hval = repr(float(h[i])) if h is not None else ""
-            writer.writerow([i, repr(float(dataset.y[i])), repr(float(dataset.theta[i])), hval])
-
-
-def dataset_from_csv(path) -> tuple[Dataset, np.ndarray | None]:
-    """Inverse of dataset_to_csv; returns the dataset and h (or None)."""
-    y, theta, h = [], [], []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            y.append(float(row["y"]))
-            theta.append(float(row["theta"]))
-            h.append(float(row["h"]) if row.get("h") else np.nan)
-    h_arr = np.asarray(h)
-    return (
-        Dataset(y=np.asarray(y), theta=np.asarray(theta)),
-        None if np.isnan(h_arr).all() else h_arr,
-    )
+    require_noise(spec, UnknownVariance)
+    return PosteriorOperator(spec).probs(y, _resolve_bound(spec, hyp))

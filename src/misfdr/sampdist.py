@@ -9,7 +9,6 @@ vector that we expose as a sampler.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +16,14 @@ from scipy.special import ndtr, ndtri, stdtr
 
 from .errors import BoundaryError, ParameterError
 from .linalg import chol_psd, psd_solve
-from .posterior import KnownVariance, ModelSpec, TrueProcess, UnknownVariance
+from .posterior import (
+    KnownVariance,
+    ModelSpec,
+    PosteriorOperator,
+    TrueProcess,
+    UnknownVariance,
+    require_noise,
+)
 
 
 @dataclass
@@ -74,60 +80,59 @@ def _spec_tag(truth: TrueProcess, spec: ModelSpec) -> str:
     return "correct" if same else "misspecified"
 
 
+def _law(truth: TrueProcess, op: PosteriorOperator) -> SamplingLaw:
+    """Sampling law of the statistics scored by `op` on data from `truth`.
+
+    The posterior mean is theta0 + S (y - theta0) with the smoother S = A / s,
+    so its sampling covariance is B = S (sigma0^2 I + Sigma_1) S'.
+    """
+    spec, a, m = op.spec, op.a, op.spec.m
+    cov_y = truth.sigma1.entries.copy()
+    cov_y[np.diag_indices(m)] += truth.sigma0_sq
+    b = a @ cov_y @ a
+    del cov_y
+    b /= op.scale * op.scale
+    b += b.T
+    b *= 0.5
+    c = None
+    if not op.known:
+        # A^-1 = I + P with P = Sigma_spec^-1 / g, so A^-2 - A^-1 = P (I + P),
+        # formed in place: P and C are the only new m x m arrays.
+        p = psd_solve(spec.sigma_spec.chol, np.eye(m))
+        p /= spec.g
+        c = p @ p
+        c += p
+        del p
+        c += c.T
+        c *= 0.5
+        if np.linalg.eigvalsh(c).min() < -1e-10:
+            raise ParameterError("A^-2 - A^-1 is not positive semidefinite")
+        # diag(B)^{1/2} on both sides: this is what the substitution
+        # theta_post - theta0 = diag(B)^{1/2} z_b actually yields, and it is the
+        # unique scaling under which sampler and simulation agree in distribution.
+        sd = np.sqrt(np.diag(b))
+        c *= sd[:, None]
+        c *= sd
+    return SamplingLaw(
+        a=a, b=b, r=np.diag(a) / np.diag(b), p_b=_correlation(b), c=c,
+        mode=spec.noise, spec_tag=_spec_tag(truth, spec), g=spec.g,
+    )
+
+
 def law_known_var(truth: TrueProcess, spec: ModelSpec) -> SamplingLaw:
     """Sampling law of the statistics for a known-variance model spec."""
-    if not isinstance(spec.noise, KnownVariance):
-        raise ParameterError("spec must use the known-variance noise mode")
+    require_noise(spec, KnownVariance)
     if not np.isclose(spec.noise.sigma0_sq, truth.sigma0_sq):
         raise ParameterError(
             "known-variance theory requires the spec noise variance to equal the truth"
         )
-    m = spec.m
-    sigma0_sq = truth.sigma0_sq
-    sigma_inv = psd_solve(spec.sigma_spec.chol, np.eye(m))
-    precision = np.eye(m) / sigma0_sq + sigma_inv / spec.g
-    prec_chol, _ = chol_psd(precision)
-    a = psd_solve(prec_chol, np.eye(m))
-    a = 0.5 * (a + a.T)
-    # (I + sigma0^2/g Sigma_s^{-1})^{-1} = A / sigma0^2
-    smoother = a / sigma0_sq
-    marginal_cov_y = sigma0_sq * np.eye(m) + truth.sigma1.entries
-    b = smoother @ marginal_cov_y @ smoother.T
-    b = 0.5 * (b + b.T)
-    r = np.diag(a) / np.diag(b)
-    return SamplingLaw(
-        a=a, b=b, r=r, p_b=_correlation(b), c=None,
-        mode=spec.noise, spec_tag=_spec_tag(truth, spec), g=spec.g,
-    )
+    return _law(truth, PosteriorOperator(spec))
 
 
 def law_unknown_var(truth: TrueProcess, spec: ModelSpec) -> SamplingLaw:
     """Sampling law for an unknown-variance (IG prior) model spec."""
-    if not isinstance(spec.noise, UnknownVariance):
-        raise ParameterError("spec must use the unknown-variance noise mode")
-    m = spec.m
-    sigma_inv = psd_solve(spec.sigma_spec.chol, np.eye(m))
-    a_inv = np.eye(m) + sigma_inv / spec.g
-    prec_chol, _ = chol_psd(a_inv)
-    a = psd_solve(prec_chol, np.eye(m))
-    a = 0.5 * (a + a.T)
-    marginal_cov_y = truth.sigma0_sq * np.eye(m) + truth.sigma1.entries
-    b = a @ marginal_cov_y @ a.T
-    b = 0.5 * (b + b.T)
-    quad_core = a_inv @ a_inv - a_inv
-    quad_core = 0.5 * (quad_core + quad_core.T)
-    if np.linalg.eigvalsh(quad_core).min() < -1e-10:
-        raise ParameterError("A^-2 - A^-1 is not positive semidefinite")
-    # diag(B)^{1/2} on both sides: this is what the substitution
-    # theta_post - theta0 = diag(B)^{1/2} z_b actually yields, and it is the
-    # unique scaling under which sampler and simulation agree in distribution.
-    sd = np.sqrt(np.diag(b))
-    c = sd[:, None] * quad_core * sd[None, :]
-    r = np.diag(a) / np.diag(b)
-    return SamplingLaw(
-        a=a, b=b, r=r, p_b=_correlation(b), c=c,
-        mode=spec.noise, spec_tag=_spec_tag(truth, spec), g=spec.g,
-    )
+    require_noise(spec, UnknownVariance)
+    return _law(truth, PosteriorOperator(spec))
 
 
 def _check_open_unit(h: np.ndarray) -> np.ndarray:
@@ -196,20 +201,3 @@ def xi_to_h(xi: np.ndarray, law: SamplingLaw) -> np.ndarray:
     if law.c is None:
         raise ParameterError("xi-to-h mapping applies to the unknown-variance law")
     return stdtr(law.dof, np.asarray(xi) / np.sqrt(law.r))
-
-
-def law_to_csv(law: SamplingLaw, diag_path, pb_path) -> None:
-    """Export (r, diag A, diag B) and P_b for inspection."""
-    with open(diag_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["i", "r", "diag_a", "diag_b"])
-        diag_a, diag_b = np.diag(law.a), np.diag(law.b)
-        for i in range(law.m):
-            writer.writerow(
-                [i, repr(float(law.r[i])), repr(float(diag_a[i])), repr(float(diag_b[i]))]
-            )
-    with open(pb_path, "w", newline="") as fh:
-        fh.write(f"# correlation matrix of B, m={law.m}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        for row in law.p_b:
-            writer.writerow([repr(float(v)) for v in row])

@@ -18,7 +18,7 @@ from .covariance import CovarianceMatrix, GridLayout, ar2_cov, exponential_cov, 
 from .divergence import kl_known_var
 from .errors import ParameterError
 from .fdr import replication_counts, summarize_counts, truth_labels
-from .posterior import KnownVariance, KnownVarPosterior, ModelSpec, TrueProcess, draw_replications
+from .posterior import KnownVariance, ModelSpec, PosteriorOperator, TrueProcess, draw_replications
 from .rng import stream, streams
 
 DEFAULT_G_GRID = tuple(10.0**e for e in (-2, -1, 0, 1, 2, 3))
@@ -105,8 +105,8 @@ def _sweep_point(config: ExperimentConfig, truth_cov: CovarianceMatrix, index: i
 
     rep_streams = streams(config.root_seed, config.n_reps, 0, index)
     theta, y = draw_replications(truth, rep_streams)
-    h_cor = KnownVarPosterior(spec_cor).probs(y)
-    h_mis = KnownVarPosterior(spec_mis).probs(y)
+    h_cor = PosteriorOperator(spec_cor).probs(y)
+    h_mis = PosteriorOperator(spec_mis).probs(y)
     nulls = truth_labels(theta, np.zeros_like(theta))
     counts_cor = np.array(
         [replication_counts(h_cor[i], nulls[i], config.alpha_star) for i in range(config.n_reps)]
@@ -231,53 +231,67 @@ def parse_config_text(text: str) -> dict[str, str]:
     return mapping
 
 
-def _kernel_from_mapping(mapping: dict[str, str], prefix: str) -> dict:
-    kind = mapping.get(f"{prefix}.kernel")
-    if kind is None:
-        raise ParameterError(f"missing config key: {prefix}.kernel")
+def _kernel_from_mapping(get, prefix: str) -> dict:
+    kind = get(f"{prefix}.kernel")
     kernel: dict = {"kind": kind}
     if kind == "exponential":
-        kernel["range"] = float(mapping[f"{prefix}.range"])
+        kernel["range"] = float(get(f"{prefix}.range"))
     elif kind == "ar2":
-        kernel["rho1"] = float(mapping[f"{prefix}.rho1"])
-        kernel["rho2"] = float(mapping[f"{prefix}.rho2"])
-        kernel["normalize"] = mapping.get(f"{prefix}.normalize", "false").lower() == "true"
+        kernel["rho1"] = float(get(f"{prefix}.rho1"))
+        kernel["rho2"] = float(get(f"{prefix}.rho2"))
+        kernel["normalize"] = get(f"{prefix}.normalize", "false").lower() == "true"
     elif kind != "identity":
         raise ParameterError(f"unknown kernel kind: {kind!r}")
     return kernel
 
 
 def config_from_mapping(mapping: dict[str, str], label: str = "config") -> ExperimentConfig:
-    """Build an ExperimentConfig from parsed key-value pairs."""
-    try:
-        grid = None
-        if "grid.rows" in mapping:
-            grid = GridLayout(
-                int(mapping["grid.rows"]),
-                int(mapping["grid.cols"]),
-                float(mapping.get("grid.spacing", "1.0")),
-            )
-            m = grid.m
-        else:
-            m = int(mapping["m"])
-        sweep_variable = mapping.get("sweep.variable", "g")
-        # A config without sweep.values describes a single run at its g.
-        raw_values = mapping.get("sweep.values", mapping.get("g", "1.0"))
-        sweep_values = tuple(float(v) for v in raw_values.split(","))
-        return ExperimentConfig(
-            label=label,
-            m=m,
-            sigma0_sq=float(mapping["sigma0_sq"]),
-            g=float(mapping.get("g", "1.0")),
-            truth_kernel=_kernel_from_mapping(mapping, "truth"),
-            mis_kernel=_kernel_from_mapping(mapping, "mis"),
-            sweep_variable=sweep_variable,
-            sweep_values=sweep_values,
-            alpha_star=float(mapping.get("alpha_star", "0.05")),
-            n_reps=int(mapping.get("n_reps", "400")),
-            kl_draws=int(mapping.get("kl_draws", "1000")),
-            root_seed=int(mapping.get("seed", "0")),
-            grid=grid,
+    """Build an ExperimentConfig from parsed key-value pairs.
+
+    Every key must be one the build reads: a misspelled key, or a parameter
+    the chosen kernel does not take, is an error rather than silently unused.
+    """
+    read: set[str] = set()
+
+    def get(key: str, default: str | None = None) -> str:
+        read.add(key)
+        if key in mapping:
+            return mapping[key]
+        if default is None:
+            raise ParameterError(f"missing config key: {key}")
+        return default
+
+    if get("noise.mode", "known") != "known":
+        raise ParameterError(
+            "sweeps and the KL divergence require the known-variance mode: the "
+            "unknown-variance law has no closed-form joint density"
         )
-    except KeyError as err:
-        raise ParameterError(f"missing config key: {err.args[0]}") from err
+    grid = None
+    if "grid.rows" in mapping:
+        grid = GridLayout(
+            int(get("grid.rows")), int(get("grid.cols")), float(get("grid.spacing", "1.0"))
+        )
+        m = grid.m
+    else:
+        m = int(get("m"))
+    g = get("g", "1.0")
+    config = ExperimentConfig(
+        label=label,
+        m=m,
+        sigma0_sq=float(get("sigma0_sq")),
+        g=float(g),
+        truth_kernel=_kernel_from_mapping(get, "truth"),
+        mis_kernel=_kernel_from_mapping(get, "mis"),
+        sweep_variable=get("sweep.variable", "g"),
+        # A config without sweep.values describes a single run at its g.
+        sweep_values=tuple(float(v) for v in get("sweep.values", g).split(",")),
+        alpha_star=float(get("alpha_star", "0.05")),
+        n_reps=int(get("n_reps", "400")),
+        kl_draws=int(get("kl_draws", "1000")),
+        root_seed=int(get("seed", "0")),
+        grid=grid,
+    )
+    unread = sorted(set(mapping) - read)
+    if unread:
+        raise ParameterError(f"unknown config key(s): {', '.join(unread)}")
+    return config

@@ -26,11 +26,10 @@ from misfdr.divergence import kl_known_var
 from misfdr.fdr import step_up
 from misfdr.posterior import (
     KnownVariance,
-    KnownVarPosterior,
     ModelSpec,
+    PosteriorOperator,
     TrueProcess,
     UnknownVariance,
-    UnknownVarPosterior,
     draw_replications,
 )
 from misfdr.rng import stream, streams
@@ -95,7 +94,7 @@ def test_criterion_2_known_var_marginal_law():
     worst = 1.0
     for spec in (spec_cor, spec_mis):
         law = law_known_var(truth, spec)
-        h = KnownVarPosterior(spec).probs(y)
+        h = PosteriorOperator(spec).probs(y)
         for i in coords:
             root_r = np.sqrt(law.r[i])
             # closed-form reference CDF; written via the probit so that the
@@ -118,7 +117,7 @@ def test_criterion_3_unknown_var_joint_law():
     for sigma_spec in (sigma1, identity_cov(grid.m)):
         spec = ModelSpec(np.zeros(grid.m), 1.0, sigma_spec, UnknownVariance(1.0, 1.0))
         _, y = draw_replications(truth, streams(42, n_draws, 0))
-        h_sim = UnknownVarPosterior(spec).probs(y)
+        h_sim = PosteriorOperator(spec).probs(y)
 
         law = law_unknown_var(truth, spec)
         xi = xi_sampler(law, n_draws, stream(42, 1))

@@ -116,6 +116,13 @@ class TestFdr:
         assert run(tmp_path, "fdr", "--input", str(tmp_path / "nope.csv"),
                    "--alpha", "0.05") == 1
 
+    def test_nan_score_rejected(self, tmp_path, capsys):
+        inp = tmp_path / "h.csv"
+        inp.write_text("0.01\nnan\n0.02\n")
+        assert run(tmp_path, "fdr", "--input", str(inp), "--alpha", "0.05") == 1
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "rejections.csv").exists()
+
 
 class TestSimulateAndExample:
     def test_simulate_writes_sweep_and_meta(self, tmp_path):
@@ -150,6 +157,20 @@ class TestSimulateAndExample:
         assert run(tmp_path, "simulate", "--config", str(config)) == 1
         assert "configuration error" in capsys.readouterr().err
 
+    def test_unknown_variance_rejected(self, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_text(CONFIG + "noise.mode = unknown\n")
+        assert run(tmp_path, "simulate", "--config", str(config)) == 1
+        assert "known-variance" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_unknown_key_rejected(self, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_text(CONFIG.replace("n_reps = 40", "n_rep = 5"))
+        assert run(tmp_path, "simulate", "--config", str(config)) == 1
+        assert "n_rep" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_example_desk(self, tmp_path):
         pytest.importorskip("matplotlib")
         assert run(tmp_path, "--threads", "2", "example",
@@ -158,3 +179,20 @@ class TestSimulateAndExample:
         assert len(lines) == 8  # header + seven range values
         for name in ("fdr", "fnr", "rejection_rate_diff", "kl_per_dim"):
             assert (tmp_path / f"{name}.svg").exists()
+
+
+class TestThreads:
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_below_one_rejected(self, tmp_path, capsys, threads):
+        config = tmp_path / "run.cfg"
+        config.write_text(CONFIG)
+        assert run(tmp_path, "--threads", threads, "simulate", "--config", str(config)) == 1
+        assert "at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_non_integer_environment_rejected(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("MISFDR_THREADS", "abc")
+        config = tmp_path / "run.cfg"
+        config.write_text(CONFIG)
+        assert run(tmp_path, "simulate", "--config", str(config)) == 1
+        assert "MISFDR_THREADS" in capsys.readouterr().err

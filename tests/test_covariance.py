@@ -6,7 +6,6 @@ from misfdr.covariance import (
     GridLayout,
     ar2_autocovariance,
     ar2_cov,
-    cholesky,
     exponential_cov,
     identity_cov,
     separable_cov,
@@ -27,7 +26,7 @@ class TestExponential:
     def test_full_grid_is_positive_definite(self):
         cov = exponential_cov(GridLayout(30, 30), range_=5.0)
         assert cov.dim == 900
-        factor = cholesky(cov)
+        factor = cov.chol
         assert np.all(np.diag(factor) > 0)
 
     def test_nonpositive_range_rejected(self):
@@ -118,7 +117,7 @@ class TestSeparable:
         pts = GridLayout(2, 2).points()
         cov = separable_cov(pts, [1, 2, 3], delta=1.0, range_=5.0, alpha=0.5)
         assert cov.dim == 12
-        cholesky(cov)
+        cov.chol
 
     def test_same_time_block_is_scaled_exponential(self):
         layout = GridLayout(2, 3)
@@ -144,23 +143,23 @@ class TestSeparable:
 
 class TestCholesky:
     def test_identity_factor(self):
-        np.testing.assert_array_equal(cholesky(identity_cov(3)), np.eye(3))
+        np.testing.assert_array_equal(identity_cov(3).chol, np.eye(3))
 
     def test_closed_form_2x2(self):
         cov = CovarianceMatrix([[1.0, 0.5], [0.5, 1.0]])
         expected = np.array([[1.0, 0.0], [0.5, np.sqrt(0.75)]])
-        np.testing.assert_allclose(cholesky(cov), expected)
+        np.testing.assert_allclose(cov.chol, expected)
 
     def test_reconstruction(self):
         cov = exponential_cov(GridLayout(10, 10), range_=5.0)
-        factor = cholesky(cov)
+        factor = cov.chol
         err = np.linalg.norm(factor @ factor.T - cov.entries)
         assert err / np.linalg.norm(cov.entries) < 1e-8
 
     def test_not_positive_definite(self):
         cov = CovarianceMatrix([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(NotPositiveDefiniteError):
-            cholesky(cov)
+            cov.chol
 
     def test_no_jitter_needed_on_clean_matrix(self):
         cov = exponential_cov(GridLayout(3, 3), range_=1.0)

@@ -79,6 +79,11 @@ class TestStepUp:
         with pytest.raises(ParameterError):
             step_up(np.array([1.5]), 0.05)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        with pytest.raises(ParameterError, match="finite"):
+            step_up(np.array([0.01, bad, 0.02]), 0.05)
+
     @given(h=h_vectors, alpha=st.floats(min_value=0.01, max_value=0.5))
     @settings(max_examples=200, deadline=None)
     def test_matches_brute_force(self, h, alpha):

@@ -5,16 +5,14 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from misfdr.covariance import CovarianceMatrix, identity_cov
+from misfdr.errors import ParameterError
 from misfdr.posterior import (
-    Dataset,
     Hypotheses,
     KnownVariance,
-    KnownVarPosterior,
     ModelSpec,
+    PosteriorOperator,
     TrueProcess,
     UnknownVariance,
-    dataset_from_csv,
-    dataset_to_csv,
     draw_dataset,
     draw_replications,
     posterior_probs_known_var,
@@ -115,10 +113,10 @@ class TestKnownVariance:
         sigma = CovarianceMatrix([[1.0, 0.4], [0.4, 1.0]])
         spec = ModelSpec(np.zeros(2), 1e8, sigma, KnownVariance(0.25))
         y = np.array([1.0, -2.0])
-        op = KnownVarPosterior(spec)
+        op = PosteriorOperator(spec)
         mean = op.posterior_mean(y)
         assert np.linalg.norm(mean - y) < 1e-4 * np.linalg.norm(y)
-        np.testing.assert_allclose(np.diag(op.post_cov), 0.25, atol=1e-6)
+        np.testing.assert_allclose(np.diag(op.a), 0.25, atol=1e-6)
 
     def test_half_everywhere_at_prior_mean_diagonal(self):
         spec = ModelSpec(
@@ -168,21 +166,63 @@ class TestUnknownVariance:
         assert values[2] == pytest.approx(0.5, abs=1e-2)
 
 
-class TestCsvRoundTrip:
-    def test_round_trip(self, tmp_path):
-        dataset = Dataset(y=np.array([0.1, -0.2]), theta=np.array([0.0, -0.1]))
-        h = np.array([0.4, 0.6])
-        path = tmp_path / "data.csv"
-        dataset_to_csv(path, dataset, h)
-        back, h_back = dataset_from_csv(path)
-        np.testing.assert_array_equal(back.y, dataset.y)
-        np.testing.assert_array_equal(back.theta, dataset.theta)
-        np.testing.assert_array_equal(h_back, h)
+def random_spd_specs(n=20, seed=2024):
+    """Random SPD specifications drawn as in acceptance criterion 8."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        m = int(rng.integers(2, 51))
+        raw = rng.standard_normal((m, m))
+        sigma = CovarianceMatrix(raw @ raw.T + m * np.eye(m))
+        theta0 = rng.standard_normal(m)
+        y = theta0 + rng.standard_normal((3, m))
+        yield rng, sigma, theta0, y
 
-    def test_round_trip_without_h(self, tmp_path):
-        dataset = Dataset(y=np.array([1.5]), theta=np.array([1.0]))
-        path = tmp_path / "data.csv"
-        dataset_to_csv(path, dataset)
-        back, h_back = dataset_from_csv(path)
-        np.testing.assert_array_equal(back.y, dataset.y)
-        assert h_back is None
+
+PIN_GS = (1e-2, 1e-1, 1.0, 10.0, 1e3, 1e8)
+
+
+class TestPosteriorOperatorPin:
+    """The one-factor operator against dense textbook formulas."""
+
+    @pytest.mark.parametrize("g", PIN_GS)
+    def test_known_variance(self, g):
+        for rng, sigma, theta0, y in random_spd_specs():
+            sigma0_sq = float(rng.uniform(0.1, 2.0))
+            spec = ModelSpec(theta0, g, sigma, KnownVariance(sigma0_sq))
+            m = spec.m
+            sigma_inv = np.linalg.inv(sigma.entries)
+            post_cov = np.linalg.inv(np.eye(m) / sigma0_sq + sigma_inv / g)
+            mean = (y / sigma0_sq + sigma_inv @ theta0 / g) @ post_cov
+            op = PosteriorOperator(spec)
+            np.testing.assert_allclose(op.a, post_cov, rtol=1e-10, atol=0)
+            np.testing.assert_allclose(op.posterior_mean(y), mean, rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("g", PIN_GS)
+    def test_unknown_variance(self, g):
+        for rng, sigma, theta0, y in random_spd_specs():
+            noise = UnknownVariance(float(rng.uniform(0.5, 3.0)), float(rng.uniform(0.1, 2.0)))
+            spec = ModelSpec(theta0, g, sigma, noise)
+            m = spec.m
+            sigma_inv = np.linalg.inv(sigma.entries)
+            shape = np.linalg.inv(np.eye(m) + sigma_inv / g)
+            mean = (y + sigma_inv @ theta0 / g) @ shape
+            resid = y - theta0
+            quad = np.sum(resid * (resid @ np.linalg.inv(np.eye(m) + g * sigma.entries)), axis=1)
+            dof = m + 2 * noise.alpha
+            scale = (2 * noise.beta + quad) / dof
+            op = PosteriorOperator(spec)
+            np.testing.assert_allclose(op.a, shape, rtol=1e-10, atol=0)
+            np.testing.assert_allclose(op.posterior_mean(y), mean, rtol=1e-10, atol=0)
+            # the quadratic form enters only through the t scale
+            z = (mean - theta0) / np.sqrt(scale[:, None] * np.diag(shape))
+            np.testing.assert_allclose(op.standardized(y), z, rtol=1e-10, atol=0)
+
+
+class TestNoiseModeChecks:
+    def test_known_var_probs_reject_unknown_spec(self):
+        with pytest.raises(ParameterError, match="known-variance"):
+            posterior_probs_known_var(np.zeros(1), scalar_spec(noise=UnknownVariance(1.0, 1.0)))
+
+    def test_unknown_var_probs_reject_known_spec(self):
+        with pytest.raises(ParameterError, match="unknown-variance"):
+            posterior_probs_unknown_var(np.zeros(1), scalar_spec())

@@ -13,7 +13,6 @@ from misfdr.sampdist import (
     joint_log_pdf,
     law_known_var,
     law_unknown_var,
-    law_to_csv,
     marginal_cdf,
     marginal_pdf,
     xi_sampler,
@@ -267,17 +266,3 @@ class TestXiSampler:
             xi_sampler(law, 10, stream(1, 2))
         with pytest.raises(ParameterError):
             xi_to_h(np.array([0.0]), law)
-
-
-class TestExport:
-    def test_law_csv(self, tmp_path):
-        truth, spec_cor, _ = grid_setup(rows=2, cols=2)
-        law = law_known_var(truth, spec_cor)
-        diag = tmp_path / "law_diag.csv"
-        pb = tmp_path / "law_pb.csv"
-        law_to_csv(law, diag, pb)
-        lines = diag.read_text().splitlines()
-        assert lines[0] == "i,r,diag_a,diag_b"
-        assert len(lines) == 5
-        assert float(lines[1].split(",")[1]) == pytest.approx(law.r[0])
-        assert pb.read_text().startswith("# correlation matrix of B, m=4")

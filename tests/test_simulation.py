@@ -192,6 +192,24 @@ class TestConfigParsing:
         with pytest.raises(ParameterError, match="sigma0_sq"):
             config_from_mapping(mapping)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("n_rep", "5"), ("m", "25"), ("mis.range", "2.0"), ("grid.colls", "5")],
+    )
+    def test_unread_key_rejected(self, key, value):
+        mapping = parse_config_text(self.TEXT)
+        mapping[key] = value
+        with pytest.raises(ParameterError, match=f"unknown config key.*{key}"):
+            config_from_mapping(mapping)
+
+    def test_unknown_noise_mode_rejected(self):
+        mapping = parse_config_text(self.TEXT)
+        mapping["noise.mode"] = "unknown"
+        with pytest.raises(ParameterError, match="known-variance"):
+            config_from_mapping(mapping)
+        mapping["noise.mode"] = "known"
+        assert config_from_mapping(mapping).m == 25
+
     def test_single_run_defaults_sweep_to_g(self):
         mapping = parse_config_text(self.TEXT)
         del mapping["sweep.values"]
