@@ -21,7 +21,6 @@ from .covariance import GridLayout, ar2_cov, exponential_cov, identity_cov, sepa
 from .divergence import kl_known_var
 from .errors import BoundaryError, NotPositiveDefiniteError, ParameterError
 from .fdr import step_up
-from .posterior import KnownVariance, ModelSpec, TrueProcess
 from .rng import stream
 from .sampdist import marginal_cdf, marginal_pdf
 from .simulation import (
@@ -29,6 +28,7 @@ from .simulation import (
     build_cov,
     builtin_example,
     config_from_mapping,
+    paired_specs,
     parse_config_text,
     run_sweep,
     write_sweep_csv,
@@ -172,11 +172,7 @@ def _cmd_kl(args) -> bytes:
         config = type(config)(**{**vars(config), "root_seed": args.seed})
     truth_cov = build_cov(config.truth_kernel, config.m, config.grid)
     mis_cov = build_cov(config.mis_kernel, config.m, config.grid)
-    theta0 = np.zeros(config.m)
-    truth = TrueProcess(theta0, config.sigma0_sq, truth_cov)
-    noise = KnownVariance(config.sigma0_sq)
-    spec_cor = ModelSpec(theta0, config.g, truth_cov, noise)
-    spec_mis = ModelSpec(theta0, config.g, mis_cov, noise)
+    truth, spec_cor, spec_mis = paired_specs(config, truth_cov, mis_cov, config.g)
     est = kl_known_var(truth, spec_cor, spec_mis, n_draws=config.kl_draws,
                        rng=stream(config.root_seed, 1, 0))
     out = os.path.join(args.output_dir, args.out)

@@ -16,7 +16,7 @@ from scipy.special import ndtri
 
 from .errors import BoundaryError, ParameterError
 from .posterior import KnownVariance, ModelSpec, PosteriorOperator, TrueProcess, draw_replications
-from .rng import as_generator
+from .rng import spawn
 from .sampdist import SamplingLaw, _law, law_known_var
 
 DEFAULT_DRAWS = 1000
@@ -76,9 +76,7 @@ def kl_known_var(
     if not np.isclose(spec_cor.g, spec_mis.g):
         warnings.warn("correct and misspecified specs use different g", stacklevel=2)
 
-    gen = as_generator(rng)
-    streams = [np.random.default_rng(s) for s in gen.bit_generator.seed_seq.spawn(n_draws)]
-    _, y = draw_replications(truth, streams)
+    _, y = draw_replications(truth, spawn(rng, n_draws))
     # Work with phi = Phi^{-1}(h) computed directly from the standardized
     # posterior mean: round-tripping through h loses the tail (h saturates
     # at 1.0 in float64 once phi exceeds ~8.2) and would force exclusions.

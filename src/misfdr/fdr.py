@@ -8,13 +8,13 @@ import numpy as np
 
 from .errors import ParameterError
 from .posterior import ModelSpec, PosteriorOperator, TrueProcess, draw_replications
-from .rng import as_generator
+from .rng import spawn
 
 
 @dataclass(frozen=True)
 class DecisionSet:
     rejected: np.ndarray
-    k: int
+    k: int | np.ndarray
     threshold_level: float
 
 
@@ -29,21 +29,28 @@ class OperatingCharacteristics:
 
 
 def step_up(h: np.ndarray, alpha_star: float) -> DecisionSet:
-    """Reject the k hypotheses with smallest h, where k is the largest
-    prefix whose running mean of sorted h stays at or below alpha_star."""
+    """Reject the k smallest h, k the longest prefix of sorted h whose running
+    mean is at most alpha_star: the rule of Newton et al. 2004 (Biostatistics
+    5:155) and Sun & Cai 2007 (JASA 102:901). `h` is (m,), giving an int k, or
+    (n, m), one replication per row, giving an (n,) array of k and (n, m) masks."""
     if not 0.0 < alpha_star < 1.0:
         raise ParameterError("alpha_star must lie in (0, 1)")
     h = np.asarray(h, dtype=float)
     # One comparison each way also rejects NaN, which fails both.
     if h.size and not (h.min() >= 0.0 and h.max() <= 1.0):
         raise ParameterError("statistics must be finite and lie in [0, 1]")
-    order = np.argsort(h, kind="stable")
-    prefix_means = np.cumsum(h[order]) / np.arange(1, h.size + 1)
-    qualifying = np.nonzero(prefix_means <= alpha_star)[0]
-    k = int(qualifying[-1] + 1) if qualifying.size else 0
-    rejected = np.zeros(h.size, dtype=bool)
-    rejected[order[:k]] = True
-    return DecisionSet(rejected=rejected, k=k, threshold_level=alpha_star)
+    m = h.shape[-1]
+    order = np.argsort(h, axis=-1, kind="stable")
+    # Cumsum in place: a batch then holds one float (n, m) array besides h.
+    prefix_means = np.take_along_axis(h, order, axis=-1)
+    np.cumsum(prefix_means, axis=-1, out=prefix_means)
+    prefix_means /= np.arange(1, m + 1)
+    # k ends at the last qualifying prefix: rounding can leave gaps before it.
+    qualifying = prefix_means <= alpha_star
+    k = np.count_nonzero(np.logical_or.accumulate(qualifying[..., ::-1], axis=-1), axis=-1)
+    rejected = np.empty(h.shape, dtype=bool)
+    np.put_along_axis(rejected, order, np.arange(m) < np.expand_dims(k, -1), axis=-1)
+    return DecisionSet(rejected, int(k) if h.ndim == 1 else k, alpha_star)
 
 
 def truth_labels(theta: np.ndarray, theta_bound: np.ndarray) -> np.ndarray:
@@ -51,16 +58,24 @@ def truth_labels(theta: np.ndarray, theta_bound: np.ndarray) -> np.ndarray:
     return np.asarray(theta) >= np.asarray(theta_bound)
 
 
-def replication_counts(
-    h: np.ndarray, null_mask: np.ndarray, alpha_star: float
-) -> tuple[int, int, int]:
-    """(R, V, T) for one replication: rejections, false rejections,
-    true alternatives left unrejected."""
+def replication_counts(h: np.ndarray, null_mask: np.ndarray, alpha_star: float) -> np.ndarray:
+    """(R, V, T) for one replication: rejections, false rejections, true
+    alternatives left unrejected. A batch (n, m) gives one row per replication."""
     decision = step_up(h, alpha_star)
-    rejections = decision.k
-    false_rejections = int(np.count_nonzero(decision.rejected & null_mask))
-    missed = int(np.count_nonzero(~decision.rejected & ~null_mask))
-    return rejections, false_rejections, missed
+    false_rejections = np.count_nonzero(decision.rejected & null_mask, axis=-1)
+    missed = np.count_nonzero(~(decision.rejected | null_mask), axis=-1)
+    return np.stack((decision.k, false_rejections, missed), axis=-1)
+
+
+def replicate(truth: TrueProcess, specs, alpha_star: float, streams) -> list[np.ndarray]:
+    """(n, 3) per-replication (R, V, T) counts for each spec, all scored on the
+    same n datasets drawn from `truth`, one per stream. H0i is theta_i >= the
+    spec's prior mean."""
+    theta, y = draw_replications(truth, streams)
+    return [
+        replication_counts(PosteriorOperator(s).probs(y), truth_labels(theta, s.theta0), alpha_star)
+        for s in specs
+    ]
 
 
 def summarize_counts(
@@ -97,12 +112,5 @@ def operating_characteristics(
     """
     if n_reps < 1:
         raise ParameterError("n_reps must be at least 1")
-    gen = as_generator(rng)
-    streams = [np.random.default_rng(s) for s in gen.bit_generator.seed_seq.spawn(n_reps)]
-    theta, y = draw_replications(truth, streams)
-    h = PosteriorOperator(spec).probs(y)
-    nulls = truth_labels(theta, np.broadcast_to(spec.theta0, theta.shape))
-    counts = np.array(
-        [replication_counts(h[i], nulls[i], alpha_star) for i in range(n_reps)]
-    )
+    (counts,) = replicate(truth, [spec], alpha_star, spawn(rng, n_reps))
     return summarize_counts(counts, truth.m)

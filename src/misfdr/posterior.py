@@ -17,7 +17,6 @@ from scipy.special import ndtr, stdtr
 from .covariance import CovarianceMatrix
 from .errors import ParameterError
 from .linalg import chol_psd, psd_solve
-from .rng import as_generator
 
 
 @dataclass(frozen=True)
@@ -110,7 +109,7 @@ class Dataset:
 def draw_dataset(truth: TrueProcess, rng) -> Dataset:
     """One draw: theta ~ N(theta0, Sigma1), y = theta + N(0, sigma0^2 I)."""
     seed = rng if not isinstance(rng, np.random.Generator) else None
-    gen = as_generator(rng)
+    gen = np.random.default_rng(rng)
     z = gen.standard_normal(truth.m)
     theta = truth.theta0 + truth.sigma1.chol @ z
     eps = np.sqrt(truth.sigma0_sq) * gen.standard_normal(truth.m)

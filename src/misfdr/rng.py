@@ -1,8 +1,7 @@
-"""Reproducible RNG streams.
-
-Every Monte Carlo loop uses one independent stream per replication, derived
-from a root seed and the replication index, so runs are bit-reproducible
-regardless of execution order or parallelism.
+"""Reproducible RNG streams, from one scheme: a parent seed sequence spawns one
+child per replication (or draw). `stream(root, *path)` addresses a parent by a
+root seed and a path, and its child r is `stream(root, *path, r)`, so runs are
+bit-reproducible regardless of execution order or parallelism.
 """
 
 from __future__ import annotations
@@ -16,13 +15,12 @@ def stream(root_seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
+def spawn(seed_or_rng, n: int) -> list[np.random.Generator]:
+    """n independent child Generators of an int seed or a Generator."""
+    children = np.random.default_rng(seed_or_rng).bit_generator.seed_seq.spawn(n)
+    return [np.random.default_rng(s) for s in children]
+
+
 def streams(root_seed: int, n: int, *prefix: int) -> list[np.random.Generator]:
     """n sibling substreams, indexed 0..n-1 under an optional path prefix."""
-    return [stream(root_seed, *prefix, r) for r in range(n)]
-
-
-def as_generator(seed_or_rng) -> np.random.Generator:
-    """Accept an int seed or an existing Generator."""
-    if isinstance(seed_or_rng, np.random.Generator):
-        return seed_or_rng
-    return np.random.default_rng(seed_or_rng)
+    return spawn(stream(root_seed, *prefix), n)

@@ -28,7 +28,7 @@ from .posterior import (
 
 @dataclass
 class SamplingLaw:
-    """The (A, B, r, P_b, C) bundle determining the law of the statistics."""
+    """The (A, B, r, P_b, C) bundle determining the law; P_b is B's correlation."""
 
     a: np.ndarray
     b: np.ndarray
@@ -55,7 +55,8 @@ class SamplingLaw:
         self.log_det_copula = float(
             np.sum(np.log(diag_a)) - 2.0 * np.sum(np.log(np.diag(b_chol)))
         )
-        self._pb_chol, _ = chol_psd(self.p_b)
+        # P_b = D^-1 B D^-1 with D = diag(B)^{1/2}, so its factor is D^-1 L_B.
+        self._pb_chol = b_chol / np.sqrt(np.diag(self.b))[:, None]
 
     @property
     def m(self) -> int:

@@ -17,8 +17,8 @@ import numpy as np
 from .covariance import CovarianceMatrix, GridLayout, ar2_cov, exponential_cov, identity_cov
 from .divergence import kl_known_var
 from .errors import ParameterError
-from .fdr import replication_counts, summarize_counts, truth_labels
-from .posterior import KnownVariance, ModelSpec, PosteriorOperator, TrueProcess, draw_replications
+from .fdr import replicate, summarize_counts
+from .posterior import KnownVariance, ModelSpec, TrueProcess
 from .rng import stream, streams
 
 DEFAULT_G_GRID = tuple(10.0**e for e in (-2, -1, 0, 1, 2, 3))
@@ -89,6 +89,14 @@ def build_cov(kernel: dict, m: int, grid: GridLayout | None) -> CovarianceMatrix
     raise ParameterError(f"unknown kernel kind: {kind!r}")
 
 
+def paired_specs(config: ExperimentConfig, truth_cov, mis_cov, g: float):
+    """(truth, spec_cor, spec_mis) at prior scale g; spec_cor uses the truth's covariance."""
+    theta0 = np.zeros(config.m)
+    noise = KnownVariance(config.sigma0_sq)
+    truth = TrueProcess(theta0, config.sigma0_sq, truth_cov)
+    return truth, ModelSpec(theta0, g, truth_cov, noise), ModelSpec(theta0, g, mis_cov, noise)
+
+
 def _sweep_point(config: ExperimentConfig, truth_cov: CovarianceMatrix, index: int) -> SweepRow:
     value = float(config.sweep_values[index])
     g = value if config.sweep_variable == "g" else config.g
@@ -96,24 +104,10 @@ def _sweep_point(config: ExperimentConfig, truth_cov: CovarianceMatrix, index: i
     if config.sweep_variable == "rho":
         mis_kernel["range"] = value
     mis_cov = build_cov(mis_kernel, config.m, config.grid)
-
-    theta0 = np.zeros(config.m)
-    truth = TrueProcess(theta0=theta0, sigma0_sq=config.sigma0_sq, sigma1=truth_cov)
-    noise = KnownVariance(config.sigma0_sq)
-    spec_cor = ModelSpec(theta0=theta0, g=g, sigma_spec=truth_cov, noise=noise)
-    spec_mis = ModelSpec(theta0=theta0, g=g, sigma_spec=mis_cov, noise=noise)
+    truth, spec_cor, spec_mis = paired_specs(config, truth_cov, mis_cov, g)
 
     rep_streams = streams(config.root_seed, config.n_reps, 0, index)
-    theta, y = draw_replications(truth, rep_streams)
-    h_cor = PosteriorOperator(spec_cor).probs(y)
-    h_mis = PosteriorOperator(spec_mis).probs(y)
-    nulls = truth_labels(theta, np.zeros_like(theta))
-    counts_cor = np.array(
-        [replication_counts(h_cor[i], nulls[i], config.alpha_star) for i in range(config.n_reps)]
-    )
-    counts_mis = np.array(
-        [replication_counts(h_mis[i], nulls[i], config.alpha_star) for i in range(config.n_reps)]
-    )
+    counts_cor, counts_mis = replicate(truth, [spec_cor, spec_mis], config.alpha_star, rep_streams)
     oc_cor = summarize_counts(counts_cor, config.m)
     oc_mis = summarize_counts(counts_mis, config.m)
     diff = float((counts_cor[:, 0].mean() - counts_mis[:, 0].mean()) / config.m)
@@ -153,6 +147,8 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> list[SweepRow]:
                 rows = list(pool.map(lambda j: _sweep_point(config, truth_cov, j), indices))
         else:
             rows = [_sweep_point(config, truth_cov, j) for j in indices]
+    except ParameterError:
+        raise
     except Exception as err:
         raise RuntimeError(f"sweep failed for {config.label!r}: {err}") from err
     return rows
@@ -235,10 +231,10 @@ def _kernel_from_mapping(get, prefix: str) -> dict:
     kind = get(f"{prefix}.kernel")
     kernel: dict = {"kind": kind}
     if kind == "exponential":
-        kernel["range"] = float(get(f"{prefix}.range"))
+        kernel["range"] = get(f"{prefix}.range", cast=float)
     elif kind == "ar2":
-        kernel["rho1"] = float(get(f"{prefix}.rho1"))
-        kernel["rho2"] = float(get(f"{prefix}.rho2"))
+        kernel["rho1"] = get(f"{prefix}.rho1", cast=float)
+        kernel["rho2"] = get(f"{prefix}.rho2", cast=float)
         kernel["normalize"] = get(f"{prefix}.normalize", "false").lower() == "true"
     elif kind != "identity":
         raise ParameterError(f"unknown kernel kind: {kind!r}")
@@ -253,13 +249,16 @@ def config_from_mapping(mapping: dict[str, str], label: str = "config") -> Exper
     """
     read: set[str] = set()
 
-    def get(key: str, default: str | None = None) -> str:
+    def get(key: str, default=None, cast=str):
         read.add(key)
-        if key in mapping:
-            return mapping[key]
-        if default is None:
-            raise ParameterError(f"missing config key: {key}")
-        return default
+        if key not in mapping:
+            if default is None:
+                raise ParameterError(f"missing config key: {key}")
+            return default
+        try:
+            return cast(mapping[key])
+        except ValueError:
+            raise ParameterError(f"config key {key}: invalid value {mapping[key]!r}") from None
 
     if get("noise.mode", "known") != "known":
         raise ParameterError(
@@ -269,26 +268,27 @@ def config_from_mapping(mapping: dict[str, str], label: str = "config") -> Exper
     grid = None
     if "grid.rows" in mapping:
         grid = GridLayout(
-            int(get("grid.rows")), int(get("grid.cols")), float(get("grid.spacing", "1.0"))
+            get("grid.rows", cast=int), get("grid.cols", cast=int),
+            get("grid.spacing", 1.0, float),
         )
         m = grid.m
     else:
-        m = int(get("m"))
-    g = get("g", "1.0")
+        m = get("m", cast=int)
+    g = get("g", 1.0, float)
     config = ExperimentConfig(
         label=label,
         m=m,
-        sigma0_sq=float(get("sigma0_sq")),
-        g=float(g),
+        sigma0_sq=get("sigma0_sq", cast=float),
+        g=g,
         truth_kernel=_kernel_from_mapping(get, "truth"),
         mis_kernel=_kernel_from_mapping(get, "mis"),
         sweep_variable=get("sweep.variable", "g"),
         # A config without sweep.values describes a single run at its g.
-        sweep_values=tuple(float(v) for v in get("sweep.values", g).split(",")),
-        alpha_star=float(get("alpha_star", "0.05")),
-        n_reps=int(get("n_reps", "400")),
-        kl_draws=int(get("kl_draws", "1000")),
-        root_seed=int(get("seed", "0")),
+        sweep_values=get("sweep.values", (g,), lambda text: tuple(map(float, text.split(",")))),
+        alpha_star=get("alpha_star", 0.05, float),
+        n_reps=get("n_reps", 400, int),
+        kl_draws=get("kl_draws", 1000, int),
+        root_seed=get("seed", 0, int),
         grid=grid,
     )
     unread = sorted(set(mapping) - read)

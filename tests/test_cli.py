@@ -171,6 +171,24 @@ class TestSimulateAndExample:
         assert "n_rep" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
+    def test_non_numeric_value_rejected(self, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_text(CONFIG.replace("n_reps = 40", "n_reps = many"))
+        assert run(tmp_path, "simulate", "--config", str(config)) == 1
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_configuration_error_in_sweep_point(self, tmp_path, capsys):
+        # the misspecified covariance is built inside each sweep point
+        config = tmp_path / "bad.cfg"
+        config.write_text(
+            "m = 9\nsigma0_sq = 0.25\ntruth.kernel = identity\n"
+            "mis.kernel = exponential\nmis.range = 5.0\nn_reps = 10\nkl_draws = 10\n"
+        )
+        assert run(tmp_path, "simulate", "--config", str(config)) == 1
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_example_desk(self, tmp_path):
         pytest.importorskip("matplotlib")
         assert run(tmp_path, "--threads", "2", "example",

@@ -10,12 +10,14 @@ from misfdr.covariance import GridLayout, exponential_cov
 from misfdr.errors import ParameterError
 from misfdr.fdr import (
     operating_characteristics,
+    replicate,
     replication_counts,
     step_up,
     summarize_counts,
     truth_labels,
 )
 from misfdr.posterior import KnownVariance, ModelSpec, TrueProcess
+from misfdr.rng import spawn, stream, streams
 
 h_vectors = arrays(
     np.float64,
@@ -36,6 +38,16 @@ def brute_force_k(h, alpha_star):
         if running <= k * alpha:
             best = k
     return best
+
+
+# Small value sets make ties, all-null rows (k = 0) and all-rejected rows
+# (k = m) common.
+score_batches = st.tuples(st.integers(1, 6), st.integers(1, 12)).flatmap(
+    lambda shape: st.tuples(
+        arrays(np.float64, shape, elements=st.sampled_from([0.0, 0.01, 0.03, 0.05, 0.1, 0.5, 1.0])),
+        arrays(np.bool_, shape),
+    )
+)
 
 
 def near_threshold(h, alpha_star):
@@ -72,6 +84,9 @@ class TestStepUp:
     def test_everything_rejected(self):
         out = step_up(np.array([0.01, 0.02, 0.03]), 0.05)
         assert out.k == 3
+
+    def test_empty_input_rejects_nothing(self):
+        assert step_up(np.array([]), 0.05).k == 0
 
     def test_invalid_inputs(self):
         with pytest.raises(ParameterError):
@@ -120,6 +135,28 @@ class TestStepUp:
             assert h[out.rejected].max() <= h[~out.rejected].min()
 
 
+class TestBatchedStepUp:
+    @given(batch=score_batches, alpha=st.sampled_from([0.02, 0.05, 0.1, 0.3]))
+    @settings(max_examples=200, deadline=None)
+    def test_rows_match_brute_force(self, batch, alpha):
+        h, nulls = batch
+        decision = step_up(h, alpha)
+        counts = replication_counts(h, nulls, alpha)
+        assert counts.shape == (h.shape[0], 3)
+        for i, row in enumerate(h):
+            if near_threshold(row, alpha):
+                continue
+            k = brute_force_k(row, alpha)
+            # ties at the cut go to the lower index, as with a stable sort
+            rejected = np.zeros(row.size, dtype=bool)
+            rejected[sorted(range(row.size), key=lambda j: (row[j], j))[:k]] = True
+            assert decision.k[i] == k
+            np.testing.assert_array_equal(decision.rejected[i], rejected)
+            v = int(np.sum(rejected & nulls[i]))
+            t = int(np.sum(~rejected & ~nulls[i]))
+            assert counts[i].tolist() == [k, v, t]
+
+
 class TestTruthLabels:
     def test_boundary_counts_as_null(self):
         theta = np.array([-1.0, 0.0, 1.0])
@@ -165,6 +202,27 @@ class TestOperatingCharacteristics:
         b = operating_characteristics(self.truth, self.spec, 0.05, n_reps=50, rng=3)
         assert a == b
 
+    def test_equals_replicate_on_the_same_streams(self):
+        oc = operating_characteristics(self.truth, self.spec, 0.05, n_reps=30, rng=stream(8, 0, 1))
+        (counts,) = replicate(self.truth, [self.spec], 0.05, streams(8, 30, 0, 1))
+        assert oc == summarize_counts(counts, self.truth.m)
+
     def test_fdr_near_nominal_under_correct_spec(self):
         oc = operating_characteristics(self.truth, self.spec, 0.05, n_reps=400, rng=42)
         assert 0.0 < oc.fdr_hat < 0.10
+
+
+class TestSeeding:
+    def test_one_spawn_scheme(self):
+        # streams, spawn of the parent stream, and the addressed child
+        # streams all give the same generators
+        draws = [
+            [g.standard_normal(4) for g in gens]
+            for gens in (
+                streams(5, 3, 0, 2),
+                spawn(stream(5, 0, 2), 3),
+                [stream(5, 0, 2, r) for r in range(3)],
+            )
+        ]
+        np.testing.assert_array_equal(draws[0], draws[1])
+        np.testing.assert_array_equal(draws[0], draws[2])

@@ -108,6 +108,19 @@ class TestLawUnknownVar:
         assert law_unknown_var(truth, spec).spec_tag == "correct"
 
 
+class TestCorrelationFactor:
+    @pytest.mark.parametrize(
+        "noise, law_of",
+        [(KnownVariance(0.25), law_known_var), (UnknownVariance(2.0, 0.5), law_unknown_var)],
+    )
+    def test_factor_of_p_b(self, noise, law_of):
+        truth, spec_cor, spec_mis = grid_setup(rows=4, cols=4, g=3.0)
+        for spec in (spec_cor, spec_mis):
+            law = law_of(truth, ModelSpec(spec.theta0, spec.g, spec.sigma_spec, noise))
+            np.testing.assert_allclose(law._pb_chol @ law._pb_chol.T, law.p_b, rtol=0, atol=1e-12)
+            assert not np.triu(law._pb_chol, 1).any()
+
+
 class TestCopulaIdentity:
     def test_random_laws(self):
         rng = np.random.default_rng(99)

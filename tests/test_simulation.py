@@ -88,6 +88,14 @@ class TestRunSweep:
         threaded = run_sweep(config, threads=2)
         assert serial == threaded
 
+    def test_configuration_error_not_wrapped(self):
+        config = tiny_config(
+            m=9, grid=None, truth_kernel={"kind": "identity"},
+            mis_kernel={"kind": "exponential", "range": 5.0},
+        )
+        with pytest.raises(ParameterError, match="requires a grid"):
+            run_sweep(config)
+
     def test_error_wrapped_with_label(self):
         config = tiny_config(mis_kernel={"kind": "exponential"})  # missing range
         with pytest.raises(RuntimeError, match="tiny"):
@@ -200,6 +208,15 @@ class TestConfigParsing:
         mapping = parse_config_text(self.TEXT)
         mapping[key] = value
         with pytest.raises(ParameterError, match=f"unknown config key.*{key}"):
+            config_from_mapping(mapping)
+
+    @pytest.mark.parametrize(
+        "key, value", [("n_reps", "many"), ("sigma0_sq", "abc"), ("sweep.values", "1, x")]
+    )
+    def test_non_numeric_value_rejected(self, key, value):
+        mapping = parse_config_text(self.TEXT)
+        mapping[key] = value
+        with pytest.raises(ParameterError, match=f"{key}.*{value!r}"):
             config_from_mapping(mapping)
 
     def test_unknown_noise_mode_rejected(self):
