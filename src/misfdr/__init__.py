@@ -10,7 +10,7 @@ from .covariance import (
     identity_cov,
     separable_cov,
 )
-from .divergence import KLEstimate, kl_known_var, log_density_ratio
+from .divergence import KLEstimate, kl_exact, kl_known_var, log_density_ratio
 from .errors import BoundaryError, NotPositiveDefiniteError, ParameterError
 from .fdr import (
     DecisionSet,

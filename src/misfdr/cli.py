@@ -18,10 +18,9 @@ import numpy as np
 
 from . import __version__
 from .covariance import GridLayout, ar2_cov, exponential_cov, identity_cov, separable_cov
-from .divergence import kl_known_var
+from .divergence import kl_exact
 from .errors import BoundaryError, NotPositiveDefiniteError, ParameterError
 from .fdr import step_up
-from .rng import stream
 from .sampdist import marginal_cdf, marginal_pdf
 from .simulation import (
     SWEEP_COLUMNS,
@@ -73,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=201)
     p.add_argument("--out", default="dist.csv")
 
-    p = sub.add_parser("kl", help="Monte Carlo KL divergence between two specifications")
+    p = sub.add_parser("kl", help="KL divergence between two specifications")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default="kl.csv")
 
@@ -168,21 +167,18 @@ def _read_config(path: str) -> tuple[dict[str, str], bytes]:
 def _cmd_kl(args) -> bytes:
     mapping, raw = _read_config(args.config)
     config = config_from_mapping(mapping, label="kl")
-    if args.seed is not None:
-        config = type(config)(**{**vars(config), "root_seed": args.seed})
     truth_cov = build_cov(config.truth_kernel, config.m, config.grid)
     mis_cov = build_cov(config.mis_kernel, config.m, config.grid)
     truth, spec_cor, spec_mis = paired_specs(config, truth_cov, mis_cov, config.g)
-    est = kl_known_var(truth, spec_cor, spec_mis, n_draws=config.kl_draws,
-                       rng=stream(config.root_seed, 1, 0))
+    total = kl_exact(truth, spec_cor, spec_mis)
+    per_dim = total / config.m
     out = os.path.join(args.output_dir, args.out)
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["g", "m", "total", "per_dim", "std_err", "n_excluded"])
-        writer.writerow([repr(config.g), config.m, repr(est.total),
-                         repr(est.per_dim), repr(est.std_err), est.n_excluded])
+        writer.writerow(["g", "m", "total", "per_dim"])
+        writer.writerow([repr(config.g), config.m, repr(total), repr(per_dim)])
     if args.verbose:
-        print(f"wrote {out} (per_dim={est.per_dim:.6g})")
+        print(f"wrote {out} (per_dim={per_dim:.6g})")
     return raw
 
 

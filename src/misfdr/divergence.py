@@ -1,9 +1,10 @@
-"""Monte Carlo KL divergence between correct and misspecified laws.
+"""KL divergence between the correct and misspecified laws of the scores.
 
-Draws datasets from the true process, evaluates the statistics under the
-correct model, and averages the analytic log density ratio between the two
-laws. Only the known-variance case has a closed-form joint density; the
-unknown-variance case is rejected with an explanatory error.
+Under either known-variance law, phi = Phi^{-1}(h) ~ N(0, C^{-1}) with C the
+law's copula matrix, so the divergence has a closed form (`kl_exact`).
+`kl_known_var` estimates the same quantity by Monte Carlo and serves as its
+test oracle. The unknown-variance law has no closed-form joint density and is
+rejected with an explanatory error.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from scipy.special import ndtri
 from .errors import BoundaryError, ParameterError
 from .posterior import KnownVariance, ModelSpec, PosteriorOperator, TrueProcess, draw_replications
 from .rng import spawn
-from .sampdist import SamplingLaw, _law, law_known_var
+from .sampdist import SamplingLaw, _check_open_unit, _law, law_known_var
 
 DEFAULT_DRAWS = 1000
 
@@ -45,24 +46,10 @@ def log_density_ratio(h: np.ndarray, law_cor: SamplingLaw, law_mis: SamplingLaw)
 
     Accepts (m,) or (n, m); identical laws give exactly zero.
     """
-    h = np.asarray(h, dtype=float)
-    if np.any(h <= 0.0) or np.any(h >= 1.0):
-        raise BoundaryError("statistics must lie strictly inside (0, 1)")
-    return _log_density_ratio_phi(ndtri(h), law_cor, law_mis)
+    return _log_density_ratio_phi(ndtri(_check_open_unit(h)), law_cor, law_mis)
 
 
-def kl_known_var(
-    truth: TrueProcess,
-    spec_cor: ModelSpec,
-    spec_mis: ModelSpec,
-    n_draws: int = DEFAULT_DRAWS,
-    rng=0,
-) -> KLEstimate:
-    """KL(f_cor || f_mis) of the statistic vector, by Monte Carlo.
-
-    `rng` may be an int root seed (per-draw substreams are derived from it,
-    so the estimate is reproducible and order-independent) or a Generator.
-    """
+def _check_kl_specs(truth: TrueProcess, spec_cor: ModelSpec, spec_mis: ModelSpec) -> None:
     if not isinstance(spec_cor.noise, KnownVariance) or not isinstance(
         spec_mis.noise, KnownVariance
     ):
@@ -74,7 +61,41 @@ def kl_known_var(
             and np.isclose(spec_cor.noise.sigma0_sq, truth.sigma0_sq)):
         raise ParameterError("spec_cor must use the true covariance and noise variance")
     if not np.isclose(spec_cor.g, spec_mis.g):
-        warnings.warn("correct and misspecified specs use different g", stacklevel=2)
+        warnings.warn("correct and misspecified specs use different g", stacklevel=3)
+
+
+def kl_exact(truth: TrueProcess, spec_cor: ModelSpec, spec_mis: ModelSpec) -> float:
+    """KL(f_cor || f_mis) of the statistic vector in nats, in closed form.
+
+    The expectation under f_cor of the log density ratio:
+    (1/2)(log det C_cor - log det C_mis) + (1/2) sum_ij (C_mis - C_cor)_ij S_ij,
+    with S = C_cor^{-1} = D_a^{-1/2} B_cor D_a^{-1/2}. Through the difference
+    C_mis - C_cor, identical laws give exactly zero.
+    """
+    _check_kl_specs(truth, spec_cor, spec_mis)
+    law_cor = law_known_var(truth, spec_cor)
+    law_mis = law_known_var(truth, spec_mis)
+    diff = law_mis.copula - law_cor.copula
+    diff *= law_cor.b
+    root = 1.0 / np.sqrt(np.diag(law_cor.a))
+    trace = float(root @ diff @ root)
+    return 0.5 * (law_cor.log_det_copula - law_mis.log_det_copula) + 0.5 * trace
+
+
+def kl_known_var(
+    truth: TrueProcess,
+    spec_cor: ModelSpec,
+    spec_mis: ModelSpec,
+    n_draws: int = DEFAULT_DRAWS,
+    rng=0,
+) -> KLEstimate:
+    """KL(f_cor || f_mis) of the statistic vector, by Monte Carlo: the test
+    oracle for `kl_exact`.
+
+    `rng` may be an int root seed (per-draw substreams are derived from it,
+    so the estimate is reproducible and order-independent) or a Generator.
+    """
+    _check_kl_specs(truth, spec_cor, spec_mis)
 
     _, y = draw_replications(truth, spawn(rng, n_draws))
     # Work with phi = Phi^{-1}(h) computed directly from the standardized

@@ -15,7 +15,6 @@ from .rng import spawn
 class DecisionSet:
     rejected: np.ndarray
     k: int | np.ndarray
-    threshold_level: float
 
 
 @dataclass(frozen=True)
@@ -50,7 +49,7 @@ def step_up(h: np.ndarray, alpha_star: float) -> DecisionSet:
     k = np.count_nonzero(np.logical_or.accumulate(qualifying[..., ::-1], axis=-1), axis=-1)
     rejected = np.empty(h.shape, dtype=bool)
     np.put_along_axis(rejected, order, np.arange(m) < np.expand_dims(k, -1), axis=-1)
-    return DecisionSet(rejected, int(k) if h.ndim == 1 else k, alpha_star)
+    return DecisionSet(rejected, int(k) if h.ndim == 1 else k)
 
 
 def truth_labels(theta: np.ndarray, theta_bound: np.ndarray) -> np.ndarray:

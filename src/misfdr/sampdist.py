@@ -28,24 +28,25 @@ from .posterior import (
 
 @dataclass
 class SamplingLaw:
-    """The (A, B, r, P_b, C) bundle determining the law; P_b is B's correlation."""
+    """The (A, B, C) bundle determining the law, with the derived ratios
+    r = diag(A) / diag(B) and B's correlation P_b."""
 
     a: np.ndarray
     b: np.ndarray
-    r: np.ndarray
-    p_b: np.ndarray
     c: np.ndarray | None
     mode: KnownVariance | UnknownVariance
     spec_tag: str
-    g: float
+    r: np.ndarray = field(init=False)
+    p_b: np.ndarray = field(init=False)
     copula: np.ndarray = field(init=False, repr=False)
     log_det_copula: float = field(init=False, repr=False)
     _pb_chol: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if np.any(self.r <= 0):
-            raise ParameterError("all ratios a_ii/b_ii must be positive")
         diag_a = np.diag(self.a)
+        self.r = diag_a / np.diag(self.b)
+        if not np.all(self.r > 0):
+            raise ParameterError("all ratios a_ii/b_ii must be positive")
         b_chol, _ = chol_psd(self.b)
         b_inv = psd_solve(b_chol, np.eye(self.m))
         # diag(A)^{1/2} B^{-1} diag(A)^{1/2}; equals R^{1/2} P_b^{-1} R^{1/2}
@@ -56,7 +57,11 @@ class SamplingLaw:
             np.sum(np.log(diag_a)) - 2.0 * np.sum(np.log(np.diag(b_chol)))
         )
         # P_b = D^-1 B D^-1 with D = diag(B)^{1/2}, so its factor is D^-1 L_B.
-        self._pb_chol = b_chol / np.sqrt(np.diag(self.b))[:, None]
+        sd = np.sqrt(np.diag(self.b))
+        self.p_b = self.b / np.outer(sd, sd)
+        np.fill_diagonal(self.p_b, 1.0)
+        self.p_b = 0.5 * (self.p_b + self.p_b.T)
+        self._pb_chol = b_chol / sd[:, None]
 
     @property
     def m(self) -> int:
@@ -67,13 +72,6 @@ class SamplingLaw:
         if not isinstance(self.mode, UnknownVariance):
             raise ParameterError("degrees of freedom exist only in the unknown-variance mode")
         return self.m + 2 * self.mode.alpha
-
-
-def _correlation(b: np.ndarray) -> np.ndarray:
-    sd = np.sqrt(np.diag(b))
-    p = b / np.outer(sd, sd)
-    np.fill_diagonal(p, 1.0)
-    return 0.5 * (p + p.T)
 
 
 def _spec_tag(truth: TrueProcess, spec: ModelSpec) -> str:
@@ -114,10 +112,7 @@ def _law(truth: TrueProcess, op: PosteriorOperator) -> SamplingLaw:
         sd = np.sqrt(np.diag(b))
         c *= sd[:, None]
         c *= sd
-    return SamplingLaw(
-        a=a, b=b, r=np.diag(a) / np.diag(b), p_b=_correlation(b), c=c,
-        mode=spec.noise, spec_tag=_spec_tag(truth, spec), g=spec.g,
-    )
+    return SamplingLaw(a=a, b=b, c=c, mode=spec.noise, spec_tag=_spec_tag(truth, spec))
 
 
 def law_known_var(truth: TrueProcess, spec: ModelSpec) -> SamplingLaw:

@@ -12,7 +12,6 @@ truth.range = 5.0
 mis.kernel = identity
 sweep.values = 0.1, 1.0
 n_reps = 40
-kl_draws = 50
 seed = 0
 """
 
@@ -77,7 +76,7 @@ class TestKl:
                                          "mis.kernel = exponential\nmis.range = 5.0"))
         assert run(tmp_path, "kl", "--config", str(config)) == 0
         header, row = (tmp_path / "kl.csv").read_text().splitlines()
-        assert header == "g,m,total,per_dim,std_err,n_excluded"
+        assert header == "g,m,total,per_dim"
         values = dict(zip(header.split(","), row.split(",")))
         assert float(values["per_dim"]) == 0.0
         assert values["m"] == "25"
@@ -178,12 +177,29 @@ class TestSimulateAndExample:
         assert "configuration error" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
+    def test_kl_draws_ignored_with_warning(self, tmp_path):
+        plain = tmp_path / "plain.cfg"
+        plain.write_text(CONFIG)
+        legacy = tmp_path / "legacy.cfg"
+        legacy.write_text(CONFIG + "kl_draws = 7\n")
+        assert run(tmp_path, "simulate", "--config", str(plain), "--out", "a.csv") == 0
+        with pytest.warns(UserWarning, match="kl_draws is ignored"):
+            assert run(tmp_path, "simulate", "--config", str(legacy), "--out", "b.csv") == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_non_integer_kl_draws_rejected(self, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_text(CONFIG + "kl_draws = many\n")
+        assert run(tmp_path, "simulate", "--config", str(config)) == 1
+        assert "kl_draws" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_configuration_error_in_sweep_point(self, tmp_path, capsys):
         # the misspecified covariance is built inside each sweep point
         config = tmp_path / "bad.cfg"
         config.write_text(
             "m = 9\nsigma0_sq = 0.25\ntruth.kernel = identity\n"
-            "mis.kernel = exponential\nmis.range = 5.0\nn_reps = 10\nkl_draws = 10\n"
+            "mis.kernel = exponential\nmis.range = 5.0\nn_reps = 10\n"
         )
         assert run(tmp_path, "simulate", "--config", str(config)) == 1
         assert "configuration error" in capsys.readouterr().err

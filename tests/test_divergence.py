@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from misfdr.covariance import CovarianceMatrix, GridLayout, exponential_cov, identity_cov
-from misfdr.divergence import KLEstimate, kl_known_var, log_density_ratio
+from misfdr.divergence import KLEstimate, kl_exact, kl_known_var, log_density_ratio
 from misfdr.errors import BoundaryError, ParameterError
 from misfdr.posterior import KnownVariance, ModelSpec, TrueProcess, UnknownVariance
 from misfdr.sampdist import SamplingLaw, joint_log_pdf, law_known_var
+from misfdr.simulation import build_cov, builtin_example, paired_specs
 
 
 def desk_setup(g=1.0):
@@ -20,9 +21,33 @@ def desk_setup(g=1.0):
 
 def scalar_law(r):
     return SamplingLaw(
-        a=np.array([[r]]), b=np.eye(1), r=np.array([r]), p_b=np.eye(1),
-        c=None, mode=KnownVariance(1.0), spec_tag="custom", g=1.0,
+        a=np.array([[r]]), b=np.eye(1), c=None, mode=KnownVariance(1.0), spec_tag="custom",
     )
+
+
+def scalar_pair():
+    sigma1 = CovarianceMatrix([[1.0]])
+    truth = TrueProcess(np.zeros(1), 0.25, sigma1)
+    noise = KnownVariance(0.25)
+    spec_cor = ModelSpec(np.zeros(1), 1.0, sigma1, noise)
+    spec_mis = ModelSpec(np.zeros(1), 10.0, sigma1, noise)
+    return truth, spec_cor, spec_mis
+
+
+def scalar_closed_form(truth, spec_cor, spec_mis):
+    # m = 1: h-laws are probit-Gaussian, so the KL equals the Gaussian
+    # formula (1/2)(v_c / v_m - 1 - log(v_c / v_m)) with v = 1 / r
+    law_c = law_known_var(truth, spec_cor)
+    law_m = law_known_var(truth, spec_mis)
+    ratio = (1.0 / law_c.r[0]) / (1.0 / law_m.r[0])
+    return 0.5 * (ratio - 1.0 - np.log(ratio))
+
+
+def study2_desk_pair():
+    config = builtin_example(2, scale="desk")
+    truth_cov = build_cov(config.truth_kernel, config.m, config.grid)
+    mis_cov = build_cov(config.mis_kernel, config.m, config.grid)
+    return paired_specs(config, truth_cov, mis_cov, config.g)
 
 
 class TestLogDensityRatio:
@@ -83,34 +108,77 @@ class TestKLEstimate:
         assert a == b
 
     def test_scalar_closed_form(self):
-        # m = 1: h-laws are probit-Gaussian, so the KL equals the Gaussian
-        # formula (1/2)(v_c / v_m - 1 - log(v_c / v_m)) with v = 1 / r
-        sigma1 = CovarianceMatrix([[1.0]])
-        truth = TrueProcess(np.zeros(1), 0.25, sigma1)
-        noise = KnownVariance(0.25)
-        spec_cor = ModelSpec(np.zeros(1), 1.0, sigma1, noise)
-        spec_mis = ModelSpec(np.zeros(1), 10.0, sigma1, noise)
-        law_c = law_known_var(truth, spec_cor)
-        law_m = law_known_var(truth, spec_mis)
-        ratio = (1.0 / law_c.r[0]) / (1.0 / law_m.r[0])
-        exact = 0.5 * (ratio - 1.0 - np.log(ratio))
+        truth, spec_cor, spec_mis = scalar_pair()
         with pytest.warns(UserWarning, match="different g"):
             kl = kl_known_var(truth, spec_cor, spec_mis, n_draws=40_000, rng=11)
+        exact = scalar_closed_form(truth, spec_cor, spec_mis)
         assert kl.total == pytest.approx(exact, abs=4 * kl.std_err)
 
-    def test_wrong_truth_covariance_rejected(self):
+    @pytest.mark.parametrize("kl", [kl_exact, kl_known_var], ids=lambda f: f.__name__)
+    def test_wrong_truth_covariance_rejected(self, kl):
         truth, _, spec_mis = desk_setup()
         with pytest.raises(ParameterError, match="true covariance"):
-            kl_known_var(truth, spec_mis, spec_mis, n_draws=10)
+            kl(truth, spec_mis, spec_mis)
 
-    def test_unknown_variance_rejected(self):
+    @pytest.mark.parametrize("kl", [kl_exact, kl_known_var], ids=lambda f: f.__name__)
+    def test_unknown_variance_rejected(self, kl):
         truth, spec_cor, spec_mis = desk_setup()
         bad = ModelSpec(spec_cor.theta0, 1.0, spec_cor.sigma_spec, UnknownVariance(1.0, 1.0))
         with pytest.raises(ParameterError, match="unknown-variance"):
-            kl_known_var(truth, bad, spec_mis, n_draws=10)
+            kl(truth, bad, spec_mis)
 
     def test_reports_draw_count(self):
         truth, spec_cor, spec_mis = desk_setup()
         kl = kl_known_var(truth, spec_cor, spec_mis, n_draws=64, rng=1)
         assert isinstance(kl, KLEstimate)
         assert kl.n_draws + kl.n_excluded == 64
+
+
+def probit_covariance(truth, spec):
+    """Covariance of phi = Phi^{-1}(h): D_a^{-1/2} B D_a^{-1/2}."""
+    law = law_known_var(truth, spec)
+    d = 1.0 / np.sqrt(np.diag(law.a))
+    return d[:, None] * law.b * d[None, :]
+
+
+DESK_PAIRS = pytest.mark.parametrize(
+    "setup", [lambda: desk_setup(0.1), lambda: desk_setup(1.0), lambda: desk_setup(10.0),
+              study2_desk_pair],
+    ids=["study1-g0.1", "study1-g1", "study1-g10", "study2-ar2"],
+)
+
+
+class TestKLExact:
+    @DESK_PAIRS
+    def test_matches_monte_carlo_oracle(self, setup):
+        truth, spec_cor, spec_mis = setup()
+        exact = kl_exact(truth, spec_cor, spec_mis)
+        mc = kl_known_var(truth, spec_cor, spec_mis, n_draws=4000, rng=2017)
+        assert mc.n_excluded == 0
+        assert abs(exact - mc.total) <= 4 * mc.std_err
+
+    @DESK_PAIRS
+    def test_matches_dense_gaussian_formula(self, setup):
+        # KL of N(0, S_cor) from N(0, S_mis) by textbook dense linear algebra
+        truth, spec_cor, spec_mis = setup()
+        s_cor = probit_covariance(truth, spec_cor)
+        s_mis = probit_covariance(truth, spec_mis)
+        dense = 0.5 * (np.trace(np.linalg.solve(s_mis, s_cor)) - truth.m
+                       + np.linalg.slogdet(s_mis)[1] - np.linalg.slogdet(s_cor)[1])
+        assert kl_exact(truth, spec_cor, spec_mis) == pytest.approx(dense, rel=1e-10, abs=0)
+
+    def test_scalar_closed_form(self):
+        truth, spec_cor, spec_mis = scalar_pair()
+        with pytest.warns(UserWarning, match="different g"):
+            exact = kl_exact(truth, spec_cor, spec_mis)
+        assert exact == pytest.approx(scalar_closed_form(truth, spec_cor, spec_mis),
+                                      rel=1e-12, abs=0)
+
+    def test_identical_specs_give_exact_zero(self):
+        truth, spec_cor, _ = desk_setup()
+        assert kl_exact(truth, spec_cor, spec_cor) == 0.0
+        # a second covariance object with equal entries is the same law
+        twin = ModelSpec(spec_cor.theta0, spec_cor.g,
+                         CovarianceMatrix(spec_cor.sigma_spec.entries.copy()), spec_cor.noise)
+        assert twin.sigma_spec is not spec_cor.sigma_spec
+        assert kl_exact(truth, spec_cor, twin) == 0.0

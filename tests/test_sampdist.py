@@ -120,6 +120,15 @@ class TestCorrelationFactor:
             np.testing.assert_allclose(law._pb_chol @ law._pb_chol.T, law.p_b, rtol=0, atol=1e-12)
             assert not np.triu(law._pb_chol, 1).any()
 
+    def test_hand_built_law_derives_p_b(self):
+        b = np.array([[2.0, 0.6, 0.0], [0.6, 1.0, -0.3], [0.0, -0.3, 0.5]])
+        law = SamplingLaw(a=np.diag([0.5, 0.4, 0.2]), b=b, c=None,
+                          mode=KnownVariance(1.0), spec_tag="custom")
+        sd = np.sqrt(np.diag(b))
+        np.testing.assert_allclose(law.p_b, b / np.outer(sd, sd), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(law.r, [0.25, 0.4, 0.4], rtol=1e-15)
+        np.testing.assert_allclose(law._pb_chol @ law._pb_chol.T, law.p_b, rtol=0, atol=1e-12)
+
 
 class TestCopulaIdentity:
     def test_random_laws(self):
@@ -187,8 +196,7 @@ def diagonal_law(r_values, mode=None):
     r = np.asarray(r_values, dtype=float)
     m = r.size
     return SamplingLaw(
-        a=np.diag(r), b=np.eye(m), r=r, p_b=np.eye(m),
-        c=None, mode=mode or KnownVariance(1.0), spec_tag="custom", g=1.0,
+        a=np.diag(r), b=np.eye(m), c=None, mode=mode or KnownVariance(1.0), spec_tag="custom",
     )
 
 
@@ -259,8 +267,7 @@ class TestXiSampler:
     def test_degenerate_quadratic_form(self):
         law = self.unknown_law()
         law_c0 = SamplingLaw(
-            a=law.a, b=law.b, r=law.r, p_b=np.eye(law.m),
-            c=np.zeros((law.m, law.m)), mode=law.mode, spec_tag="custom", g=1.0,
+            a=law.a, b=law.b, c=np.zeros((law.m, law.m)), mode=law.mode, spec_tag="custom",
         )
         draws = xi_sampler(law_c0, 5_000, stream(1, 1))
         # denominator collapses to 2 beta, so draws are scaled Gaussians

@@ -29,7 +29,6 @@ def tiny_config(**overrides):
         sweep_values=(0.1, 1.0),
         alpha_star=0.05,
         n_reps=40,
-        kl_draws=50,
         root_seed=0,
         grid=GridLayout(5, 5),
     )
@@ -176,7 +175,6 @@ class TestConfigParsing:
     sweep.variable = g
     sweep.values = 0.1, 1.0
     n_reps = 40
-    kl_draws = 50
     seed = 0
     """
 
