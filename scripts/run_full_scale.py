@@ -4,8 +4,8 @@
 Runs the grid study (exponential truth vs. independence working model, g
 sweep), the time-series study (oscillating vs. smooth AR(2), g sweep), and
 the range-mismatch study (exponential vs. exponential, range sweep), then
-prints a compact summary table per study. Each study takes about 10 s
-on a 2-core machine.
+prints a compact summary table per study. Each study takes about 4-6 s
+on a 2-core machine with one BLAS thread.
 
 Usage:
     python scripts/run_full_scale.py [--out-dir results-full] [--seed N]

@@ -38,18 +38,30 @@ def step_up(h: np.ndarray, alpha_star: float) -> DecisionSet:
     # One comparison each way also rejects NaN, which fails both.
     if h.size and not (h.min() >= 0.0 and h.max() <= 1.0):
         raise ParameterError("statistics must be finite and lie in [0, 1]")
-    m = h.shape[-1]
-    order = np.argsort(h, axis=-1, kind="stable")
-    # Cumsum in place: a batch then holds one float (n, m) array besides h.
-    prefix_means = np.take_along_axis(h, order, axis=-1)
-    np.cumsum(prefix_means, axis=-1, out=prefix_means)
+    rows = np.atleast_2d(h)
+    m = rows.shape[1]
+    sorted_h = np.sort(rows, axis=1)
+    prefix_means = np.cumsum(sorted_h, axis=1)
     prefix_means /= np.arange(1, m + 1)
     # k ends at the last qualifying prefix: rounding can leave gaps before it.
     qualifying = prefix_means <= alpha_star
-    k = np.count_nonzero(np.logical_or.accumulate(qualifying[..., ::-1], axis=-1), axis=-1)
-    rejected = np.empty(h.shape, dtype=bool)
-    np.put_along_axis(rejected, order, np.arange(m) < np.expand_dims(k, -1), axis=-1)
-    return DecisionSet(rejected, int(k) if h.ndim == 1 else k)
+    del prefix_means
+    k = np.count_nonzero(np.logical_or.accumulate(qualifying[:, ::-1], axis=1), axis=1)
+    # The k-th smallest score t (-inf when k = 0): sorted_h ascends, so it is
+    # the largest of the first k.
+    t = np.max(sorted_h, axis=1, keepdims=True, where=np.arange(m) < k[:, None], initial=-np.inf)
+    del sorted_h
+    rejected = rows <= t
+    # Where scores tied at t straddle the cut, a stable sort would reject the
+    # ones of lowest index: drop the `over` tied scores of highest index.
+    over = np.count_nonzero(rejected, axis=1) - k
+    cut = np.flatnonzero(over)
+    tied = rows[cut] == t[cut]
+    from_right = np.cumsum(tied[:, ::-1], axis=1)[:, ::-1]
+    rejected[cut] &= ~(tied & (from_right <= over[cut, None]))
+    if h.ndim == 1:
+        return DecisionSet(rejected[0], int(k[0]))
+    return DecisionSet(rejected, k)
 
 
 def truth_labels(theta: np.ndarray, theta_bound: np.ndarray) -> np.ndarray:
@@ -66,14 +78,14 @@ def replication_counts(h: np.ndarray, null_mask: np.ndarray, alpha_star: float) 
     return np.stack((decision.k, false_rejections, missed), axis=-1)
 
 
-def replicate(truth: TrueProcess, specs, alpha_star: float, streams) -> list[np.ndarray]:
-    """(n, 3) per-replication (R, V, T) counts for each spec, all scored on the
-    same n datasets drawn from `truth`, one per stream. H0i is theta_i >= the
-    spec's prior mean."""
+def replicate(truth: TrueProcess, ops, alpha_star: float, streams) -> list[np.ndarray]:
+    """(n, 3) per-replication (R, V, T) counts for each spec's posterior
+    operator in `ops`, all scored on the same n datasets drawn from `truth`,
+    one per stream. H0i is theta_i >= the spec's prior mean."""
     theta, y = draw_replications(truth, streams)
     return [
-        replication_counts(PosteriorOperator(s).probs(y), truth_labels(theta, s.theta0), alpha_star)
-        for s in specs
+        replication_counts(op.probs(y), truth_labels(theta, op.spec.theta0), alpha_star)
+        for op in ops
     ]
 
 
@@ -111,5 +123,5 @@ def operating_characteristics(
     """
     if n_reps < 1:
         raise ParameterError("n_reps must be at least 1")
-    (counts,) = replicate(truth, [spec], alpha_star, spawn(rng, n_reps))
+    (counts,) = replicate(truth, [PosteriorOperator(spec)], alpha_star, spawn(rng, n_reps))
     return summarize_counts(counts, truth.m)

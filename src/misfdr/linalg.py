@@ -1,13 +1,14 @@
 """Cholesky-based helpers for symmetric positive-definite matrices.
 
-All solves in the package go through these routines; nothing inverts a
-covariance matrix directly with a general-purpose solver.
+All solves and inverses in the package go through these routines; nothing
+inverts a covariance matrix directly with a general-purpose solver.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dpotri
 
 from .errors import NotPositiveDefiniteError
 
@@ -42,3 +43,20 @@ def psd_solve(chol_l: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A x = b given the lower Cholesky factor of A."""
     return cho_solve((chol_l, True), b)
 
+
+def chol_inverse(chol_l: np.ndarray) -> np.ndarray:
+    """Inverse of A = L L' given its lower Cholesky factor L, exactly symmetric.
+
+    LAPACK potri writes the lower triangle of the inverse into a copy of L,
+    which is mirrored into the upper triangle in place: no second m x m array.
+    """
+    inv, info = dpotri(chol_l, lower=1)
+    if info != 0:
+        raise NotPositiveDefiniteError(
+            f"cannot invert from a singular Cholesky factor of dim {chol_l.shape[0]} "
+            f"(potri info {info})"
+        )
+    for i in range(1, inv.shape[0]):
+        inv[:i, i] = inv[i, :i]
+    # The inverse is symmetric, so its transpose is the same matrix in C order.
+    return inv.T

@@ -16,7 +16,7 @@ from scipy.special import ndtr, stdtr
 
 from .covariance import CovarianceMatrix
 from .errors import ParameterError
-from .linalg import chol_psd, psd_solve
+from .linalg import chol_inverse, chol_psd, psd_solve
 
 
 @dataclass(frozen=True)
@@ -127,8 +127,13 @@ def draw_replications(truth: TrueProcess, streams) -> tuple[np.ndarray, np.ndarr
     for r, gen in enumerate(streams):
         z_theta[r] = gen.standard_normal(truth.m)
         z_eps[r] = gen.standard_normal(truth.m)
-    theta = truth.theta0 + z_theta @ truth.sigma1.chol.T
-    y = theta + np.sqrt(truth.sigma0_sq) * z_eps
+    # At most three (n, m) arrays at once: y is formed in the noise draws.
+    theta = z_theta @ truth.sigma1.chol.T
+    del z_theta
+    theta += truth.theta0
+    y = z_eps
+    y *= np.sqrt(truth.sigma0_sq)
+    y += theta
     return theta, y
 
 
@@ -179,11 +184,10 @@ class PosteriorOperator:
         k = spec.g * spec.sigma_spec.entries
         k[diag] += self.scale
         self._k_chol, _ = chol_psd(k)
-        a = psd_solve(self._k_chol, np.eye(m))
+        del k
+        a = chol_inverse(self._k_chol)
         a *= -self.scale * self.scale
         a[diag] += self.scale
-        a += a.T
-        a *= 0.5
         self.a = a
         self._sd = np.sqrt(np.diag(a))
         self.dof = None if self.known else m + 2 * spec.noise.alpha

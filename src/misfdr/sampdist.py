@@ -9,13 +9,14 @@ vector that we expose as a sampler.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtr, ndtri, stdtr
 
 from .errors import BoundaryError, ParameterError
-from .linalg import chol_psd, psd_solve
+from .linalg import chol_inverse, chol_psd
 from .posterior import (
     KnownVariance,
     ModelSpec,
@@ -37,7 +38,6 @@ class SamplingLaw:
     mode: KnownVariance | UnknownVariance
     spec_tag: str
     r: np.ndarray = field(init=False)
-    p_b: np.ndarray = field(init=False)
     copula: np.ndarray = field(init=False, repr=False)
     log_det_copula: float = field(init=False, repr=False)
     _pb_chol: np.ndarray = field(init=False, repr=False)
@@ -48,20 +48,25 @@ class SamplingLaw:
         if not np.all(self.r > 0):
             raise ParameterError("all ratios a_ii/b_ii must be positive")
         b_chol, _ = chol_psd(self.b)
-        b_inv = psd_solve(b_chol, np.eye(self.m))
-        # diag(A)^{1/2} B^{-1} diag(A)^{1/2}; equals R^{1/2} P_b^{-1} R^{1/2}
-        root = np.sqrt(diag_a)
-        self.copula = root[:, None] * b_inv * root[None, :]
-        self.copula = 0.5 * (self.copula + self.copula.T)
+        # The copula D_a^{1/2} B^{-1} D_a^{1/2} (= R^{1/2} P_b^{-1} R^{1/2}) is
+        # the inverse of D_a^{-1/2} B D_a^{-1/2}, whose factor is D_a^{-1/2} L_B.
+        self.copula = chol_inverse(b_chol / np.sqrt(diag_a)[:, None])
         self.log_det_copula = float(
             np.sum(np.log(diag_a)) - 2.0 * np.sum(np.log(np.diag(b_chol)))
         )
-        # P_b = D^-1 B D^-1 with D = diag(B)^{1/2}, so its factor is D^-1 L_B.
+        # Likewise P_b = D^-1 B D^-1 with D = diag(B)^{1/2} has the factor D^-1 L_B.
+        b_chol /= np.sqrt(np.diag(self.b))[:, None]
+        self._pb_chol = b_chol
+
+    @functools.cached_property
+    def p_b(self) -> np.ndarray:
+        """B's correlation matrix, formed when first read."""
         sd = np.sqrt(np.diag(self.b))
-        self.p_b = self.b / np.outer(sd, sd)
-        np.fill_diagonal(self.p_b, 1.0)
-        self.p_b = 0.5 * (self.p_b + self.p_b.T)
-        self._pb_chol = b_chol / sd[:, None]
+        p_b = self.b / np.outer(sd, sd)
+        np.fill_diagonal(p_b, 1.0)
+        p_b += p_b.T
+        p_b *= 0.5
+        return p_b
 
     @property
     def m(self) -> int:
@@ -75,17 +80,24 @@ class SamplingLaw:
 
 
 def _spec_tag(truth: TrueProcess, spec: ModelSpec) -> str:
-    same = np.allclose(spec.sigma_spec.entries, truth.sigma1.entries, rtol=1e-12, atol=1e-12)
+    same = spec.sigma_spec is truth.sigma1 or np.allclose(
+        spec.sigma_spec.entries, truth.sigma1.entries, rtol=1e-12, atol=1e-12
+    )
     return "correct" if same else "misspecified"
 
 
-def _law(truth: TrueProcess, op: PosteriorOperator) -> SamplingLaw:
-    """Sampling law of the statistics scored by `op` on data from `truth`.
+def law_from_operator(truth: TrueProcess, op: PosteriorOperator) -> SamplingLaw:
+    """Sampling law of the statistics scored by `op` on data from `truth`,
+    reusing the operator's factorization.
 
     The posterior mean is theta0 + S (y - theta0) with the smoother S = A / s,
     so its sampling covariance is B = S (sigma0^2 I + Sigma_1) S'.
     """
     spec, a, m = op.spec, op.a, op.spec.m
+    if op.known and not np.isclose(op.scale, truth.sigma0_sq):
+        raise ParameterError(
+            "known-variance theory requires the spec noise variance to equal the truth"
+        )
     cov_y = truth.sigma1.entries.copy()
     cov_y[np.diag_indices(m)] += truth.sigma0_sq
     b = a @ cov_y @ a
@@ -97,7 +109,7 @@ def _law(truth: TrueProcess, op: PosteriorOperator) -> SamplingLaw:
     if not op.known:
         # A^-1 = I + P with P = Sigma_spec^-1 / g, so A^-2 - A^-1 = P (I + P),
         # formed in place: P and C are the only new m x m arrays.
-        p = psd_solve(spec.sigma_spec.chol, np.eye(m))
+        p = chol_inverse(spec.sigma_spec.chol)
         p /= spec.g
         c = p @ p
         c += p
@@ -118,17 +130,13 @@ def _law(truth: TrueProcess, op: PosteriorOperator) -> SamplingLaw:
 def law_known_var(truth: TrueProcess, spec: ModelSpec) -> SamplingLaw:
     """Sampling law of the statistics for a known-variance model spec."""
     require_noise(spec, KnownVariance)
-    if not np.isclose(spec.noise.sigma0_sq, truth.sigma0_sq):
-        raise ParameterError(
-            "known-variance theory requires the spec noise variance to equal the truth"
-        )
-    return _law(truth, PosteriorOperator(spec))
+    return law_from_operator(truth, PosteriorOperator(spec))
 
 
 def law_unknown_var(truth: TrueProcess, spec: ModelSpec) -> SamplingLaw:
     """Sampling law for an unknown-variance (IG prior) model spec."""
     require_noise(spec, UnknownVariance)
-    return _law(truth, PosteriorOperator(spec))
+    return law_from_operator(truth, PosteriorOperator(spec))
 
 
 def _check_open_unit(h: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ from misfdr.covariance import (
     separable_cov,
 )
 from misfdr.errors import NotPositiveDefiniteError, ParameterError
+from misfdr.linalg import chol_inverse
 
 
 class TestExponential:
@@ -165,6 +166,23 @@ class TestCholesky:
         cov = exponential_cov(GridLayout(3, 3), range_=1.0)
         cov.chol
         assert cov.jitter == 0.0
+
+
+class TestCholInverse:
+    def test_matches_dense_inverse(self):
+        # random SPD matrices drawn as in acceptance criterion 8
+        rng = np.random.default_rng(2024)
+        for _ in range(20):
+            m = int(rng.integers(2, 51))
+            raw = rng.standard_normal((m, m))
+            a = raw @ raw.T + m * np.eye(m)
+            inv = chol_inverse(np.linalg.cholesky(a))
+            np.testing.assert_allclose(inv, np.linalg.inv(a), rtol=1e-10, atol=0)
+            np.testing.assert_array_equal(inv, inv.T)
+
+    def test_singular_factor_rejected(self):
+        with pytest.raises(NotPositiveDefiniteError, match="singular"):
+            chol_inverse(np.array([[1.0, 0.0], [1.0, 0.0]]))
 
 
 class TestCovarianceMatrix:

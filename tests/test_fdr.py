@@ -16,7 +16,7 @@ from misfdr.fdr import (
     summarize_counts,
     truth_labels,
 )
-from misfdr.posterior import KnownVariance, ModelSpec, TrueProcess
+from misfdr.posterior import KnownVariance, ModelSpec, PosteriorOperator, TrueProcess
 from misfdr.rng import spawn, stream, streams
 
 h_vectors = arrays(
@@ -87,6 +87,26 @@ class TestStepUp:
 
     def test_empty_input_rejects_nothing(self):
         assert step_up(np.array([]), 0.05).k == 0
+
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 4)])
+    def test_empty_batch_rejects_nothing(self, shape):
+        out = step_up(np.zeros(shape), 0.05)
+        assert out.k.shape == (shape[0],) and not out.k.any()
+        assert out.rejected.shape == shape and not out.rejected.any()
+
+    def test_ties_at_the_cut_go_to_the_lower_index(self):
+        # sorted: 0.01, 0.04, 0.04, 0.04, 0.5; prefix means 0.01, 0.025, 0.03,
+        # 0.0325, 0.126, so at 0.031 k = 3 takes two of the three tied 0.04
+        # scores: those at indices 1 and 3, not 4
+        h = np.array([0.5, 0.04, 0.01, 0.04, 0.04])
+        out = step_up(h, 0.031)
+        assert out.k == 3
+        assert out.rejected.tolist() == [False, True, True, True, False]
+        batch = step_up(np.stack([h, h[::-1]]), 0.031)
+        assert batch.k.tolist() == [3, 3]
+        assert batch.rejected.tolist() == [
+            [False, True, True, True, False], [True, True, True, False, False]
+        ]
 
     def test_invalid_inputs(self):
         with pytest.raises(ParameterError):
@@ -204,7 +224,7 @@ class TestOperatingCharacteristics:
 
     def test_equals_replicate_on_the_same_streams(self):
         oc = operating_characteristics(self.truth, self.spec, 0.05, n_reps=30, rng=stream(8, 0, 1))
-        (counts,) = replicate(self.truth, [self.spec], 0.05, streams(8, 30, 0, 1))
+        (counts,) = replicate(self.truth, [PosteriorOperator(self.spec)], 0.05, streams(8, 30, 0, 1))
         assert oc == summarize_counts(counts, self.truth.m)
 
     def test_fdr_near_nominal_under_correct_spec(self):

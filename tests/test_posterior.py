@@ -59,6 +59,7 @@ class TestDrawDataset:
             single = draw_dataset(truth, gen)
             np.testing.assert_array_equal(theta[r], single.theta)
             np.testing.assert_array_equal(y[r], single.y)
+            np.testing.assert_array_equal(y[r], single.y)
 
 
 class TestKnownVariance:

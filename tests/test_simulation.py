@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from misfdr.covariance import GridLayout
+from misfdr.divergence import kl_exact
 from misfdr.errors import ParameterError
+from misfdr.posterior import PosteriorOperator
 from misfdr.simulation import (
     DEFAULT_G_GRID,
     DEFAULT_RHO_GRID,
@@ -11,6 +13,7 @@ from misfdr.simulation import (
     build_cov,
     builtin_example,
     config_from_mapping,
+    paired_specs,
     parse_config_text,
     run_sweep,
     write_sweep_csv,
@@ -86,6 +89,35 @@ class TestRunSweep:
         serial = run_sweep(config, threads=1)
         threaded = run_sweep(config, threads=2)
         assert serial == threaded
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, dict(sweep_variable="rho", sweep_values=(2.0, 10.0),
+                  mis_kernel={"kind": "exponential", "range": 5.0})],
+        ids=["g", "rho"],
+    )
+    def test_kl_per_dim_is_kl_exact(self, overrides):
+        config = tiny_config(**overrides)
+        truth_cov = build_cov(config.truth_kernel, config.m, config.grid)
+        for row in run_sweep(config):
+            rho = config.sweep_variable == "rho"
+            kernel = {**config.mis_kernel, "range": row.sweep_value} if rho else config.mis_kernel
+            mis_cov = build_cov(kernel, config.m, config.grid)
+            g = config.g if rho else row.sweep_value
+            expected = kl_exact(*paired_specs(config, truth_cov, mis_cov, g)) / config.m
+            assert row.kl_per_dim == pytest.approx(expected, rel=1e-12, abs=0)
+
+    def test_one_operator_per_spec(self, monkeypatch):
+        built = []
+        init = PosteriorOperator.__init__
+
+        def counting_init(self, spec):
+            built.append(spec)
+            init(self, spec)
+
+        monkeypatch.setattr(PosteriorOperator, "__init__", counting_init)
+        run_sweep(tiny_config(sweep_values=(1.0,)))
+        assert len(built) == 2
 
     def test_configuration_error_not_wrapped(self):
         config = tiny_config(
