@@ -16,9 +16,9 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import BoundaryError, ParameterError
-from .posterior import KnownVariance, ModelSpec, PosteriorOperator, TrueProcess, draw_replications
+from .posterior import KnownVariance, ModelSpec, TrueProcess, draw_replications
 from .rng import spawn
-from .sampdist import SamplingLaw, _check_open_unit, law_from_operator, law_known_var
+from .sampdist import SamplingLaw, _check_open_unit, _uses_true_cov, law_known_var
 
 DEFAULT_DRAWS = 1000
 
@@ -57,10 +57,8 @@ def _check_kl_specs(truth: TrueProcess, spec_cor: ModelSpec, spec_mis: ModelSpec
             "KL divergence is implemented for known-variance laws only; the "
             "unknown-variance law has no closed-form joint density"
         )
-    true_cov = spec_cor.sigma_spec is truth.sigma1 or np.allclose(
-        spec_cor.sigma_spec.entries, truth.sigma1.entries
-    )
-    if not (true_cov and np.isclose(spec_cor.noise.sigma0_sq, truth.sigma0_sq)):
+    same_noise = np.isclose(spec_cor.noise.sigma0_sq, truth.sigma0_sq)
+    if not (_uses_true_cov(truth, spec_cor) and same_noise):
         raise ParameterError("spec_cor must use the true covariance and noise variance")
     if not np.isclose(spec_cor.g, spec_mis.g):
         warnings.warn("correct and misspecified specs use different g", stacklevel=3)
@@ -75,18 +73,7 @@ def kl_exact(truth: TrueProcess, spec_cor: ModelSpec, spec_mis: ModelSpec) -> fl
     C_mis - C_cor, identical laws give exactly zero.
     """
     _check_kl_specs(truth, spec_cor, spec_mis)
-    law_cor = law_from_operator(truth, PosteriorOperator(spec_cor))
-    return _kl_laws(law_cor, law_from_operator(truth, PosteriorOperator(spec_mis)))
-
-
-def kl_between(truth: TrueProcess, op_cor: PosteriorOperator, op_mis: PosteriorOperator) -> float:
-    """`kl_exact` from the posterior operators of the two specs, reusing
-    their factorizations."""
-    _check_kl_specs(truth, op_cor.spec, op_mis.spec)
-    return _kl_laws(law_from_operator(truth, op_cor), law_from_operator(truth, op_mis))
-
-
-def _kl_laws(law_cor: SamplingLaw, law_mis: SamplingLaw) -> float:
+    law_cor, law_mis = law_known_var(truth, spec_cor), law_known_var(truth, spec_mis)
     diff = law_mis.copula - law_cor.copula
     diff *= law_cor.b
     root = 1.0 / np.sqrt(np.diag(law_cor.a))
@@ -113,8 +100,7 @@ def kl_known_var(
     # Work with phi = Phi^{-1}(h) computed directly from the standardized
     # posterior mean: round-tripping through h loses the tail (h saturates
     # at 1.0 in float64 once phi exceeds ~8.2) and would force exclusions.
-    op_cor = PosteriorOperator(spec_cor)
-    phi = op_cor.standardized(y)
+    phi = spec_cor.posterior.standardized(y)
 
     interior = np.all(np.isfinite(phi), axis=1)
     n_excluded = int(n_draws - interior.sum())
@@ -123,7 +109,7 @@ def kl_known_var(
             f"{n_excluded} of {n_draws} draws produced boundary statistics"
         )
 
-    law_cor = law_from_operator(truth, op_cor)
+    law_cor = law_known_var(truth, spec_cor)
     law_mis = law_known_var(truth, spec_mis)
     summands = _log_density_ratio_phi(phi[interior], law_cor, law_mis)
     n_kept = summands.shape[0]

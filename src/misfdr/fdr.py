@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .posterior import ModelSpec, PosteriorOperator, TrueProcess, draw_replications
+from .posterior import ModelSpec, TrueProcess, draw_replications
 from .rng import spawn
 
 
@@ -78,14 +78,14 @@ def replication_counts(h: np.ndarray, null_mask: np.ndarray, alpha_star: float) 
     return np.stack((decision.k, false_rejections, missed), axis=-1)
 
 
-def replicate(truth: TrueProcess, ops, alpha_star: float, streams) -> list[np.ndarray]:
-    """(n, 3) per-replication (R, V, T) counts for each spec's posterior
-    operator in `ops`, all scored on the same n datasets drawn from `truth`,
-    one per stream. H0i is theta_i >= the spec's prior mean."""
+def replicate(truth: TrueProcess, specs, alpha_star: float, streams) -> list[np.ndarray]:
+    """(n, 3) per-replication (R, V, T) counts for each spec in `specs`, all
+    scored on the same n datasets drawn from `truth`, one per stream. H0i is
+    theta_i >= the spec's prior mean."""
     theta, y = draw_replications(truth, streams)
     return [
-        replication_counts(op.probs(y), truth_labels(theta, op.spec.theta0), alpha_star)
-        for op in ops
+        replication_counts(spec.posterior.probs(y), truth_labels(theta, spec.theta0), alpha_star)
+        for spec in specs
     ]
 
 
@@ -123,5 +123,5 @@ def operating_characteristics(
     """
     if n_reps < 1:
         raise ParameterError("n_reps must be at least 1")
-    (counts,) = replicate(truth, [PosteriorOperator(spec)], alpha_star, spawn(rng, n_reps))
+    (counts,) = replicate(truth, [spec], alpha_star, spawn(rng, n_reps))
     return summarize_counts(counts, truth.m)

@@ -9,7 +9,7 @@ analyst's assumed model. Two noise modes are supported: known noise variance
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtr, stdtr
@@ -63,12 +63,14 @@ class UnknownVariance:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """The analyst's assumed model: prior mean, scale g, specified covariance, noise mode."""
+    """The analyst's assumed model: prior mean, scale g, specified covariance,
+    noise mode, and the posterior they imply, factored once on construction."""
 
     theta0: np.ndarray
     g: float
     sigma_spec: CovarianceMatrix
     noise: KnownVariance | UnknownVariance
+    posterior: PosteriorOperator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         theta0 = np.asarray(self.theta0, dtype=float)
@@ -77,6 +79,9 @@ class ModelSpec:
             raise ParameterError("prior scale g must be positive")
         if self.sigma_spec.dim != theta0.shape[0]:
             raise ParameterError("sigma_spec dimension does not match theta0")
+        # Built eagerly: a lazy build would run after the draws it scores and
+        # raise the peak memory of a sweep point.
+        object.__setattr__(self, "posterior", PosteriorOperator(self))
 
     @property
     def m(self) -> int:
@@ -173,12 +178,18 @@ class PosteriorOperator:
     on y only through the quadratic form r' K^{-1} r. Nothing here inverts
     Sigma_spec, so an ill-conditioned specification is only ever factored
     after adding s I.
+
+    Each `ModelSpec` builds its own as `spec.posterior`. The operator keeps
+    only the values of the spec it needs, never the spec itself: a reference
+    back would make a cycle that only the cyclic garbage collector frees,
+    keeping the m x m factors alive long after their sweep point.
     """
 
     def __init__(self, spec: ModelSpec):
-        self.spec = spec
         self.known = isinstance(spec.noise, KnownVariance)
         self.scale = spec.noise.sigma0_sq if self.known else 1.0
+        self.theta0 = spec.theta0
+        self.beta = None if self.known else spec.noise.beta
         m = spec.m
         diag = np.diag_indices(m)
         k = spec.g * spec.sigma_spec.entries
@@ -194,13 +205,13 @@ class PosteriorOperator:
 
     def _solve(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(r, K^{-1} r) with r = y - theta0; accepts (m,) or (n, m)."""
-        resid = np.asarray(y, dtype=float) - self.spec.theta0
+        resid = np.asarray(y, dtype=float) - self.theta0
         return resid, psd_solve(self._k_chol, resid.T).T
 
     def posterior_mean(self, y: np.ndarray) -> np.ndarray:
         """Posterior mean of theta given y; accepts (m,) or (n, m)."""
         resid, solved = self._solve(y)
-        return self.spec.theta0 + resid - self.scale * solved
+        return self.theta0 + resid - self.scale * solved
 
     def standardized(self, y: np.ndarray, theta_bound: np.ndarray | None = None) -> np.ndarray:
         """(posterior mean - bound) / posterior scale: the argument of the
@@ -213,13 +224,13 @@ class PosteriorOperator:
         resid, z = self._solve(y)
         if not self.known:
             quad = np.sum(resid * z, axis=-1)
-            t_scale = np.sqrt((2 * self.spec.noise.beta + quad) / self.dof)
+            t_scale = np.sqrt((2 * self.beta + quad) / self.dof)
         # In place, so a batch costs two (n, m) arrays: z becomes the shift
         # r - s K^{-1} r of the posterior mean, then its standardized value.
         z *= -self.scale
         z += resid
         if theta_bound is not None:
-            z += self.spec.theta0 - theta_bound
+            z += self.theta0 - theta_bound
         z /= self._sd
         if not self.known:
             z /= t_scale[..., None]
@@ -236,7 +247,7 @@ def posterior_probs_known_var(
 ) -> np.ndarray:
     """h_i = P(H0i | y) under a known-variance model spec."""
     require_noise(spec, KnownVariance)
-    return PosteriorOperator(spec).probs(y, _resolve_bound(spec, hyp))
+    return spec.posterior.probs(y, _resolve_bound(spec, hyp))
 
 
 def posterior_probs_unknown_var(
@@ -244,4 +255,4 @@ def posterior_probs_unknown_var(
 ) -> np.ndarray:
     """h_i = P(H0i | y) under an unknown-variance (IG prior) model spec."""
     require_noise(spec, UnknownVariance)
-    return PosteriorOperator(spec).probs(y, _resolve_bound(spec, hyp))
+    return spec.posterior.probs(y, _resolve_bound(spec, hyp))

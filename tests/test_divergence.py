@@ -127,6 +127,16 @@ class TestKLEstimate:
         with pytest.raises(ParameterError, match="unknown-variance"):
             kl(truth, bad, spec_mis)
 
+    def test_true_covariance_to_within_rounding_only(self):
+        # The KL check and the law's tag agree: a covariance 1e-7 away from
+        # the truth's is a misspecification.
+        truth, spec_cor, _ = desk_setup()
+        near_cov = CovarianceMatrix(truth.sigma1.entries * (1 + 1e-7))
+        near = ModelSpec(spec_cor.theta0, spec_cor.g, near_cov, spec_cor.noise)
+        assert law_known_var(truth, near).spec_tag == "misspecified"
+        with pytest.raises(ParameterError, match="true covariance"):
+            kl_exact(truth, near, near)
+
     def test_reports_draw_count(self):
         truth, spec_cor, spec_mis = desk_setup()
         kl = kl_known_var(truth, spec_cor, spec_mis, n_draws=64, rng=1)

@@ -16,7 +16,7 @@ from misfdr.fdr import (
     summarize_counts,
     truth_labels,
 )
-from misfdr.posterior import KnownVariance, ModelSpec, PosteriorOperator, TrueProcess
+from misfdr.posterior import KnownVariance, ModelSpec, TrueProcess
 from misfdr.rng import spawn, stream, streams
 
 h_vectors = arrays(
@@ -42,12 +42,15 @@ def brute_force_k(h, alpha_star):
 
 # Small value sets make ties, all-null rows (k = 0) and all-rejected rows
 # (k = m) common.
-score_batches = st.tuples(st.integers(1, 6), st.integers(1, 12)).flatmap(
+tied_scores = st.sampled_from([0.0, 0.01, 0.03, 0.05, 0.1, 0.5, 1.0])
+batch_shapes = st.tuples(st.integers(1, 6), st.integers(1, 12))
+score_batches = batch_shapes.flatmap(
     lambda shape: st.tuples(
-        arrays(np.float64, shape, elements=st.sampled_from([0.0, 0.01, 0.03, 0.05, 0.1, 0.5, 1.0])),
+        arrays(np.float64, shape, elements=tied_scores),
         arrays(np.bool_, shape),
     )
 )
+tied_batches = arrays(np.float64, batch_shapes, elements=tied_scores)
 
 
 def near_threshold(h, alpha_star):
@@ -176,6 +179,18 @@ class TestBatchedStepUp:
             t = int(np.sum(~rejected & ~nulls[i]))
             assert counts[i].tolist() == [k, v, t]
 
+    @given(h=tied_batches, alpha=st.floats(0.001, 0.999), seed=st.integers(0, 2**16))
+    @settings(max_examples=200, deadline=None)
+    def test_k_invariant_under_permutation(self, h, alpha, seed):
+        shuffled = np.random.default_rng(seed).permuted(h, axis=1)
+        np.testing.assert_array_equal(step_up(shuffled, alpha).k, step_up(h, alpha).k)
+
+    @given(h=tied_batches, alphas=st.lists(st.floats(0.001, 0.999), min_size=2, max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_k_non_decreasing_in_alpha(self, h, alphas):
+        ks = np.array([step_up(h, a).k for a in sorted(alphas)])
+        assert np.all(np.diff(ks, axis=0) >= 0)
+
 
 class TestTruthLabels:
     def test_boundary_counts_as_null(self):
@@ -224,7 +239,7 @@ class TestOperatingCharacteristics:
 
     def test_equals_replicate_on_the_same_streams(self):
         oc = operating_characteristics(self.truth, self.spec, 0.05, n_reps=30, rng=stream(8, 0, 1))
-        (counts,) = replicate(self.truth, [PosteriorOperator(self.spec)], 0.05, streams(8, 30, 0, 1))
+        (counts,) = replicate(self.truth, [self.spec], 0.05, streams(8, 30, 0, 1))
         assert oc == summarize_counts(counts, self.truth.m)
 
     def test_fdr_near_nominal_under_correct_spec(self):

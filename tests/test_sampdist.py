@@ -5,7 +5,9 @@ from scipy.special import ndtr, stdtr
 
 from misfdr.covariance import CovarianceMatrix, GridLayout, exponential_cov, identity_cov
 from misfdr.errors import BoundaryError, ParameterError
-from misfdr.posterior import KnownVariance, ModelSpec, TrueProcess, UnknownVariance
+from misfdr import sampdist
+from misfdr.fdr import operating_characteristics
+from misfdr.posterior import KnownVariance, ModelSpec, PosteriorOperator, TrueProcess, UnknownVariance
 from misfdr.rng import stream
 from misfdr.sampdist import (
     SamplingLaw,
@@ -106,6 +108,31 @@ class TestLawUnknownVar:
         truth = scalar_truth()
         spec = ModelSpec(np.zeros(1), 1.0, truth.sigma1, UnknownVariance(2.0, 3.0))
         assert law_unknown_var(truth, spec).spec_tag == "correct"
+
+    def test_non_psd_c_rejected(self, monkeypatch):
+        # With -P for P = Sigma_spec^-1 / g, C = P^2 - P; every eigenvalue of
+        # P is below 1 at g = 100, so C is negative definite.
+        truth, spec_cor, _ = grid_setup(rows=4, cols=4)
+        spec = ModelSpec(spec_cor.theta0, 100.0, spec_cor.sigma_spec, UnknownVariance(1.0, 1.0))
+        inverse = sampdist.chol_inverse
+        monkeypatch.setattr(sampdist, "chol_inverse", lambda chol: -inverse(chol))
+        with pytest.raises(ParameterError, match=r"A\^-2 - A\^-1 is not positive semidefinite"):
+            law_unknown_var(truth, spec)
+
+    def test_operating_characteristics_and_law_share_one_operator(self, monkeypatch):
+        truth, _, _ = grid_setup(rows=4, cols=4)
+        built = []
+        init = PosteriorOperator.__init__
+
+        def counting_init(self, spec):
+            built.append(spec)
+            init(self, spec)
+
+        monkeypatch.setattr(PosteriorOperator, "__init__", counting_init)
+        spec = ModelSpec(truth.theta0, 1.0, truth.sigma1, UnknownVariance(2.0, 0.5))
+        operating_characteristics(truth, spec, 0.05, n_reps=20, rng=0)
+        law_unknown_var(truth, spec)
+        assert len(built) == 1
 
 
 class TestCorrelationFactor:

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from misfdr.covariance import GridLayout
 from misfdr.divergence import kl_exact
 from misfdr.errors import ParameterError
 from misfdr.posterior import PosteriorOperator
+from misfdr.sampdist import SamplingLaw
 from misfdr.simulation import (
     DEFAULT_G_GRID,
     DEFAULT_RHO_GRID,
@@ -118,6 +122,26 @@ class TestRunSweep:
         monkeypatch.setattr(PosteriorOperator, "__init__", counting_init)
         run_sweep(tiny_config(sweep_values=(1.0,)))
         assert len(built) == 2
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_refcounting_frees_every_factor(self, monkeypatch, threads):
+        # A reference cycle through an operator or a law would keep each
+        # point's m x m factors alive until the cyclic collector ran.
+        made = []
+        for cls in (PosteriorOperator, SamplingLaw):
+            def tracking_init(self, *args, _init=cls.__init__, **kwargs):
+                made.append(weakref.ref(self))
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", tracking_init)
+        gc.disable()
+        try:
+            run_sweep(builtin_example(1, scale="desk"), threads=threads)
+            alive = [ref() for ref in made if ref() is not None]
+        finally:
+            gc.enable()
+        assert len(made) == 4 * len(DEFAULT_G_GRID)
+        assert alive == []
 
     def test_configuration_error_not_wrapped(self):
         config = tiny_config(
