@@ -83,9 +83,12 @@ def replicate(truth: TrueProcess, specs, alpha_star: float, streams) -> list[np.
     scored on the same n datasets drawn from `truth`, one per stream. H0i is
     theta_i >= the spec's prior mean."""
     theta, y = draw_replications(truth, streams)
+    # The null labels are all that is read of theta: free it before scoring.
+    nulls = [truth_labels(theta, spec.theta0) for spec in specs]
+    del theta
     return [
-        replication_counts(spec.posterior.probs(y), truth_labels(theta, spec.theta0), alpha_star)
-        for spec in specs
+        replication_counts(spec.posterior.probs(y), null, alpha_star)
+        for spec, null in zip(specs, nulls)
     ]
 
 

@@ -1,13 +1,13 @@
 """Cholesky-based helpers for symmetric positive-definite matrices.
 
-All solves and inverses in the package go through these routines; nothing
-inverts a covariance matrix directly with a general-purpose solver.
+All factorizations and inverses in the package go through these routines;
+nothing inverts a covariance matrix directly with a general-purpose solver.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg.blas import dsyrk, dtrmm
 from scipy.linalg.lapack import dpotri
 
 from .errors import NotPositiveDefiniteError
@@ -39,11 +39,6 @@ def chol_psd(a: np.ndarray) -> tuple[np.ndarray, float]:
         ) from err
 
 
-def psd_solve(chol_l: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b given the lower Cholesky factor of A."""
-    return cho_solve((chol_l, True), b)
-
-
 def chol_inverse(chol_l: np.ndarray) -> np.ndarray:
     """Inverse of A = L L' given its lower Cholesky factor L, exactly symmetric.
 
@@ -56,7 +51,27 @@ def chol_inverse(chol_l: np.ndarray) -> np.ndarray:
             f"cannot invert from a singular Cholesky factor of dim {chol_l.shape[0]} "
             f"(potri info {info})"
         )
-    for i in range(1, inv.shape[0]):
-        inv[:i, i] = inv[i, :i]
-    # The inverse is symmetric, so its transpose is the same matrix in C order.
-    return inv.T
+    return _mirror_lower(inv)
+
+
+def congruence(a: np.ndarray, chol_l: np.ndarray, alpha: float = 1.0) -> np.ndarray:
+    """alpha^2 a V a' for V = L L' given its lower Cholesky factor L, exactly
+    symmetric.
+
+    BLAS trmm forms W = alpha a L and syrk its Gram matrix W W': 2 m^3 flops,
+    where the two general products a V a' take 4 m^3.
+    """
+    # L' in C order is L in the Fortran order BLAS reads, so L is not copied.
+    w = dtrmm(alpha, chol_l.T, a, side=1, lower=0, trans_a=1)
+    gram = dsyrk(1.0, w, lower=1)
+    del w
+    return _mirror_lower(gram)
+
+
+def _mirror_lower(sym: np.ndarray) -> np.ndarray:
+    """Copy the lower triangle of a Fortran-ordered LAPACK/BLAS result into its
+    upper triangle in place; return it in C order."""
+    for i in range(1, sym.shape[0]):
+        sym[:i, i] = sym[i, :i]
+    # The matrix is symmetric, so its transpose is the same matrix in C order.
+    return sym.T

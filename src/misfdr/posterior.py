@@ -16,16 +16,19 @@ from scipy.special import ndtr, stdtr
 
 from .covariance import CovarianceMatrix
 from .errors import ParameterError
-from .linalg import chol_inverse, chol_psd, psd_solve
+from .linalg import chol_inverse, chol_psd
 
 
 @dataclass(frozen=True)
 class TrueProcess:
-    """Data-generating triple: true mean, true noise variance, true latent covariance."""
+    """Data-generating triple: true mean, true noise variance, true latent
+    covariance; with the lower Cholesky factor of the data covariance
+    V = sigma0^2 I + Sigma_1, which every sampling law of the scores reads."""
 
     theta0: np.ndarray
     sigma0_sq: float
     sigma1: CovarianceMatrix
+    cov_y_chol: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         theta0 = np.asarray(self.theta0, dtype=float)
@@ -34,6 +37,9 @@ class TrueProcess:
             raise ParameterError("true noise variance must be positive")
         if self.sigma1.dim != theta0.shape[0]:
             raise ParameterError("sigma1 dimension does not match theta0")
+        cov_y = self.sigma1.entries.copy()
+        cov_y[np.diag_indices(self.m)] += self.sigma0_sq
+        object.__setattr__(self, "cov_y_chol", chol_psd(cov_y)[0])
 
     @property
     def m(self) -> int:
@@ -173,16 +179,21 @@ class PosteriorOperator:
     inverse-gamma prior) and K = s I + g Sigma_spec, the posterior covariance
     (the shape matrix of the multivariate t when the variance is unknown) is
     A = s (I - s K^{-1}), and with r = y - theta0 the posterior mean is
-    theta0 + r - s K^{-1} r. Under the inverse-gamma prior the posterior is
-    multivariate t with m + 2 alpha degrees of freedom, and its scale depends
-    on y only through the quadratic form r' K^{-1} r. Nothing here inverts
-    Sigma_spec, so an ill-conditioned specification is only ever factored
-    after adding s I.
+    theta0 + S r with the smoother S = A / s = I - s K^{-1}. Under the
+    inverse-gamma prior the posterior is multivariate t with m + 2 alpha
+    degrees of freedom, and its scale depends on y only through the quadratic
+    form r' K^{-1} r. Nothing here inverts Sigma_spec, so an ill-conditioned
+    specification is only ever factored after adding s I.
+
+    K^{-1} comes from K's Cholesky factor (LAPACK potri), and the factor is
+    then dropped. A known-variance operator keeps only A and scores with one
+    product, S r = A r / s. An unknown-variance operator also keeps K^{-1}:
+    one product r' K^{-1} gives both S r = r - K^{-1} r and the quadratic form.
 
     Each `ModelSpec` builds its own as `spec.posterior`. The operator keeps
     only the values of the spec it needs, never the spec itself: a reference
     back would make a cycle that only the cyclic garbage collector frees,
-    keeping the m x m factors alive long after their sweep point.
+    keeping the m x m matrices alive long after their sweep point.
     """
 
     def __init__(self, spec: ModelSpec):
@@ -194,24 +205,40 @@ class PosteriorOperator:
         diag = np.diag_indices(m)
         k = spec.g * spec.sigma_spec.entries
         k[diag] += self.scale
-        self._k_chol, _ = chol_psd(k)
+        k_chol, _ = chol_psd(k)
         del k
-        a = chol_inverse(self._k_chol)
+        k_inv = chol_inverse(k_chol)
+        del k_chol
+        # Known variance: A is formed in place of K^{-1}, the one m x m array kept.
+        self._k_inv = None if self.known else k_inv
+        a = k_inv if self.known else k_inv.copy()
         a *= -self.scale * self.scale
         a[diag] += self.scale
         self.a = a
         self._sd = np.sqrt(np.diag(a))
         self.dof = None if self.known else m + 2 * spec.noise.alpha
 
-    def _solve(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(r, K^{-1} r) with r = y - theta0; accepts (m,) or (n, m)."""
+    def _shift(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """(S r, r' K^{-1} r) with r = y - theta0, accepting (m,) or (n, m);
+        the quadratic form is None when the variance is known."""
         resid = np.asarray(y, dtype=float) - self.theta0
-        return resid, psd_solve(self._k_chol, resid.T).T
+        if self.known:
+            # A is symmetric, so r @ A is (A r')'.
+            shift = resid @ self.a
+            shift /= self.scale
+            return shift, None
+        shift = resid @ self._k_inv
+        quad = np.sum(resid * shift, axis=-1)
+        # In place, so a batch costs two (n, m) arrays: r - K^{-1} r.
+        shift *= -1.0
+        shift += resid
+        return shift, quad
 
     def posterior_mean(self, y: np.ndarray) -> np.ndarray:
         """Posterior mean of theta given y; accepts (m,) or (n, m)."""
-        resid, solved = self._solve(y)
-        return self.theta0 + resid - self.scale * solved
+        shift, _ = self._shift(y)
+        shift += self.theta0
+        return shift
 
     def standardized(self, y: np.ndarray, theta_bound: np.ndarray | None = None) -> np.ndarray:
         """(posterior mean - bound) / posterior scale: the argument of the
@@ -221,25 +248,18 @@ class PosteriorOperator:
         Downstream density evaluations work with this quantity directly so
         that tail values are not lost to Phi saturating at 1.0 in float64.
         """
-        resid, z = self._solve(y)
-        if not self.known:
-            quad = np.sum(resid * z, axis=-1)
-            t_scale = np.sqrt((2 * self.beta + quad) / self.dof)
-        # In place, so a batch costs two (n, m) arrays: z becomes the shift
-        # r - s K^{-1} r of the posterior mean, then its standardized value.
-        z *= -self.scale
-        z += resid
+        z, quad = self._shift(y)
         if theta_bound is not None:
             z += self.theta0 - theta_bound
         z /= self._sd
         if not self.known:
-            z /= t_scale[..., None]
+            z /= np.sqrt((2 * self.beta + quad) / self.dof)[..., None]
         return z
 
     def probs(self, y: np.ndarray, theta_bound: np.ndarray | None = None) -> np.ndarray:
         """h_i = P(theta_i >= bound_i | y); the bound defaults to the prior mean."""
         z = self.standardized(y, theta_bound)
-        return ndtr(z) if self.known else stdtr(self.dof, z)
+        return ndtr(z, out=z) if self.known else stdtr(self.dof, z, out=z)
 
 
 def posterior_probs_known_var(

@@ -16,14 +16,18 @@ import numpy as np
 from scipy.special import ndtr, ndtri, stdtr
 
 from .errors import BoundaryError, NotPositiveDefiniteError, ParameterError
-from .linalg import chol_inverse, chol_psd
+from .linalg import chol_inverse, chol_psd, congruence
 from .posterior import KnownVariance, ModelSpec, TrueProcess, UnknownVariance, require_noise
 
 
 @dataclass
 class SamplingLaw:
     """The (A, B, C) bundle determining the law, with the derived ratios
-    r = diag(A) / diag(B) and B's correlation P_b."""
+    r = diag(A) / diag(B) and B's correlation P_b.
+
+    A known-variance law (no C) builds the copula and its log determinant for
+    the joint density; an unknown-variance law leaves both None. P_b and its
+    factor, which only the samplers read, are formed on first use."""
 
     a: np.ndarray
     b: np.ndarray
@@ -31,25 +35,33 @@ class SamplingLaw:
     mode: KnownVariance | UnknownVariance
     spec_tag: str
     r: np.ndarray = field(init=False)
-    copula: np.ndarray = field(init=False, repr=False)
-    log_det_copula: float = field(init=False, repr=False)
-    _pb_chol: np.ndarray = field(init=False, repr=False)
+    copula: np.ndarray | None = field(init=False, repr=False)
+    log_det_copula: float | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         diag_a = np.diag(self.a)
         self.r = diag_a / np.diag(self.b)
         if not np.all(self.r > 0):
             raise ParameterError("all ratios a_ii/b_ii must be positive")
+        self.copula = self.log_det_copula = None
+        if self.c is not None:
+            return
         b_chol, _ = chol_psd(self.b)
         # The copula D_a^{1/2} B^{-1} D_a^{1/2} (= R^{1/2} P_b^{-1} R^{1/2}) is
         # the inverse of D_a^{-1/2} B D_a^{-1/2}, whose factor is D_a^{-1/2} L_B.
-        self.copula = chol_inverse(b_chol / np.sqrt(diag_a)[:, None])
         self.log_det_copula = float(
             np.sum(np.log(diag_a)) - 2.0 * np.sum(np.log(np.diag(b_chol)))
         )
-        # Likewise P_b = D^-1 B D^-1 with D = diag(B)^{1/2} has the factor D^-1 L_B.
+        b_chol /= np.sqrt(diag_a)[:, None]
+        self.copula = chol_inverse(b_chol)
+
+    @functools.cached_property
+    def _pb_chol(self) -> np.ndarray:
+        """Lower Cholesky factor of P_b, formed on first sampler use: P_b =
+        D^-1 B D^-1 with D = diag(B)^{1/2} has the factor D^-1 L_B."""
+        b_chol, _ = chol_psd(self.b)
         b_chol /= np.sqrt(np.diag(self.b))[:, None]
-        self._pb_chol = b_chol
+        return b_chol
 
     @functools.cached_property
     def p_b(self) -> np.ndarray:
@@ -85,20 +97,16 @@ def _law(truth: TrueProcess, spec: ModelSpec) -> SamplingLaw:
     reusing the factorization of the spec's posterior operator.
 
     The posterior mean is theta0 + S (y - theta0) with the smoother S = A / s,
-    so its sampling covariance is B = S (sigma0^2 I + Sigma_1) S'.
+    so its sampling covariance is B = S V S' with V = sigma0^2 I + Sigma_1,
+    formed from the truth's factor L_V as (S L_V)(S L_V)'. The law shares the
+    operator's A.
     """
-    op, a, m = spec.posterior, spec.posterior.a, spec.m
+    op, a = spec.posterior, spec.posterior.a
     if op.known and not np.isclose(op.scale, truth.sigma0_sq):
         raise ParameterError(
             "known-variance theory requires the spec noise variance to equal the truth"
         )
-    cov_y = truth.sigma1.entries.copy()
-    cov_y[np.diag_indices(m)] += truth.sigma0_sq
-    b = a @ cov_y @ a
-    del cov_y
-    b /= op.scale * op.scale
-    b += b.T
-    b *= 0.5
+    b = congruence(a, truth.cov_y_chol, 1.0 / op.scale)
     c = None
     if not op.known:
         # A^-1 = I + P with P = Sigma_spec^-1 / g, so A^-2 - A^-1 = P (I + P),
@@ -158,13 +166,18 @@ def marginal_pdf(h, r_i):
     return np.sqrt(r_i) * np.exp(0.5 * (1.0 - r_i) * phi**2)
 
 
+def require_density(*laws: SamplingLaw) -> None:
+    """Raise unless every law has a joint (copula) density: known-variance laws only."""
+    if any(law.copula is None for law in laws):
+        raise ParameterError("joint density is available only for the known-variance law")
+
+
 def joint_log_pdf(h: np.ndarray, law: SamplingLaw) -> float | np.ndarray:
     """Log joint density of the statistics (known-variance law only).
 
     Accepts a single (m,) vector or a batch of shape (n, m).
     """
-    if law.c is not None:
-        raise ParameterError("joint density is available only for the known-variance law")
+    require_density(law)
     h = _check_open_unit(h)
     phi = ndtri(h)
     quad = np.sum(phi * phi, axis=-1) - np.sum(phi * (phi @ law.copula), axis=-1)

@@ -17,10 +17,11 @@ from functools import partial
 import numpy as np
 
 from .covariance import CovarianceMatrix, GridLayout, ar2_cov, exponential_cov, identity_cov
-from .divergence import kl_exact
+from .divergence import check_kl_specs, kl_laws
 from .errors import ParameterError
 from .fdr import replicate, summarize_counts
 from .posterior import KnownVariance, ModelSpec, TrueProcess
+from .sampdist import law_known_var
 # `stream` is not used here; the benchmark's tracer self-test checks that
 # tracing rebinds it as a name imported into another module.
 from .rng import stream, streams  # noqa: F401
@@ -93,28 +94,46 @@ def build_cov(kernel: dict, m: int, grid: GridLayout | None) -> CovarianceMatrix
     raise ParameterError(f"unknown kernel kind: {kind!r}")
 
 
+def sweep_truth(config: ExperimentConfig, truth_cov: CovarianceMatrix) -> TrueProcess:
+    """The data-generating process of a sweep: zero mean, the config's noise variance."""
+    return TrueProcess(np.zeros(config.m), config.sigma0_sq, truth_cov)
+
+
+def sweep_spec(config: ExperimentConfig, cov: CovarianceMatrix, g: float) -> ModelSpec:
+    """An analysis spec of a sweep at prior scale g: the one place a sweep builds a spec."""
+    return ModelSpec(np.zeros(config.m), g, cov, KnownVariance(config.sigma0_sq))
+
+
 def paired_specs(config: ExperimentConfig, truth_cov, mis_cov, g: float):
     """(truth, spec_cor, spec_mis) at prior scale g; spec_cor uses the truth's covariance."""
-    theta0 = np.zeros(config.m)
-    noise = KnownVariance(config.sigma0_sq)
-    truth = TrueProcess(theta0, config.sigma0_sq, truth_cov)
-    return truth, ModelSpec(theta0, g, truth_cov, noise), ModelSpec(theta0, g, mis_cov, noise)
+    return (sweep_truth(config, truth_cov), sweep_spec(config, truth_cov, g),
+            sweep_spec(config, mis_cov, g))
 
 
-def _sweep_point(config: ExperimentConfig, truth_cov, mis_cov, index: int) -> SweepRow:
-    """One sweep point. `mis_cov` is the misspecified covariance that every
-    point of a g sweep shares; a range sweep passes None and builds its own."""
+def _sweep_point(config: ExperimentConfig, truth: TrueProcess, mis_cov, cor,
+                 index: int) -> SweepRow:
+    """One sweep point. A g sweep passes the misspecified covariance `mis_cov`
+    that all its points share and builds both specs and laws here. A range
+    sweep passes `cor`, the (spec, law) pair of the correct spec that all its
+    points share, and builds only the misspecified spec and law."""
     value = float(config.sweep_values[index])
-    g = value if config.sweep_variable == "g" else config.g
-    if mis_cov is None:
+    if cor is None:
+        spec_cor, law_cor = sweep_spec(config, truth.sigma1, value), None
+        spec_mis = sweep_spec(config, mis_cov, value)
+    else:
+        spec_cor, law_cor = cor
         mis_cov = build_cov({**config.mis_kernel, "range": value}, config.m, config.grid)
-    truth, spec_cor, spec_mis = paired_specs(config, truth_cov, mis_cov, g)
+        spec_mis = sweep_spec(config, mis_cov, config.g)
+    check_kl_specs(truth, spec_cor, spec_mis)
 
     rep_streams = streams(config.root_seed, config.n_reps, 0, index)
     counts_cor, counts_mis = replicate(truth, [spec_cor, spec_mis], config.alpha_star, rep_streams)
     oc_cor = summarize_counts(counts_cor, config.m)
     oc_mis = summarize_counts(counts_mis, config.m)
     diff = float((counts_cor[:, 0].mean() - counts_mis[:, 0].mean()) / config.m)
+    if law_cor is None:
+        law_cor = law_known_var(truth, spec_cor)
+    kl = kl_laws(law_cor, law_known_var(truth, spec_mis))
 
     return SweepRow(
         sweep_value=value,
@@ -123,7 +142,7 @@ def _sweep_point(config: ExperimentConfig, truth_cov, mis_cov, index: int) -> Sw
         fnr_cor=oc_cor.fnr_hat,
         fnr_mis=oc_mis.fnr_hat,
         rejection_rate_diff=diff,
-        kl_per_dim=kl_exact(truth, spec_cor, spec_mis) / truth.m,
+        kl_per_dim=kl / truth.m,
         kl_se=0.0,
         fdr_cor_se=oc_cor.fdr_se,
         fdr_mis_se=oc_mis.fdr_se,
@@ -135,16 +154,21 @@ def _sweep_point(config: ExperimentConfig, truth_cov, mis_cov, index: int) -> Sw
 def run_sweep(config: ExperimentConfig, threads: int = 1) -> list[SweepRow]:
     """Run every sweep point; deterministic given config.root_seed.
 
+    The truth is built once. A g sweep shares its misspecified covariance
+    across points; a range sweep shares its correct spec and that spec's law.
     Points are independent; `threads` caps worker parallelism. Output order
     always follows config.sweep_values.
     """
-    truth_cov = build_cov(config.truth_kernel, config.m, config.grid)
+    truth = sweep_truth(config, build_cov(config.truth_kernel, config.m, config.grid))
     indices = range(len(config.sweep_values))
     try:
-        mis_cov = None
+        mis_cov = cor = None
         if config.sweep_variable == "g":
             mis_cov = build_cov(config.mis_kernel, config.m, config.grid)
-        point = partial(_sweep_point, config, truth_cov, mis_cov)
+        else:
+            spec_cor = sweep_spec(config, truth.sigma1, config.g)
+            cor = spec_cor, law_known_var(truth, spec_cor)
+        point = partial(_sweep_point, config, truth, mis_cov, cor)
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 rows = list(pool.map(point, indices))

@@ -224,6 +224,17 @@ class TestThreads:
         assert "at least 1" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
+    def test_range_sweep_csv_identical_at_any_thread_count(self, tmp_path):
+        # The correct spec and law of a range sweep are shared by every point.
+        csvs = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            out.mkdir()
+            assert main(["--output-dir", str(out), "--threads", threads, "example",
+                         "--which", "3", "--scale", "desk"]) == 0
+            csvs.append((out / "sweep.csv").read_bytes())
+        assert csvs[0] == csvs[1]
+
     def test_non_integer_environment_rejected(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("MISFDR_THREADS", "abc")
         config = tmp_path / "run.cfg"

@@ -11,7 +11,7 @@ from misfdr.covariance import (
     separable_cov,
 )
 from misfdr.errors import NotPositiveDefiniteError, ParameterError
-from misfdr.linalg import chol_inverse
+from misfdr.linalg import chol_inverse, congruence
 
 
 class TestExponential:
@@ -183,6 +183,20 @@ class TestCholInverse:
     def test_singular_factor_rejected(self):
         with pytest.raises(NotPositiveDefiniteError, match="singular"):
             chol_inverse(np.array([[1.0, 0.0], [1.0, 0.0]]))
+
+
+class TestCongruence:
+    def test_matches_dense_product(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(20):
+            m = int(rng.integers(2, 51))
+            raw = rng.standard_normal((m, m))
+            v = raw @ raw.T + m * np.eye(m)
+            a = rng.standard_normal((m, m))
+            got = congruence(a, np.linalg.cholesky(v), 0.5)
+            np.testing.assert_allclose(got, 0.25 * a @ v @ a.T, rtol=0, atol=1e-12 * np.abs(got).max())
+            np.testing.assert_array_equal(got, got.T)
+            assert got.flags.c_contiguous
 
 
 class TestCovarianceMatrix:

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from misfdr.covariance import CovarianceMatrix, GridLayout, exponential_cov, identity_cov
-from misfdr.divergence import KLEstimate, kl_exact, kl_known_var, log_density_ratio
+from misfdr.divergence import KLEstimate, kl_exact, kl_known_var, kl_laws, log_density_ratio
 from misfdr.errors import BoundaryError, ParameterError
 from misfdr.posterior import KnownVariance, ModelSpec, TrueProcess, UnknownVariance
-from misfdr.sampdist import SamplingLaw, joint_log_pdf, law_known_var
+from misfdr.sampdist import SamplingLaw, joint_log_pdf, law_known_var, law_unknown_var
 from misfdr.simulation import build_cov, builtin_example, paired_specs
 
 
@@ -85,6 +85,21 @@ class TestLogDensityRatio:
         law = scalar_law(0.5)
         with pytest.raises(BoundaryError):
             log_density_ratio(np.array([0.0]), law, law)
+
+    def test_unknown_variance_law_rejected(self):
+        # The same 3x3 case once returned 5.48, a Gaussian-copula ratio for a
+        # law that has no joint density.
+        grid = GridLayout(1, 3)
+        truth = TrueProcess(np.zeros(3), 0.25, exponential_cov(grid, 5.0))
+        spec = ModelSpec(np.zeros(3), 1.0, identity_cov(3), UnknownVariance(2.0, 0.5))
+        law_unknown = law_unknown_var(truth, spec)
+        law_known = law_known_var(truth, ModelSpec(np.zeros(3), 1.0, truth.sigma1, KnownVariance(0.25)))
+        h = np.full(3, 0.3)
+        for pair in ((law_unknown, law_known), (law_known, law_unknown)):
+            with pytest.raises(ParameterError, match="only for the known-variance law"):
+                log_density_ratio(h, *pair)
+            with pytest.raises(ParameterError, match="only for the known-variance law"):
+                kl_laws(*pair)
 
 
 class TestKLEstimate:

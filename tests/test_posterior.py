@@ -199,6 +199,21 @@ class TestPosteriorOperatorPin:
             np.testing.assert_allclose(op.posterior_mean(y), mean, rtol=1e-10, atol=0)
 
     @pytest.mark.parametrize("g", PIN_GS)
+    def test_known_variance_standardized(self, g):
+        # Scored through A, (r @ A) / (s sd); small g cancels in A = s (I - s K^-1),
+        # yet the worst relative error over these cases is about 1e-12.
+        for rng, sigma, theta0, y in random_spd_specs():
+            sigma0_sq = float(rng.uniform(0.1, 2.0))
+            spec = ModelSpec(theta0, g, sigma, KnownVariance(sigma0_sq))
+            m = spec.m
+            sigma_inv = np.linalg.inv(sigma.entries)
+            post_cov = np.linalg.inv(np.eye(m) / sigma0_sq + sigma_inv / g)
+            mean = (y / sigma0_sq + sigma_inv @ theta0 / g) @ post_cov
+            z = (mean - theta0) / np.sqrt(np.diag(post_cov))
+            np.testing.assert_allclose(spec.posterior.standardized(y), z, rtol=1e-10, atol=0)
+            np.testing.assert_allclose(spec.posterior.standardized(y[0]), z[0], rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("g", PIN_GS)
     def test_unknown_variance(self, g):
         for rng, sigma, theta0, y in random_spd_specs():
             noise = UnknownVariance(float(rng.uniform(0.5, 3.0)), float(rng.uniform(0.1, 2.0)))

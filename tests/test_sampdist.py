@@ -135,6 +135,61 @@ class TestLawUnknownVar:
         assert len(built) == 1
 
 
+def random_truth_spec_pairs(seed=7):
+    """Random SPD truths and specs with random noise variances, m in [2, 50]."""
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        m = int(rng.integers(2, 51))
+        raw, raw2 = rng.standard_normal((m, m)), rng.standard_normal((m, m))
+        sigma1 = CovarianceMatrix(raw @ raw.T + m * np.eye(m))
+        sigma = CovarianceMatrix(raw2 @ raw2.T + m * np.eye(m))
+        yield rng, TrueProcess(np.zeros(m), float(rng.uniform(0.1, 2.0)), sigma1), sigma
+
+
+class TestLawB:
+    @pytest.mark.parametrize("g", (1e-2, 1e-1, 1.0, 10.0, 1e3, 1e8))
+    @pytest.mark.parametrize("known", [True, False], ids=["known", "unknown"])
+    def test_matches_dense_product(self, g, known):
+        # B = (S L_V)(S L_V)' by trmm and syrk against A V A / s^2 by two
+        # products; the worst elementwise relative error measured over these
+        # cases is 1.3e-11, on entries that cancel in the dense product.
+        for rng, truth, sigma in random_truth_spec_pairs():
+            noise = KnownVariance(truth.sigma0_sq) if known else UnknownVariance(2.0, 0.5)
+            spec = ModelSpec(truth.theta0, g, sigma, noise)
+            law = (law_known_var if known else law_unknown_var)(truth, spec)
+            s = truth.sigma0_sq if known else 1.0
+            cov_y = truth.sigma1.entries + truth.sigma0_sq * np.eye(truth.m)
+            dense = law.a @ cov_y @ law.a / (s * s)
+            np.testing.assert_allclose(law.b, dense, rtol=1e-10, atol=0)
+            np.testing.assert_array_equal(law.b, law.b.T)
+
+    def test_known_variance_law_shares_a(self):
+        truth, spec_cor, _ = grid_setup(rows=3, cols=3)
+        assert law_known_var(truth, spec_cor).a is spec_cor.posterior.a
+
+
+class TestBuiltPerMode:
+    def test_unknown_variance_law_has_no_copula(self):
+        truth, spec_cor, _ = grid_setup(rows=3, cols=3)
+        spec = ModelSpec(spec_cor.theta0, 1.0, spec_cor.sigma_spec, UnknownVariance(2.0, 0.5))
+        law = law_unknown_var(truth, spec)
+        assert law.copula is None and law.log_det_copula is None
+        with pytest.raises(ParameterError, match="known-variance"):
+            joint_log_pdf(np.full(law.m, 0.5), law)
+
+    def test_p_b_factor_built_on_first_sampler_use(self, monkeypatch):
+        truth, spec_cor, _ = grid_setup(rows=3, cols=3)
+        spec = ModelSpec(spec_cor.theta0, 1.0, spec_cor.sigma_spec, UnknownVariance(2.0, 0.5))
+        law = law_unknown_var(truth, spec)
+        factored = []
+        chol = sampdist.chol_psd
+        monkeypatch.setattr(sampdist, "chol_psd", lambda a: factored.append(a) or chol(a))
+        assert "_pb_chol" not in vars(law)
+        xi_sampler(law, 10, stream(1, 3))
+        xi_sampler(law, 10, stream(1, 4))
+        assert len(factored) == 1
+
+
 class TestCorrelationFactor:
     @pytest.mark.parametrize(
         "noise, law_of",

@@ -123,6 +123,28 @@ class TestRunSweep:
         run_sweep(tiny_config(sweep_values=(1.0,)))
         assert len(built) == 2
 
+    @pytest.mark.parametrize(
+        "overrides, builds",
+        [({}, lambda n: 2 * n),
+         (dict(sweep_variable="rho", sweep_values=(2.0, 5.0, 10.0),
+               mis_kernel={"kind": "exponential", "range": 5.0}), lambda n: 1 + n)],
+        ids=["g", "rho"],
+    )
+    def test_operator_and_law_builds(self, monkeypatch, overrides, builds):
+        # A range sweep builds its correct spec and law once; a g sweep needs
+        # both specs and laws anew at every g.
+        config = tiny_config(**overrides)
+        built = {PosteriorOperator: 0, SamplingLaw: 0}
+        for cls in built:
+            def counting_init(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
+                built[_cls] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting_init)
+        run_sweep(config, threads=2)
+        n = len(config.sweep_values)
+        assert built == {PosteriorOperator: builds(n), SamplingLaw: builds(n)}
+
     @pytest.mark.parametrize("threads", [1, 2])
     def test_refcounting_frees_every_factor(self, monkeypatch, threads):
         # A reference cycle through an operator or a law would keep each
