@@ -4,8 +4,9 @@
 Runs the grid study (exponential truth vs. independence working model, g
 sweep), the time-series study (oscillating vs. smooth AR(2), g sweep), and
 the range-mismatch study (exponential vs. exponential, range sweep), then
-prints a compact summary table per study. Each study takes about 4-6 s
-on a 2-core machine with one BLAS thread.
+prints a compact summary table per study. Each study takes about 2.5-3.5 s
+with the default --threads 2 (3.5-4.5 s with --threads 1) on a 2-core
+machine with one BLAS thread.
 
 Usage:
     python scripts/run_full_scale.py [--out-dir results-full] [--seed N]
