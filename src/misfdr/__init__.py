@@ -10,7 +10,7 @@ from .covariance import (
     identity_cov,
     separable_cov,
 )
-from .divergence import KLEstimate, kl_exact, kl_known_var, log_density_ratio
+from .divergence import kl_exact
 from .errors import BoundaryError, NotPositiveDefiniteError, ParameterError
 from .fdr import (
     DecisionSet,
@@ -32,7 +32,6 @@ from .posterior import (
 )
 from .sampdist import (
     SamplingLaw,
-    joint_cdf_mc,
     joint_log_pdf,
     law_known_var,
     law_unknown_var,

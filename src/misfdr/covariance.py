@@ -57,12 +57,15 @@ class CovarianceMatrix:
 
     def __init__(self, entries, kernel: str = "custom", params: dict | None = None):
         entries = np.array(entries, dtype=float)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise ParameterError("covariance must be a square matrix")
-        scale = max(1.0, float(np.abs(entries).max()))
-        if np.abs(entries - entries.T).max() > SYMMETRY_RTOL * scale:
-            raise ParameterError("covariance is not symmetric")
-        entries = 0.5 * (entries + entries.T)
+        if entries.ndim != 2 or entries.shape[0] != entries.shape[1] or entries.size == 0:
+            raise ParameterError("covariance must be a nonempty square matrix")
+        # Kernels are symmetric by construction: only a matrix that is not
+        # exactly so is checked and symmetrized.
+        if not np.array_equal(entries, entries.T):
+            scale = max(1.0, float(np.abs(entries).max()))
+            if np.abs(entries - entries.T).max() > SYMMETRY_RTOL * scale:
+                raise ParameterError("covariance is not symmetric")
+            entries = 0.5 * (entries + entries.T)
         entries.setflags(write=False)
         self.entries = entries
         self.dim = entries.shape[0]

@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .posterior import ModelSpec, TrueProcess, draw_replications
-from .rng import spawn
+from .rng import Substreams
 
 
 @dataclass(frozen=True)
@@ -78,11 +78,11 @@ def replication_counts(h: np.ndarray, null_mask: np.ndarray, alpha_star: float) 
     return np.stack((decision.k, false_rejections, missed), axis=-1)
 
 
-def replicate(truth: TrueProcess, specs, alpha_star: float, streams) -> list[np.ndarray]:
+def replicate(truth: TrueProcess, specs, alpha_star: float, block: Substreams) -> list[np.ndarray]:
     """(n, 3) per-replication (R, V, T) counts for each spec in `specs`, all
-    scored on the same n datasets drawn from `truth`, one per stream. H0i is
-    theta_i >= the spec's prior mean."""
-    theta, y = draw_replications(truth, streams)
+    scored on the same n datasets drawn from `truth`, one per substream of the
+    block. H0i is theta_i >= the spec's prior mean."""
+    theta, y = draw_replications(truth, block)
     # The null labels are all that is read of theta: free it before scoring.
     nulls = [truth_labels(theta, spec.theta0) for spec in specs]
     del theta
@@ -126,5 +126,5 @@ def operating_characteristics(
     """
     if n_reps < 1:
         raise ParameterError("n_reps must be at least 1")
-    (counts,) = replicate(truth, [spec], alpha_star, spawn(rng, n_reps))
+    (counts,) = replicate(truth, [spec], alpha_star, Substreams(rng, n_reps))
     return summarize_counts(counts, truth.m)

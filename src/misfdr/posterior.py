@@ -17,6 +17,7 @@ from scipy.special import ndtr, stdtr
 from .covariance import CovarianceMatrix
 from .errors import ParameterError
 from .linalg import chol_inverse, chol_psd
+from .rng import Substreams
 
 
 @dataclass(frozen=True)
@@ -127,17 +128,14 @@ def draw_dataset(truth: TrueProcess, rng) -> Dataset:
     return Dataset(y=theta + eps, theta=theta, seed=seed)
 
 
-def draw_replications(truth: TrueProcess, streams) -> tuple[np.ndarray, np.ndarray]:
-    """Stack draws from per-replication streams into (n, m) arrays.
+def draw_replications(truth: TrueProcess, block: Substreams) -> tuple[np.ndarray, np.ndarray]:
+    """(theta, y) as (n, m) arrays, one row per substream of the block.
 
-    Row r is bit-identical to draw_dataset(truth, streams[r]).
+    Row r is bit-identical to draw_dataset(truth, gen) for child r's Generator.
     """
-    n = len(streams)
-    z_theta = np.empty((n, truth.m))
-    z_eps = np.empty((n, truth.m))
-    for r, gen in enumerate(streams):
-        z_theta[r] = gen.standard_normal(truth.m)
-        z_eps[r] = gen.standard_normal(truth.m)
+    z_theta = np.empty((len(block), truth.m))
+    z_eps = np.empty((len(block), truth.m))
+    block.fill(z_theta, z_eps)
     # At most three (n, m) arrays at once: y is formed in the noise draws.
     theta = z_theta @ truth.sigma1.chol.T
     del z_theta

@@ -184,21 +184,6 @@ def joint_log_pdf(h: np.ndarray, law: SamplingLaw) -> float | np.ndarray:
     return 0.5 * law.log_det_copula + 0.5 * quad
 
 
-def joint_cdf_mc(
-    h: np.ndarray, law: SamplingLaw, n_draws: int, rng: np.random.Generator
-) -> tuple[float, float]:
-    """Monte Carlo estimate of the joint CDF, with binomial standard error."""
-    if law.c is not None:
-        raise ParameterError("joint CDF evaluator applies to the known-variance law")
-    h = _check_open_unit(h)
-    thresholds = np.sqrt(law.r) * ndtri(h)
-    z = rng.standard_normal((n_draws, law.m)) @ law._pb_chol.T
-    hits = np.all(z <= thresholds, axis=1)
-    p = float(hits.mean())
-    se = float(np.sqrt(p * (1.0 - p) / n_draws))
-    return p, se
-
-
 def xi_sampler(law: SamplingLaw, n_draws: int, rng: np.random.Generator) -> np.ndarray:
     """Draws of the scaled Gaussian vector governing the unknown-variance law.
 

@@ -1,0 +1,109 @@
+"""Monte Carlo oracles for the closed forms of the package; only tests use them.
+
+- `kl_known_var`: the KL divergence between the correct and misspecified
+  known-variance laws of the scores, by Monte Carlo, against `kl_exact`.
+- `log_density_ratio`: log f_cor(h) - log f_mis(h), the summand of that
+  estimate.
+- `joint_cdf_mc`: the joint CDF of a known-variance law, by Monte Carlo.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+from scipy.special import ndtri
+
+from misfdr.divergence import check_kl_specs
+from misfdr.errors import BoundaryError, ParameterError
+from misfdr.posterior import ModelSpec, TrueProcess, draw_replications
+from misfdr.rng import Substreams
+from misfdr.sampdist import SamplingLaw, _check_open_unit, law_known_var, require_density
+
+DEFAULT_DRAWS = 1000
+
+# Abort if more than this fraction of draws hit a floating-point boundary.
+MAX_EXCLUDED_FRACTION = 1e-3
+
+
+@dataclass(frozen=True)
+class KLEstimate:
+    total: float
+    per_dim: float
+    std_err: float
+    n_draws: int
+    n_excluded: int = 0
+
+
+def _log_density_ratio_phi(phi: np.ndarray, law_cor: SamplingLaw, law_mis: SamplingLaw):
+    diff = law_mis.copula - law_cor.copula
+    quad = np.sum(phi * (phi @ diff), axis=-1)
+    return 0.5 * (law_cor.log_det_copula - law_mis.log_det_copula) + 0.5 * quad
+
+
+def log_density_ratio(h: np.ndarray, law_cor: SamplingLaw, law_mis: SamplingLaw):
+    """log f_cor(h) - log f_mis(h) with the phi'phi terms cancelled.
+
+    Accepts (m,) or (n, m); identical laws give exactly zero. Both laws must
+    be known-variance laws, the only ones with a joint density.
+    """
+    require_density(law_cor, law_mis)
+    return _log_density_ratio_phi(ndtri(_check_open_unit(h)), law_cor, law_mis)
+
+
+def kl_known_var(
+    truth: TrueProcess,
+    spec_cor: ModelSpec,
+    spec_mis: ModelSpec,
+    n_draws: int = DEFAULT_DRAWS,
+    rng=0,
+) -> KLEstimate:
+    """KL(f_cor || f_mis) of the statistic vector, by Monte Carlo: the test
+    oracle for `kl_exact`.
+
+    `rng` may be an int root seed (per-draw substreams are derived from it,
+    so the estimate is reproducible and order-independent) or a Generator.
+    """
+    check_kl_specs(truth, spec_cor, spec_mis)
+
+    _, y = draw_replications(truth, Substreams(rng, n_draws))
+    # Work with phi = Phi^{-1}(h) computed directly from the standardized
+    # posterior mean: round-tripping through h loses the tail (h saturates
+    # at 1.0 in float64 once phi exceeds ~8.2) and would force exclusions.
+    phi = spec_cor.posterior.standardized(y)
+
+    interior = np.all(np.isfinite(phi), axis=1)
+    n_excluded = int(n_draws - interior.sum())
+    if n_excluded > MAX_EXCLUDED_FRACTION * n_draws:
+        raise BoundaryError(
+            f"{n_excluded} of {n_draws} draws produced boundary statistics"
+        )
+
+    law_cor = law_known_var(truth, spec_cor)
+    law_mis = law_known_var(truth, spec_mis)
+    summands = _log_density_ratio_phi(phi[interior], law_cor, law_mis)
+    n_kept = summands.shape[0]
+    total = float(summands.mean())
+    std_err = float(summands.std(ddof=1) / np.sqrt(n_kept)) if n_kept > 1 else 0.0
+    return KLEstimate(
+        total=total,
+        per_dim=total / truth.m,
+        std_err=std_err,
+        n_draws=n_kept,
+        n_excluded=n_excluded,
+    )
+
+
+def joint_cdf_mc(
+    h: np.ndarray, law: SamplingLaw, n_draws: int, rng: np.random.Generator
+) -> tuple[float, float]:
+    """Monte Carlo estimate of the joint CDF, with binomial standard error."""
+    if law.c is not None:
+        raise ParameterError("joint CDF evaluator applies to the known-variance law")
+    h = _check_open_unit(h)
+    thresholds = np.sqrt(law.r) * ndtri(h)
+    z = rng.standard_normal((n_draws, law.m)) @ law._pb_chol.T
+    hits = np.all(z <= thresholds, axis=1)
+    p = float(hits.mean())
+    se = float(np.sqrt(p * (1.0 - p) / n_draws))
+    return p, se

@@ -204,6 +204,28 @@ class TestCovarianceMatrix:
         with pytest.raises(ParameterError):
             CovarianceMatrix([[1.0, 0.3], [0.2, 1.0]])
 
+    @pytest.mark.parametrize("entries", [np.zeros((0, 0)), np.zeros((2, 3))], ids=["empty", "wide"])
+    def test_non_square_or_empty_rejected(self, entries):
+        with pytest.raises(ParameterError, match="nonempty square"):
+            CovarianceMatrix(entries)
+
+    def test_gross_asymmetry_rejected_at_kernel_size(self):
+        entries = exponential_cov(GridLayout(6, 6), 2.0).entries.copy()
+        entries[0, 5] += 1e-3
+        with pytest.raises(ParameterError, match="not symmetric"):
+            CovarianceMatrix(entries)
+
+    def test_exactly_symmetric_entries_kept_bit_for_bit(self):
+        kernel = exponential_cov(GridLayout(6, 6), 2.0).entries
+        assert np.array_equal(kernel, kernel.T)
+        np.testing.assert_array_equal(CovarianceMatrix(kernel).entries, kernel)
+
+    def test_rounding_asymmetry_symmetrized(self):
+        entries = np.array([[1.0, 0.3], [0.3 + 1e-14, 1.0]])
+        cov = CovarianceMatrix(entries)
+        np.testing.assert_array_equal(cov.entries, cov.entries.T)
+        assert cov.entries[0, 1] == 0.5 * (0.3 + (0.3 + 1e-14))
+
     def test_entries_are_immutable(self):
         cov = identity_cov(2)
         with pytest.raises(ValueError):

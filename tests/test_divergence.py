@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from misfdr.covariance import CovarianceMatrix, GridLayout, exponential_cov, identity_cov
-from misfdr.divergence import KLEstimate, kl_exact, kl_known_var, kl_laws, log_density_ratio
+from misfdr.divergence import kl_exact, kl_laws
 from misfdr.errors import BoundaryError, ParameterError
 from misfdr.posterior import KnownVariance, ModelSpec, TrueProcess, UnknownVariance
 from misfdr.sampdist import SamplingLaw, joint_log_pdf, law_known_var, law_unknown_var
 from misfdr.simulation import build_cov, builtin_example, paired_specs
+from oracles import KLEstimate, kl_known_var, log_density_ratio
 
 
 def desk_setup(g=1.0):

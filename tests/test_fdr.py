@@ -17,7 +17,7 @@ from misfdr.fdr import (
     truth_labels,
 )
 from misfdr.posterior import KnownVariance, ModelSpec, TrueProcess
-from misfdr.rng import spawn, stream, streams
+from misfdr.rng import Substreams, spawn, stream, streams
 
 h_vectors = arrays(
     np.float64,
@@ -239,7 +239,7 @@ class TestOperatingCharacteristics:
 
     def test_equals_replicate_on_the_same_streams(self):
         oc = operating_characteristics(self.truth, self.spec, 0.05, n_reps=30, rng=stream(8, 0, 1))
-        (counts,) = replicate(self.truth, [self.spec], 0.05, streams(8, 30, 0, 1))
+        (counts,) = replicate(self.truth, [self.spec], 0.05, Substreams(8, 30, 0, 1))
         assert oc == summarize_counts(counts, self.truth.m)
 
     def test_fdr_near_nominal_under_correct_spec(self):
@@ -247,10 +247,16 @@ class TestOperatingCharacteristics:
         assert 0.0 < oc.fdr_hat < 0.10
 
 
+def block_draws(block, k=4):
+    out = np.empty((len(block), k))
+    block.fill(out)
+    return out
+
+
 class TestSeeding:
     def test_one_spawn_scheme(self):
-        # streams, spawn of the parent stream, and the addressed child
-        # streams all give the same generators
+        # streams, spawn of the parent stream, the addressed child streams
+        # and the substream block all give the same draws
         draws = [
             [g.standard_normal(4) for g in gens]
             for gens in (
@@ -259,5 +265,15 @@ class TestSeeding:
                 [stream(5, 0, 2, r) for r in range(3)],
             )
         ]
-        np.testing.assert_array_equal(draws[0], draws[1])
-        np.testing.assert_array_equal(draws[0], draws[2])
+        draws.append(block_draws(Substreams(5, 3, 0, 2)))
+        for other in draws[1:]:
+            np.testing.assert_array_equal(draws[0], other)
+
+    def test_successive_blocks_follow_successive_spawns(self):
+        # a block spawns from a Generator as `spawn` does, advancing the same
+        # spawn counter
+        by_block, by_spawn = stream(5, 1), stream(5, 1)
+        for n in (3, 2):
+            expected = [g.standard_normal(4) for g in spawn(by_spawn, n)]
+            np.testing.assert_array_equal(block_draws(Substreams(by_block, n)), expected)
+        assert by_block.bit_generator.seed_seq.n_children_spawned == 5

@@ -1,0 +1,59 @@
+import numpy as np
+import pytest
+
+from misfdr.rng import Substreams, spawn, stream
+
+ROOTS = [0, 1, 2**32 + 5, 2**70]
+PATHS = [(), (0,), (0, 6), (7, 2**33)]
+SIZES = [0, 1, 3, 257]
+
+
+def numpy_children(root, path, n):
+    return np.random.SeedSequence(root, spawn_key=path).spawn(n)
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("path", PATHS, ids=str)
+@pytest.mark.parametrize("root", ROOTS)
+class TestSubstreamsPin:
+    def test_seed_words_match_numpy_children(self, root, path, n):
+        expected = [child.generate_state(4, np.uint64) for child in numpy_children(root, path, n)]
+        words = Substreams(root, n, *path).words
+        assert words.dtype == np.uint64 and words.shape == (n, 4)
+        np.testing.assert_array_equal(words, np.reshape(expected, (n, 4)))
+
+    def test_rows_match_spawned_generators(self, root, path, n):
+        first, second = np.empty((n, 5)), np.empty((n, 3))
+        Substreams(root, n, *path).fill(first, second)
+        for r, gen in enumerate(spawn(stream(root, *path), n)):
+            np.testing.assert_array_equal(first[r], gen.standard_normal(5))
+            np.testing.assert_array_equal(second[r], gen.standard_normal(3))
+
+
+class TestSubstreamsFromGenerator:
+    def test_int_seed_matches_spawn(self):
+        expected = [g.standard_normal(6) for g in spawn(12, 4)]
+        out = np.empty((4, 6))
+        Substreams(12, 4).fill(out)
+        np.testing.assert_array_equal(out, expected)
+
+    def test_generator_children_match_spawn(self):
+        gen, twin = np.random.default_rng(3), np.random.default_rng(3)
+        words = Substreams(gen, 5).words
+        expected = [child.bit_generator.seed_seq.generate_state(4, np.uint64)
+                    for child in spawn(twin, 5)]
+        np.testing.assert_array_equal(words, expected)
+
+    def test_path_needs_an_int_root(self):
+        with pytest.raises(ValueError, match="int root seed"):
+            Substreams(np.random.default_rng(0), 2, 1)
+
+
+class TestFill:
+    def test_each_array_needs_a_row_per_substream(self):
+        with pytest.raises(ValueError, match="one row per substream"):
+            Substreams(0, 3).fill(np.empty((2, 4)))
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            Substreams(-1, 2)

@@ -11,7 +11,6 @@ from misfdr.posterior import KnownVariance, ModelSpec, PosteriorOperator, TruePr
 from misfdr.rng import stream
 from misfdr.sampdist import (
     SamplingLaw,
-    joint_cdf_mc,
     joint_log_pdf,
     law_known_var,
     law_unknown_var,
@@ -20,6 +19,7 @@ from misfdr.sampdist import (
     xi_sampler,
     xi_to_h,
 )
+from oracles import joint_cdf_mc
 
 
 def scalar_truth():
