@@ -20,15 +20,10 @@ from .fdr import (
     truth_labels,
 )
 from .posterior import (
-    Dataset,
-    Hypotheses,
     KnownVariance,
     ModelSpec,
     TrueProcess,
     UnknownVariance,
-    draw_dataset,
-    posterior_probs_known_var,
-    posterior_probs_unknown_var,
 )
 from .sampdist import (
     SamplingLaw,

@@ -59,6 +59,9 @@ class CovarianceMatrix:
         entries = np.array(entries, dtype=float)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1] or entries.size == 0:
             raise ParameterError("covariance must be a nonempty square matrix")
+        # NaN fails both symmetry tests below, so finiteness is checked first.
+        if not np.isfinite(entries).all():
+            raise ParameterError("covariance entries must be finite")
         # Kernels are symmetric by construction: only a matrix that is not
         # exactly so is checked and symmetrized.
         if not np.array_equal(entries, entries.T):

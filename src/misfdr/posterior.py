@@ -1,14 +1,14 @@
-"""Data generation and posterior-probability test statistics.
+"""The data-generating process, the analyst's model and its posterior scores.
 
-The statistic for hypothesis i is h_i = P(theta_i >= bound_i | y) under the
-analyst's assumed model. Two noise modes are supported: known noise variance
-(Gaussian posterior) and unknown noise variance with an inverse-gamma prior
-(multivariate-t posterior).
+The statistic for hypothesis i is h_i = P(theta_i >= theta0_i | y): the
+posterior probability, under the analyst's assumed model, that theta_i is at
+least its prior mean theta0_i. A spec scores data as `spec.posterior.probs(y)`.
+Two noise modes are supported: known noise variance (Gaussian posterior) and
+unknown noise variance with an inverse-gamma prior (multivariate-t posterior).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,43 +95,12 @@ class ModelSpec:
         return self.theta0.shape[0]
 
 
-@dataclass(frozen=True)
-class Hypotheses:
-    """Per-coordinate thresholds for H0i: theta_i >= bound_i."""
-
-    theta_bound: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "theta_bound", np.asarray(self.theta_bound, dtype=float)
-        )
-
-
-@dataclass(frozen=True)
-class Dataset:
-    y: np.ndarray
-    theta: np.ndarray
-    seed: object = None
-
-    def __post_init__(self) -> None:
-        if np.asarray(self.y).shape != np.asarray(self.theta).shape:
-            raise ParameterError("y and theta must have equal length")
-
-
-def draw_dataset(truth: TrueProcess, rng) -> Dataset:
-    """One draw: theta ~ N(theta0, Sigma1), y = theta + N(0, sigma0^2 I)."""
-    seed = rng if not isinstance(rng, np.random.Generator) else None
-    gen = np.random.default_rng(rng)
-    z = gen.standard_normal(truth.m)
-    theta = truth.theta0 + truth.sigma1.chol @ z
-    eps = np.sqrt(truth.sigma0_sq) * gen.standard_normal(truth.m)
-    return Dataset(y=theta + eps, theta=theta, seed=seed)
-
-
 def draw_replications(truth: TrueProcess, block: Substreams) -> tuple[np.ndarray, np.ndarray]:
-    """(theta, y) as (n, m) arrays, one row per substream of the block.
+    """(theta, y) as (n, m) arrays, one row per substream of the block:
+    theta ~ N(theta0, Sigma1), y = theta + N(0, sigma0^2 I).
 
-    Row r is bit-identical to draw_dataset(truth, gen) for child r's Generator.
+    Row r is bit-identical to the single draw `tests/oracles.draw_dataset(truth,
+    gen)` for child r's Generator, the reference the tests pin it to.
     """
     z_theta = np.empty((len(block), truth.m))
     z_eps = np.empty((len(block), truth.m))
@@ -144,23 +113,6 @@ def draw_replications(truth: TrueProcess, block: Substreams) -> tuple[np.ndarray
     y *= np.sqrt(truth.sigma0_sq)
     y += theta
     return theta, y
-
-
-def _resolve_bound(spec: ModelSpec, hyp: Hypotheses | None) -> np.ndarray:
-    if hyp is None:
-        return spec.theta0
-    bound = hyp.theta_bound
-    if bound.shape != spec.theta0.shape:
-        raise ParameterError("theta_bound length does not match the model")
-    if not np.array_equal(bound, spec.theta0):
-        # The sampling-distribution theory assumes the bound equals the
-        # prior mean; posterior probabilities themselves remain valid.
-        warnings.warn(
-            "theta_bound differs from the prior mean; marginal/joint "
-            "sampling laws do not apply to these statistics",
-            stacklevel=3,
-        )
-    return bound
 
 
 def require_noise(spec: ModelSpec, mode: type) -> None:
@@ -238,8 +190,8 @@ class PosteriorOperator:
         shift += self.theta0
         return shift
 
-    def standardized(self, y: np.ndarray, theta_bound: np.ndarray | None = None) -> np.ndarray:
-        """(posterior mean - bound) / posterior scale: the argument of the
+    def standardized(self, y: np.ndarray) -> np.ndarray:
+        """(posterior mean - theta0) / posterior scale: the argument of the
         posterior CDF in `probs`, so Phi^{-1}(h) exactly when the variance is
         known and the Student-t quantile of h when it is not.
 
@@ -247,30 +199,13 @@ class PosteriorOperator:
         that tail values are not lost to Phi saturating at 1.0 in float64.
         """
         z, quad = self._shift(y)
-        if theta_bound is not None:
-            z += self.theta0 - theta_bound
         z /= self._sd
         if not self.known:
             z /= np.sqrt((2 * self.beta + quad) / self.dof)[..., None]
         return z
 
-    def probs(self, y: np.ndarray, theta_bound: np.ndarray | None = None) -> np.ndarray:
-        """h_i = P(theta_i >= bound_i | y); the bound defaults to the prior mean."""
-        z = self.standardized(y, theta_bound)
+    def probs(self, y: np.ndarray) -> np.ndarray:
+        """h_i = P(theta_i >= theta0_i | y); accepts (m,) or (n, m)."""
+        z = self.standardized(y)
         return ndtr(z, out=z) if self.known else stdtr(self.dof, z, out=z)
 
-
-def posterior_probs_known_var(
-    y: np.ndarray, spec: ModelSpec, hyp: Hypotheses | None = None
-) -> np.ndarray:
-    """h_i = P(H0i | y) under a known-variance model spec."""
-    require_noise(spec, KnownVariance)
-    return spec.posterior.probs(y, _resolve_bound(spec, hyp))
-
-
-def posterior_probs_unknown_var(
-    y: np.ndarray, spec: ModelSpec, hyp: Hypotheses | None = None
-) -> np.ndarray:
-    """h_i = P(H0i | y) under an unknown-variance (IG prior) model spec."""
-    require_noise(spec, UnknownVariance)
-    return spec.posterior.probs(y, _resolve_bound(spec, hyp))

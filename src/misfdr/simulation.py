@@ -50,6 +50,8 @@ class ExperimentConfig:
             raise ParameterError("sweep.variable must be 'g' or 'rho'")
         if not self.sweep_values:
             raise ParameterError("sweep.values must be nonempty")
+        if self.sweep_variable == "rho" and self.mis_kernel.get("kind") != "exponential":
+            raise ParameterError("a 'rho' sweep varies mis.range: mis.kernel must be exponential")
         if self.n_reps < 1:
             raise ParameterError("n_reps must be at least 1")
         if self.grid is not None and self.grid.m != self.m:
@@ -251,14 +253,21 @@ def parse_config_text(text: str) -> dict[str, str]:
     return mapping
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
 def _kernel_from_mapping(get, prefix: str) -> dict:
     kind = get(f"{prefix}.kernel")
     kernel: dict = {"kind": kind}
     if kind == "exponential":
-        kernel["range"] = get(f"{prefix}.range", cast=float)
+        kernel["range"] = get(f"{prefix}.range", cast=_finite_float)
     elif kind == "ar2":
-        kernel["rho1"] = get(f"{prefix}.rho1", cast=float)
-        kernel["rho2"] = get(f"{prefix}.rho2", cast=float)
+        kernel["rho1"] = get(f"{prefix}.rho1", cast=_finite_float)
+        kernel["rho2"] = get(f"{prefix}.rho2", cast=_finite_float)
         kernel["normalize"] = get(f"{prefix}.normalize", "false").lower() == "true"
     elif kind != "identity":
         raise ParameterError(f"unknown kernel kind: {kind!r}")
@@ -293,23 +302,24 @@ def config_from_mapping(mapping: dict[str, str], label: str = "config") -> Exper
     if "grid.rows" in mapping:
         grid = GridLayout(
             get("grid.rows", cast=int), get("grid.cols", cast=int),
-            get("grid.spacing", 1.0, float),
+            get("grid.spacing", 1.0, _finite_float),
         )
         m = grid.m
     else:
         m = get("m", cast=int)
-    g = get("g", 1.0, float)
+    g = get("g", 1.0, _finite_float)
     config = ExperimentConfig(
         label=label,
         m=m,
-        sigma0_sq=get("sigma0_sq", cast=float),
+        sigma0_sq=get("sigma0_sq", cast=_finite_float),
         g=g,
         truth_kernel=_kernel_from_mapping(get, "truth"),
         mis_kernel=_kernel_from_mapping(get, "mis"),
         sweep_variable=get("sweep.variable", "g"),
         # A config without sweep.values describes a single run at its g.
-        sweep_values=get("sweep.values", (g,), lambda text: tuple(map(float, text.split(",")))),
-        alpha_star=get("alpha_star", 0.05, float),
+        sweep_values=get("sweep.values", (g,),
+                         lambda text: tuple(map(_finite_float, text.split(",")))),
+        alpha_star=get("alpha_star", 0.05, _finite_float),
         n_reps=get("n_reps", 400, int),
         root_seed=get("seed", 0, int),
         grid=grid,

@@ -1,5 +1,7 @@
-"""Monte Carlo oracles for the closed forms of the package; only tests use them.
+"""Reference draws and Monte Carlo oracles for the package; only tests use them.
 
+- `draw_dataset`: one (theta, y) draw from a seed or Generator, the reference that
+  `draw_replications` reproduces row for row.
 - `kl_known_var`: the KL divergence between the correct and misspecified
   known-variance laws of the scores, by Monte Carlo, against `kl_exact`.
 - `log_density_ratio`: log f_cor(h) - log f_mis(h), the summand of that
@@ -33,6 +35,15 @@ class KLEstimate:
     std_err: float
     n_draws: int
     n_excluded: int = 0
+
+
+def draw_dataset(truth: TrueProcess, rng) -> tuple[np.ndarray, np.ndarray]:
+    """One draw (theta, y): theta ~ N(theta0, Sigma1), y = theta + N(0, sigma0^2 I)."""
+    gen = np.random.default_rng(rng)
+    z = gen.standard_normal(truth.m)
+    theta = truth.theta0 + truth.sigma1.chol @ z
+    eps = np.sqrt(truth.sigma0_sq) * gen.standard_normal(truth.m)
+    return theta, theta + eps
 
 
 def _log_density_ratio_phi(phi: np.ndarray, law_cor: SamplingLaw, law_mis: SamplingLaw):

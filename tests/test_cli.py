@@ -205,6 +205,20 @@ class TestSimulateAndExample:
         assert "configuration error" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
+    @pytest.mark.parametrize(
+        "kernel", ["identity", "ar2\nmis.rho1 = 0.6\nmis.rho2 = 0.3"], ids=["identity", "ar2"]
+    )
+    def test_range_sweep_without_a_range_rejected(self, tmp_path, capsys, kernel):
+        config = tmp_path / "bad.cfg"
+        config.write_text(
+            "m = 30\nsigma0_sq = 0.25\ntruth.kernel = ar2\ntruth.rho1 = 0.6\n"
+            f"truth.rho2 = 0.3\nmis.kernel = {kernel}\nsweep.variable = rho\n"
+            "sweep.values = 0.1, 1, 10\nn_reps = 10\n"
+        )
+        assert run(tmp_path, "simulate", "--config", str(config)) == 1
+        assert "mis.kernel must be exponential" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_example_desk(self, tmp_path):
         pytest.importorskip("matplotlib")
         assert run(tmp_path, "--threads", "2", "example",

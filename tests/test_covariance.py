@@ -209,6 +209,17 @@ class TestCovarianceMatrix:
         with pytest.raises(ParameterError, match="nonempty square"):
             CovarianceMatrix(entries)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["diagonal", "off-diagonal"])
+    def test_non_finite_entries_rejected(self, bad, where):
+        entries = np.eye(2)
+        if where == "diagonal":
+            entries[0, 0] = bad
+        else:
+            entries[0, 1] = entries[1, 0] = bad
+        with pytest.raises(ParameterError, match="finite"):
+            CovarianceMatrix(entries)
+
     def test_gross_asymmetry_rejected_at_kernel_size(self):
         entries = exponential_cov(GridLayout(6, 6), 2.0).entries.copy()
         entries[0, 5] += 1e-3

@@ -7,18 +7,16 @@ from scipy.integrate import quad
 from misfdr.covariance import CovarianceMatrix, identity_cov
 from misfdr.errors import ParameterError
 from misfdr.posterior import (
-    Hypotheses,
     KnownVariance,
     ModelSpec,
     PosteriorOperator,
     TrueProcess,
     UnknownVariance,
-    draw_dataset,
     draw_replications,
-    posterior_probs_known_var,
-    posterior_probs_unknown_var,
 )
 from misfdr.rng import Substreams, streams
+from misfdr.sampdist import law_known_var, law_unknown_var
+from oracles import draw_dataset
 
 
 def scalar_spec(g=1.0, sigma0_sq=0.25, noise=None):
@@ -33,17 +31,16 @@ def scalar_spec(g=1.0, sigma0_sq=0.25, noise=None):
 class TestDrawDataset:
     def test_deterministic_given_seed(self):
         truth = TrueProcess(np.zeros(3), 0.25, identity_cov(3))
-        d1 = draw_dataset(truth, 42)
-        d2 = draw_dataset(truth, 42)
-        np.testing.assert_array_equal(d1.y, d2.y)
-        np.testing.assert_array_equal(d1.theta, d2.theta)
-        assert d1.seed == 42
+        theta1, y1 = draw_dataset(truth, 42)
+        theta2, y2 = draw_dataset(truth, 42)
+        np.testing.assert_array_equal(y1, y2)
+        np.testing.assert_array_equal(theta1, theta2)
 
     def test_marginal_variance(self):
         m = 10_000
         truth = TrueProcess(np.zeros(m), 0.25, identity_cov(m))
-        d = draw_dataset(truth, 7)
-        assert np.var(d.y) == pytest.approx(1.25, rel=0.03)
+        _, y = draw_dataset(truth, 7)
+        assert np.var(y) == pytest.approx(1.25, rel=0.03)
 
     def test_latent_correlation(self):
         sigma1 = CovarianceMatrix([[1.0, 0.9], [0.9, 1.0]])
@@ -55,19 +52,19 @@ class TestDrawDataset:
         truth = TrueProcess(np.zeros(4), 0.5, identity_cov(4))
         theta, y = draw_replications(truth, Substreams(5, 3))
         for r, gen in enumerate(streams(5, 3)):
-            single = draw_dataset(truth, gen)
-            np.testing.assert_array_equal(theta[r], single.theta)
-            np.testing.assert_array_equal(y[r], single.y)
+            theta_r, y_r = draw_dataset(truth, gen)
+            np.testing.assert_array_equal(theta[r], theta_r)
+            np.testing.assert_array_equal(y[r], y_r)
 
 
 class TestKnownVariance:
     def test_half_at_prior_mean(self):
-        h = posterior_probs_known_var(np.zeros(1), scalar_spec())
+        h = scalar_spec().posterior.probs(np.zeros(1))
         assert h[0] == pytest.approx(0.5)
 
     def test_scalar_value_against_quadrature(self):
         spec = scalar_spec()
-        h = posterior_probs_known_var(np.array([1.0]), spec)
+        h = spec.posterior.probs(np.array([1.0]))
         assert h[0] == pytest.approx(0.96318, abs=1e-5)
         # independent oracle: 1-D quadrature of the unnormalized posterior
         y = 1.0
@@ -78,7 +75,7 @@ class TestKnownVariance:
 
     def test_monotone_limit_in_y(self):
         spec = scalar_spec()
-        h = posterior_probs_known_var(np.array([50.0]), spec)
+        h = spec.posterior.probs(np.array([50.0]))
         assert h[0] == pytest.approx(1.0, abs=1e-12)
 
     @given(st.floats(-3, 3), st.floats(-3, 3), st.floats(0.05, 2))
@@ -90,8 +87,8 @@ class TestKnownVariance:
             sigma_spec=CovarianceMatrix(np.diag([1.0, 2.0])),
             noise=KnownVariance(0.25),
         )
-        lo = posterior_probs_known_var(np.array([y0, y1]), spec)
-        hi = posterior_probs_known_var(np.array([y0 + bump, y1]), spec)
+        lo = spec.posterior.probs(np.array([y0, y1]))
+        hi = spec.posterior.probs(np.array([y0 + bump, y1]))
         assert hi[0] > lo[0]
         assert hi[1] == pytest.approx(lo[1])
 
@@ -104,8 +101,8 @@ class TestKnownVariance:
         )
         base = ModelSpec(np.zeros(3), 1.0, sigma, KnownVariance(0.5))
         shifted = ModelSpec(np.full(3, shift), 1.0, sigma, KnownVariance(0.5))
-        h0 = posterior_probs_known_var(y, base)
-        h1 = posterior_probs_known_var(y + shift, shifted)
+        h0 = base.posterior.probs(y)
+        h1 = shifted.posterior.probs(y + shift)
         np.testing.assert_allclose(h0, h1, atol=1e-10)
 
     def test_vague_prior_is_data_dominated(self):
@@ -124,26 +121,19 @@ class TestKnownVariance:
             CovarianceMatrix(np.diag([1.0, 0.5, 2.0])),
             KnownVariance(0.3),
         )
-        h = posterior_probs_known_var(spec.theta0.copy(), spec)
+        h = spec.posterior.probs(spec.theta0.copy())
         np.testing.assert_allclose(h, 0.5, atol=1e-12)
-
-    def test_differing_bound_warns(self):
-        spec = scalar_spec()
-        with pytest.warns(UserWarning, match="theta_bound"):
-            posterior_probs_known_var(
-                np.array([0.2]), spec, Hypotheses(np.array([0.1]))
-            )
 
 
 class TestUnknownVariance:
     def test_half_at_prior_mean(self):
         spec = scalar_spec(noise=UnknownVariance(1.0, 1.0))
-        h = posterior_probs_unknown_var(np.zeros(1), spec)
+        h = spec.posterior.probs(np.zeros(1))
         assert h[0] == pytest.approx(0.5)
 
     def test_scalar_value_against_quadrature(self):
         spec = scalar_spec(noise=UnknownVariance(1.0, 1.0))
-        h = posterior_probs_unknown_var(np.array([1.0]), spec)
+        h = spec.posterior.probs(np.array([1.0]))
         assert h[0] == pytest.approx(0.7525, abs=1e-4)
         # oracle: the marginal posterior is proportional to
         # [(y - t)^2 + t^2/g + 2 beta]^{-(m + alpha)} with m = 1, alpha = 1
@@ -156,9 +146,7 @@ class TestUnknownVariance:
     def test_beta_limit_monotone_toward_half(self):
         y = np.array([1.0])
         values = [
-            posterior_probs_unknown_var(
-                y, scalar_spec(noise=UnknownVariance(1.0, b))
-            )[0]
+            scalar_spec(noise=UnknownVariance(1.0, b)).posterior.probs(y)[0]
             for b in (1e2, 1e4, 1e6)
         ]
         assert values[0] > values[1] > values[2] > 0.5
@@ -233,10 +221,12 @@ class TestPosteriorOperatorPin:
 
 
 class TestNoiseModeChecks:
-    def test_known_var_probs_reject_unknown_spec(self):
-        with pytest.raises(ParameterError, match="known-variance"):
-            posterior_probs_known_var(np.zeros(1), scalar_spec(noise=UnknownVariance(1.0, 1.0)))
+    TRUTH = TrueProcess(np.zeros(1), 0.25, identity_cov(1))
 
-    def test_unknown_var_probs_reject_known_spec(self):
+    def test_known_var_law_rejects_unknown_spec(self):
+        with pytest.raises(ParameterError, match="known-variance"):
+            law_known_var(self.TRUTH, scalar_spec(noise=UnknownVariance(1.0, 1.0)))
+
+    def test_unknown_var_law_rejects_known_spec(self):
         with pytest.raises(ParameterError, match="unknown-variance"):
-            posterior_probs_unknown_var(np.zeros(1), scalar_spec())
+            law_unknown_var(self.TRUTH, scalar_spec())

@@ -56,6 +56,15 @@ class TestConfigValidation:
         with pytest.raises(ParameterError, match="grid size"):
             tiny_config(grid=GridLayout(2, 2))
 
+    @pytest.mark.parametrize(
+        "kernel", [{"kind": "identity"}, {"kind": "ar2", "rho1": 0.6, "rho2": 0.3}]
+    )
+    def test_range_sweep_needs_an_exponential_mis_kernel(self, kernel):
+        # Only the exponential kernel has a range for the sweep to vary.
+        with pytest.raises(ParameterError, match="mis.kernel must be exponential"):
+            tiny_config(sweep_variable="rho", mis_kernel=kernel)
+        tiny_config(sweep_variable="rho", mis_kernel={"kind": "exponential", "range": 1.0})
+
 
 class TestBuildCov:
     def test_exponential_requires_grid(self):
@@ -293,6 +302,16 @@ class TestConfigParsing:
         mapping = parse_config_text(self.TEXT)
         mapping[key] = value
         with pytest.raises(ParameterError, match=f"{key}.*{value!r}"):
+            config_from_mapping(mapping)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "key", ["sigma0_sq", "g", "alpha_star", "truth.range", "sweep.values"]
+    )
+    def test_non_finite_value_rejected(self, key, value):
+        mapping = parse_config_text(self.TEXT)
+        mapping[key] = "0.1, " + value if key == "sweep.values" else value
+        with pytest.raises(ParameterError, match=f"config key {key}: invalid value"):
             config_from_mapping(mapping)
 
     def test_unknown_noise_mode_rejected(self):
