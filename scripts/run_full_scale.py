@@ -17,8 +17,9 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import astuple
 
-from misfdr.simulation import builtin_example, run_sweep, write_sweep_csv
+from misfdr.simulation import SWEEP_COLUMNS, builtin_example, run_sweep, write_csv
 
 
 def main() -> int:
@@ -35,7 +36,7 @@ def main() -> int:
         rows = run_sweep(config, threads=args.threads)
         elapsed = time.time() - start
         out = os.path.join(args.out_dir, f"{config.label}.csv")
-        write_sweep_csv(rows, out)
+        write_csv(out, SWEEP_COLUMNS, map(astuple, rows))
         print(f"\n{config.label} ({elapsed:.1f}s) -> {out}")
         header = f"{'value':>8} {'fdr_cor':>8} {'fdr_mis':>8} {'fnr_cor':>8} " \
                  f"{'fnr_mis':>8} {'kl_per_dim':>11}"

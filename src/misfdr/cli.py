@@ -13,6 +13,7 @@ import hashlib
 import os
 import sys
 import time
+from dataclasses import astuple
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .simulation import (
     paired_specs,
     parse_config_text,
     run_sweep,
-    write_sweep_csv,
+    write_csv,
 )
 
 
@@ -105,6 +106,14 @@ def _write_run_meta(output_dir: str, seed, config_bytes: bytes, argv) -> None:
         fh.write(f"timestamp = {time.strftime('%Y-%m-%dT%H:%M:%S%z')}\n")
 
 
+def _write_artifact(args, header, rows, note: str = "") -> None:
+    """Write the subcommand's CSV to --output-dir/--out; `-v` reports it."""
+    out = os.path.join(args.output_dir, args.out)
+    write_csv(out, header, rows)
+    if args.verbose:
+        print(f"wrote {out}{note}")
+
+
 def _cmd_gen_cov(args) -> bytes:
     if args.kernel == "exponential":
         if args.rows is None or args.cols is None or args.range_ is None:
@@ -130,28 +139,19 @@ def _cmd_gen_cov(args) -> bytes:
         times = np.arange(1, args.n_times + 1)
         cov = separable_cov(layout.points(), times, args.delta, args.range_, args.alpha)
     cov.chol  # certify positive definiteness before writing
-    out = os.path.join(args.output_dir, args.out)
-    cov.to_csv(out)
-    if args.verbose:
-        print(f"wrote {out} (m={cov.dim}, kernel={cov.kernel})")
+    _write_artifact(args, [f"# covariance m={cov.dim} kernel={cov.kernel}"], cov.entries,
+                    f" (m={cov.dim}, kernel={cov.kernel})")
     return repr(vars(args)).encode()
 
 
 def _cmd_dist(args) -> bytes:
     grid = np.linspace(0.0, 1.0, args.points + 2)[1:-1]
-    out = os.path.join(args.output_dir, args.out)
-    with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["r", "h", "cdf", "pdf"])
-        for ratio in args.ratios:
-            cdf = marginal_cdf(grid, ratio)
-            pdf = marginal_pdf(grid, ratio)
-            for hval, c, d in zip(grid, cdf, pdf):
-                writer.writerow(
-                    [repr(float(ratio)), repr(float(hval)), repr(float(c)), repr(float(d))]
-                )
-    if args.verbose:
-        print(f"wrote {out}")
+    rows = [
+        (ratio, hval, c, d)
+        for ratio in args.ratios
+        for hval, c, d in zip(grid, marginal_cdf(grid, ratio), marginal_pdf(grid, ratio))
+    ]
+    _write_artifact(args, ["r", "h", "cdf", "pdf"], rows)
     return repr(vars(args)).encode()
 
 
@@ -167,18 +167,16 @@ def _read_config(path: str) -> tuple[dict[str, str], bytes]:
 def _cmd_kl(args) -> bytes:
     mapping, raw = _read_config(args.config)
     config = config_from_mapping(mapping, label="kl")
+    if config.mis_kernel == {"kind": "exponential"}:
+        # A range sweep may omit mis.range; the KL divergence is taken at it.
+        raise ParameterError("missing config key: mis.range")
     truth_cov = build_cov(config.truth_kernel, config.m, config.grid)
     mis_cov = build_cov(config.mis_kernel, config.m, config.grid)
     truth, spec_cor, spec_mis = paired_specs(config, truth_cov, mis_cov, config.g)
     total = kl_exact(truth, spec_cor, spec_mis)
     per_dim = total / config.m
-    out = os.path.join(args.output_dir, args.out)
-    with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["g", "m", "total", "per_dim"])
-        writer.writerow([repr(config.g), config.m, repr(total), repr(per_dim)])
-    if args.verbose:
-        print(f"wrote {out} (per_dim={per_dim:.6g})")
+    _write_artifact(args, ["g", "m", "total", "per_dim"], [(config.g, config.m, total, per_dim)],
+                    f" (per_dim={per_dim:.6g})")
     return raw
 
 
@@ -199,14 +197,8 @@ def _cmd_fdr(args) -> bytes:
         start = 1
     h = np.array([float(row[col]) for row in rows[start:]])
     decision = step_up(h, args.alpha)
-    out = os.path.join(args.output_dir, args.out)
-    with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["i", "h", "rejected"])
-        for i, (hval, rej) in enumerate(zip(h, decision.rejected)):
-            writer.writerow([i, repr(float(hval)), int(rej)])
-    if args.verbose:
-        print(f"wrote {out} (k={decision.k})")
+    rows = [(i, hval, int(rej)) for i, (hval, rej) in enumerate(zip(h, decision.rejected))]
+    _write_artifact(args, ["i", "h", "rejected"], rows, f" (k={decision.k})")
     return repr((list(h), args.alpha)).encode()
 
 
@@ -220,10 +212,7 @@ def _is_float(token: str) -> bool:
 
 def _run_and_write_sweep(config, args) -> None:
     rows = run_sweep(config, threads=args.threads)
-    out = os.path.join(args.output_dir, args.out)
-    write_sweep_csv(rows, out)
-    if args.verbose:
-        print(f"wrote {out} ({len(rows)} sweep points)")
+    _write_artifact(args, SWEEP_COLUMNS, map(astuple, rows), f" ({len(rows)} sweep points)")
     if getattr(args, "plots", False):
         _write_plots(config, rows, args.output_dir)
 
@@ -262,9 +251,9 @@ def _write_plots(config, rows, output_dir: str) -> None:
 
 def _cmd_simulate(args) -> bytes:
     mapping, raw = _read_config(args.config)
-    config = config_from_mapping(mapping, label=os.path.basename(args.config))
     if args.seed is not None:
-        config = type(config)(**{**vars(config), "root_seed": args.seed})
+        mapping["seed"] = str(args.seed)
+    config = config_from_mapping(mapping, label=os.path.basename(args.config))
     _run_and_write_sweep(config, args)
     return raw
 

@@ -8,7 +8,6 @@ immutable; the Cholesky factor is computed lazily, once, under a lock.
 
 from __future__ import annotations
 
-import csv
 import threading
 from dataclasses import dataclass
 
@@ -33,8 +32,8 @@ class GridLayout:
     def __post_init__(self) -> None:
         if self.rows < 1 or self.cols < 1:
             raise ParameterError("grid dimensions must be positive")
-        if self.spacing <= 0:
-            raise ParameterError("grid spacing must be positive")
+        if not 0 < self.spacing < np.inf:
+            raise ParameterError("grid spacing must be positive and finite")
 
     @property
     def m(self) -> int:
@@ -94,14 +93,6 @@ class CovarianceMatrix:
         """Ridge added during factorization (0.0 if none was needed)."""
         self.chol
         return self._jitter
-
-    def to_csv(self, path) -> None:
-        header = f"# covariance m={self.dim} kernel={self.kernel}"
-        with open(path, "w", newline="") as fh:
-            fh.write(header + "\n")
-            writer = csv.writer(fh, lineterminator="\n")
-            for row in self.entries:
-                writer.writerow([repr(float(v)) for v in row])
 
     def __repr__(self) -> str:
         return f"CovarianceMatrix(dim={self.dim}, kernel={self.kernel!r}, params={self.params})"

@@ -34,8 +34,8 @@ class TrueProcess:
     def __post_init__(self) -> None:
         theta0 = np.asarray(self.theta0, dtype=float)
         object.__setattr__(self, "theta0", theta0)
-        if self.sigma0_sq <= 0:
-            raise ParameterError("true noise variance must be positive")
+        if not 0 < self.sigma0_sq < np.inf:
+            raise ParameterError("true noise variance must be positive and finite")
         if self.sigma1.dim != theta0.shape[0]:
             raise ParameterError("sigma1 dimension does not match theta0")
         cov_y = self.sigma1.entries.copy()
@@ -52,8 +52,8 @@ class KnownVariance:
     sigma0_sq: float
 
     def __post_init__(self) -> None:
-        if self.sigma0_sq <= 0:
-            raise ParameterError("noise variance must be positive")
+        if not 0 < self.sigma0_sq < np.inf:
+            raise ParameterError("noise variance must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -64,8 +64,8 @@ class UnknownVariance:
     beta: float
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ParameterError("inverse-gamma parameters must be positive")
+        if not (0 < self.alpha < np.inf and 0 < self.beta < np.inf):
+            raise ParameterError("inverse-gamma parameters must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -82,8 +82,8 @@ class ModelSpec:
     def __post_init__(self) -> None:
         theta0 = np.asarray(self.theta0, dtype=float)
         object.__setattr__(self, "theta0", theta0)
-        if self.g <= 0:
-            raise ParameterError("prior scale g must be positive")
+        if not 0 < self.g < np.inf:
+            raise ParameterError("prior scale g must be positive and finite")
         if self.sigma_spec.dim != theta0.shape[0]:
             raise ParameterError("sigma_spec dimension does not match theta0")
         # Built eagerly: a lazy build would run after the draws it scores and

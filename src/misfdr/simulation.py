@@ -184,7 +184,8 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> list[SweepRow]:
 
 
 def builtin_example(which: int, scale: str = "full", root_seed: int = 0) -> ExperimentConfig:
-    """Preset configurations for the three numerical studies.
+    """Preset configurations for the three numerical studies, parsed by
+    `config_from_mapping` like any config file.
 
     `desk` scale shrinks to m=100 (10x10 grid or length-100 series) and 400
     replications so the whole sweep runs in well under a minute.
@@ -192,49 +193,39 @@ def builtin_example(which: int, scale: str = "full", root_seed: int = 0) -> Expe
     if scale not in ("full", "desk"):
         raise ParameterError("scale must be 'full' or 'desk'")
     desk = scale == "desk"
-    n_reps = 400 if desk else 1000
-    if which == 1:
-        grid = GridLayout(10, 10) if desk else GridLayout(30, 30)
-        return ExperimentConfig(
-            label=f"example1-{scale}", m=grid.m, sigma0_sq=0.25, g=1.0,
-            truth_kernel={"kind": "exponential", "range": 5.0},
-            mis_kernel={"kind": "identity"},
-            sweep_variable="g", sweep_values=DEFAULT_G_GRID,
-            alpha_star=0.05, n_reps=n_reps, root_seed=root_seed, grid=grid,
-        )
-    if which == 2:
-        m = 100 if desk else 900
-        return ExperimentConfig(
-            label=f"example2-{scale}", m=m, sigma0_sq=0.25, g=1.0,
-            truth_kernel={"kind": "ar2", "rho1": 1.5, "rho2": -0.9},
-            mis_kernel={"kind": "ar2", "rho1": 0.6, "rho2": 0.3},
-            sweep_variable="g", sweep_values=DEFAULT_G_GRID,
-            alpha_star=0.05, n_reps=n_reps, root_seed=root_seed,
-        )
-    if which == 3:
-        grid = GridLayout(10, 10) if desk else GridLayout(30, 30)
-        return ExperimentConfig(
-            label=f"example3-{scale}", m=grid.m, sigma0_sq=0.25, g=1.0,
-            truth_kernel={"kind": "exponential", "range": 5.0},
-            mis_kernel={"kind": "exponential", "range": 5.0},
-            sweep_variable="rho", sweep_values=DEFAULT_RHO_GRID,
-            alpha_star=0.05, n_reps=n_reps, root_seed=root_seed, grid=grid,
-        )
-    raise ParameterError("which must be 1, 2, or 3")
+    side = "10" if desk else "30"
+    grid = {"grid.rows": side, "grid.cols": side}
+    # repr round-trips a float exactly, so the parsed values equal the grids.
+    g_sweep = {"sweep.values": ", ".join(map(repr, DEFAULT_G_GRID))}
+    studies = {
+        1: {**grid, **g_sweep, "truth.kernel": "exponential", "truth.range": "5.0",
+            "mis.kernel": "identity"},
+        2: {**g_sweep, "m": "100" if desk else "900",
+            "truth.kernel": "ar2", "truth.rho1": "1.5", "truth.rho2": "-0.9",
+            "mis.kernel": "ar2", "mis.rho1": "0.6", "mis.rho2": "0.3"},
+        3: {**grid, "truth.kernel": "exponential", "truth.range": "5.0",
+            "mis.kernel": "exponential", "sweep.variable": "rho",
+            "sweep.values": ", ".join(map(repr, DEFAULT_RHO_GRID))},
+    }
+    if which not in studies:
+        raise ParameterError("which must be 1, 2, or 3")
+    mapping = {**studies[which], "sigma0_sq": "0.25",
+               "n_reps": "400" if desk else "1000", "seed": str(root_seed)}
+    return config_from_mapping(mapping, label=f"example{which}-{scale}")
 
 
 SWEEP_COLUMNS = [f.name for f in fields(SweepRow)]
 
 
-def write_sweep_csv(rows, path) -> None:
+def write_csv(path, header, rows) -> None:
+    """The one artifact format: a header row, then each row with floats written
+    as repr(float(v)), which parses back exactly, and other cells as they are."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SWEEP_COLUMNS)
-        for row in rows:
-            writer.writerow(
-                [repr(float(v)) if isinstance(v, float) else v
-                 for v in (getattr(row, c) for c in SWEEP_COLUMNS)]
-            )
+        writer.writerow(header)
+        writer.writerows(
+            [repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows
+        )
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -260,11 +251,12 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _kernel_from_mapping(get, prefix: str) -> dict:
+def _kernel_from_mapping(get, prefix: str, needs_range: bool = True) -> dict:
     kind = get(f"{prefix}.kernel")
     kernel: dict = {"kind": kind}
     if kind == "exponential":
-        kernel["range"] = get(f"{prefix}.range", cast=_finite_float)
+        if needs_range:
+            kernel["range"] = get(f"{prefix}.range", cast=_finite_float)
     elif kind == "ar2":
         kernel["rho1"] = get(f"{prefix}.rho1", cast=_finite_float)
         kernel["rho2"] = get(f"{prefix}.rho2", cast=_finite_float)
@@ -308,14 +300,17 @@ def config_from_mapping(mapping: dict[str, str], label: str = "config") -> Exper
     else:
         m = get("m", cast=int)
     g = get("g", 1.0, _finite_float)
+    sweep_variable = get("sweep.variable", "g")
     config = ExperimentConfig(
         label=label,
         m=m,
         sigma0_sq=get("sigma0_sq", cast=_finite_float),
         g=g,
         truth_kernel=_kernel_from_mapping(get, "truth"),
-        mis_kernel=_kernel_from_mapping(get, "mis"),
-        sweep_variable=get("sweep.variable", "g"),
+        # A range sweep sets mis.range at each point, so it may leave it out.
+        mis_kernel=_kernel_from_mapping(
+            get, "mis", sweep_variable != "rho" or "mis.range" in mapping),
+        sweep_variable=sweep_variable,
         # A config without sweep.values describes a single run at its g.
         sweep_values=get("sweep.values", (g,),
                          lambda text: tuple(map(_finite_float, text.split(",")))),

@@ -1,6 +1,8 @@
 import pytest
 
+from misfdr import cli
 from misfdr.cli import main
+from misfdr.errors import NotPositiveDefiniteError
 
 CONFIG = """
 grid.rows = 5
@@ -227,6 +229,64 @@ class TestSimulateAndExample:
         assert len(lines) == 8  # header + seven range values
         for name in ("fdr", "fnr", "rejection_rate_diff", "kl_per_dim"):
             assert (tmp_path / f"{name}.svg").exists()
+
+
+RANGE_SWEEP = CONFIG.replace(
+    "mis.kernel = identity", "mis.kernel = exponential\nsweep.variable = rho"
+)
+
+
+class TestRangeSweepWithoutRange:
+    def test_simulate_runs_as_with_a_range(self, tmp_path):
+        bare = tmp_path / "bare.cfg"
+        bare.write_text(RANGE_SWEEP)
+        ranged = tmp_path / "ranged.cfg"
+        ranged.write_text(RANGE_SWEEP + "mis.range = 3.0\n")
+        assert run(tmp_path, "simulate", "--config", str(bare), "--out", "a.csv") == 0
+        assert run(tmp_path, "simulate", "--config", str(ranged), "--out", "b.csv") == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_kl_names_the_missing_range(self, tmp_path, capsys):
+        config = tmp_path / "bare.cfg"
+        config.write_text(RANGE_SWEEP)
+        assert run(tmp_path, "kl", "--config", str(config)) == 1
+        assert "configuration error: missing config key: mis.range" in capsys.readouterr().err
+        assert not (tmp_path / "kl.csv").exists()
+
+
+class TestExitCodes:
+    def test_numerical_failure_exits_2(self, tmp_path, capsys, monkeypatch):
+        def fail(*args):
+            raise NotPositiveDefiniteError("matrix is not positive definite")
+
+        monkeypatch.setattr(cli, "kl_exact", fail)
+        config = tmp_path / "run.cfg"
+        config.write_text(CONFIG)
+        assert run(tmp_path, "kl", "--config", str(config)) == 2
+        err = capsys.readouterr().err
+        assert err == "numerical failure: matrix is not positive definite\n"
+        assert not (tmp_path / "kl.csv").exists()
+
+
+class TestVerbose:
+    @pytest.mark.parametrize("argv, artifact, note", [
+        (["gen-cov", "--kernel", "identity", "--m", "3"], "cov.csv", " (m=3, kernel=identity)"),
+        (["dist", "--r", "0.5", "--points", "5"], "dist.csv", ""),
+        (["kl", "--config", "{config}"], "kl.csv", " (per_dim=0.199017)"),
+        (["fdr", "--input", "{scores}", "--alpha", "0.05"], "rejections.csv", " (k=2)"),
+        (["example", "--which", "2", "--scale", "desk"], "sweep.csv", " (6 sweep points)"),
+        (["simulate", "--config", "{config}"], "sweep.csv", " (2 sweep points)"),
+    ], ids=["gen-cov", "dist", "kl", "fdr", "example", "simulate"])
+    def test_one_line_per_artifact(self, tmp_path, capsys, argv, artifact, note):
+        (tmp_path / "run.cfg").write_text(CONFIG)
+        (tmp_path / "h.csv").write_text("0.01\n0.02\n0.9\n")
+        paths = {"config": tmp_path / "run.cfg", "scores": tmp_path / "h.csv"}
+        assert run(tmp_path, "-v", *(a.format(**paths) for a in argv)) == 0
+        assert capsys.readouterr().out == f"wrote {tmp_path / artifact}{note}\n"
+
+    def test_quiet_without_flag(self, tmp_path, capsys):
+        assert run(tmp_path, "gen-cov", "--kernel", "identity", "--m", "3") == 0
+        assert capsys.readouterr().out == ""
 
 
 class TestThreads:

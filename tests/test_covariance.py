@@ -30,6 +30,11 @@ class TestExponential:
         factor = cov.chol
         assert np.all(np.diag(factor) > 0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_spacing_rejected(self, bad):
+        with pytest.raises(ParameterError, match="finite"):
+            GridLayout(2, 2, bad)
+
     def test_nonpositive_range_rejected(self):
         with pytest.raises(ParameterError):
             exponential_cov(GridLayout(2, 2), range_=0.0)
@@ -241,11 +246,3 @@ class TestCovarianceMatrix:
         cov = identity_cov(2)
         with pytest.raises(ValueError):
             cov.entries[0, 0] = 2.0
-
-    def test_csv_dump(self, tmp_path):
-        cov = identity_cov(2)
-        path = tmp_path / "cov.csv"
-        cov.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# covariance m=2 kernel=identity"
-        assert lines[1].split(",") == ["1.0", "0.0"]

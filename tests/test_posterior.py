@@ -37,9 +37,10 @@ class TestDrawDataset:
         np.testing.assert_array_equal(theta1, theta2)
 
     def test_marginal_variance(self):
-        m = 10_000
-        truth = TrueProcess(np.zeros(m), 0.25, identity_cov(m))
-        _, y = draw_dataset(truth, 7)
+        # 10,000 values of y as 100 draws at m = 100, all from one Generator
+        truth = TrueProcess(np.zeros(100), 0.25, identity_cov(100))
+        gen = np.random.default_rng(7)
+        y = np.concatenate([draw_dataset(truth, gen)[1] for _ in range(100)])
         assert np.var(y) == pytest.approx(1.25, rel=0.03)
 
     def test_latent_correlation(self):
@@ -218,6 +219,34 @@ class TestPosteriorOperatorPin:
             # the quadratic form enters only through the t scale
             z = (mean - theta0) / np.sqrt(scale[:, None] * np.diag(shape))
             np.testing.assert_allclose(op.standardized(y), z, rtol=1e-10, atol=0)
+
+
+NON_FINITE = pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+
+
+class TestNonFiniteParameters:
+    # `<= 0` is false for NaN, so each check must also reject non-finite values.
+    @NON_FINITE
+    def test_true_process_noise(self, bad):
+        with pytest.raises(ParameterError, match="finite"):
+            TrueProcess(np.zeros(2), bad, identity_cov(2))
+
+    @NON_FINITE
+    def test_known_variance(self, bad):
+        with pytest.raises(ParameterError, match="finite"):
+            KnownVariance(bad)
+
+    @NON_FINITE
+    @pytest.mark.parametrize("which", ["alpha", "beta"])
+    def test_unknown_variance(self, bad, which):
+        params = {"alpha": 2.0, "beta": 0.5, which: bad}
+        with pytest.raises(ParameterError, match="finite"):
+            UnknownVariance(**params)
+
+    @NON_FINITE
+    def test_model_spec_g(self, bad):
+        with pytest.raises(ParameterError, match="finite"):
+            ModelSpec(np.zeros(2), bad, identity_cov(2), KnownVariance(0.25))
 
 
 class TestNoiseModeChecks:

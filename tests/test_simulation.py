@@ -1,5 +1,6 @@
 import gc
 import weakref
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from misfdr.simulation import (
     paired_specs,
     parse_config_text,
     run_sweep,
-    write_sweep_csv,
+    write_csv,
 )
 
 
@@ -188,22 +189,32 @@ class TestRunSweep:
             run_sweep(config)
 
 
+def write_sweep(rows, path):
+    write_csv(path, SWEEP_COLUMNS, map(astuple, rows))
+
+
 class TestCsvOutput:
     def test_rerun_is_byte_identical(self, tmp_path):
         config = tiny_config()
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_sweep_csv(run_sweep(config), p1)
-        write_sweep_csv(run_sweep(config), p2)
+        write_sweep(run_sweep(config), p1)
+        write_sweep(run_sweep(config), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_header_and_roundtrip_precision(self, tmp_path):
         rows = run_sweep(tiny_config())
         path = tmp_path / "sweep.csv"
-        write_sweep_csv(rows, path)
+        write_sweep(rows, path)
         lines = path.read_text().splitlines()
         assert lines[0] == ",".join(SWEEP_COLUMNS)
         first = lines[1].split(",")
         assert float(first[SWEEP_COLUMNS.index("fdr_cor")]) == rows[0].fdr_cor
+
+    def test_cell_format(self, tmp_path):
+        # floats (numpy ones too) as repr(float(v)); ints and strings as they are
+        path = tmp_path / "t.csv"
+        write_csv(path, ["# one-cell header"], [(np.float64(0.1), 3, "x"), np.eye(1)[0]])
+        assert path.read_bytes() == b"# one-cell header\n0.1,3,x\n1.0\n"
 
 
 class TestBuiltinExamples:
@@ -217,8 +228,8 @@ class TestBuiltinExamples:
         assert config.mis_kernel == {"kind": "identity"}
 
     def test_example2_kernels(self):
-        config = builtin_example(2, scale="desk")
-        assert config.m == 100
+        config = builtin_example(2, scale="desk", root_seed=7)
+        assert (config.m, config.label, config.root_seed) == (100, "example2-desk", 7)
         assert config.truth_kernel["rho1"] == 1.5
         assert config.mis_kernel["rho2"] == 0.3
 
@@ -227,6 +238,7 @@ class TestBuiltinExamples:
         assert config.sweep_variable == "rho"
         assert config.sweep_values == DEFAULT_RHO_GRID
         assert config.g == 1.0
+        assert config.mis_kernel == {"kind": "exponential"}  # each point sets the range
 
     def test_bad_arguments(self):
         with pytest.raises(ParameterError):
@@ -321,6 +333,20 @@ class TestConfigParsing:
             config_from_mapping(mapping)
         mapping["noise.mode"] = "known"
         assert config_from_mapping(mapping).m == 25
+
+    def test_range_sweep_needs_no_mis_range(self):
+        mapping = parse_config_text(self.TEXT)
+        mapping.update({"mis.kernel": "exponential", "sweep.variable": "rho"})
+        assert config_from_mapping(mapping).mis_kernel == {"kind": "exponential"}
+        with_range = config_from_mapping({**mapping, "mis.range": "2.0"})
+        assert with_range.mis_kernel == {"kind": "exponential", "range": 2.0}
+        assert run_sweep(config_from_mapping(mapping)) == run_sweep(with_range)
+
+    def test_g_sweep_needs_mis_range(self):
+        mapping = parse_config_text(self.TEXT)
+        mapping["mis.kernel"] = "exponential"
+        with pytest.raises(ParameterError, match="missing config key: mis.range"):
+            config_from_mapping(mapping)
 
     def test_single_run_defaults_sweep_to_g(self):
         mapping = parse_config_text(self.TEXT)
