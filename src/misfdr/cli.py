@@ -1,7 +1,7 @@
 """Command-line surface for reproducible runs.
 
-Every subcommand writes its CSV artifacts plus a `run-meta.txt` (seed,
-config hash, version, timestamp) into the output directory. Exit codes:
+Every subcommand writes its CSV artifacts plus a `run-meta.txt` (the seed it
+drew from or None, request hash, version, timestamp) into the output directory. Exit codes:
 0 success, 1 configuration error, 2 numerical failure.
 """
 
@@ -95,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_run_meta(output_dir: str, seed, config_bytes: bytes, argv) -> None:
+def _write_run_meta(output_dir: str, seed: int | None, config_bytes: bytes, argv) -> None:
     digest = hashlib.sha256(config_bytes).hexdigest()
     path = os.path.join(output_dir, "run-meta.txt")
     with open(path, "w") as fh:
@@ -114,7 +114,13 @@ def _write_artifact(args, header, rows, note: str = "") -> None:
         print(f"wrote {out}{note}")
 
 
-def _cmd_gen_cov(args) -> bytes:
+def _request_bytes(args) -> bytes:
+    """The options that define a gen-cov or dist request, not where or how it is written."""
+    where = ("output_dir", "out", "verbose", "threads", "seed")
+    return repr(sorted((k, v) for k, v in vars(args).items() if k not in where)).encode()
+
+
+def _cmd_gen_cov(args) -> tuple[bytes, None]:
     if args.kernel == "exponential":
         if args.rows is None or args.cols is None or args.range_ is None:
             raise ParameterError("exponential kernel needs --rows, --cols, --range")
@@ -141,10 +147,10 @@ def _cmd_gen_cov(args) -> bytes:
     cov.chol  # certify positive definiteness before writing
     _write_artifact(args, [f"# covariance m={cov.dim} kernel={cov.kernel}"], cov.entries,
                     f" (m={cov.dim}, kernel={cov.kernel})")
-    return repr(vars(args)).encode()
+    return _request_bytes(args), None
 
 
-def _cmd_dist(args) -> bytes:
+def _cmd_dist(args) -> tuple[bytes, None]:
     grid = np.linspace(0.0, 1.0, args.points + 2)[1:-1]
     rows = [
         (ratio, hval, c, d)
@@ -152,7 +158,7 @@ def _cmd_dist(args) -> bytes:
         for hval, c, d in zip(grid, marginal_cdf(grid, ratio), marginal_pdf(grid, ratio))
     ]
     _write_artifact(args, ["r", "h", "cdf", "pdf"], rows)
-    return repr(vars(args)).encode()
+    return _request_bytes(args), None
 
 
 def _read_config(path: str) -> tuple[dict[str, str], bytes]:
@@ -164,7 +170,7 @@ def _read_config(path: str) -> tuple[dict[str, str], bytes]:
     return parse_config_text(raw.decode()), raw
 
 
-def _cmd_kl(args) -> bytes:
+def _cmd_kl(args) -> tuple[bytes, None]:
     mapping, raw = _read_config(args.config)
     config = config_from_mapping(mapping, label="kl")
     if config.mis_kernel == {"kind": "exponential"}:
@@ -177,10 +183,10 @@ def _cmd_kl(args) -> bytes:
     per_dim = total / config.m
     _write_artifact(args, ["g", "m", "total", "per_dim"], [(config.g, config.m, total, per_dim)],
                     f" (per_dim={per_dim:.6g})")
-    return raw
+    return raw, None
 
 
-def _cmd_fdr(args) -> bytes:
+def _cmd_fdr(args) -> tuple[bytes, None]:
     try:
         with open(args.input, newline="") as fh:
             reader = csv.reader(fh)
@@ -199,7 +205,7 @@ def _cmd_fdr(args) -> bytes:
     decision = step_up(h, args.alpha)
     rows = [(i, hval, int(rej)) for i, (hval, rej) in enumerate(zip(h, decision.rejected))]
     _write_artifact(args, ["i", "h", "rejected"], rows, f" (k={decision.k})")
-    return repr((list(h), args.alpha)).encode()
+    return repr((list(h), args.alpha)).encode(), None
 
 
 def _is_float(token: str) -> bool:
@@ -249,20 +255,20 @@ def _write_plots(config, rows, output_dir: str) -> None:
         plt.close(fig)
 
 
-def _cmd_simulate(args) -> bytes:
+def _cmd_simulate(args) -> tuple[bytes, int]:
     mapping, raw = _read_config(args.config)
     if args.seed is not None:
         mapping["seed"] = str(args.seed)
     config = config_from_mapping(mapping, label=os.path.basename(args.config))
     _run_and_write_sweep(config, args)
-    return raw
+    return raw, config.root_seed
 
 
-def _cmd_example(args) -> bytes:
+def _cmd_example(args) -> tuple[bytes, int]:
     config = builtin_example(args.which, args.scale,
                              root_seed=args.seed if args.seed is not None else 0)
     _run_and_write_sweep(config, args)
-    return repr((args.which, args.scale, config.root_seed)).encode()
+    return repr((args.which, args.scale, config.root_seed)).encode(), config.root_seed
 
 
 _COMMANDS = {
@@ -297,8 +303,8 @@ def main(argv=None) -> int:
     try:
         args.threads = _thread_count(args.threads)
         os.makedirs(args.output_dir, exist_ok=True)
-        config_bytes = _COMMANDS[args.subcommand](args)
-        _write_run_meta(args.output_dir, args.seed, config_bytes, argv)
+        config_bytes, seed = _COMMANDS[args.subcommand](args)
+        _write_run_meta(args.output_dir, seed, config_bytes, argv)
         return 0
     except ParameterError as err:
         print(f"configuration error: {err}", file=sys.stderr)

@@ -1,9 +1,9 @@
 """KL divergence between the correct and misspecified laws of the scores.
 
-Under either known-variance law, phi = Phi^{-1}(h) ~ N(0, C^{-1}) with C the
-law's copula matrix, so the divergence has a closed form: `kl_laws` from
-two laws, `kl_exact` from the truth and the two specs. The unknown-variance
-law has no closed-form joint density and is rejected with an explanatory error.
+Under either known-variance law, phi = Phi^{-1}(h) ~ N(0, F F') with F the
+law's factor, so the divergence has a closed form: `kl_laws` from two laws,
+`kl_exact` from the truth and the two specs. The unknown-variance joint
+density is not implemented yet, and is rejected with an explanatory error.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import warnings
 import numpy as np
 
 from .errors import ParameterError
+from .linalg import tri_solve
 from .posterior import KnownVariance, ModelSpec, TrueProcess
 from .sampdist import SamplingLaw, _uses_true_cov, law_known_var, require_density
 
@@ -25,7 +26,7 @@ def check_kl_specs(truth: TrueProcess, spec_cor: ModelSpec, spec_mis: ModelSpec)
     ):
         raise ParameterError(
             "KL divergence is implemented for known-variance laws only; the "
-            "unknown-variance law has no closed-form joint density"
+            "joint density of the unknown-variance law is not implemented yet"
         )
     same_noise = np.isclose(spec_cor.noise.sigma0_sq, truth.sigma0_sq)
     if not (_uses_true_cov(truth, spec_cor) and same_noise):
@@ -38,17 +39,18 @@ def kl_laws(law_cor: SamplingLaw, law_mis: SamplingLaw) -> float:
     """KL(f_cor || f_mis) of the statistic vector in nats, in closed form,
     from the two known-variance laws.
 
-    The expectation under f_cor of the log density ratio:
-    (1/2)(log det C_cor - log det C_mis) + (1/2) sum_ij (C_mis - C_cor)_ij S_ij,
-    with S = C_cor^{-1} = D_a^{-1/2} B_cor D_a^{-1/2}. Through the difference
-    C_mis - C_cor, identical laws give exactly zero.
+    With E = F_mis^{-1} (F_cor - F_mis), lower triangular, KL = (1/2)|E|_F^2 +
+    sum_i (E_ii - log1p E_ii): nonnegative term by term, exactly zero for
+    identical laws. F = D_a^{-1/2} L_B, so E = L_mis^{-1} (D_w L_cor - L_mis)
+    with w = (diag A_mis / diag A_cor)^{1/2}, one solve in place.
     """
     require_density(law_cor, law_mis)
-    diff = law_mis.copula - law_cor.copula
-    diff *= law_cor.b
-    root = 1.0 / np.sqrt(np.diag(law_cor.a))
-    trace = float(root @ diff @ root)
-    return 0.5 * (law_cor.log_det_copula - law_mis.log_det_copula) + 0.5 * trace
+    w = np.sqrt(np.diag(law_mis.a) / np.diag(law_cor.a))
+    diff = law_cor.b_chol * w[:, None]
+    diff -= law_mis.b_chol
+    e = tri_solve(law_mis.b_chol, diff)
+    e_diag = np.diag(e)
+    return float(0.5 * np.vdot(e, e) + np.sum(e_diag - np.log1p(e_diag)))
 
 
 def kl_exact(truth: TrueProcess, spec_cor: ModelSpec, spec_mis: ModelSpec) -> float:

@@ -1,13 +1,13 @@
 """Cholesky-based helpers for symmetric positive-definite matrices.
 
-All factorizations and inverses in the package go through these routines;
-nothing inverts a covariance matrix directly with a general-purpose solver.
+All factorizations, inverses and solves in the package go through these
+routines; nothing inverts or solves with a general-purpose solver.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.blas import dsyrk, dtrmm
+from scipy.linalg.blas import dsyrk, dtrmm, dtrsm
 from scipy.linalg.lapack import dpotri
 
 from .errors import NotPositiveDefiniteError
@@ -52,6 +52,14 @@ def chol_inverse(chol_l: np.ndarray) -> np.ndarray:
             f"(potri info {info})"
         )
     return _mirror_lower(inv)
+
+
+def tri_solve(chol_l: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """L^{-1} b for a lower triangular L and b of shape (m,) or (m, k), by one
+    BLAS trsm written over b when b is C-ordered float64: b in C order is b'
+    in Fortran order, so solving X L' = b' gives X = (L^{-1} b)' in place."""
+    rhs = b.reshape(chol_l.shape[0], -1).T
+    return dtrsm(1.0, chol_l.T, rhs, side=1, lower=0, overwrite_b=1).T.reshape(b.shape)
 
 
 def congruence(a: np.ndarray, chol_l: np.ndarray, alpha: float = 1.0) -> np.ndarray:

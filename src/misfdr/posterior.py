@@ -132,13 +132,10 @@ class PosteriorOperator:
     theta0 + S r with the smoother S = A / s = I - s K^{-1}. Under the
     inverse-gamma prior the posterior is multivariate t with m + 2 alpha
     degrees of freedom, and its scale depends on y only through the quadratic
-    form r' K^{-1} r. Nothing here inverts Sigma_spec, so an ill-conditioned
-    specification is only ever factored after adding s I.
-
-    K^{-1} comes from K's Cholesky factor (LAPACK potri), and the factor is
-    then dropped. A known-variance operator keeps only A and scores with one
-    product, S r = A r / s. An unknown-variance operator also keeps K^{-1}:
-    one product r' K^{-1} gives both S r = r - K^{-1} r and the quadratic form.
+    form r' K^{-1} r = r.r - r.(S r), since s = 1. Nothing here inverts
+    Sigma_spec, so an ill-conditioned specification is only ever factored
+    after adding s I. A is formed in place of K^{-1} (LAPACK potri from K's
+    factor) and is the one m x m array the operator keeps, in either mode.
 
     Each `ModelSpec` builds its own as `spec.posterior`. The operator keeps
     only the values of the spec it needs, never the spec itself: a reference
@@ -157,11 +154,7 @@ class PosteriorOperator:
         k[diag] += self.scale
         k_chol, _ = chol_psd(k)
         del k
-        k_inv = chol_inverse(k_chol)
-        del k_chol
-        # Known variance: A is formed in place of K^{-1}, the one m x m array kept.
-        self._k_inv = None if self.known else k_inv
-        a = k_inv if self.known else k_inv.copy()
+        a = chol_inverse(k_chol)
         a *= -self.scale * self.scale
         a[diag] += self.scale
         self.a = a
@@ -172,16 +165,14 @@ class PosteriorOperator:
         """(S r, r' K^{-1} r) with r = y - theta0, accepting (m,) or (n, m);
         the quadratic form is None when the variance is known."""
         resid = np.asarray(y, dtype=float) - self.theta0
+        # A is symmetric, so r @ A is (A r')'.
+        shift = resid @ self.a
         if self.known:
-            # A is symmetric, so r @ A is (A r')'.
-            shift = resid @ self.a
             shift /= self.scale
             return shift, None
-        shift = resid @ self._k_inv
-        quad = np.sum(resid * shift, axis=-1)
-        # In place, so a batch costs two (n, m) arrays: r - K^{-1} r.
-        shift *= -1.0
-        shift += resid
+        # Row-wise dot products without an (n, m) temporary.
+        quad = np.einsum("...i,...i->...", resid, resid)
+        quad -= np.einsum("...i,...i->...", resid, shift)
         return shift, quad
 
     def posterior_mean(self, y: np.ndarray) -> np.ndarray:

@@ -16,18 +16,18 @@ import numpy as np
 from scipy.special import ndtr, ndtri, stdtr
 
 from .errors import BoundaryError, NotPositiveDefiniteError, ParameterError
-from .linalg import chol_inverse, chol_psd, congruence
+from .linalg import chol_inverse, chol_psd, congruence, tri_solve
 from .posterior import KnownVariance, ModelSpec, TrueProcess, UnknownVariance, require_noise
 
 
 @dataclass
 class SamplingLaw:
     """The (A, B, C) bundle determining the law, with the derived ratios
-    r = diag(A) / diag(B) and B's correlation P_b.
+    r = diag(A) / diag(B) and B's lower Cholesky factor L_B, formed once.
 
-    A known-variance law (no C) builds the copula and its log determinant for
-    the joint density; an unknown-variance law leaves both None. P_b and its
-    factor, which only the samplers read, are formed on first use."""
+    Every joint quantity reads L_B: phi = Phi^{-1}(h) of a known-variance law
+    is N(0, F F') with F = D_a^{-1/2} L_B, and P_b has the factor D_b^{-1/2} L_B.
+    The copula C = (F F')^{-1} and P_b are formed only when read."""
 
     a: np.ndarray
     b: np.ndarray
@@ -35,43 +35,31 @@ class SamplingLaw:
     mode: KnownVariance | UnknownVariance
     spec_tag: str
     r: np.ndarray = field(init=False)
-    copula: np.ndarray | None = field(init=False, repr=False)
-    log_det_copula: float | None = field(init=False, repr=False)
+    b_chol: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        diag_a = np.diag(self.a)
-        self.r = diag_a / np.diag(self.b)
+        self.r = np.diag(self.a) / np.diag(self.b)
         if not np.all(self.r > 0):
             raise ParameterError("all ratios a_ii/b_ii must be positive")
-        self.copula = self.log_det_copula = None
-        if self.c is not None:
-            return
-        b_chol, _ = chol_psd(self.b)
-        # The copula D_a^{1/2} B^{-1} D_a^{1/2} (= R^{1/2} P_b^{-1} R^{1/2}) is
-        # the inverse of D_a^{-1/2} B D_a^{-1/2}, whose factor is D_a^{-1/2} L_B.
-        self.log_det_copula = float(
-            np.sum(np.log(diag_a)) - 2.0 * np.sum(np.log(np.diag(b_chol)))
-        )
-        b_chol /= np.sqrt(diag_a)[:, None]
-        self.copula = chol_inverse(b_chol)
+        self.b_chol, _ = chol_psd(self.b)
 
     @functools.cached_property
-    def _pb_chol(self) -> np.ndarray:
-        """Lower Cholesky factor of P_b, formed on first sampler use: P_b =
-        D^-1 B D^-1 with D = diag(B)^{1/2} has the factor D^-1 L_B."""
-        b_chol, _ = chol_psd(self.b)
-        b_chol /= np.sqrt(np.diag(self.b))[:, None]
-        return b_chol
+    def copula(self) -> np.ndarray | None:
+        """C = D_a^{1/2} B^{-1} D_a^{1/2} = (F F')^{-1}; None for an unknown-variance law."""
+        if self.c is None:
+            return chol_inverse(self.b_chol / np.sqrt(np.diag(self.a))[:, None])
+
+    @property
+    def log_det_copula(self) -> float | None:
+        """log det C = -2 sum_i log F_ii; None for an unknown-variance law."""
+        if self.c is None:
+            return float(np.sum(np.log(np.diag(self.a))) - 2 * np.sum(np.log(np.diag(self.b_chol))))
 
     @functools.cached_property
     def p_b(self) -> np.ndarray:
-        """B's correlation matrix, formed when first read."""
-        sd = np.sqrt(np.diag(self.b))
-        p_b = self.b / np.outer(sd, sd)
-        np.fill_diagonal(p_b, 1.0)
-        p_b += p_b.T
-        p_b *= 0.5
-        return p_b
+        """B's correlation matrix G G' from its factor G = D_b^{-1/2} L_B."""
+        factor = self.b_chol / np.sqrt(np.diag(self.b))[:, None]
+        return factor @ factor.T
 
     @property
     def m(self) -> int:
@@ -167,9 +155,9 @@ def marginal_pdf(h, r_i):
 
 
 def require_density(*laws: SamplingLaw) -> None:
-    """Raise unless every law has a joint (copula) density: known-variance laws only."""
-    if any(law.copula is None for law in laws):
-        raise ParameterError("joint density is available only for the known-variance law")
+    """Raise unless every law has an implemented joint density: known-variance laws only."""
+    if any(law.c is not None for law in laws):
+        raise ParameterError("joint density is implemented only for the known-variance law")
 
 
 def joint_log_pdf(h: np.ndarray, law: SamplingLaw) -> float | np.ndarray:
@@ -180,7 +168,9 @@ def joint_log_pdf(h: np.ndarray, law: SamplingLaw) -> float | np.ndarray:
     require_density(law)
     h = _check_open_unit(h)
     phi = ndtri(h)
-    quad = np.sum(phi * phi, axis=-1) - np.sum(phi * (phi @ law.copula), axis=-1)
+    # phi' C phi = |F^{-1} phi|^2 with F^{-1} phi = L_B^{-1} D_a^{1/2} phi.
+    white = tri_solve(law.b_chol, (phi * np.sqrt(np.diag(law.a))).T)
+    quad = np.sum(phi * phi, axis=-1) - np.sum(white * white, axis=0)
     return 0.5 * law.log_det_copula + 0.5 * quad
 
 
@@ -191,7 +181,8 @@ def xi_sampler(law: SamplingLaw, n_draws: int, rng: np.random.Generator) -> np.n
     """
     if law.c is None:
         raise ParameterError("law has no C matrix; use the unknown-variance constructor")
-    z = rng.standard_normal((n_draws, law.m)) @ law._pb_chol.T
+    z = rng.standard_normal((n_draws, law.m)) @ law.b_chol.T
+    z /= np.sqrt(np.diag(law.b))
     quad = np.sum(z * (z @ law.c), axis=1)
     scale = np.sqrt(law.dof / (quad + 2.0 * law.mode.beta))
     return scale[:, None] * z

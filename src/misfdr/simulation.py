@@ -288,7 +288,7 @@ def config_from_mapping(mapping: dict[str, str], label: str = "config") -> Exper
     if get("noise.mode", "known") != "known":
         raise ParameterError(
             "sweeps and the KL divergence require the known-variance mode: the "
-            "unknown-variance law has no closed-form joint density"
+            "joint density of the unknown-variance law is not implemented yet"
         )
     grid = None
     if "grid.rows" in mapping:

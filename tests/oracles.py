@@ -6,7 +6,11 @@
   known-variance laws of the scores, by Monte Carlo, against `kl_exact`.
 - `log_density_ratio`: log f_cor(h) - log f_mis(h), the summand of that
   estimate.
+- `kl_copula_difference`: the closed-form KL divergence through the difference
+  of the two copula matrices and their log determinants, the reference that
+  `kl_laws` is pinned to.
 - `joint_cdf_mc`: the joint CDF of a known-variance law, by Monte Carlo.
+- `random_truth_spec_pairs`: random SPD truths and specifications.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
+from misfdr.covariance import CovarianceMatrix
 from misfdr.divergence import check_kl_specs
 from misfdr.errors import BoundaryError, ParameterError
 from misfdr.posterior import ModelSpec, TrueProcess, draw_replications
@@ -44,6 +49,34 @@ def draw_dataset(truth: TrueProcess, rng) -> tuple[np.ndarray, np.ndarray]:
     theta = truth.theta0 + truth.sigma1.chol @ z
     eps = np.sqrt(truth.sigma0_sq) * gen.standard_normal(truth.m)
     return theta, theta + eps
+
+
+def random_truth_spec_pairs(seed=7):
+    """Random SPD truths and specs with random noise variances, m in [2, 50]."""
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        m = int(rng.integers(2, 51))
+        raw, raw2 = rng.standard_normal((m, m)), rng.standard_normal((m, m))
+        sigma1 = CovarianceMatrix(raw @ raw.T + m * np.eye(m))
+        sigma = CovarianceMatrix(raw2 @ raw2.T + m * np.eye(m))
+        yield rng, TrueProcess(np.zeros(m), float(rng.uniform(0.1, 2.0)), sigma1), sigma
+
+
+def kl_copula_difference(law_cor: SamplingLaw, law_mis: SamplingLaw) -> float:
+    """KL(f_cor || f_mis) from two known-variance laws as
+    (1/2)(log det C_cor - log det C_mis) + (1/2) sum_ij (C_mis - C_cor)_ij S_ij,
+    with S = C_cor^{-1} = D_a^{-1/2} B_cor D_a^{-1/2}.
+
+    The log determinants and the trace are O(m) terms that cancel as the two
+    laws approach each other, so the absolute error of this value is a few
+    ulps of |log det C_cor| + |log det C_mis| + m.
+    """
+    require_density(law_cor, law_mis)
+    diff = law_mis.copula - law_cor.copula
+    diff *= law_cor.b
+    root = 1.0 / np.sqrt(np.diag(law_cor.a))
+    trace = float(root @ diff @ root)
+    return 0.5 * (law_cor.log_det_copula - law_mis.log_det_copula) + 0.5 * trace
 
 
 def _log_density_ratio_phi(phi: np.ndarray, law_cor: SamplingLaw, law_mis: SamplingLaw):
@@ -113,7 +146,9 @@ def joint_cdf_mc(
         raise ParameterError("joint CDF evaluator applies to the known-variance law")
     h = _check_open_unit(h)
     thresholds = np.sqrt(law.r) * ndtri(h)
-    z = rng.standard_normal((n_draws, law.m)) @ law._pb_chol.T
+    # z ~ N(0, P_b) through the factor D_b^{-1/2} L_B of P_b.
+    z = rng.standard_normal((n_draws, law.m)) @ law.b_chol.T
+    z /= np.sqrt(np.diag(law.b))
     hits = np.all(z <= thresholds, axis=1)
     p = float(hits.mean())
     se = float(np.sqrt(p * (1.0 - p) / n_draws))

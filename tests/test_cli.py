@@ -231,6 +231,70 @@ class TestSimulateAndExample:
             assert (tmp_path / f"{name}.svg").exists()
 
 
+def meta_field(directory, name):
+    """The value of `name` in the run-meta.txt of `directory`."""
+    for line in (directory / "run-meta.txt").read_text().splitlines():
+        key, _, value = line.partition(" = ")
+        if key == name:
+            return value
+    raise KeyError(name)
+
+
+class TestRunMetaSeed:
+    def test_simulate_records_config_seed(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text(CONFIG.replace("seed = 0", "seed = 3"))
+        assert run(tmp_path, "simulate", "--config", str(config)) == 0
+        assert meta_field(tmp_path, "seed") == "3"
+        assert run(tmp_path, "--seed", "7", "simulate", "--config", str(config)) == 0
+        assert meta_field(tmp_path, "seed") == "7"
+
+    def test_example_records_seed_or_zero(self, tmp_path):
+        assert run(tmp_path, "example", "--which", "1", "--scale", "desk") == 0
+        assert meta_field(tmp_path, "seed") == "0"
+        assert run(tmp_path, "--seed", "5", "example", "--which", "1", "--scale", "desk") == 0
+        assert meta_field(tmp_path, "seed") == "5"
+
+    @pytest.mark.parametrize("argv", [
+        ("gen-cov", "--kernel", "identity", "--m", "3"),
+        ("dist", "--r", "0.5", "--points", "3"),
+        ("kl", "--config", "{config}"),
+        ("fdr", "--input", "{scores}", "--alpha", "0.1"),
+    ], ids=["gen-cov", "dist", "kl", "fdr"])
+    def test_commands_without_draws_record_none(self, tmp_path, argv):
+        config = tmp_path / "run.cfg"
+        config.write_text(CONFIG)
+        scores = tmp_path / "h.csv"
+        scores.write_text("h\n0.01\n0.5\n")
+        argv = [a.format(config=config, scores=scores) for a in argv]
+        assert run(tmp_path, "--seed", "4", *argv) == 0
+        assert meta_field(tmp_path, "seed") == "None"
+
+
+class TestRequestHash:
+    GEN_COV = ("gen-cov", "--kernel", "exponential", "--rows", "3", "--cols", "3",
+               "--range", "5.0")
+
+    def test_independent_of_where_and_how_written(self, tmp_path):
+        first, second = tmp_path / "a", tmp_path / "b"
+        assert run(first, *self.GEN_COV) == 0
+        assert main(["--output-dir", str(second), "-v", "--threads", "2", *self.GEN_COV,
+                     "--out", "other.csv"]) == 0
+        assert meta_field(first, "config_sha256") == meta_field(second, "config_sha256")
+
+    def test_changes_with_the_request(self, tmp_path):
+        first, second = tmp_path / "a", tmp_path / "b"
+        assert run(first, *self.GEN_COV) == 0
+        assert run(second, *self.GEN_COV[:-1], "6.0") == 0
+        assert meta_field(first, "config_sha256") != meta_field(second, "config_sha256")
+
+    def test_dist_independent_of_output(self, tmp_path):
+        first, second = tmp_path / "a", tmp_path / "b"
+        assert run(first, "dist", "--r", "0.5") == 0
+        assert run(second, "-v", "dist", "--r", "0.5", "--out", "d.csv") == 0
+        assert meta_field(first, "config_sha256") == meta_field(second, "config_sha256")
+
+
 RANGE_SWEEP = CONFIG.replace(
     "mis.kernel = identity", "mis.kernel = exponential\nsweep.variable = rho"
 )

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from misfdr.covariance import CovarianceMatrix, GridLayout, exponential_cov, identity_cov
 from misfdr.divergence import kl_exact, kl_laws
@@ -7,7 +9,13 @@ from misfdr.errors import BoundaryError, ParameterError
 from misfdr.posterior import KnownVariance, ModelSpec, TrueProcess, UnknownVariance
 from misfdr.sampdist import SamplingLaw, joint_log_pdf, law_known_var, law_unknown_var
 from misfdr.simulation import build_cov, builtin_example, paired_specs
-from oracles import KLEstimate, kl_known_var, log_density_ratio
+from oracles import (
+    KLEstimate,
+    kl_copula_difference,
+    kl_known_var,
+    log_density_ratio,
+    random_truth_spec_pairs,
+)
 
 
 def desk_setup(g=1.0):
@@ -208,3 +216,52 @@ class TestKLExact:
                          CovarianceMatrix(spec_cor.sigma_spec.entries.copy()), spec_cor.noise)
         assert twin.sigma_spec is not spec_cor.sigma_spec
         assert kl_exact(truth, spec_cor, twin) == 0.0
+
+
+def law_pair(truth, sigma, g):
+    """Known-variance laws of the truth's covariance and of `sigma` at scale g."""
+    noise = KnownVariance(truth.sigma0_sq)
+    return (law_known_var(truth, ModelSpec(truth.theta0, g, truth.sigma1, noise)),
+            law_known_var(truth, ModelSpec(truth.theta0, g, sigma, noise)))
+
+
+def random_spd(rng, m):
+    raw = rng.standard_normal((m, m))
+    return CovarianceMatrix(raw @ raw.T + 1e-3 * np.eye(m))
+
+
+class TestKLLaws:
+    @pytest.mark.parametrize("g", (1e-2, 1e-1, 1.0, 10.0, 1e3, 1e8))
+    def test_matches_copula_difference(self, g):
+        # The reference cancels O(m) terms, so its own error is a few ulps of
+        # their size; beyond that the two agree to 1e-9. At g >= 10 that
+        # rounding dominates (the reference even goes negative at g = 1e8).
+        for _, truth, sigma in random_truth_spec_pairs():
+            law_cor, law_mis = law_pair(truth, sigma, g)
+            ref = kl_copula_difference(law_cor, law_mis)
+            size = abs(law_cor.log_det_copula) + abs(law_mis.log_det_copula) + truth.m
+            tol = 1e-9 * abs(ref) + 4 * np.finfo(float).eps * size
+            assert abs(kl_laws(law_cor, law_mis) - ref) <= tol
+
+    def test_vague_prior_decay(self):
+        # Both laws tend to the same limit with a difference O(1/g), so
+        # g^2 KL converges: this checks the large-g values, where the
+        # reference of the test above is rounding noise.
+        for _, truth, sigma in random_truth_spec_pairs():
+            scaled = [g * g * kl_laws(*law_pair(truth, sigma, g)) for g in (1e7, 1e8)]
+            assert scaled[1] == pytest.approx(scaled[0], rel=1e-5, abs=0)
+
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 8),
+           g=st.floats(min_value=1e-3, max_value=1e6),
+           sigma0_sq=st.floats(min_value=0.05, max_value=5.0))
+    @settings(max_examples=100, deadline=None)
+    def test_nonnegative_and_zero_for_identical_specs(self, seed, m, g, sigma0_sq):
+        rng = np.random.default_rng(seed)
+        truth = TrueProcess(np.zeros(m), sigma0_sq, random_spd(rng, m))
+        law_cor, law_mis = law_pair(truth, random_spd(rng, m), g)
+        assert kl_laws(law_cor, law_mis) >= 0.0
+        assert kl_laws(law_mis, law_cor) >= 0.0
+        assert kl_laws(law_mis, law_mis) == 0.0
+        # Two specs built from equal inputs give equal laws.
+        twin = CovarianceMatrix(truth.sigma1.entries.copy())
+        assert kl_laws(*law_pair(truth, twin, g)) == 0.0

@@ -19,7 +19,7 @@ from misfdr.sampdist import (
     xi_sampler,
     xi_to_h,
 )
-from oracles import joint_cdf_mc
+from oracles import joint_cdf_mc, random_truth_spec_pairs
 
 
 def scalar_truth():
@@ -135,17 +135,6 @@ class TestLawUnknownVar:
         assert len(built) == 1
 
 
-def random_truth_spec_pairs(seed=7):
-    """Random SPD truths and specs with random noise variances, m in [2, 50]."""
-    rng = np.random.default_rng(seed)
-    for _ in range(20):
-        m = int(rng.integers(2, 51))
-        raw, raw2 = rng.standard_normal((m, m)), rng.standard_normal((m, m))
-        sigma1 = CovarianceMatrix(raw @ raw.T + m * np.eye(m))
-        sigma = CovarianceMatrix(raw2 @ raw2.T + m * np.eye(m))
-        yield rng, TrueProcess(np.zeros(m), float(rng.uniform(0.1, 2.0)), sigma1), sigma
-
-
 class TestLawB:
     @pytest.mark.parametrize("g", (1e-2, 1e-1, 1.0, 10.0, 1e3, 1e8))
     @pytest.mark.parametrize("known", [True, False], ids=["known", "unknown"])
@@ -177,30 +166,68 @@ class TestBuiltPerMode:
         with pytest.raises(ParameterError, match="known-variance"):
             joint_log_pdf(np.full(law.m, 0.5), law)
 
-    def test_p_b_factor_built_on_first_sampler_use(self, monkeypatch):
+
+def count_calls(monkeypatch, module, name):
+    """Record the first argument of every call to `module.name`."""
+    calls = []
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda a, *rest: calls.append(a) or original(a, *rest))
+    return calls
+
+
+BOTH_MODES = pytest.mark.parametrize(
+    "noise, law_of",
+    [(KnownVariance(0.25), law_known_var), (UnknownVariance(2.0, 0.5), law_unknown_var)],
+)
+
+
+class TestOneMatrixPerObject:
+    @pytest.mark.parametrize("noise", [KnownVariance(0.25), UnknownVariance(2.0, 0.5)],
+                             ids=["known", "unknown"])
+    def test_operator_keeps_one_square_matrix(self, noise):
+        _, spec_cor, _ = grid_setup(rows=3, cols=3)
+        spec = ModelSpec(spec_cor.theta0, 1.0, spec_cor.sigma_spec, noise)
+        square = [v for v in vars(spec.posterior).values()
+                  if isinstance(v, np.ndarray) and v.shape == (spec.m, spec.m)]
+        assert len(square) == 1 and square[0] is spec.posterior.a
+
+    @BOTH_MODES
+    def test_law_factors_b_once(self, monkeypatch, noise, law_of):
+        truth, spec_cor, _ = grid_setup(rows=3, cols=3)
+        spec = ModelSpec(spec_cor.theta0, 1.0, spec_cor.sigma_spec, noise)
+        factored = count_calls(monkeypatch, sampdist, "chol_psd")
+        inverted = count_calls(monkeypatch, sampdist, "chol_inverse")
+        law = law_of(truth, spec)
+        assert [a is law.b for a in factored].count(True) == 1
+        if isinstance(noise, KnownVariance):
+            # The unknown-variance law also certifies C by a factor and forms
+            # Sigma_spec^-1 for it; the known-variance law does neither.
+            assert len(factored) == 1 and inverted == []
+        np.testing.assert_allclose(law.b_chol @ law.b_chol.T, law.b, rtol=1e-12, atol=0)
+
+    def test_sampler_factors_nothing(self, monkeypatch):
         truth, spec_cor, _ = grid_setup(rows=3, cols=3)
         spec = ModelSpec(spec_cor.theta0, 1.0, spec_cor.sigma_spec, UnknownVariance(2.0, 0.5))
         law = law_unknown_var(truth, spec)
-        factored = []
-        chol = sampdist.chol_psd
-        monkeypatch.setattr(sampdist, "chol_psd", lambda a: factored.append(a) or chol(a))
-        assert "_pb_chol" not in vars(law)
+        factored = count_calls(monkeypatch, sampdist, "chol_psd")
+        inverted = count_calls(monkeypatch, sampdist, "chol_inverse")
         xi_sampler(law, 10, stream(1, 3))
         xi_sampler(law, 10, stream(1, 4))
-        assert len(factored) == 1
+        assert factored == [] and inverted == []
 
 
 class TestCorrelationFactor:
-    @pytest.mark.parametrize(
-        "noise, law_of",
-        [(KnownVariance(0.25), law_known_var), (UnknownVariance(2.0, 0.5), law_unknown_var)],
-    )
+    @BOTH_MODES
     def test_factor_of_p_b(self, noise, law_of):
         truth, spec_cor, spec_mis = grid_setup(rows=4, cols=4, g=3.0)
         for spec in (spec_cor, spec_mis):
             law = law_of(truth, ModelSpec(spec.theta0, spec.g, spec.sigma_spec, noise))
-            np.testing.assert_allclose(law._pb_chol @ law._pb_chol.T, law.p_b, rtol=0, atol=1e-12)
-            assert not np.triu(law._pb_chol, 1).any()
+            sd = np.sqrt(np.diag(law.b))
+            pb_chol = law.b_chol / sd[:, None]
+            np.testing.assert_allclose(pb_chol @ pb_chol.T, law.b / np.outer(sd, sd),
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(law.p_b, law.p_b.T)
+            assert not np.triu(law.b_chol, 1).any()
 
     def test_hand_built_law_derives_p_b(self):
         b = np.array([[2.0, 0.6, 0.0], [0.6, 1.0, -0.3], [0.0, -0.3, 0.5]])
@@ -209,7 +236,7 @@ class TestCorrelationFactor:
         sd = np.sqrt(np.diag(b))
         np.testing.assert_allclose(law.p_b, b / np.outer(sd, sd), rtol=0, atol=1e-15)
         np.testing.assert_allclose(law.r, [0.25, 0.4, 0.4], rtol=1e-15)
-        np.testing.assert_allclose(law._pb_chol @ law._pb_chol.T, law.p_b, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(law.b_chol @ law.b_chol.T, b, rtol=0, atol=1e-15)
 
 
 class TestCopulaIdentity:
