@@ -1,7 +1,8 @@
 """Command-line surface for reproducible runs.
 
 Every subcommand writes its CSV artifacts plus a `run-meta.txt` (the seed it
-drew from or None, request hash, version, timestamp) into the output directory. Exit codes:
+drew from or None, request hash, version, timestamp, the numpy, scipy and BLAS
+versions and the worker thread cap) into the output directory. Exit codes:
 0 success, 1 configuration error, 2 numerical failure.
 """
 
@@ -16,6 +17,7 @@ import time
 from dataclasses import astuple
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .covariance import GridLayout, ar2_cov, exponential_cov, identity_cov, separable_cov
@@ -95,7 +97,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_run_meta(output_dir: str, seed: int | None, config_bytes: bytes, argv) -> None:
+def _blas() -> str:
+    """Name and version of the BLAS numpy was built against, from its build config."""
+    try:
+        blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+        return f"{blas['name']} {blas['version']}"
+    except (AttributeError, KeyError, TypeError):
+        return "unknown"
+
+
+def _write_run_meta(output_dir: str, seed: int | None, config_bytes: bytes, argv,
+                    threads: int) -> None:
     digest = hashlib.sha256(config_bytes).hexdigest()
     path = os.path.join(output_dir, "run-meta.txt")
     with open(path, "w") as fh:
@@ -104,6 +116,10 @@ def _write_run_meta(output_dir: str, seed: int | None, config_bytes: bytes, argv
         fh.write(f"config_sha256 = {digest}\n")
         fh.write(f"argv = {' '.join(argv)}\n")
         fh.write(f"timestamp = {time.strftime('%Y-%m-%dT%H:%M:%S%z')}\n")
+        fh.write(f"numpy = {np.__version__}\n")
+        fh.write(f"scipy = {scipy.__version__}\n")
+        fh.write(f"blas = {_blas()}\n")
+        fh.write(f"threads = {threads}\n")
 
 
 def _write_artifact(args, header, rows, note: str = "") -> None:
@@ -304,7 +320,7 @@ def main(argv=None) -> int:
         args.threads = _thread_count(args.threads)
         os.makedirs(args.output_dir, exist_ok=True)
         config_bytes, seed = _COMMANDS[args.subcommand](args)
-        _write_run_meta(args.output_dir, seed, config_bytes, argv)
+        _write_run_meta(args.output_dir, seed, config_bytes, argv, args.threads)
         return 0
     except ParameterError as err:
         print(f"configuration error: {err}", file=sys.stderr)

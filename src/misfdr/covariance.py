@@ -4,6 +4,8 @@ Constructors cover the kernels exercised in the numerical studies: an
 exponential spatial kernel on a regular grid, stationary AR(2) autocovariance,
 the identity, and a separable space-time product kernel. Matrices are
 immutable; the Cholesky factor is computed lazily, once, under a lock.
+Whether a matrix is diagonal is read from its entries on construction; the
+posterior and the sampling law of a diagonal specification are closed form.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ class CovarianceMatrix:
 
     Immutable after construction; the cached Cholesky factor is computed at
     most once, so instances are safe to share across concurrent replications.
+    `is_diagonal` is True when every off-diagonal entry is zero.
     """
 
     def __init__(self, entries, kernel: str = "custom", params: dict | None = None):
@@ -70,6 +73,8 @@ class CovarianceMatrix:
             entries = 0.5 * (entries + entries.T)
         entries.setflags(write=False)
         self.entries = entries
+        # No off-diagonal entry is nonzero: one pass over the entries.
+        self.is_diagonal = bool(np.count_nonzero(entries) == np.count_nonzero(entries.diagonal()))
         self.dim = entries.shape[0]
         self.kernel = kernel
         self.params = dict(params or {})

@@ -45,7 +45,7 @@ def kl_laws(law_cor: SamplingLaw, law_mis: SamplingLaw) -> float:
     with w = (diag A_mis / diag A_cor)^{1/2}, one solve in place.
     """
     require_density(law_cor, law_mis)
-    w = np.sqrt(np.diag(law_mis.a) / np.diag(law_cor.a))
+    w = np.sqrt(law_mis.a_diag / law_cor.a_diag)
     diff = law_cor.b_chol * w[:, None]
     diff -= law_mis.b_chol
     e = tri_solve(law_mis.b_chol, diff)

@@ -27,6 +27,10 @@ class OperatingCharacteristics:
     fnr_se: float
 
 
+# Rows of running means formed at once in `step_up`.
+_MEAN_BLOCK_ROWS = 256
+
+
 def step_up(h: np.ndarray, alpha_star: float) -> DecisionSet:
     """Reject the k smallest h, k the longest prefix of sorted h whose running
     mean is at most alpha_star: the rule of Newton et al. 2004 (Biostatistics
@@ -41,11 +45,16 @@ def step_up(h: np.ndarray, alpha_star: float) -> DecisionSet:
     rows = np.atleast_2d(h)
     m = rows.shape[1]
     sorted_h = np.sort(rows, axis=1)
-    prefix_means = np.cumsum(sorted_h, axis=1)
-    prefix_means /= np.arange(1, m + 1)
+    # The running means are formed a block of rows at a time, so that no
+    # second (n, m) float array is live next to the sorted scores.
+    qualifying = np.empty(rows.shape, dtype=bool)
+    prefix_lengths = np.arange(1, m + 1)
+    for start in range(0, rows.shape[0], _MEAN_BLOCK_ROWS):
+        block = slice(start, start + _MEAN_BLOCK_ROWS)
+        prefix_means = np.cumsum(sorted_h[block], axis=1)
+        prefix_means /= prefix_lengths
+        np.less_equal(prefix_means, alpha_star, out=qualifying[block])
     # k ends at the last qualifying prefix: rounding can leave gaps before it.
-    qualifying = prefix_means <= alpha_star
-    del prefix_means
     k = np.count_nonzero(np.logical_or.accumulate(qualifying[:, ::-1], axis=1), axis=1)
     # The k-th smallest score t (-inf when k = 0): sorted_h ascends, so it is
     # the largest of the first k.

@@ -9,13 +9,14 @@ unknown noise variance with an inverse-gamma prior (multivariate-t posterior).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtr, stdtr
 
 from .covariance import CovarianceMatrix
-from .errors import ParameterError
+from .errors import NotPositiveDefiniteError, ParameterError
 from .linalg import chol_inverse, chol_psd
 from .rng import Substreams
 
@@ -137,6 +138,11 @@ class PosteriorOperator:
     after adding s I. A is formed in place of K^{-1} (LAPACK potri from K's
     factor) and is the one m x m array the operator keeps, in either mode.
 
+    A diagonal Sigma_spec = diag(d) needs no factor: A = diag(a) with
+    a_i = s g d_i / (s + g d_i), and the operator keeps only the vector a
+    (`a_diag`), scaling residuals elementwise; `a` is then formed when read,
+    and nothing in the package reads it.
+
     Each `ModelSpec` builds its own as `spec.posterior`. The operator keeps
     only the values of the spec it needs, never the spec itself: a reference
     back would make a cycle that only the cyclic garbage collector frees,
@@ -148,25 +154,41 @@ class PosteriorOperator:
         self.scale = spec.noise.sigma0_sq if self.known else 1.0
         self.theta0 = spec.theta0
         self.beta = None if self.known else spec.noise.beta
-        m = spec.m
-        diag = np.diag_indices(m)
-        k = spec.g * spec.sigma_spec.entries
-        k[diag] += self.scale
-        k_chol, _ = chol_psd(k)
-        del k
-        a = chol_inverse(k_chol)
-        a *= -self.scale * self.scale
-        a[diag] += self.scale
-        self.a = a
-        self._sd = np.sqrt(np.diag(a))
-        self.dof = None if self.known else m + 2 * spec.noise.alpha
+        self.diagonal = spec.sigma_spec.is_diagonal
+        if self.diagonal:
+            gd = spec.g * spec.sigma_spec.entries.diagonal()
+            k = gd + self.scale
+            if not np.all(k > 0):
+                raise NotPositiveDefiniteError(
+                    f"K = s I + g Sigma_spec of dim {spec.m} is not positive definite: "
+                    f"{np.count_nonzero(~(k > 0))} diagonal entries are not positive"
+                )
+            self.a_diag = self.scale * gd / k
+        else:
+            diag = np.diag_indices(spec.m)
+            k = spec.g * spec.sigma_spec.entries
+            k[diag] += self.scale
+            k_chol, _ = chol_psd(k)
+            del k
+            a = chol_inverse(k_chol)
+            a *= -self.scale * self.scale
+            a[diag] += self.scale
+            self.a = a
+            self.a_diag = a.diagonal()
+        self._sd = np.sqrt(self.a_diag)
+        self.dof = None if self.known else spec.m + 2 * spec.noise.alpha
+
+    @functools.cached_property
+    def a(self) -> np.ndarray:
+        """A as an m x m matrix; a dense operator sets it on construction."""
+        return np.diag(self.a_diag)
 
     def _shift(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """(S r, r' K^{-1} r) with r = y - theta0, accepting (m,) or (n, m);
         the quadratic form is None when the variance is known."""
         resid = np.asarray(y, dtype=float) - self.theta0
-        # A is symmetric, so r @ A is (A r')'.
-        shift = resid @ self.a
+        # A is symmetric, so r @ A is (A r')'; a diagonal A scales each column.
+        shift = resid * self.a_diag if self.diagonal else resid @ self.a
         if self.known:
             shift /= self.scale
             return shift, None

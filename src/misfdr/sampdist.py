@@ -10,7 +10,6 @@ vector that we expose as a sampler.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtr, ndtri, stdtr
@@ -20,50 +19,75 @@ from .linalg import chol_inverse, chol_psd, congruence, tri_solve
 from .posterior import KnownVariance, ModelSpec, TrueProcess, UnknownVariance, require_noise
 
 
-@dataclass
 class SamplingLaw:
-    """The (A, B, C) bundle determining the law, with the derived ratios
-    r = diag(A) / diag(B) and B's lower Cholesky factor L_B, formed once.
+    """The law of the scores of one spec on data from one truth, fixed by the
+    matrices A, B and, under unknown variance, C; it reads them through
+    diag(A), diag(B), B's lower Cholesky factor L_B and C, formed once.
 
-    Every joint quantity reads L_B: phi = Phi^{-1}(h) of a known-variance law
-    is N(0, F F') with F = D_a^{-1/2} L_B, and P_b has the factor D_b^{-1/2} L_B.
-    The copula C = (F F')^{-1} and P_b are formed only when read."""
+    The ratios are r = diag(A) / diag(B). Every joint quantity reads L_B:
+    phi = Phi^{-1}(h) of a known-variance law is N(0, F F') with
+    F = D_a^{-1/2} L_B, and P_b has the factor D_b^{-1/2} L_B. The copula
+    C = (F F')^{-1} and P_b are formed only when read.
 
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray | None
-    mode: KnownVariance | UnknownVariance
-    spec_tag: str
-    r: np.ndarray = field(init=False)
-    b_chol: np.ndarray = field(init=False, repr=False)
+    A law is built from the m x m matrices A, B and C (None under known
+    variance), and factors B. The law of a diagonal spec is built from the
+    diagonals of A, B and C as (m,) vectors and from L_B itself (`b_chol`):
+    its m x m `a`, `b` and `c` are formed only when read, and nothing in the
+    package reads them.
+    """
 
-    def __post_init__(self) -> None:
-        self.r = np.diag(self.a) / np.diag(self.b)
+    def __init__(self, a: np.ndarray, b: np.ndarray, c: np.ndarray | None,
+                 mode: KnownVariance | UnknownVariance, spec_tag: str,
+                 b_chol: np.ndarray | None = None):
+        self.mode, self.spec_tag, self.known = mode, spec_tag, c is None
+        if b_chol is None:
+            # Set here, these shadow the properties that form a diagonal law's matrices.
+            self.a, self.b, self.c = a, b, c
+            self.a_diag, self.b_diag, self.c_diag = np.diag(a), np.diag(b), None
+        else:
+            self.a_diag, self.b_diag, self.c_diag = a, b, c
+        self.r = self.a_diag / self.b_diag
         if not np.all(self.r > 0):
             raise ParameterError("all ratios a_ii/b_ii must be positive")
-        self.b_chol, _ = chol_psd(self.b)
+        self.b_chol = chol_psd(b)[0] if b_chol is None else b_chol
+
+    @functools.cached_property
+    def a(self) -> np.ndarray:
+        """A as an m x m matrix."""
+        return np.diag(self.a_diag)
+
+    @functools.cached_property
+    def b(self) -> np.ndarray:
+        """B = L_B L_B' as an m x m matrix."""
+        return self.b_chol @ self.b_chol.T
+
+    @functools.cached_property
+    def c(self) -> np.ndarray | None:
+        """C as an m x m matrix; None for a known-variance law."""
+        if not self.known:
+            return np.diag(self.c_diag)
 
     @functools.cached_property
     def copula(self) -> np.ndarray | None:
         """C = D_a^{1/2} B^{-1} D_a^{1/2} = (F F')^{-1}; None for an unknown-variance law."""
-        if self.c is None:
-            return chol_inverse(self.b_chol / np.sqrt(np.diag(self.a))[:, None])
+        if self.known:
+            return chol_inverse(self.b_chol / np.sqrt(self.a_diag)[:, None])
 
     @property
     def log_det_copula(self) -> float | None:
         """log det C = -2 sum_i log F_ii; None for an unknown-variance law."""
-        if self.c is None:
-            return float(np.sum(np.log(np.diag(self.a))) - 2 * np.sum(np.log(np.diag(self.b_chol))))
+        if self.known:
+            return float(np.sum(np.log(self.a_diag)) - 2 * np.sum(np.log(np.diag(self.b_chol))))
 
     @functools.cached_property
     def p_b(self) -> np.ndarray:
         """B's correlation matrix G G' from its factor G = D_b^{-1/2} L_B."""
-        factor = self.b_chol / np.sqrt(np.diag(self.b))[:, None]
+        factor = self.b_chol / np.sqrt(self.b_diag)[:, None]
         return factor @ factor.T
 
     @property
     def m(self) -> int:
-        return self.a.shape[0]
+        return self.a_diag.shape[0]
 
     @property
     def dof(self) -> float:
@@ -72,12 +96,29 @@ class SamplingLaw:
         return self.m + 2 * self.mode.alpha
 
 
+_SAME_COV_TOL = 1e-12
+
+
 def _uses_true_cov(truth: TrueProcess, spec: ModelSpec) -> bool:
     """True when the spec's covariance is the truth's, entry by entry to
-    within rounding."""
-    return spec.sigma_spec is truth.sigma1 or np.allclose(
-        spec.sigma_spec.entries, truth.sigma1.entries, rtol=1e-12, atol=1e-12
-    )
+    within rounding.
+
+    The diagonal flags answer most pairs without comparing m x m entries:
+    two diagonal matrices compare by their diagonals, and a diagonal matrix
+    differs from a dense one with a superdiagonal entry beyond the tolerance.
+    """
+    spec_cov, true_cov = spec.sigma_spec, truth.sigma1
+    if spec_cov is true_cov:
+        return True
+    x, y = spec_cov.entries, true_cov.entries
+    if spec_cov.is_diagonal and true_cov.is_diagonal:
+        x, y = x.diagonal(), y.diagonal()
+    elif spec_cov.is_diagonal or true_cov.is_diagonal:
+        dense = y if spec_cov.is_diagonal else x
+        # |entry| > 2 tol fails |x - y| <= tol + tol |y| against a zero, either way round.
+        if np.abs(dense.diagonal(1)).max() > 2 * _SAME_COV_TOL:
+            return False
+    return np.allclose(x, y, rtol=_SAME_COV_TOL, atol=_SAME_COV_TOL)
 
 
 def _law(truth: TrueProcess, spec: ModelSpec) -> SamplingLaw:
@@ -89,11 +130,15 @@ def _law(truth: TrueProcess, spec: ModelSpec) -> SamplingLaw:
     formed from the truth's factor L_V as (S L_V)(S L_V)'. The law shares the
     operator's A.
     """
-    op, a = spec.posterior, spec.posterior.a
+    op = spec.posterior
     if op.known and not np.isclose(op.scale, truth.sigma0_sq):
         raise ParameterError(
             "known-variance theory requires the spec noise variance to equal the truth"
         )
+    tag = "correct" if _uses_true_cov(truth, spec) else "misspecified"
+    if op.diagonal:
+        return _diagonal_law(truth, spec, tag)
+    a = op.a
     b = congruence(a, truth.cov_y_chol, 1.0 / op.scale)
     c = None
     if not op.known:
@@ -118,8 +163,29 @@ def _law(truth: TrueProcess, spec: ModelSpec) -> SamplingLaw:
         sd = np.sqrt(np.diag(b))
         c *= sd[:, None]
         c *= sd
-    tag = "correct" if _uses_true_cov(truth, spec) else "misspecified"
     return SamplingLaw(a=a, b=b, c=c, mode=spec.noise, spec_tag=tag)
+
+
+def _diagonal_law(truth: TrueProcess, spec: ModelSpec, tag: str) -> SamplingLaw:
+    """`_law` of a diagonal spec in closed form. S = diag(a / s), so L_B = S L_V
+    is a row scaling of the truth's factor, lower triangular as it stands, and
+    diag(B) = (a / s)^2 diag(V). Under unknown variance P = diag(1 / (g d)) for
+    Sigma_spec = diag(d), so C = diag((p^2 + p) diag(B)) is diagonal too."""
+    op = spec.posterior
+    w = op.a_diag / op.scale
+    b_chol = truth.cov_y_chol * w[:, None]
+    b_diag = w * w * (truth.sigma1.entries.diagonal() + truth.sigma0_sq)
+    c_diag = None
+    if not op.known:
+        d = spec.sigma_spec.entries.diagonal()
+        if not np.all(d > 0):
+            raise NotPositiveDefiniteError(
+                f"diagonal Sigma_spec of dim {spec.m} is not positive definite: "
+                f"{np.count_nonzero(~(d > 0))} entries are not positive"
+            )
+        p = 1.0 / (spec.g * d)
+        c_diag = (p * p + p) * b_diag
+    return SamplingLaw(op.a_diag, b_diag, c_diag, spec.noise, tag, b_chol=b_chol)
 
 
 def law_known_var(truth: TrueProcess, spec: ModelSpec) -> SamplingLaw:
@@ -156,7 +222,7 @@ def marginal_pdf(h, r_i):
 
 def require_density(*laws: SamplingLaw) -> None:
     """Raise unless every law has an implemented joint density: known-variance laws only."""
-    if any(law.c is not None for law in laws):
+    if not all(law.known for law in laws):
         raise ParameterError("joint density is implemented only for the known-variance law")
 
 
@@ -169,7 +235,7 @@ def joint_log_pdf(h: np.ndarray, law: SamplingLaw) -> float | np.ndarray:
     h = _check_open_unit(h)
     phi = ndtri(h)
     # phi' C phi = |F^{-1} phi|^2 with F^{-1} phi = L_B^{-1} D_a^{1/2} phi.
-    white = tri_solve(law.b_chol, (phi * np.sqrt(np.diag(law.a))).T)
+    white = tri_solve(law.b_chol, (phi * np.sqrt(law.a_diag)).T)
     quad = np.sum(phi * phi, axis=-1) - np.sum(white * white, axis=0)
     return 0.5 * law.log_det_copula + 0.5 * quad
 
@@ -179,17 +245,20 @@ def xi_sampler(law: SamplingLaw, n_draws: int, rng: np.random.Generator) -> np.n
 
     Each row is sqrt((m + 2 alpha) / (z' C z + 2 beta)) * z, z ~ N(0, P_b).
     """
-    if law.c is None:
+    if law.known:
         raise ParameterError("law has no C matrix; use the unknown-variance constructor")
     z = rng.standard_normal((n_draws, law.m)) @ law.b_chol.T
-    z /= np.sqrt(np.diag(law.b))
-    quad = np.sum(z * (z @ law.c), axis=1)
+    z /= np.sqrt(law.b_diag)
+    if law.c_diag is None:
+        quad = np.sum(z * (z @ law.c), axis=1)
+    else:
+        quad = np.square(z) @ law.c_diag
     scale = np.sqrt(law.dof / (quad + 2.0 * law.mode.beta))
     return scale[:, None] * z
 
 
 def xi_to_h(xi: np.ndarray, law: SamplingLaw) -> np.ndarray:
     """Map xi draws to statistics: h_i = Psi_dof(xi_i / sqrt(r_i))."""
-    if law.c is None:
+    if law.known:
         raise ParameterError("xi-to-h mapping applies to the unknown-variance law")
     return stdtr(law.dof, np.asarray(xi) / np.sqrt(law.r))

@@ -158,11 +158,13 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> list[SweepRow]:
 
     The truth is built once. A g sweep shares its misspecified covariance
     across points; a range sweep shares its correct spec and that spec's law.
-    Points are independent; `threads` caps worker parallelism. Output order
-    always follows config.sweep_values.
+    Points are independent; `threads` caps worker parallelism, and a sweep
+    starts no more workers than it has points. Output order always follows
+    config.sweep_values.
     """
     truth = sweep_truth(config, build_cov(config.truth_kernel, config.m, config.grid))
     indices = range(len(config.sweep_values))
+    workers = min(threads, len(indices))
     try:
         mis_cov = cor = None
         if config.sweep_variable == "g":
@@ -171,8 +173,8 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> list[SweepRow]:
             spec_cor = sweep_spec(config, truth.sigma1, config.g)
             cor = spec_cor, law_known_var(truth, spec_cor)
         point = partial(_sweep_point, config, truth, mis_cov, cor)
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
                 rows = list(pool.map(point, indices))
         else:
             rows = [point(j) for j in indices]

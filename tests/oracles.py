@@ -11,6 +11,9 @@
   `kl_laws` is pinned to.
 - `joint_cdf_mc`: the joint CDF of a known-variance law, by Monte Carlo.
 - `random_truth_spec_pairs`: random SPD truths and specifications.
+- `dense_twin`: a covariance with the same entries that the package treats as
+  dense, the reference the closed forms of a diagonal specification are
+  pinned to.
 """
 
 from __future__ import annotations
@@ -60,6 +63,14 @@ def random_truth_spec_pairs(seed=7):
         sigma1 = CovarianceMatrix(raw @ raw.T + m * np.eye(m))
         sigma = CovarianceMatrix(raw2 @ raw2.T + m * np.eye(m))
         yield rng, TrueProcess(np.zeros(m), float(rng.uniform(0.1, 2.0)), sigma1), sigma
+
+
+def dense_twin(cov: CovarianceMatrix) -> CovarianceMatrix:
+    """`cov`'s entries in a covariance that takes the dense path: its operator
+    factors K and inverts it, its law forms B by congruence and factors it."""
+    twin = CovarianceMatrix(cov.entries, cov.kernel, cov.params)
+    twin.is_diagonal = False
+    return twin
 
 
 def kl_copula_difference(law_cor: SamplingLaw, law_mis: SamplingLaw) -> float:

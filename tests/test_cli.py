@@ -1,4 +1,6 @@
+import numpy as np
 import pytest
+import scipy
 
 from misfdr import cli
 from misfdr.cli import main
@@ -269,6 +271,28 @@ class TestRunMetaSeed:
         argv = [a.format(config=config, scores=scores) for a in argv]
         assert run(tmp_path, "--seed", "4", *argv) == 0
         assert meta_field(tmp_path, "seed") == "None"
+
+
+class TestRunMetaEnvironment:
+    def test_records_libraries_blas_and_threads(self, tmp_path):
+        assert run(tmp_path, "--threads", "3", "gen-cov", "--kernel", "identity", "--m", "3") == 0
+        blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+        assert meta_field(tmp_path, "numpy") == np.__version__
+        assert meta_field(tmp_path, "scipy") == scipy.__version__
+        assert meta_field(tmp_path, "blas") == f"{blas['name']} {blas['version']}"
+        assert meta_field(tmp_path, "threads") == "3"
+        # The request hash is the one written before these keys were added.
+        assert meta_field(tmp_path, "config_sha256") == (
+            "31dfc3ffc9bc6bde99d8c1e3bb0ad1befb04b9d4fcc3279dc5a29df1930c2a2b")
+
+    def test_threads_from_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("MISFDR_THREADS", "2")
+        assert run(tmp_path, "dist", "--r", "0.5", "--points", "3") == 0
+        assert meta_field(tmp_path, "threads") == "2"
+
+    def test_blas_unknown_without_build_config(self, monkeypatch):
+        monkeypatch.delattr(np.__config__, "CONFIG")
+        assert cli._blas() == "unknown"
 
 
 class TestRequestHash:

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,21 @@ class TestSeparable:
         spatial = exponential_cov(layout, range_=4.0).entries
         np.testing.assert_allclose(cov.entries[:6, :6], delta * spatial)
 
+    def test_time_major_order_of_every_entry(self):
+        # Entry (t n_s + i, t' n_s + j) pairs station i at time t with station j
+        # at time t'; uneven times and spacing make every factor distinguishable.
+        pts = GridLayout(2, 3, spacing=1.5).points()
+        times = [0.0, 1.0, 3.0]
+        delta, range_, alpha = 1.7, 4.0, 0.6
+        cov = separable_cov(pts, times, delta=delta, range_=range_, alpha=alpha)
+        n_s = len(pts)
+        assert cov.dim == n_s * len(times)
+        for (t, time_t), (u, time_u) in product(enumerate(times), repeat=2):
+            for i, j in product(range(n_s), repeat=2):
+                dist = np.hypot(*(pts[i] - pts[j]))
+                expected = delta * np.exp(-dist / range_) * alpha ** abs(time_t - time_u)
+                assert cov.entries[t * n_s + i, u * n_s + j] == pytest.approx(expected, rel=1e-14)
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -241,6 +258,21 @@ class TestCovarianceMatrix:
         cov = CovarianceMatrix(entries)
         np.testing.assert_array_equal(cov.entries, cov.entries.T)
         assert cov.entries[0, 1] == 0.5 * (0.3 + (0.3 + 1e-14))
+
+    @pytest.mark.parametrize("cov, diagonal", [
+        (identity_cov(1), True),
+        (identity_cov(5), True),
+        (CovarianceMatrix(np.diag([2.0, 0.5, 3.0])), True),
+        (CovarianceMatrix([[2.0]]), True),
+        (exponential_cov(GridLayout(3, 3), 5.0), False),
+        # exp(-1 / 1e-3) underflows to 0.0: the entries are diagonal.
+        (exponential_cov(GridLayout(3, 3), 1e-3), True),
+        (CovarianceMatrix([[1.0, 1e-300], [1e-300, 1.0]]), False),
+        (CovarianceMatrix([[0.0, 0.5], [0.5, 1.0]]), False),
+    ], ids=["identity-1", "identity-5", "heteroscedastic", "scalar", "exponential",
+            "underflowed-exponential", "tiny-off-diagonal", "zero-diagonal-entry"])
+    def test_is_diagonal_read_from_entries(self, cov, diagonal):
+        assert cov.is_diagonal is diagonal
 
     def test_entries_are_immutable(self):
         cov = identity_cov(2)

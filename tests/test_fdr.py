@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from misfdr import fdr
 from misfdr.covariance import GridLayout, exponential_cov
 from misfdr.errors import ParameterError
 from misfdr.fdr import (
@@ -178,6 +179,18 @@ class TestBatchedStepUp:
             v = int(np.sum(rejected & nulls[i]))
             t = int(np.sum(~rejected & ~nulls[i]))
             assert counts[i].tolist() == [k, v, t]
+
+    def test_batch_spanning_mean_blocks_matches_rows(self):
+        # Running means are formed in blocks of rows; rows of a batch larger
+        # than one block decide exactly as each row alone.
+        rng = np.random.default_rng(11)
+        h = rng.beta(0.3, 1.0, size=(2 * fdr._MEAN_BLOCK_ROWS + 37, 40))
+        h[::7, :5] = 0.04
+        batch = step_up(h, 0.05)
+        for i, row in enumerate(h):
+            single = step_up(row, 0.05)
+            assert batch.k[i] == single.k
+            np.testing.assert_array_equal(batch.rejected[i], single.rejected)
 
     @given(h=tied_batches, alpha=st.floats(0.001, 0.999), seed=st.integers(0, 2**16))
     @settings(max_examples=200, deadline=None)

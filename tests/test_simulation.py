@@ -1,10 +1,13 @@
 import gc
+import threading
 import weakref
-from dataclasses import astuple
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
+from misfdr import simulation
 from misfdr.covariance import GridLayout
 from misfdr.divergence import kl_exact
 from misfdr.errors import ParameterError
@@ -103,6 +106,27 @@ class TestRunSweep:
         serial = run_sweep(config, threads=1)
         threaded = run_sweep(config, threads=2)
         assert serial == threaded
+
+    def test_workers_capped_at_sweep_points(self, monkeypatch):
+        config = replace(builtin_example(1, scale="desk"), sweep_values=(0.1, 1.0, 10.0))
+        serial = run_sweep(config, threads=1)
+        requested, workers = [], set()
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+                super().__init__(max_workers)
+
+        point = simulation._sweep_point
+
+        def recording_point(*args):
+            workers.add(threading.get_ident())
+            return point(*args)
+
+        monkeypatch.setattr(simulation, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(simulation, "_sweep_point", recording_point)
+        assert run_sweep(config, threads=8) == serial
+        assert requested == [3] and 1 <= len(workers) <= 3
 
     @pytest.mark.parametrize(
         "overrides",
