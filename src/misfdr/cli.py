@@ -167,6 +167,8 @@ def _cmd_gen_cov(args) -> tuple[bytes, None]:
 
 
 def _cmd_dist(args) -> tuple[bytes, None]:
+    if args.points < 1:
+        raise ParameterError(f"--points must be at least 1, got {args.points}")
     grid = np.linspace(0.0, 1.0, args.points + 2)[1:-1]
     rows = [
         (ratio, hval, c, d)
@@ -206,22 +208,32 @@ def _cmd_fdr(args) -> tuple[bytes, None]:
     try:
         with open(args.input, newline="") as fh:
             reader = csv.reader(fh)
-            rows = [row for row in reader if row]
+            rows = [(reader.line_num, row) for row in reader if row]
     except OSError as err:
         raise ParameterError(f"cannot read input file {args.input!r}: {err}") from err
     start = 0
     col = 0
-    if rows and not _is_float(rows[0][0]):
-        header = [name.strip().lower() for name in rows[0]]
+    if rows and not _is_float(rows[0][1][0]):
+        header = [name.strip().lower() for name in rows[0][1]]
         if "h" not in header:
             raise ParameterError("input CSV needs an 'h' column or bare numbers")
         col = header.index("h")
         start = 1
-    h = np.array([float(row[col]) for row in rows[start:]])
+    h = np.array([_h_cell(line, row, col) for line, row in rows[start:]])
     decision = step_up(h, args.alpha)
     rows = [(i, hval, int(rej)) for i, (hval, rej) in enumerate(zip(h, decision.rejected))]
     _write_artifact(args, ["i", "h", "rejected"], rows, f" (k={decision.k})")
     return repr((list(h), args.alpha)).encode(), None
+
+
+def _h_cell(line: int, row: list[str], col: int) -> float:
+    """The score in column `col` of the input row on line `line`."""
+    if col >= len(row):
+        raise ParameterError(f"input line {line} has no 'h' value (column {col + 1})")
+    try:
+        return float(row[col])
+    except ValueError:
+        raise ParameterError(f"input line {line}: 'h' value {row[col]!r} is not a number") from None
 
 
 def _is_float(token: str) -> bool:

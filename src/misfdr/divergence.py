@@ -15,12 +15,15 @@ import numpy as np
 from .errors import ParameterError
 from .linalg import tri_solve
 from .posterior import KnownVariance, ModelSpec, TrueProcess
-from .sampdist import SamplingLaw, _uses_true_cov, law_known_var, require_density
+from .sampdist import SamplingLaw, law_known_var, require_density
+
+_SAME_COV_TOL = 1e-12
 
 
 def check_kl_specs(truth: TrueProcess, spec_cor: ModelSpec, spec_mis: ModelSpec) -> None:
     """Raise unless both specs use known variance and `spec_cor` is the truth's
-    covariance and noise variance; warn when the two use different g."""
+    covariance, entry by entry to within rounding, and noise variance; warn
+    when the two use different g."""
     if not isinstance(spec_cor.noise, KnownVariance) or not isinstance(
         spec_mis.noise, KnownVariance
     ):
@@ -28,8 +31,12 @@ def check_kl_specs(truth: TrueProcess, spec_cor: ModelSpec, spec_mis: ModelSpec)
             "KL divergence is implemented for known-variance laws only; the "
             "joint density of the unknown-variance law is not implemented yet"
         )
+    spec_cov, true_cov = spec_cor.sigma_spec, truth.sigma1
+    same_cov = spec_cov is true_cov or np.allclose(
+        spec_cov.entries, true_cov.entries, rtol=_SAME_COV_TOL, atol=_SAME_COV_TOL
+    )
     same_noise = np.isclose(spec_cor.noise.sigma0_sq, truth.sigma0_sq)
-    if not (_uses_true_cov(truth, spec_cor) and same_noise):
+    if not (same_cov and same_noise):
         raise ParameterError("spec_cor must use the true covariance and noise variance")
     if not np.isclose(spec_cor.g, spec_mis.g):
         warnings.warn("correct and misspecified specs use different g", stacklevel=3)

@@ -9,7 +9,6 @@ unknown noise variance with an inverse-gamma prior (multivariate-t posterior).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -140,8 +139,11 @@ class PosteriorOperator:
 
     A diagonal Sigma_spec = diag(d) needs no factor: A = diag(a) with
     a_i = s g d_i / (s + g d_i), and the operator keeps only the vector a
-    (`a_diag`), scaling residuals elementwise; `a` is then formed when read,
-    and nothing in the package reads it.
+    (`a_diag`), scaling residuals elementwise.
+
+    Every posterior variance a_ii must be positive, or the scores of that
+    coordinate are NaN: a dense operator checks diag(A), a diagonal one
+    checks d > 0, which holds exactly when both K and A are positive.
 
     Each `ModelSpec` builds its own as `spec.posterior`. The operator keeps
     only the values of the spec it needs, never the spec itself: a reference
@@ -156,14 +158,14 @@ class PosteriorOperator:
         self.beta = None if self.known else spec.noise.beta
         self.diagonal = spec.sigma_spec.is_diagonal
         if self.diagonal:
-            gd = spec.g * spec.sigma_spec.entries.diagonal()
-            k = gd + self.scale
-            if not np.all(k > 0):
+            d = spec.sigma_spec.entries.diagonal()
+            if not np.all(d > 0):
                 raise NotPositiveDefiniteError(
-                    f"K = s I + g Sigma_spec of dim {spec.m} is not positive definite: "
-                    f"{np.count_nonzero(~(k > 0))} diagonal entries are not positive"
+                    f"diagonal Sigma_spec of dim {spec.m} is not positive definite: "
+                    f"{np.count_nonzero(~(d > 0))} entries are not positive"
                 )
-            self.a_diag = self.scale * gd / k
+            gd = spec.g * d
+            self.a_diag = self.scale * gd / (gd + self.scale)
         else:
             diag = np.diag_indices(spec.m)
             k = spec.g * spec.sigma_spec.entries
@@ -175,13 +177,13 @@ class PosteriorOperator:
             a[diag] += self.scale
             self.a = a
             self.a_diag = a.diagonal()
+            if not np.all(self.a_diag > 0):
+                raise NotPositiveDefiniteError(
+                    f"posterior covariance A of dim {spec.m} has "
+                    f"{np.count_nonzero(~(self.a_diag > 0))} variances that are not positive"
+                )
         self._sd = np.sqrt(self.a_diag)
         self.dof = None if self.known else spec.m + 2 * spec.noise.alpha
-
-    @functools.cached_property
-    def a(self) -> np.ndarray:
-        """A as an m x m matrix; a dense operator sets it on construction."""
-        return np.diag(self.a_diag)
 
     def _shift(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """(S r, r' K^{-1} r) with r = y - theta0, accepting (m,) or (n, m);

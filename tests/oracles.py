@@ -84,8 +84,8 @@ def kl_copula_difference(law_cor: SamplingLaw, law_mis: SamplingLaw) -> float:
     """
     require_density(law_cor, law_mis)
     diff = law_mis.copula - law_cor.copula
-    diff *= law_cor.b
-    root = 1.0 / np.sqrt(np.diag(law_cor.a))
+    diff *= law_cor.b_chol @ law_cor.b_chol.T
+    root = 1.0 / np.sqrt(law_cor.a_diag)
     trace = float(root @ diff @ root)
     return 0.5 * (law_cor.log_det_copula - law_mis.log_det_copula) + 0.5 * trace
 
@@ -159,7 +159,7 @@ def joint_cdf_mc(
     thresholds = np.sqrt(law.r) * ndtri(h)
     # z ~ N(0, P_b) through the factor D_b^{-1/2} L_B of P_b.
     z = rng.standard_normal((n_draws, law.m)) @ law.b_chol.T
-    z /= np.sqrt(np.diag(law.b))
+    z /= np.sqrt(law.b_diag)
     hits = np.all(z <= thresholds, axis=1)
     p = float(hits.mean())
     se = float(np.sqrt(p * (1.0 - p) / n_draws))

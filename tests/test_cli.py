@@ -72,6 +72,15 @@ class TestDist:
             assert cdf == pytest.approx(h)
             assert pdf == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("argv", [
+        ("--r", "-1"), ("--r", "nan"), ("--r", "inf"), ("--r", "0.5", "--r", "0"),
+        ("--r", "0.5", "--points", "-5"), ("--r", "0.5", "--points", "0"),
+    ], ids=["negative-r", "nan-r", "inf-r", "zero-r", "negative-points", "zero-points"])
+    def test_bad_request_rejected(self, tmp_path, capsys, argv):
+        assert run(tmp_path, "dist", *argv) == 1
+        assert "configuration error:" in capsys.readouterr().err
+        assert not (tmp_path / "dist.csv").exists()
+
 
 class TestKl:
     def test_identical_kernels_give_zero(self, tmp_path):
@@ -124,6 +133,20 @@ class TestFdr:
         inp.write_text("0.01\nnan\n0.02\n")
         assert run(tmp_path, "fdr", "--input", str(inp), "--alpha", "0.05") == 1
         assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "rejections.csv").exists()
+
+    def test_non_numeric_score_names_its_line(self, tmp_path, capsys):
+        inp = tmp_path / "h.csv"
+        inp.write_text("i,h\n0,0.01\n1,high\n")
+        assert run(tmp_path, "fdr", "--input", str(inp), "--alpha", "0.05") == 1
+        assert "input line 3: 'h' value 'high' is not a number" in capsys.readouterr().err
+        assert not (tmp_path / "rejections.csv").exists()
+
+    def test_short_row_names_its_line(self, tmp_path, capsys):
+        inp = tmp_path / "h.csv"
+        inp.write_text("i,h\n0,0.01\n\n1\n")
+        assert run(tmp_path, "fdr", "--input", str(inp), "--alpha", "0.05") == 1
+        assert "input line 4 has no 'h' value" in capsys.readouterr().err
         assert not (tmp_path / "rejections.csv").exists()
 
 

@@ -12,10 +12,10 @@ from scipy.special import ndtr
 
 from misfdr import covariance, posterior, sampdist
 from misfdr.covariance import CovarianceMatrix, identity_cov
-from misfdr.divergence import kl_laws
+from misfdr.divergence import check_kl_specs, kl_laws
 from misfdr.errors import NotPositiveDefiniteError, ParameterError
 from misfdr.posterior import KnownVariance, ModelSpec, TrueProcess, UnknownVariance
-from misfdr.sampdist import _uses_true_cov, joint_log_pdf, law_known_var, law_unknown_var
+from misfdr.sampdist import joint_log_pdf, law_known_var, law_unknown_var
 from oracles import dense_twin, random_truth_spec_pairs
 
 RTOL = 1e-12
@@ -57,12 +57,6 @@ class TestOperatorPin:
             assert_close(fast.standardized(y[0]), dense.standardized(y[0]))
             assert_close(fast.probs(y), dense.probs(y))
 
-    def test_a_formed_when_read(self):
-        op = ModelSpec(np.zeros(3), 2.0, CovarianceMatrix(np.diag([1.0, 0.5, 2.0])),
-                       KnownVariance(0.3)).posterior
-        assert not any(isinstance(v, np.ndarray) and v.ndim == 2 for v in vars(op).values())
-        np.testing.assert_array_equal(op.a, np.diag(op.a_diag))
-
 
 class TestLawPin:
     @KNOWN
@@ -74,17 +68,16 @@ class TestLawPin:
             dense = law_of(truth, ModelSpec(truth.theta0, g, dense_twin(cov),
                                             noise_of(truth, known)))
             assert_close(fast.r, dense.r)
-            assert_close(fast.b_diag, np.diag(dense.b))
-            assert_close(fast.b_chol @ fast.b_chol.T, dense.b)
+            assert_close(fast.b_diag, dense.b_diag)
+            assert_close(fast.b_chol @ fast.b_chol.T, dense.b_chol @ dense.b_chol.T)
             assert not np.triu(fast.b_chol, 1).any()
             if known:
-                assert fast.c is None and fast.c_diag is None
+                assert fast.c is None
                 assert_close(fast.log_det_copula, dense.log_det_copula)
                 h = ndtr(rng.standard_normal((4, truth.m)))
                 assert_close(joint_log_pdf(h, fast), joint_log_pdf(h, dense))
             else:
-                assert_close(fast.c, dense.c)
-                assert_close(fast.c_diag, np.diag(dense.c))
+                assert_close(fast.c, np.diag(dense.c))
 
     @pytest.mark.parametrize("g", DIAGONAL_GS)
     def test_kl_matches_dense_path(self, g):
@@ -101,13 +94,21 @@ class TestLawPin:
                                 (kl_laws(fast, law_cor), kl_laws(dense, law_cor))):
                 assert abs(actual - ref) <= RTOL * ref + 1e-13 * np.sqrt(2 * ref)
 
-    def test_matrices_formed_when_read(self):
+
+class TestOneForm:
+    @KNOWN
+    @pytest.mark.parametrize("dense", [False, True], ids=["diagonal", "dense"])
+    def test_matrices_kept(self, dense, known):
+        # A law keeps L_B and, for a dense unknown-variance spec, C as m x m
+        # matrices; a dense operator keeps A, a diagonal one no matrix at all.
         _, truth, cov = next(diagonal_cases())
-        law = law_unknown_var(truth, ModelSpec(truth.theta0, 1.0, cov, UnknownVariance(2.0, 0.5)))
-        assert not {"a", "b", "c"} & set(vars(law))
-        np.testing.assert_array_equal(law.a, np.diag(law.a_diag))
-        np.testing.assert_array_equal(law.c, np.diag(law.c_diag))
-        np.testing.assert_array_equal(law.b, law.b_chol @ law.b_chol.T)
+        spec = ModelSpec(truth.theta0, 1.0, dense_twin(cov) if dense else cov,
+                         noise_of(truth, known))
+        law = (law_known_var if known else law_unknown_var)(truth, spec)
+        law_matrices = {name for name, v in vars(law).items() if np.ndim(v) == 2}
+        assert law_matrices == ({"b_chol", "c"} if dense and not known else {"b_chol"})
+        op_matrices = {name for name, v in vars(spec.posterior).items() if np.ndim(v) == 2}
+        assert op_matrices == ({"a"} if dense else set())
 
 
 def count_calls(monkeypatch, module, name):
@@ -152,17 +153,15 @@ class TestErrorParity:
                 ModelSpec(np.zeros(3), 1.0, sigma, noise)
 
     def test_unknown_variance_nonpositive_entry(self):
-        # K = I + g Sigma_spec is positive definite, so both operators build,
-        # each with a negative a_ii and so a NaN posterior sd; Sigma_spec is
-        # not, and the law needs its inverse.
-        truth = TrueProcess(np.zeros(3), 0.25, identity_cov(3))
-        cov = CovarianceMatrix(np.diag([1.0, -1e-3, 2.0]))
-        for sigma in (cov, dense_twin(cov)):
-            with np.errstate(invalid="ignore"):
-                spec = ModelSpec(np.zeros(3), 1.0, sigma, UnknownVariance(2.0, 0.5))
-            assert np.isnan(spec.posterior.standardized(np.ones(3))[1])
-            with pytest.raises(NotPositiveDefiniteError):
-                law_unknown_var(truth, spec)
+        # K = s I + g Sigma_spec is positive definite in either noise mode, but
+        # a_11 is negative, or exactly zero for the zero entry, which would
+        # make every score of that coordinate NaN.
+        for entries in ([1.0, -1e-3, 2.0], [1.0, 0.0, 2.0]):
+            cov = CovarianceMatrix(np.diag(entries))
+            for sigma in (cov, dense_twin(cov)):
+                for noise in (KnownVariance(0.25), UnknownVariance(2.0, 0.5)):
+                    with pytest.raises(NotPositiveDefiniteError):
+                        ModelSpec(np.zeros(3), 1.0, sigma, noise)
 
     def test_mismatched_noise_rejected(self):
         truth = TrueProcess(np.zeros(3), 0.25, identity_cov(3))
@@ -171,7 +170,8 @@ class TestErrorParity:
 
 
 class TestUsesTrueCov:
-    """`_uses_true_cov` answers as the full comparison of the entries does."""
+    """`check_kl_specs` accepts `spec_cor` exactly when the full comparison of
+    the entries finds the truth's covariance, diagonal or not."""
 
     @staticmethod
     def full_comparison(truth, spec):
@@ -193,4 +193,8 @@ class TestUsesTrueCov:
     def test_matches_full_comparison(self, spec_entries, true_entries):
         truth = TrueProcess(np.zeros(4), 0.25, CovarianceMatrix(true_entries))
         spec = ModelSpec(np.zeros(4), 1.0, CovarianceMatrix(spec_entries), KnownVariance(0.25))
-        assert _uses_true_cov(truth, spec) == self.full_comparison(truth, spec)
+        if self.full_comparison(truth, spec):
+            check_kl_specs(truth, spec, spec)
+        else:
+            with pytest.raises(ParameterError, match="true covariance"):
+                check_kl_specs(truth, spec, spec)

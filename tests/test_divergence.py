@@ -30,7 +30,8 @@ def desk_setup(g=1.0):
 
 def scalar_law(r):
     return SamplingLaw(
-        a=np.array([[r]]), b=np.eye(1), c=None, mode=KnownVariance(1.0), spec_tag="custom",
+        a_diag=np.array([r]), b_diag=np.ones(1), b_chol=np.eye(1), c=None,
+        mode=KnownVariance(1.0),
     )
 
 
@@ -152,12 +153,10 @@ class TestKLEstimate:
             kl(truth, bad, spec_mis)
 
     def test_true_covariance_to_within_rounding_only(self):
-        # The KL check and the law's tag agree: a covariance 1e-7 away from
-        # the truth's is a misspecification.
+        # A covariance 1e-7 away from the truth's is a misspecification.
         truth, spec_cor, _ = desk_setup()
         near_cov = CovarianceMatrix(truth.sigma1.entries * (1 + 1e-7))
         near = ModelSpec(spec_cor.theta0, spec_cor.g, near_cov, spec_cor.noise)
-        assert law_known_var(truth, near).spec_tag == "misspecified"
         with pytest.raises(ParameterError, match="true covariance"):
             kl_exact(truth, near, near)
 
@@ -171,8 +170,8 @@ class TestKLEstimate:
 def probit_covariance(truth, spec):
     """Covariance of phi = Phi^{-1}(h): D_a^{-1/2} B D_a^{-1/2}."""
     law = law_known_var(truth, spec)
-    d = 1.0 / np.sqrt(np.diag(law.a))
-    return d[:, None] * law.b * d[None, :]
+    d = 1.0 / np.sqrt(law.a_diag)
+    return d[:, None] * (law.b_chol @ law.b_chol.T) * d[None, :]
 
 
 DESK_PAIRS = pytest.mark.parametrize(

@@ -41,16 +41,14 @@ class TestLawKnownVar:
         truth = scalar_truth()
         spec = ModelSpec(np.zeros(1), 1.0, truth.sigma1, KnownVariance(0.25))
         law = law_known_var(truth, spec)
-        assert law.a[0, 0] == pytest.approx(0.2)
-        assert law.b[0, 0] == pytest.approx(0.8)
+        assert law.a_diag[0] == pytest.approx(0.2)
+        assert law.b_diag[0] == pytest.approx(0.8)
         assert law.r[0] == pytest.approx(0.25)
-        assert law.spec_tag == "correct"
 
     def test_identity_misspecification_flat_ratio(self):
         truth, _, spec_mis = grid_setup()
         law = law_known_var(truth, spec_mis)
         np.testing.assert_allclose(law.r, 0.25, atol=1e-10)
-        assert law.spec_tag == "misspecified"
 
     def test_correct_spec_ratio_band(self):
         truth, spec_cor, _ = grid_setup()
@@ -76,10 +74,11 @@ class TestLawUnknownVar:
         truth = scalar_truth()
         spec = ModelSpec(np.zeros(1), 1.0, truth.sigma1, UnknownVariance(1.0, 1.0))
         law = law_unknown_var(truth, spec)
-        assert law.a[0, 0] == pytest.approx(0.5)
-        assert law.b[0, 0] == pytest.approx(0.3125)
-        # quadratic-form scaling: b * (a^-2 - a^-1) = 0.3125 * (4 - 2)
-        assert law.c[0, 0] == pytest.approx(0.625)
+        assert law.a_diag[0] == pytest.approx(0.5)
+        assert law.b_diag[0] == pytest.approx(0.3125)
+        # quadratic-form scaling: b * (a^-2 - a^-1) = 0.3125 * (4 - 2); a 1 x 1
+        # spec is diagonal, so C is kept as its (1,) diagonal
+        assert law.c[0] == pytest.approx(0.625)
         assert law.dof == 3.0
 
     def test_quadratic_form_identity(self):
@@ -90,24 +89,20 @@ class TestLawUnknownVar:
         rng = np.random.default_rng(3)
         y = rng.standard_normal(truth.m)
         direct = y @ np.linalg.solve(np.eye(truth.m) + spec.g * spec.sigma_spec.entries, y)
-        theta_post = law.a @ y
-        z_b = theta_post / np.sqrt(np.diag(law.b))
+        theta_post = spec.posterior.a @ y
+        z_b = theta_post / np.sqrt(law.b_diag)
         assert z_b @ law.c @ z_b == pytest.approx(direct, rel=1e-10)
 
     def test_vague_prior_limits(self):
         truth, _, _ = grid_setup(rows=5, cols=5)
         spec = ModelSpec(np.zeros(25), 1e8, truth.sigma1, UnknownVariance(1.0, 1.0))
         law = law_unknown_var(truth, spec)
-        np.testing.assert_allclose(law.a, np.eye(25), atol=1e-6)
+        np.testing.assert_allclose(spec.posterior.a, np.eye(25), atol=1e-6)
         np.testing.assert_allclose(
-            law.b, truth.sigma0_sq * np.eye(25) + truth.sigma1.entries, atol=1e-6
+            law.b_chol @ law.b_chol.T, truth.sigma0_sq * np.eye(25) + truth.sigma1.entries,
+            atol=1e-6,
         )
         assert np.abs(law.c).max() < 1e-6
-
-    def test_correct_tag(self):
-        truth = scalar_truth()
-        spec = ModelSpec(np.zeros(1), 1.0, truth.sigma1, UnknownVariance(2.0, 3.0))
-        assert law_unknown_var(truth, spec).spec_tag == "correct"
 
     def test_non_psd_c_rejected(self, monkeypatch):
         # With -P for P = Sigma_spec^-1 / g, C = P^2 - P; every eigenvalue of
@@ -148,13 +143,11 @@ class TestLawB:
             law = (law_known_var if known else law_unknown_var)(truth, spec)
             s = truth.sigma0_sq if known else 1.0
             cov_y = truth.sigma1.entries + truth.sigma0_sq * np.eye(truth.m)
-            dense = law.a @ cov_y @ law.a / (s * s)
-            np.testing.assert_allclose(law.b, dense, rtol=1e-10, atol=0)
-            np.testing.assert_array_equal(law.b, law.b.T)
-
-    def test_known_variance_law_shares_a(self):
-        truth, spec_cor, _ = grid_setup(rows=3, cols=3)
-        assert law_known_var(truth, spec_cor).a is spec_cor.posterior.a
+            a = spec.posterior.a
+            dense = a @ cov_y @ a / (s * s)
+            b = law.b_chol @ law.b_chol.T
+            np.testing.assert_allclose(b, dense, rtol=1e-10, atol=0)
+            np.testing.assert_array_equal(b, b.T)
 
 
 class TestBuiltPerMode:
@@ -198,12 +191,12 @@ class TestOneMatrixPerObject:
         factored = count_calls(monkeypatch, sampdist, "chol_psd")
         inverted = count_calls(monkeypatch, sampdist, "chol_inverse")
         law = law_of(truth, spec)
-        assert [a is law.b for a in factored].count(True) == 1
-        if isinstance(noise, KnownVariance):
-            # The unknown-variance law also certifies C by a factor and forms
-            # Sigma_spec^-1 for it; the known-variance law does neither.
-            assert len(factored) == 1 and inverted == []
-        np.testing.assert_allclose(law.b_chol @ law.b_chol.T, law.b, rtol=1e-12, atol=0)
+        # B is factored first; the unknown-variance law then certifies C by a
+        # factor and forms Sigma_spec^-1 for it, the known-variance law does neither.
+        known = isinstance(noise, KnownVariance)
+        assert len(factored) == (1 if known else 2)
+        assert (inverted == []) == known
+        np.testing.assert_allclose(law.b_chol @ law.b_chol.T, factored[0], rtol=1e-12, atol=0)
 
     def test_sampler_factors_nothing(self, monkeypatch):
         truth, spec_cor, _ = grid_setup(rows=3, cols=3)
@@ -222,17 +215,18 @@ class TestCorrelationFactor:
         truth, spec_cor, spec_mis = grid_setup(rows=4, cols=4, g=3.0)
         for spec in (spec_cor, spec_mis):
             law = law_of(truth, ModelSpec(spec.theta0, spec.g, spec.sigma_spec, noise))
-            sd = np.sqrt(np.diag(law.b))
+            sd = np.sqrt(law.b_diag)
             pb_chol = law.b_chol / sd[:, None]
-            np.testing.assert_allclose(pb_chol @ pb_chol.T, law.b / np.outer(sd, sd),
+            np.testing.assert_allclose(pb_chol @ pb_chol.T,
+                                       law.b_chol @ law.b_chol.T / np.outer(sd, sd),
                                        rtol=0, atol=1e-12)
             np.testing.assert_array_equal(law.p_b, law.p_b.T)
             assert not np.triu(law.b_chol, 1).any()
 
     def test_hand_built_law_derives_p_b(self):
         b = np.array([[2.0, 0.6, 0.0], [0.6, 1.0, -0.3], [0.0, -0.3, 0.5]])
-        law = SamplingLaw(a=np.diag([0.5, 0.4, 0.2]), b=b, c=None,
-                          mode=KnownVariance(1.0), spec_tag="custom")
+        law = SamplingLaw(a_diag=np.array([0.5, 0.4, 0.2]), b_diag=np.diag(b),
+                          b_chol=np.linalg.cholesky(b), c=None, mode=KnownVariance(1.0))
         sd = np.sqrt(np.diag(b))
         np.testing.assert_allclose(law.p_b, b / np.outer(sd, sd), rtol=0, atol=1e-15)
         np.testing.assert_allclose(law.r, [0.25, 0.4, 0.4], rtol=1e-15)
@@ -270,6 +264,12 @@ class TestMarginals:
         with pytest.raises(BoundaryError):
             marginal_cdf(1.0, 0.5)
 
+    @pytest.mark.parametrize("r", [0.0, -1.0, np.nan, np.inf])
+    def test_ratio_must_be_positive_and_finite(self, r):
+        for marginal in (marginal_cdf, marginal_pdf):
+            with pytest.raises(ParameterError, match="positive and finite"):
+                marginal(0.3, r)
+
     def test_pdf_fixed_points(self):
         grid = np.linspace(0.01, 0.99, 25)
         np.testing.assert_allclose(marginal_pdf(grid, 1.0), 1.0)
@@ -305,7 +305,7 @@ def diagonal_law(r_values, mode=None):
     r = np.asarray(r_values, dtype=float)
     m = r.size
     return SamplingLaw(
-        a=np.diag(r), b=np.eye(m), c=None, mode=mode or KnownVariance(1.0), spec_tag="custom",
+        a_diag=r, b_diag=np.ones(m), b_chol=np.eye(m), c=None, mode=mode or KnownVariance(1.0),
     )
 
 
@@ -376,7 +376,8 @@ class TestXiSampler:
     def test_degenerate_quadratic_form(self):
         law = self.unknown_law()
         law_c0 = SamplingLaw(
-            a=law.a, b=law.b, c=np.zeros((law.m, law.m)), mode=law.mode, spec_tag="custom",
+            a_diag=law.a_diag, b_diag=law.b_diag, b_chol=law.b_chol,
+            c=np.zeros((law.m, law.m)), mode=law.mode,
         )
         draws = xi_sampler(law_c0, 5_000, stream(1, 1))
         # denominator collapses to 2 beta, so draws are scaled Gaussians
