@@ -27,8 +27,11 @@ class OperatingCharacteristics:
     fnr_se: float
 
 
-# Rows of running means formed at once in `step_up`.
-_MEAN_BLOCK_ROWS = 256
+# Rows handled at once: `replicate` draws, scores and decides this many
+# replications per pass, and `step_up` forms this many rows of running means.
+# Not fewer: at 256 rows OpenBLAS re-packs a 900 x 900 scoring operand on
+# every call, and the scoring gemm ran 8% slower.
+_BLOCK_ROWS = 512
 
 
 def step_up(h: np.ndarray, alpha_star: float) -> DecisionSet:
@@ -49,8 +52,8 @@ def step_up(h: np.ndarray, alpha_star: float) -> DecisionSet:
     # second (n, m) float array is live next to the sorted scores.
     qualifying = np.empty(rows.shape, dtype=bool)
     prefix_lengths = np.arange(1, m + 1)
-    for start in range(0, rows.shape[0], _MEAN_BLOCK_ROWS):
-        block = slice(start, start + _MEAN_BLOCK_ROWS)
+    for start in range(0, rows.shape[0], _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
         prefix_means = np.cumsum(sorted_h[block], axis=1)
         prefix_means /= prefix_lengths
         np.less_equal(prefix_means, alpha_star, out=qualifying[block])
@@ -90,15 +93,21 @@ def replication_counts(h: np.ndarray, null_mask: np.ndarray, alpha_star: float) 
 def replicate(truth: TrueProcess, specs, alpha_star: float, block: Substreams) -> list[np.ndarray]:
     """(n, 3) per-replication (R, V, T) counts for each spec in `specs`, all
     scored on the same n datasets drawn from `truth`, one per substream of the
-    block. H0i is theta_i >= the spec's prior mean."""
-    theta, y = draw_replications(truth, block)
-    # The null labels are all that is read of theta: free it before scoring.
-    nulls = [truth_labels(theta, spec.theta0) for spec in specs]
-    del theta
-    return [
-        replication_counts(spec.posterior.probs(y), null, alpha_star)
-        for spec, null in zip(specs, nulls)
-    ]
+    block. H0i is theta_i >= the spec's prior mean.
+
+    The datasets are drawn, scored and decided `_BLOCK_ROWS` at a time, so the
+    working set is a few (_BLOCK_ROWS, m) arrays however large n is.
+    """
+    counts = [np.empty((len(block), 3), dtype=np.intp) for _ in specs]
+    for start in range(0, len(block), _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        theta, y = draw_replications(truth, block[rows])
+        # The null labels are all that is read of theta: free it before scoring.
+        nulls = [truth_labels(theta, spec.theta0) for spec in specs]
+        del theta
+        for spec, null, out in zip(specs, nulls, counts):
+            out[rows] = replication_counts(spec.posterior.probs(y), null, alpha_star)
+    return counts
 
 
 def summarize_counts(

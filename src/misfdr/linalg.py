@@ -76,6 +76,16 @@ def congruence(a: np.ndarray, chol_l: np.ndarray, alpha: float = 1.0) -> np.ndar
     return _mirror_lower(gram)
 
 
+def square(p: np.ndarray) -> np.ndarray:
+    """p @ p for a symmetric p, exactly symmetric.
+
+    p p = p' p is one BLAS syrk: m^3 flops for the lower triangle, where a
+    general product takes 2 m^3 and is symmetric only up to rounding.
+    """
+    # p' in C order is p in the Fortran order BLAS reads, so p is not copied.
+    return _mirror_lower(dsyrk(1.0, p.T, lower=1))
+
+
 def _mirror_lower(sym: np.ndarray) -> np.ndarray:
     """Copy the lower triangle of a Fortran-ordered LAPACK/BLAS result into its
     upper triangle in place; return it in C order."""

@@ -131,6 +131,15 @@ class Substreams:
     def __len__(self) -> int:
         return len(self.words)
 
+    def __getitem__(self, rows: slice) -> Substreams:
+        """The substreams `rows` of this block, sharing its seed words: row r of
+        `block[a:b].fill` is row a + r of `block.fill`."""
+        if not isinstance(rows, slice):
+            raise TypeError("a block is indexed by a slice of its rows")
+        part = object.__new__(Substreams)
+        part.words = self.words[rows]
+        return part
+
     def fill(self, *arrays: np.ndarray) -> None:
         """Fill row r of each (n, k) float array with child r's standard
         normals, the arrays in order: row r of (a, b) is what child r's

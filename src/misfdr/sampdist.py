@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri, stdtr
 
 from .errors import BoundaryError, NotPositiveDefiniteError, ParameterError
-from .linalg import chol_inverse, chol_psd, congruence, tri_solve
+from .linalg import chol_inverse, chol_psd, congruence, square, tri_solve
 from .posterior import KnownVariance, ModelSpec, TrueProcess, UnknownVariance, require_noise
 
 
@@ -105,11 +105,9 @@ def _law(truth: TrueProcess, spec: ModelSpec) -> SamplingLaw:
         # formed in place: P and C are the only new m x m arrays.
         p = chol_inverse(spec.sigma_spec.chol)
         p /= spec.g
-        c = p @ p
+        c = square(p)
         c += p
         del p
-        c += c.T
-        c *= 0.5
         # C is positive definite because P is; a Cholesky factor certifies it
         # at a fraction of the cost of its eigenvalues.
         try:
@@ -192,18 +190,23 @@ def xi_sampler(law: SamplingLaw, n_draws: int, rng: np.random.Generator) -> np.n
     """
     if law.known:
         raise ParameterError("law has no C matrix; use the unknown-variance constructor")
+    if n_draws < 1:
+        raise ParameterError("n_draws must be at least 1")
     z = rng.standard_normal((n_draws, law.m)) @ law.b_chol.T
     z /= np.sqrt(law.b_diag)
     if law.c.ndim == 1:
         quad = np.square(z) @ law.c
     else:
-        quad = np.sum(z * (z @ law.c), axis=1)
-    scale = np.sqrt(law.dof / (quad + 2.0 * law.mode.beta))
-    return scale[:, None] * z
+        w = z @ law.c
+        w *= z
+        quad = np.sum(w, axis=1)
+    z *= np.sqrt(law.dof / (quad + 2.0 * law.mode.beta))[:, None]
+    return z
 
 
 def xi_to_h(xi: np.ndarray, law: SamplingLaw) -> np.ndarray:
     """Map xi draws to statistics: h_i = Psi_dof(xi_i / sqrt(r_i))."""
     if law.known:
         raise ParameterError("xi-to-h mapping applies to the unknown-variance law")
-    return stdtr(law.dof, np.asarray(xi) / np.sqrt(law.r))
+    quotient = np.asarray(xi) / np.sqrt(law.r)
+    return stdtr(law.dof, quotient, out=quotient)

@@ -253,6 +253,14 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    # Substreams hash a seed as unsigned 32-bit words.
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
 def _kernel_from_mapping(get, prefix: str, needs_range: bool = True) -> dict:
     kind = get(f"{prefix}.kernel")
     kernel: dict = {"kind": kind}
@@ -318,7 +326,7 @@ def config_from_mapping(mapping: dict[str, str], label: str = "config") -> Exper
                          lambda text: tuple(map(_finite_float, text.split(",")))),
         alpha_star=get("alpha_star", 0.05, _finite_float),
         n_reps=get("n_reps", 400, int),
-        root_seed=get("seed", 0, int),
+        root_seed=get("seed", 0, _seed),
         grid=grid,
     )
     if "kl_draws" in mapping:

@@ -204,6 +204,19 @@ class TestSimulateAndExample:
         assert "configuration error" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("form", ["flag-simulate", "flag-example", "config"])
+    def test_negative_seed_rejected(self, tmp_path, capsys, form):
+        config = tmp_path / "run.cfg"
+        config.write_text(CONFIG.replace("seed = 0", "seed = -4") if form == "config" else CONFIG)
+        argv = {
+            "flag-simulate": ["--seed", "-1", "simulate", "--config", str(config)],
+            "flag-example": ["--seed", "-1", "example", "--which", "1", "--scale", "desk"],
+            "config": ["simulate", "--config", str(config)],
+        }[form]
+        assert run(tmp_path, *argv) == 1
+        assert "configuration error: config key seed" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_kl_draws_ignored_with_warning(self, tmp_path):
         plain = tmp_path / "plain.cfg"
         plain.write_text(CONFIG)

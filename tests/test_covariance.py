@@ -13,7 +13,7 @@ from misfdr.covariance import (
     separable_cov,
 )
 from misfdr.errors import NotPositiveDefiniteError, ParameterError
-from misfdr.linalg import chol_inverse, congruence
+from misfdr.linalg import chol_inverse, congruence, square
 
 
 class TestExponential:
@@ -217,6 +217,19 @@ class TestCongruence:
             a = rng.standard_normal((m, m))
             got = congruence(a, np.linalg.cholesky(v), 0.5)
             np.testing.assert_allclose(got, 0.25 * a @ v @ a.T, rtol=0, atol=1e-12 * np.abs(got).max())
+            np.testing.assert_array_equal(got, got.T)
+            assert got.flags.c_contiguous
+
+
+class TestSquare:
+    def test_matches_general_product(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(20):
+            m = int(rng.integers(2, 51))
+            raw = rng.standard_normal((m, m))
+            p = chol_inverse(np.linalg.cholesky(raw @ raw.T + m * np.eye(m)))
+            got = square(p)
+            np.testing.assert_allclose(got, p @ p, rtol=1e-12)
             np.testing.assert_array_equal(got, got.T)
             assert got.flags.c_contiguous
 

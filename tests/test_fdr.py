@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from misfdr import fdr
-from misfdr.covariance import GridLayout, exponential_cov
+from misfdr.covariance import GridLayout, exponential_cov, identity_cov
 from misfdr.errors import ParameterError
 from misfdr.fdr import (
     operating_characteristics,
@@ -17,8 +18,9 @@ from misfdr.fdr import (
     summarize_counts,
     truth_labels,
 )
-from misfdr.posterior import KnownVariance, ModelSpec, TrueProcess
+from misfdr.posterior import KnownVariance, ModelSpec, TrueProcess, draw_replications
 from misfdr.rng import Substreams, spawn, stream, streams
+from oracles import draw_dataset
 
 h_vectors = arrays(
     np.float64,
@@ -184,7 +186,7 @@ class TestBatchedStepUp:
         # Running means are formed in blocks of rows; rows of a batch larger
         # than one block decide exactly as each row alone.
         rng = np.random.default_rng(11)
-        h = rng.beta(0.3, 1.0, size=(2 * fdr._MEAN_BLOCK_ROWS + 37, 40))
+        h = rng.beta(0.3, 1.0, size=(2 * fdr._BLOCK_ROWS + 37, 40))
         h[::7, :5] = 0.04
         batch = step_up(h, 0.05)
         for i, row in enumerate(h):
@@ -258,6 +260,59 @@ class TestOperatingCharacteristics:
     def test_fdr_near_nominal_under_correct_spec(self):
         oc = operating_characteristics(self.truth, self.spec, 0.05, n_reps=400, rng=42)
         assert 0.0 < oc.fdr_hat < 0.10
+
+
+class TestRowBlocks:
+    """`replicate` draws, scores and decides `_BLOCK_ROWS` replications at a
+    time; these pin the seams between blocks and the bound on its memory."""
+
+    n = 2 * fdr._BLOCK_ROWS + 37
+
+    def test_diagonal_spec_matches_single_replications(self):
+        # Identity truth and diagonal spec: every step is elementwise, so the
+        # blocks reproduce one-at-a-time replications exactly.
+        truth = TrueProcess(np.zeros(25), 0.25, identity_cov(25))
+        spec = ModelSpec(np.zeros(25), 1.0, identity_cov(25), KnownVariance(0.25))
+        (counts,) = replicate(truth, [spec], 0.05, Substreams(3, self.n, 0, 1))
+        expected = []
+        for gen in streams(3, self.n, 0, 1):
+            theta, y = draw_dataset(truth, gen)
+            null = truth_labels(theta, spec.theta0)
+            expected.append(replication_counts(spec.posterior.probs(y), null, 0.05))
+        np.testing.assert_array_equal(counts, expected)
+
+    def test_dense_spec_matches_one_whole_batch(self):
+        # A gemm row can move by an ulp with the number of rows in the call,
+        # so scores agree to a tolerance; the counts at this seed are equal.
+        sigma1 = exponential_cov(GridLayout(5, 5), 5.0)
+        truth = TrueProcess(np.zeros(25), 0.25, sigma1)
+        spec = ModelSpec(np.zeros(25), 1.0, sigma1, KnownVariance(0.25))
+        block = Substreams(4, self.n)
+        theta, y = draw_replications(truth, block)
+        whole = spec.posterior.probs(y)
+        expected = replication_counts(whole, truth_labels(theta, spec.theta0), 0.05)
+        (counts,) = replicate(truth, [spec], 0.05, block)
+        np.testing.assert_array_equal(counts, expected)
+        for start in range(0, self.n, fdr._BLOCK_ROWS):
+            rows = slice(start, start + fdr._BLOCK_ROWS)
+            _, y_rows = draw_replications(truth, block[rows])
+            np.testing.assert_allclose(spec.posterior.probs(y_rows), whole[rows], rtol=1e-12)
+
+    @pytest.mark.parametrize("diagonal", [False, True], ids=["dense", "diagonal"])
+    def test_peak_memory_below_one_batch(self, diagonal):
+        grid = GridLayout(10, 10)
+        sigma1 = exponential_cov(grid, 5.0)
+        truth = TrueProcess(np.zeros(grid.m), 0.25, sigma1)
+        cov = identity_cov(grid.m) if diagonal else sigma1
+        spec = ModelSpec(np.zeros(grid.m), 1.0, cov, KnownVariance(0.25))
+        n_reps = 20_000
+        tracemalloc.start()
+        try:
+            operating_characteristics(truth, spec, 0.05, n_reps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n_reps * grid.m * np.dtype(float).itemsize
 
 
 def block_draws(block, k=4):

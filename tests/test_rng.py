@@ -49,6 +49,24 @@ class TestSubstreamsFromGenerator:
             Substreams(np.random.default_rng(0), 2, 1)
 
 
+class TestRowSlice:
+    @pytest.mark.parametrize("root", [9, np.random.default_rng(9)], ids=["int", "generator"])
+    def test_slice_fills_the_rows_of_the_whole_block(self, root):
+        block = Substreams(root, 11)
+        first, second = np.empty((11, 5)), np.empty((11, 3))
+        block.fill(first, second)
+        for start, stop in [(0, 11), (0, 4), (4, 11), (3, 3), (7, 20)]:
+            part = block[start:stop]
+            part_first, part_second = np.empty((len(part), 5)), np.empty((len(part), 3))
+            part.fill(part_first, part_second)
+            np.testing.assert_array_equal(part_first, first[start:stop])
+            np.testing.assert_array_equal(part_second, second[start:stop])
+
+    def test_indexed_by_a_slice_only(self):
+        with pytest.raises(TypeError, match="slice"):
+            Substreams(0, 3)[1]
+
+
 class TestFill:
     def test_each_array_needs_a_row_per_substream(self):
         with pytest.raises(ValueError, match="one row per substream"):

@@ -5,6 +5,7 @@ from scipy.special import ndtr, stdtr
 
 from misfdr.covariance import CovarianceMatrix, GridLayout, exponential_cov, identity_cov
 from misfdr.errors import BoundaryError, ParameterError
+from misfdr.linalg import chol_inverse
 from misfdr import sampdist
 from misfdr.fdr import operating_characteristics
 from misfdr.posterior import KnownVariance, ModelSpec, PosteriorOperator, TrueProcess, UnknownVariance
@@ -103,6 +104,17 @@ class TestLawUnknownVar:
             atol=1e-6,
         )
         assert np.abs(law.c).max() < 1e-6
+
+    def test_dense_c_matches_symmetrized_general_product(self):
+        # C = P^2 + P by one syrk, against the gemm form symmetrized by hand.
+        truth, spec_cor, _ = grid_setup(rows=6, cols=6)
+        spec = ModelSpec(spec_cor.theta0, 0.7, spec_cor.sigma_spec, UnknownVariance(2.0, 0.5))
+        law = law_unknown_var(truth, spec)
+        p = chol_inverse(spec.sigma_spec.chol) / spec.g
+        c = p @ p + p
+        c = 0.5 * (c + c.T)
+        sd = np.sqrt(law.b_diag)
+        np.testing.assert_allclose(law.c, c * sd[:, None] * sd, rtol=1e-12)
 
     def test_non_psd_c_rejected(self, monkeypatch):
         # With -P for P = Sigma_spec^-1 / g, C = P^2 - P; every eigenvalue of
@@ -389,6 +401,25 @@ class TestXiSampler:
         xi = np.full(law.m, 0.7)
         h = xi_to_h(xi, law)
         np.testing.assert_allclose(h, stdtr(law.dof, 0.7 / np.sqrt(law.r)))
+
+    @pytest.mark.parametrize("diagonal", [True, False], ids=["diagonal", "dense"])
+    def test_draws_match_the_out_of_place_expressions(self, diagonal):
+        truth, spec_cor, spec_mis = grid_setup(rows=3, cols=3)
+        cov = (spec_mis if diagonal else spec_cor).sigma_spec
+        law = law_unknown_var(truth, ModelSpec(truth.theta0, 1.0, cov, UnknownVariance(1.0, 1.0)))
+        assert (law.c.ndim == 1) is diagonal
+        z = stream(1, 5).standard_normal((300, law.m)) @ law.b_chol.T
+        z /= np.sqrt(law.b_diag)
+        quad = np.square(z) @ law.c if diagonal else np.sum(z * (z @ law.c), axis=1)
+        xi = np.sqrt(law.dof / (quad + 2.0 * law.mode.beta))[:, None] * z
+        draws = xi_sampler(law, 300, stream(1, 5))
+        np.testing.assert_array_equal(draws, xi)
+        np.testing.assert_array_equal(xi_to_h(draws, law), stdtr(law.dof, xi / np.sqrt(law.r)))
+
+    @pytest.mark.parametrize("n_draws", [0, -3])
+    def test_draw_count_must_be_positive(self, n_draws):
+        with pytest.raises(ParameterError, match="n_draws"):
+            xi_sampler(self.unknown_law(), n_draws, stream(1, 2))
 
     def test_requires_unknown_variance_law(self):
         law = diagonal_law([0.5])
