@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import toeplitz
-from scipy.spatial.distance import pdist, squareform
 
 from .errors import ParameterError
 from .linalg import chol_psd
@@ -103,13 +102,22 @@ class CovarianceMatrix:
         return f"CovarianceMatrix(dim={self.dim}, kernel={self.kernel!r}, params={self.params})"
 
 
+def _distances(points: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of an (n, d) array, bit for bit as
+    scipy's `squareform(pdist(points))`: squares summed coordinate by coordinate."""
+    squared = np.zeros((len(points), len(points)))
+    for coord in points.T:
+        diff = coord[:, None] - coord[None, :]
+        diff *= diff
+        squared += diff
+    return np.sqrt(squared, out=squared)
+
+
 def exponential_cov(layout: GridLayout, range_: float) -> CovarianceMatrix:
     """exp(-d/range) kernel on a regular grid, row-major point order."""
     if range_ <= 0:
         raise ParameterError("range must be positive")
-    pts = layout.points()
-    dists = squareform(pdist(pts)) if layout.m > 1 else np.zeros((1, 1))
-    entries = np.exp(-dists / range_)
+    entries = np.exp(-_distances(layout.points()) / range_)
     return CovarianceMatrix(
         entries,
         kernel="exponential",
@@ -200,8 +208,7 @@ def separable_cov(
     locations = np.atleast_2d(np.asarray(locations, dtype=float))
     times = np.asarray(times, dtype=float)
     n_s = locations.shape[0]
-    sp_d = squareform(pdist(locations)) if n_s > 1 else np.zeros((1, 1))
-    spatial = np.exp(-sp_d / range_)
+    spatial = np.exp(-_distances(locations) / range_)
     temporal = alpha ** np.abs(times[:, None] - times[None, :])
     entries = delta * np.kron(temporal, spatial)
     return CovarianceMatrix(

@@ -42,35 +42,44 @@ def step_up(h: np.ndarray, alpha_star: float) -> DecisionSet:
     if not 0.0 < alpha_star < 1.0:
         raise ParameterError("alpha_star must lie in (0, 1)")
     h = np.asarray(h, dtype=float)
-    # One comparison each way also rejects NaN, which fails both.
-    if h.size and not (h.min() >= 0.0 and h.max() <= 1.0):
-        raise ParameterError("statistics must be finite and lie in [0, 1]")
     rows = np.atleast_2d(h)
-    m = rows.shape[1]
+    n, m = rows.shape
     sorted_h = np.sort(rows, axis=1)
-    # The running means are formed a block of rows at a time, so that no
-    # second (n, m) float array is live next to the sorted scores.
-    qualifying = np.empty(rows.shape, dtype=bool)
-    prefix_lengths = np.arange(1, m + 1)
-    for start in range(0, rows.shape[0], _BLOCK_ROWS):
-        block = slice(start, start + _BLOCK_ROWS)
-        prefix_means = np.cumsum(sorted_h[block], axis=1)
-        prefix_means /= prefix_lengths
-        np.less_equal(prefix_means, alpha_star, out=qualifying[block])
-    # k ends at the last qualifying prefix: rounding can leave gaps before it.
-    k = np.count_nonzero(np.logical_or.accumulate(qualifying[:, ::-1], axis=1), axis=1)
-    # The k-th smallest score t (-inf when k = 0): sorted_h ascends, so it is
-    # the largest of the first k.
-    t = np.max(sorted_h, axis=1, keepdims=True, where=np.arange(m) < k[:, None], initial=-np.inf)
+    # A row's extremes are its first and last sorted scores; NaN sorts last
+    # and fails both comparisons.
+    if sorted_h.size and not (sorted_h[:, 0].min() >= 0.0 and sorted_h[:, -1].max() <= 1.0):
+        raise ParameterError("statistics must be finite and lie in [0, 1]")
+    if m == 0:
+        # No column to search: every row rejects nothing.
+        k, t, cut = np.zeros(n, dtype=np.intp), np.full(n, -np.inf), []
+    else:
+        # The running means are formed a block of rows at a time, so that no
+        # second (n, m) float array is live next to the sorted scores.
+        qualifying = np.empty(rows.shape, dtype=bool)
+        prefix_lengths = np.arange(1, m + 1)
+        for start in range(0, n, _BLOCK_ROWS):
+            block = slice(start, start + _BLOCK_ROWS)
+            prefix_means = np.cumsum(sorted_h[block], axis=1)
+            prefix_means /= prefix_lengths
+            np.less_equal(prefix_means, alpha_star, out=qualifying[block])
+        # k ends at the last qualifying prefix: rounding can leave gaps before it.
+        every = np.arange(n)
+        last = m - 1 - np.argmax(qualifying[:, ::-1], axis=1)
+        k = np.where(qualifying[every, last], last + 1, 0)
+        # The k-th smallest score t, -inf when k = 0. `rows <= t` takes more
+        # than k scores exactly where the next sorted score ties with t.
+        t = np.where(k > 0, sorted_h[every, last], -np.inf)
+        following = sorted_h[every, np.minimum(last + 1, m - 1)]
+        cut = np.flatnonzero((k < m) & (following == t))
     del sorted_h
-    rejected = rows <= t
+    rejected = rows <= t[:, None]
     # Where scores tied at t straddle the cut, a stable sort would reject the
     # ones of lowest index: drop the `over` tied scores of highest index.
-    over = np.count_nonzero(rejected, axis=1) - k
-    cut = np.flatnonzero(over)
-    tied = rows[cut] == t[cut]
-    from_right = np.cumsum(tied[:, ::-1], axis=1)[:, ::-1]
-    rejected[cut] &= ~(tied & (from_right <= over[cut, None]))
+    if len(cut):
+        over = np.count_nonzero(rejected[cut], axis=1) - k[cut]
+        tied = rows[cut] == t[cut, None]
+        from_right = np.cumsum(tied[:, ::-1], axis=1)[:, ::-1]
+        rejected[cut] &= ~(tied & (from_right <= over[:, None]))
     if h.ndim == 1:
         return DecisionSet(rejected[0], int(k[0]))
     return DecisionSet(rejected, k)

@@ -102,14 +102,13 @@ def draw_replications(truth: TrueProcess, block: Substreams) -> tuple[np.ndarray
     Row r is bit-identical to the single draw `tests/oracles.draw_dataset(truth,
     gen)` for child r's Generator, the reference the tests pin it to.
     """
-    z_theta = np.empty((len(block), truth.m))
-    z_eps = np.empty((len(block), truth.m))
-    block.fill(z_theta, z_eps)
-    # At most three (n, m) arrays at once: y is formed in the noise draws.
-    theta = z_theta @ truth.sigma1.chol.T
-    del z_theta
+    # One draw per row: theta's normals on the left, then the noise.
+    m = truth.m
+    z = np.empty((len(block), 2 * m))
+    block.fill(z)
+    theta = z[:, :m] @ truth.sigma1.chol.T
     theta += truth.theta0
-    y = z_eps
+    y = z[:, m:]
     y *= np.sqrt(truth.sigma0_sq)
     y += theta
     return theta, y

@@ -140,24 +140,22 @@ class Substreams:
         part.words = self.words[rows]
         return part
 
-    def fill(self, *arrays: np.ndarray) -> None:
-        """Fill row r of each (n, k) float array with child r's standard
-        normals, the arrays in order: row r of (a, b) is what child r's
-        Generator gives for `standard_normal(k_a)` then `standard_normal(k_b)`.
-        One Generator serves every row, its state set to each child's seeded
-        state in turn."""
-        if any(len(a) != len(self) for a in arrays):
-            raise ValueError("every array needs one row per substream")
+    def fill(self, out: np.ndarray) -> None:
+        """Fill row r of the (n, k) float array `out` with child r's first k
+        standard normals, one call per row: what its Generator gives for
+        `standard_normal(k_a)` then `standard_normal(k_b)`, k_a + k_b = k. One
+        Generator serves every row, its state set to each child's in turn."""
+        if len(out) != len(self):
+            raise ValueError("the array needs one row per substream")
         bits = np.random.PCG64(0)
         draw = np.random.Generator(bits).standard_normal
         seeded = {"state": 0, "inc": 0}
         state = {"bit_generator": "PCG64", "state": seeded, "has_uint32": 0, "uinteger": 0}
-        for r, (seed_hi, seed_lo, seq_hi, seq_lo) in enumerate(self.words.tolist()):
+        for (seed_hi, seed_lo, seq_hi, seq_lo), row in zip(self.words.tolist(), out):
             # PCG64 seeding: inc = 2 seq + 1; from state 0, one LCG step, add
             # the seed, one more step.
             inc = ((seq_hi << 65) | (seq_lo << 1) | 1) & _MASK128
             seeded["state"] = ((((seed_hi << 64) | seed_lo) + inc) * _PCG_MULT + inc) & _MASK128
             seeded["inc"] = inc
             bits.state = state
-            for a in arrays:
-                draw(out=a[r])
+            draw(out=row)

@@ -14,6 +14,8 @@
 - `dense_twin`: a covariance with the same entries that the package treats as
   dense, the reference the closed forms of a diagonal specification are
   pinned to.
+- `step_up_reference`: the step-up rule in its earlier, many-pass form, the
+  reference whose k and rejections `fdr.step_up` reproduces exactly.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from scipy.special import ndtri
 from misfdr.covariance import CovarianceMatrix
 from misfdr.divergence import check_kl_specs
 from misfdr.errors import BoundaryError, ParameterError
+from misfdr.fdr import _BLOCK_ROWS, DecisionSet
 from misfdr.posterior import ModelSpec, TrueProcess, draw_replications
 from misfdr.rng import Substreams
 from misfdr.sampdist import SamplingLaw, _check_open_unit, law_known_var, require_density
@@ -164,3 +167,49 @@ def joint_cdf_mc(
     p = float(hits.mean())
     se = float(np.sqrt(p * (1.0 - p) / n_draws))
     return p, se
+
+
+def step_up_reference(h: np.ndarray, alpha_star: float) -> DecisionSet:
+    """Reject the k smallest h, k the longest prefix of sorted h whose running
+    mean is at most alpha_star: the rule of Newton et al. 2004 (Biostatistics
+    5:155) and Sun & Cai 2007 (JASA 102:901). `h` is (m,), giving an int k, or
+    (n, m), one replication per row, giving an (n,) array of k and (n, m) masks.
+
+    The many-pass form: k counted from an accumulated mask, t a masked max,
+    and every row's rejections counted. `fdr.step_up` must give the same k
+    and the same masks."""
+    if not 0.0 < alpha_star < 1.0:
+        raise ParameterError("alpha_star must lie in (0, 1)")
+    h = np.asarray(h, dtype=float)
+    # One comparison each way also rejects NaN, which fails both.
+    if h.size and not (h.min() >= 0.0 and h.max() <= 1.0):
+        raise ParameterError("statistics must be finite and lie in [0, 1]")
+    rows = np.atleast_2d(h)
+    m = rows.shape[1]
+    sorted_h = np.sort(rows, axis=1)
+    # The running means are formed a block of rows at a time, so that no
+    # second (n, m) float array is live next to the sorted scores.
+    qualifying = np.empty(rows.shape, dtype=bool)
+    prefix_lengths = np.arange(1, m + 1)
+    for start in range(0, rows.shape[0], _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        prefix_means = np.cumsum(sorted_h[block], axis=1)
+        prefix_means /= prefix_lengths
+        np.less_equal(prefix_means, alpha_star, out=qualifying[block])
+    # k ends at the last qualifying prefix: rounding can leave gaps before it.
+    k = np.count_nonzero(np.logical_or.accumulate(qualifying[:, ::-1], axis=1), axis=1)
+    # The k-th smallest score t (-inf when k = 0): sorted_h ascends, so it is
+    # the largest of the first k.
+    t = np.max(sorted_h, axis=1, keepdims=True, where=np.arange(m) < k[:, None], initial=-np.inf)
+    del sorted_h
+    rejected = rows <= t
+    # Where scores tied at t straddle the cut, a stable sort would reject the
+    # ones of lowest index: drop the `over` tied scores of highest index.
+    over = np.count_nonzero(rejected, axis=1) - k
+    cut = np.flatnonzero(over)
+    tied = rows[cut] == t[cut]
+    from_right = np.cumsum(tied[:, ::-1], axis=1)[:, ::-1]
+    rejected[cut] &= ~(tied & (from_right <= over[cut, None]))
+    if h.ndim == 1:
+        return DecisionSet(rejected[0], int(k[0]))
+    return DecisionSet(rejected, k)

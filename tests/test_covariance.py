@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist, squareform
 
 from misfdr.covariance import (
     CovarianceMatrix,
@@ -162,6 +167,54 @@ class TestSeparable:
     def test_parameter_domains(self, kwargs):
         with pytest.raises(ParameterError):
             separable_cov([[0.0, 0.0]], [1], **kwargs)
+
+
+def scipy_distances(points):
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    return squareform(pdist(points)) if len(points) > 1 else np.zeros((1, 1))
+
+
+class TestDistancesMatchScipy:
+    """The kernels form their distance matrices without `scipy.spatial`; every
+    entry must be the one `squareform(pdist(...))` gives, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "layout",
+        [(30, 30, 1.0), (10, 10, 1.0), (7, 3, 0.37), (13, 11, np.pi), (1, 5, 1.0), (1, 1, 1.0)],
+        ids=str,
+    )
+    @pytest.mark.parametrize("range_", [0.7, 5.0])
+    def test_exponential_entries(self, layout, range_):
+        grid = GridLayout(*layout)
+        expected = np.exp(-scipy_distances(grid.points()) / range_)
+        np.testing.assert_array_equal(exponential_cov(grid, range_).entries, expected)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 9])
+    def test_separable_entries_at_random_stations(self, dim):
+        rng = np.random.default_rng(dim)
+        locations = rng.uniform(-3.0, 3.0, size=(6, dim))
+        times = np.array([0.0, 1.0, 2.5])
+        spatial = np.exp(-scipy_distances(locations) / 1.7)
+        temporal = 0.6 ** np.abs(times[:, None] - times[None, :])
+        expected = 2.0 * np.kron(temporal, spatial)
+        cov = separable_cov(locations, times, delta=2.0, range_=1.7, alpha=0.6)
+        np.testing.assert_array_equal(cov.entries, expected)
+
+    def test_single_station(self):
+        cov = separable_cov([[0.3, 0.4]], [0.0, 1.0], delta=1.0, range_=2.0, alpha=0.5)
+        np.testing.assert_array_equal(cov.entries, [[1.0, 0.5], [0.5, 1.0]])
+
+
+def test_cli_import_leaves_scipy_spatial_unloaded():
+    # scipy.spatial costs tens of milliseconds at every process start, and
+    # nothing in the package needs it.
+    code = "import misfdr.cli, sys; print('scipy.spatial' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert result.stdout.strip() == "False"
 
 
 class TestCholesky:

@@ -20,7 +20,7 @@ from misfdr.fdr import (
 )
 from misfdr.posterior import KnownVariance, ModelSpec, TrueProcess, draw_replications
 from misfdr.rng import Substreams, spawn, stream, streams
-from oracles import draw_dataset
+from oracles import draw_dataset, step_up_reference
 
 h_vectors = arrays(
     np.float64,
@@ -205,6 +205,102 @@ class TestBatchedStepUp:
     def test_k_non_decreasing_in_alpha(self, h, alphas):
         ks = np.array([step_up(h, a).k for a in sorted(alphas)])
         assert np.all(np.diff(ks, axis=0) >= 0)
+
+
+def assert_same_decisions(h, alpha):
+    new, old = step_up(h, alpha), step_up_reference(h, alpha)
+    assert type(new.k) is type(old.k)
+    np.testing.assert_array_equal(new.k, old.k)
+    assert new.rejected.shape == old.rejected.shape
+    np.testing.assert_array_equal(new.rejected, old.rejected)
+
+
+def ulps_from(value, steps):
+    """`value` moved by `steps` representable doubles."""
+    toward = np.inf if steps > 0 else -np.inf
+    for _ in range(abs(steps)):
+        value = np.nextafter(value, toward)
+    return float(value)
+
+
+tied_vectors = arrays(np.float64, st.integers(1, 40), elements=tied_scores)
+unit_alphas = st.floats(0.001, 0.999)
+
+
+class TestStepUpMatchesReference:
+    """`step_up` finds k by one argmax and t by a gather, and counts rejections
+    only in rows whose cut splits a tie; `oracles.step_up_reference` is the
+    many-pass form it replaced. Every k and every mask must be the same."""
+
+    @given(h=tied_vectors, alpha=unit_alphas)
+    @settings(max_examples=200, deadline=None)
+    def test_tied_vectors(self, h, alpha):
+        assert_same_decisions(h, alpha)
+
+    @given(h=tied_batches, alpha=unit_alphas)
+    @settings(max_examples=200, deadline=None)
+    def test_tied_batches(self, h, alpha):
+        assert_same_decisions(h, alpha)
+
+    @given(h=h_vectors, data=st.data(), steps=st.integers(-4, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_prefix_mean_within_ulps_of_alpha(self, h, data, steps):
+        # alpha is the float running mean of some prefix, moved a few ulps,
+        # where the comparison in the cumsum can tip either way.
+        k = data.draw(st.integers(1, h.size))
+        prefix_mean = np.cumsum(np.sort(h))[k - 1] / k
+        alpha = ulps_from(prefix_mean, steps)
+        assume(0.0 < alpha < 1.0)
+        assert near_threshold(h, alpha)
+        assert_same_decisions(h, alpha)
+        assert_same_decisions(np.stack([h, h[::-1], np.sort(h)]), alpha)
+
+    @given(h=tied_batches, alpha=st.floats(0.01, 0.5))
+    @settings(max_examples=100, deadline=None)
+    def test_nothing_and_everything_rejected(self, h, alpha):
+        # Scores in (alpha, 1], and scores whose running means stay well
+        # below alpha whatever the rounding.
+        above = np.minimum(alpha + (1.0 - alpha) * (0.5 + 0.5 * h), 1.0)
+        below = 0.5 * alpha * h
+        assert not step_up(above, alpha).k.any()
+        assert np.all(step_up(below, alpha).k == h.shape[1])
+        assert_same_decisions(above, alpha)
+        assert_same_decisions(below, alpha)
+        assert_same_decisions(np.concatenate([above, below]), alpha)
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 5), (4, 0), (0, 0)])
+    def test_empty_shapes(self, shape):
+        assert_same_decisions(np.zeros(shape), 0.05)
+
+    def test_batch_spanning_row_blocks(self):
+        rng = np.random.default_rng(29)
+        n = 2 * fdr._BLOCK_ROWS + 37
+        h = rng.choice([0.0, 0.01, 0.03, 0.04, 0.05, 0.2, 1.0], size=(n, 30))
+        h[::5] = rng.beta(0.3, 1.0, size=h[::5].shape)
+        for alpha in (0.001, 0.031, 0.05, 0.3):
+            assert_same_decisions(h, alpha)
+
+    @pytest.mark.parametrize(
+        "h, alpha",
+        [
+            ([0.01, np.nan, 0.02], 0.05),
+            ([[0.01, 0.2], [np.nan, np.nan]], 0.05),
+            ([[0.01, 0.2], [0.3, np.inf]], 0.05),
+            ([-np.inf, 0.2], 0.05),
+            ([0.5, 1.5], 0.05),
+            ([[0.5, 0.1], [-1e-300, 0.2]], 0.05),
+            ([0.5], 0.0),
+            ([0.5], 1.0),
+            ([0.5], np.nan),
+            ([], -0.5),
+        ],
+    )
+    def test_bad_input_raises_as_before(self, h, alpha):
+        with pytest.raises(ParameterError) as new:
+            step_up(np.array(h), alpha)
+        with pytest.raises(ParameterError) as old:
+            step_up_reference(np.array(h), alpha)
+        assert str(new.value) == str(old.value)
 
 
 class TestTruthLabels:

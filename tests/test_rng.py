@@ -23,11 +23,13 @@ class TestSubstreamsPin:
         np.testing.assert_array_equal(words, np.reshape(expected, (n, 4)))
 
     def test_rows_match_spawned_generators(self, root, path, n):
-        first, second = np.empty((n, 5)), np.empty((n, 3))
-        Substreams(root, n, *path).fill(first, second)
+        # One call per row gives what two successive calls of the child's
+        # Generator give.
+        out = np.empty((n, 8))
+        Substreams(root, n, *path).fill(out)
         for r, gen in enumerate(spawn(stream(root, *path), n)):
-            np.testing.assert_array_equal(first[r], gen.standard_normal(5))
-            np.testing.assert_array_equal(second[r], gen.standard_normal(3))
+            np.testing.assert_array_equal(out[r, :5], gen.standard_normal(5))
+            np.testing.assert_array_equal(out[r, 5:], gen.standard_normal(3))
 
 
 class TestSubstreamsFromGenerator:
@@ -36,6 +38,14 @@ class TestSubstreamsFromGenerator:
         out = np.empty((4, 6))
         Substreams(12, 4).fill(out)
         np.testing.assert_array_equal(out, expected)
+
+    def test_rows_match_two_calls_of_generator_children(self):
+        gen, twin = np.random.default_rng(3), np.random.default_rng(3)
+        out = np.empty((5, 7))
+        Substreams(gen, 5).fill(out)
+        for r, child in enumerate(spawn(twin, 5)):
+            np.testing.assert_array_equal(out[r, :4], child.standard_normal(4))
+            np.testing.assert_array_equal(out[r, 4:], child.standard_normal(3))
 
     def test_generator_children_match_spawn(self):
         gen, twin = np.random.default_rng(3), np.random.default_rng(3)
@@ -53,14 +63,21 @@ class TestRowSlice:
     @pytest.mark.parametrize("root", [9, np.random.default_rng(9)], ids=["int", "generator"])
     def test_slice_fills_the_rows_of_the_whole_block(self, root):
         block = Substreams(root, 11)
-        first, second = np.empty((11, 5)), np.empty((11, 3))
-        block.fill(first, second)
+        whole = np.empty((11, 8))
+        block.fill(whole)
         for start, stop in [(0, 11), (0, 4), (4, 11), (3, 3), (7, 20)]:
             part = block[start:stop]
-            part_first, part_second = np.empty((len(part), 5)), np.empty((len(part), 3))
-            part.fill(part_first, part_second)
-            np.testing.assert_array_equal(part_first, first[start:stop])
-            np.testing.assert_array_equal(part_second, second[start:stop])
+            out = np.empty((len(part), 8))
+            part.fill(out)
+            np.testing.assert_array_equal(out, whole[start:stop])
+
+    def test_slice_rows_match_two_calls_of_each_child(self):
+        block = Substreams(9, 11)
+        out = np.empty((5, 8))
+        block[4:9].fill(out)
+        for r, gen in enumerate(spawn(9, 11)[4:9]):
+            np.testing.assert_array_equal(out[r, :5], gen.standard_normal(5))
+            np.testing.assert_array_equal(out[r, 5:], gen.standard_normal(3))
 
     def test_indexed_by_a_slice_only(self):
         with pytest.raises(TypeError, match="slice"):
