@@ -1,6 +1,6 @@
 """Influence of covariance misspecification on posterior-probability FDR control."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .covariance import (
     CovarianceMatrix,

@@ -2,7 +2,8 @@
 
 Every subcommand writes its CSV artifacts plus a `run-meta.txt` (the seed it
 drew from or None, request hash, version, timestamp, the numpy, scipy and BLAS
-versions and the worker thread cap) into the output directory. Exit codes:
+versions, the BLAS thread variables it saw and the worker thread cap) into the
+output directory. Exit codes:
 0 success, 1 configuration error, 2 numerical failure.
 """
 
@@ -106,6 +107,10 @@ def _blas() -> str:
         return "unknown"
 
 
+# The environment variables that set the BLAS thread pools numpy and scipy use.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def _write_run_meta(output_dir: str, seed: int | None, config_bytes: bytes, argv,
                     threads: int) -> None:
     digest = hashlib.sha256(config_bytes).hexdigest()
@@ -119,6 +124,8 @@ def _write_run_meta(output_dir: str, seed: int | None, config_bytes: bytes, argv
         fh.write(f"numpy = {np.__version__}\n")
         fh.write(f"scipy = {scipy.__version__}\n")
         fh.write(f"blas = {_blas()}\n")
+        for name in _BLAS_THREAD_VARS:
+            fh.write(f"{name} = {os.environ.get(name, 'unset')}\n")
         fh.write(f"threads = {threads}\n")
 
 

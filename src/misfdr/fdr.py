@@ -8,7 +8,6 @@ import numpy as np
 
 from .errors import ParameterError
 from .posterior import ModelSpec, TrueProcess, draw_replications
-from .rng import Substreams
 
 
 @dataclass(frozen=True)
@@ -99,23 +98,27 @@ def replication_counts(h: np.ndarray, null_mask: np.ndarray, alpha_star: float) 
     return np.stack((decision.k, false_rejections, missed), axis=-1)
 
 
-def replicate(truth: TrueProcess, specs, alpha_star: float, block: Substreams) -> list[np.ndarray]:
+def replicate(
+    truth: TrueProcess, specs, alpha_star: float, gen: np.random.Generator, n: int
+) -> list[np.ndarray]:
     """(n, 3) per-replication (R, V, T) counts for each spec in `specs`, all
-    scored on the same n datasets drawn from `truth`, one per substream of the
-    block. H0i is theta_i >= the spec's prior mean.
+    scored on the same n datasets, the next n that `gen` draws from `truth`.
+    H0i is theta_i >= the spec's prior mean.
 
-    The datasets are drawn, scored and decided `_BLOCK_ROWS` at a time, so the
-    working set is a few (_BLOCK_ROWS, m) arrays however large n is.
+    The datasets are drawn, scored and decided `_BLOCK_ROWS` at a time, in
+    order, so the working set is a few (_BLOCK_ROWS, m) arrays however large
+    n is. Row r is the r-th dataset of the stream whatever the block size, so
+    the first N rows of n > N replications are the N replications.
     """
-    counts = [np.empty((len(block), 3), dtype=np.intp) for _ in specs]
-    for start in range(0, len(block), _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
-        theta, y = draw_replications(truth, block[rows])
+    counts = [np.empty((n, 3), dtype=np.intp) for _ in specs]
+    for start in range(0, n, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n)
+        theta, y = draw_replications(truth, gen, stop - start)
         # The null labels are all that is read of theta: free it before scoring.
         nulls = [truth_labels(theta, spec.theta0) for spec in specs]
         del theta
         for spec, null, out in zip(specs, nulls, counts):
-            out[rows] = replication_counts(spec.posterior.probs(y), null, alpha_star)
+            out[start:stop] = replication_counts(spec.posterior.probs(y), null, alpha_star)
     return counts
 
 
@@ -148,10 +151,11 @@ def operating_characteristics(
 ) -> OperatingCharacteristics:
     """Monte Carlo FDR/FNR of the step-up procedure under (truth, spec).
 
-    `rng` is an int root seed or a Generator; replication r draws from its
-    own substream, so results are reproducible and order-independent.
+    The replications are the next n_reps that `np.random.default_rng(rng)`
+    draws: an int seed gives a fresh stream, so results are reproducible,
+    and a Generator passed in is advanced by the draws.
     """
     if n_reps < 1:
         raise ParameterError("n_reps must be at least 1")
-    (counts,) = replicate(truth, [spec], alpha_star, Substreams(rng, n_reps))
+    (counts,) = replicate(truth, [spec], alpha_star, np.random.default_rng(rng), n_reps)
     return summarize_counts(counts, truth.m)

@@ -17,7 +17,6 @@ from scipy.special import ndtr, stdtr
 from .covariance import CovarianceMatrix
 from .errors import NotPositiveDefiniteError, ParameterError
 from .linalg import chol_inverse, chol_psd
-from .rng import Substreams
 
 
 @dataclass(frozen=True)
@@ -95,17 +94,18 @@ class ModelSpec:
         return self.theta0.shape[0]
 
 
-def draw_replications(truth: TrueProcess, block: Substreams) -> tuple[np.ndarray, np.ndarray]:
-    """(theta, y) as (n, m) arrays, one row per substream of the block:
+def draw_replications(
+    truth: TrueProcess, gen: np.random.Generator, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(theta, y) as (n, m) arrays, the next n replications of `gen`:
     theta ~ N(theta0, Sigma1), y = theta + N(0, sigma0^2 I).
 
-    Row r is bit-identical to the single draw `tests/oracles.draw_dataset(truth,
-    gen)` for child r's Generator, the reference the tests pin it to.
+    Row r is the r-th successive single draw `tests/oracles.draw_dataset(truth,
+    gen)` would make, the reference the tests pin it to: m normals for theta,
+    then m for the noise, all n rows from one `standard_normal` call.
     """
-    # One draw per row: theta's normals on the left, then the noise.
     m = truth.m
-    z = np.empty((len(block), 2 * m))
-    block.fill(z)
+    z = gen.standard_normal((n, 2 * m))
     theta = z[:, :m] @ truth.sigma1.chol.T
     theta += truth.theta0
     y = z[:, m:]

@@ -1,7 +1,7 @@
 """Reference draws and Monte Carlo oracles for the package; only tests use them.
 
 - `draw_dataset`: one (theta, y) draw from a seed or Generator, the reference that
-  `draw_replications` reproduces row for row.
+  `draw_replications` reproduces row for row: its rows are successive draws.
 - `kl_known_var`: the KL divergence between the correct and misspecified
   known-variance laws of the scores, by Monte Carlo, against `kl_exact`.
 - `log_density_ratio`: log f_cor(h) - log f_mis(h), the summand of that
@@ -30,7 +30,6 @@ from misfdr.divergence import check_kl_specs
 from misfdr.errors import BoundaryError, ParameterError
 from misfdr.fdr import _BLOCK_ROWS, DecisionSet
 from misfdr.posterior import ModelSpec, TrueProcess, draw_replications
-from misfdr.rng import Substreams
 from misfdr.sampdist import SamplingLaw, _check_open_unit, law_known_var, require_density
 
 DEFAULT_DRAWS = 1000
@@ -119,12 +118,12 @@ def kl_known_var(
     """KL(f_cor || f_mis) of the statistic vector, by Monte Carlo: the test
     oracle for `kl_exact`.
 
-    `rng` may be an int root seed (per-draw substreams are derived from it,
-    so the estimate is reproducible and order-independent) or a Generator.
+    The draws are the next n_draws of `np.random.default_rng(rng)`: an int
+    seed gives a reproducible estimate, and a Generator is advanced.
     """
     check_kl_specs(truth, spec_cor, spec_mis)
 
-    _, y = draw_replications(truth, Substreams(rng, n_draws))
+    _, y = draw_replications(truth, np.random.default_rng(rng), n_draws)
     # Work with phi = Phi^{-1}(h) computed directly from the standardized
     # posterior mean: round-tripping through h loses the tail (h saturates
     # at 1.0 in float64 once phi exceeds ~8.2) and would force exclusions.

@@ -310,12 +310,18 @@ class TestRunMetaSeed:
 
 
 class TestRunMetaEnvironment:
-    def test_records_libraries_blas_and_threads(self, tmp_path):
+    def test_records_libraries_blas_and_threads(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("OMP_NUM_THREADS", "4")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
         assert run(tmp_path, "--threads", "3", "gen-cov", "--kernel", "identity", "--m", "3") == 0
         blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
         assert meta_field(tmp_path, "numpy") == np.__version__
         assert meta_field(tmp_path, "scipy") == scipy.__version__
         assert meta_field(tmp_path, "blas") == f"{blas['name']} {blas['version']}"
+        assert meta_field(tmp_path, "OPENBLAS_NUM_THREADS") == "1"
+        assert meta_field(tmp_path, "OMP_NUM_THREADS") == "4"
+        assert meta_field(tmp_path, "MKL_NUM_THREADS") == "unset"
         assert meta_field(tmp_path, "threads") == "3"
         # The request hash is the one written before these keys were added.
         assert meta_field(tmp_path, "config_sha256") == (

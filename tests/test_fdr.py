@@ -19,7 +19,7 @@ from misfdr.fdr import (
     truth_labels,
 )
 from misfdr.posterior import KnownVariance, ModelSpec, TrueProcess, draw_replications
-from misfdr.rng import Substreams, spawn, stream, streams
+from misfdr.rng import spawn, stream, streams
 from oracles import draw_dataset, step_up_reference
 
 h_vectors = arrays(
@@ -350,7 +350,7 @@ class TestOperatingCharacteristics:
 
     def test_equals_replicate_on_the_same_streams(self):
         oc = operating_characteristics(self.truth, self.spec, 0.05, n_reps=30, rng=stream(8, 0, 1))
-        (counts,) = replicate(self.truth, [self.spec], 0.05, Substreams(8, 30, 0, 1))
+        (counts,) = replicate(self.truth, [self.spec], 0.05, stream(8, 0, 1), 30)
         assert oc == summarize_counts(counts, self.truth.m)
 
     def test_fdr_near_nominal_under_correct_spec(self):
@@ -364,18 +364,37 @@ class TestRowBlocks:
 
     n = 2 * fdr._BLOCK_ROWS + 37
 
-    def test_diagonal_spec_matches_single_replications(self):
-        # Identity truth and diagonal spec: every step is elementwise, so the
-        # blocks reproduce one-at-a-time replications exactly.
+    @staticmethod
+    def diagonal_pair():
+        # Identity truth and diagonal spec: every step is elementwise, so any
+        # split of the rows into blocks gives exactly the same scores.
         truth = TrueProcess(np.zeros(25), 0.25, identity_cov(25))
         spec = ModelSpec(np.zeros(25), 1.0, identity_cov(25), KnownVariance(0.25))
-        (counts,) = replicate(truth, [spec], 0.05, Substreams(3, self.n, 0, 1))
+        return truth, spec
+
+    def test_diagonal_spec_matches_single_replications(self):
+        truth, spec = self.diagonal_pair()
+        (counts,) = replicate(truth, [spec], 0.05, stream(3, 0, 1), self.n)
+        twin = stream(3, 0, 1)
         expected = []
-        for gen in streams(3, self.n, 0, 1):
-            theta, y = draw_dataset(truth, gen)
+        for _ in range(self.n):
+            theta, y = draw_dataset(truth, twin)
             null = truth_labels(theta, spec.theta0)
             expected.append(replication_counts(spec.posterior.probs(y), null, 0.05))
         np.testing.assert_array_equal(counts, expected)
+
+    def test_counts_do_not_depend_on_block_rows(self, monkeypatch):
+        truth, spec = self.diagonal_pair()
+        (default,) = replicate(truth, [spec], 0.05, stream(6), self.n)
+        monkeypatch.setattr(fdr, "_BLOCK_ROWS", 7)
+        (small,) = replicate(truth, [spec], 0.05, stream(6), self.n)
+        np.testing.assert_array_equal(small, default)
+
+    def test_more_replications_keep_the_earlier_rows(self):
+        truth, spec = self.diagonal_pair()
+        (fewer,) = replicate(truth, [spec], 0.05, stream(7, 0, 2), self.n)
+        (more,) = replicate(truth, [spec], 0.05, stream(7, 0, 2), self.n + 37)
+        np.testing.assert_array_equal(more[: self.n], fewer)
 
     def test_dense_spec_matches_one_whole_batch(self):
         # A gemm row can move by an ulp with the number of rows in the call,
@@ -383,15 +402,15 @@ class TestRowBlocks:
         sigma1 = exponential_cov(GridLayout(5, 5), 5.0)
         truth = TrueProcess(np.zeros(25), 0.25, sigma1)
         spec = ModelSpec(np.zeros(25), 1.0, sigma1, KnownVariance(0.25))
-        block = Substreams(4, self.n)
-        theta, y = draw_replications(truth, block)
+        theta, y = draw_replications(truth, stream(4), self.n)
         whole = spec.posterior.probs(y)
         expected = replication_counts(whole, truth_labels(theta, spec.theta0), 0.05)
-        (counts,) = replicate(truth, [spec], 0.05, block)
+        (counts,) = replicate(truth, [spec], 0.05, stream(4), self.n)
         np.testing.assert_array_equal(counts, expected)
+        gen = stream(4)
         for start in range(0, self.n, fdr._BLOCK_ROWS):
             rows = slice(start, start + fdr._BLOCK_ROWS)
-            _, y_rows = draw_replications(truth, block[rows])
+            _, y_rows = draw_replications(truth, gen, len(whole[rows]))
             np.testing.assert_allclose(spec.posterior.probs(y_rows), whole[rows], rtol=1e-12)
 
     @pytest.mark.parametrize("diagonal", [False, True], ids=["dense", "diagonal"])
@@ -411,16 +430,10 @@ class TestRowBlocks:
         assert peak < n_reps * grid.m * np.dtype(float).itemsize
 
 
-def block_draws(block, k=4):
-    out = np.empty((len(block), k))
-    block.fill(out)
-    return out
-
-
 class TestSeeding:
     def test_one_spawn_scheme(self):
-        # streams, spawn of the parent stream, the addressed child streams
-        # and the substream block all give the same draws
+        # streams, spawn of the parent stream and the addressed child streams
+        # all give the same draws
         draws = [
             [g.standard_normal(4) for g in gens]
             for gens in (
@@ -429,15 +442,17 @@ class TestSeeding:
                 [stream(5, 0, 2, r) for r in range(3)],
             )
         ]
-        draws.append(block_draws(Substreams(5, 3, 0, 2)))
         for other in draws[1:]:
             np.testing.assert_array_equal(draws[0], other)
 
-    def test_successive_blocks_follow_successive_spawns(self):
-        # a block spawns from a Generator as `spawn` does, advancing the same
-        # spawn counter
-        by_block, by_spawn = stream(5, 1), stream(5, 1)
-        for n in (3, 2):
-            expected = [g.standard_normal(4) for g in spawn(by_spawn, n)]
-            np.testing.assert_array_equal(block_draws(Substreams(by_block, n)), expected)
-        assert by_block.bit_generator.seed_seq.n_children_spawned == 5
+    def test_successive_calls_continue_one_generator(self):
+        # A Generator passed in is drawn from, not spawned from: two calls on
+        # one Generator see the replications of one longer call.
+        truth = TrueProcess(np.zeros(16), 0.25, identity_cov(16))
+        spec = ModelSpec(np.zeros(16), 1.0, identity_cov(16), KnownVariance(0.25))
+        gen = stream(5, 1)
+        first = operating_characteristics(truth, spec, 0.05, n_reps=40, rng=gen)
+        second = operating_characteristics(truth, spec, 0.05, n_reps=30, rng=gen)
+        (counts,) = replicate(truth, [spec], 0.05, stream(5, 1), 70)
+        assert first == summarize_counts(counts[:40], truth.m)
+        assert second == summarize_counts(counts[40:], truth.m)
