@@ -25,6 +25,7 @@ from .covariance import GridLayout, ar2_cov, exponential_cov, identity_cov, sepa
 from .divergence import kl_exact
 from .errors import BoundaryError, NotPositiveDefiniteError, ParameterError
 from .fdr import step_up
+from .linalg import chol_psd
 from .sampdist import marginal_cdf, marginal_pdf
 from .simulation import (
     SWEEP_COLUMNS,
@@ -167,7 +168,7 @@ def _cmd_gen_cov(args) -> tuple[bytes, None]:
         layout = GridLayout(args.stations_rows, args.stations_cols, args.spacing)
         times = np.arange(1, args.n_times + 1)
         cov = separable_cov(layout.points(), times, args.delta, args.range_, args.alpha)
-    cov.chol  # certify positive definiteness before writing
+    chol_psd(cov.entries)  # certify positive definiteness before writing
     _write_artifact(args, [f"# covariance m={cov.dim} kernel={cov.kernel}"], cov.entries,
                     f" (m={cov.dim}, kernel={cov.kernel})")
     return _request_bytes(args), None

@@ -3,21 +3,20 @@
 Constructors cover the kernels exercised in the numerical studies: an
 exponential spatial kernel on a regular grid, stationary AR(2) autocovariance,
 the identity, and a separable space-time product kernel. Matrices are
-immutable; the Cholesky factor is computed lazily, once, under a lock.
-Whether a matrix is diagonal is read from its entries on construction; the
-posterior and the sampling law of a diagonal specification are closed form.
+immutable values and keep no factor: a `TrueProcess` or a posterior operator
+that needs one builds it on construction. Whether a matrix is diagonal is read
+from its entries on construction; the posterior and the sampling law of a
+diagonal specification are closed form.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import toeplitz
 
 from .errors import ParameterError
-from .linalg import chol_psd
 
 SYMMETRY_RTOL = 1e-12
 
@@ -49,10 +48,11 @@ class GridLayout:
 
 
 class CovarianceMatrix:
-    """Symmetric positive-definite matrix with kernel provenance.
+    """Symmetric matrix with kernel provenance.
 
-    Immutable after construction; the cached Cholesky factor is computed at
-    most once, so instances are safe to share across concurrent replications.
+    Immutable after construction, so instances are shared across concurrent
+    sweep points without a lock. Positive definiteness is certified by
+    whoever factors the entries (`linalg.chol_psd`).
     `is_diagonal` is True when every off-diagonal entry is zero.
     """
 
@@ -77,26 +77,6 @@ class CovarianceMatrix:
         self.dim = entries.shape[0]
         self.kernel = kernel
         self.params = dict(params or {})
-        self._chol: np.ndarray | None = None
-        self._jitter: float = 0.0
-        self._lock = threading.Lock()
-
-    @property
-    def chol(self) -> np.ndarray:
-        """Lower Cholesky factor; certifies positive definiteness."""
-        if self._chol is None:
-            with self._lock:
-                if self._chol is None:
-                    factor, jitter = chol_psd(self.entries)
-                    self._jitter = jitter
-                    self._chol = factor
-        return self._chol
-
-    @property
-    def jitter(self) -> float:
-        """Ridge added during factorization (0.0 if none was needed)."""
-        self.chol
-        return self._jitter
 
     def __repr__(self) -> str:
         return f"CovarianceMatrix(dim={self.dim}, kernel={self.kernel!r}, params={self.params})"

@@ -27,7 +27,7 @@ class OperatingCharacteristics:
 
 
 # Rows handled at once: `replicate` draws, scores and decides this many
-# replications per pass, and `step_up` forms this many rows of running means.
+# replications per pass, so `step_up` is never handed more rows than this.
 # Not fewer: at 256 rows OpenBLAS re-packs a 900 x 900 scoring operand on
 # every call, and the scoring gemm ran 8% slower.
 _BLOCK_ROWS = 512
@@ -52,15 +52,12 @@ def step_up(h: np.ndarray, alpha_star: float) -> DecisionSet:
         # No column to search: every row rejects nothing.
         k, t, cut = np.zeros(n, dtype=np.intp), np.full(n, -np.inf), []
     else:
-        # The running means are formed a block of rows at a time, so that no
-        # second (n, m) float array is live next to the sorted scores.
-        qualifying = np.empty(rows.shape, dtype=bool)
-        prefix_lengths = np.arange(1, m + 1)
-        for start in range(0, n, _BLOCK_ROWS):
-            block = slice(start, start + _BLOCK_ROWS)
-            prefix_means = np.cumsum(sorted_h[block], axis=1)
-            prefix_means /= prefix_lengths
-            np.less_equal(prefix_means, alpha_star, out=qualifying[block])
+        # `replicate` bounds n by _BLOCK_ROWS, so the running means are
+        # formed for all rows at once.
+        prefix_means = np.cumsum(sorted_h, axis=1)
+        prefix_means /= np.arange(1, m + 1)
+        qualifying = prefix_means <= alpha_star
+        del prefix_means
         # k ends at the last qualifying prefix: rounding can leave gaps before it.
         every = np.arange(n)
         last = m - 1 - np.argmax(qualifying[:, ::-1], axis=1)

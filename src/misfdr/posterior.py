@@ -22,12 +22,15 @@ from .linalg import chol_inverse, chol_psd
 @dataclass(frozen=True)
 class TrueProcess:
     """Data-generating triple: true mean, true noise variance, true latent
-    covariance; with the lower Cholesky factor of the data covariance
-    V = sigma0^2 I + Sigma_1, which every sampling law of the scores reads."""
+    covariance; with two lower Cholesky factors built on construction:
+    Sigma_1's (`sigma1_chol`), which the draws read, and that of the data
+    covariance V = sigma0^2 I + Sigma_1 (`cov_y_chol`), which every sampling
+    law of the scores reads. A Sigma_1 that is not positive definite fails here."""
 
     theta0: np.ndarray
     sigma0_sq: float
     sigma1: CovarianceMatrix
+    sigma1_chol: np.ndarray = field(init=False, repr=False, compare=False)
     cov_y_chol: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -37,6 +40,7 @@ class TrueProcess:
             raise ParameterError("true noise variance must be positive and finite")
         if self.sigma1.dim != theta0.shape[0]:
             raise ParameterError("sigma1 dimension does not match theta0")
+        object.__setattr__(self, "sigma1_chol", chol_psd(self.sigma1.entries)[0])
         cov_y = self.sigma1.entries.copy()
         cov_y[np.diag_indices(self.m)] += self.sigma0_sq
         object.__setattr__(self, "cov_y_chol", chol_psd(cov_y)[0])
@@ -106,7 +110,7 @@ def draw_replications(
     """
     m = truth.m
     z = gen.standard_normal((n, 2 * m))
-    theta = z[:, :m] @ truth.sigma1.chol.T
+    theta = z[:, :m] @ truth.sigma1_chol.T
     theta += truth.theta0
     y = z[:, m:]
     y *= np.sqrt(truth.sigma0_sq)

@@ -9,8 +9,6 @@ vector that we expose as a sampler.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 from scipy.special import ndtr, ndtri, stdtr
 
@@ -27,7 +25,8 @@ class SamplingLaw:
     The ratios are r = diag(A) / diag(B). Every joint quantity reads L_B:
     phi = Phi^{-1}(h) of a known-variance law is N(0, F F') with
     F = D_a^{-1/2} L_B, and P_b has the factor D_b^{-1/2} L_B. The copula
-    C = (F F')^{-1} and P_b are formed only when read.
+    C = (F F')^{-1} and P_b are formed anew each time they are read, and
+    never kept.
 
     `c` is C as an m x m matrix, its diagonal as an (m,) vector when C is
     diagonal, or None under known variance.
@@ -41,7 +40,7 @@ class SamplingLaw:
         if not np.all(self.r > 0):
             raise ParameterError("all ratios a_ii/b_ii must be positive")
 
-    @functools.cached_property
+    @property
     def copula(self) -> np.ndarray | None:
         """C = D_a^{1/2} B^{-1} D_a^{1/2} = (F F')^{-1}; None for an unknown-variance law."""
         if self.known:
@@ -53,7 +52,7 @@ class SamplingLaw:
         if self.known:
             return float(np.sum(np.log(self.a_diag)) - 2 * np.sum(np.log(np.diag(self.b_chol))))
 
-    @functools.cached_property
+    @property
     def p_b(self) -> np.ndarray:
         """B's correlation matrix G G' from its factor G = D_b^{-1/2} L_B."""
         factor = self.b_chol / np.sqrt(self.b_diag)[:, None]
@@ -102,8 +101,9 @@ def _law(truth: TrueProcess, spec: ModelSpec) -> SamplingLaw:
         c = (p * p + p) * b_diag
     else:
         # A^-1 = I + P with P = Sigma_spec^-1 / g, so A^-2 - A^-1 = P (I + P),
-        # formed in place: P and C are the only new m x m arrays.
-        p = chol_inverse(spec.sigma_spec.chol)
+        # formed in place: Sigma_spec's factor lives only until P is formed,
+        # and P and C are the only other new m x m arrays.
+        p = chol_inverse(chol_psd(spec.sigma_spec.entries)[0])
         p /= spec.g
         c = square(p)
         c += p

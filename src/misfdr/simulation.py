@@ -252,6 +252,13 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _boolean(text: str) -> bool:
+    value = text.lower()
+    if value not in ("true", "false"):
+        raise ValueError(text)
+    return value == "true"
+
+
 def _seed(text: str) -> int:
     # numpy's SeedSequence takes a non-negative int entropy.
     value = int(text)
@@ -269,7 +276,7 @@ def _kernel_from_mapping(get, prefix: str, needs_range: bool = True) -> dict:
     elif kind == "ar2":
         kernel["rho1"] = get(f"{prefix}.rho1", cast=_finite_float)
         kernel["rho2"] = get(f"{prefix}.rho2", cast=_finite_float)
-        kernel["normalize"] = get(f"{prefix}.normalize", "false").lower() == "true"
+        kernel["normalize"] = get(f"{prefix}.normalize", False, _boolean)
     elif kind != "identity":
         raise ParameterError(f"unknown kernel kind: {kind!r}")
     return kernel

@@ -51,7 +51,7 @@ def draw_dataset(truth: TrueProcess, rng) -> tuple[np.ndarray, np.ndarray]:
     """One draw (theta, y): theta ~ N(theta0, Sigma1), y = theta + N(0, sigma0^2 I)."""
     gen = np.random.default_rng(rng)
     z = gen.standard_normal(truth.m)
-    theta = truth.theta0 + truth.sigma1.chol @ z
+    theta = truth.theta0 + truth.sigma1_chol @ z
     eps = np.sqrt(truth.sigma0_sq) * gen.standard_normal(truth.m)
     return theta, theta + eps
 

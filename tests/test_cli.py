@@ -204,6 +204,16 @@ class TestSimulateAndExample:
         assert "configuration error" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
+    def test_non_boolean_normalize_rejected(self, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_text(CONFIG.replace(
+            "mis.kernel = identity",
+            "mis.kernel = ar2\nmis.rho1 = 0.6\nmis.rho2 = 0.3\nmis.normalize = yes"))
+        assert run(tmp_path, "simulate", "--config", str(config)) == 1
+        err = capsys.readouterr().err
+        assert "config key mis.normalize: invalid value 'yes'" in err
+        assert not (tmp_path / "sweep.csv").exists()
+
     @pytest.mark.parametrize("form", ["flag-simulate", "flag-example", "config"])
     def test_negative_seed_rejected(self, tmp_path, capsys, form):
         config = tmp_path / "run.cfg"

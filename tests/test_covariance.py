@@ -18,7 +18,7 @@ from misfdr.covariance import (
     separable_cov,
 )
 from misfdr.errors import NotPositiveDefiniteError, ParameterError
-from misfdr.linalg import chol_inverse, congruence, square
+from misfdr.linalg import chol_inverse, chol_psd, congruence, square
 
 
 class TestExponential:
@@ -34,7 +34,7 @@ class TestExponential:
     def test_full_grid_is_positive_definite(self):
         cov = exponential_cov(GridLayout(30, 30), range_=5.0)
         assert cov.dim == 900
-        factor = cov.chol
+        factor, _ = chol_psd(cov.entries)
         assert np.all(np.diag(factor) > 0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -130,7 +130,7 @@ class TestSeparable:
         pts = GridLayout(2, 2).points()
         cov = separable_cov(pts, [1, 2, 3], delta=1.0, range_=5.0, alpha=0.5)
         assert cov.dim == 12
-        cov.chol
+        chol_psd(cov.entries)
 
     def test_same_time_block_is_scaled_exponential(self):
         layout = GridLayout(2, 3)
@@ -219,28 +219,27 @@ def test_cli_import_leaves_scipy_spatial_unloaded():
 
 class TestCholesky:
     def test_identity_factor(self):
-        np.testing.assert_array_equal(identity_cov(3).chol, np.eye(3))
+        np.testing.assert_array_equal(chol_psd(identity_cov(3).entries)[0], np.eye(3))
 
     def test_closed_form_2x2(self):
         cov = CovarianceMatrix([[1.0, 0.5], [0.5, 1.0]])
         expected = np.array([[1.0, 0.0], [0.5, np.sqrt(0.75)]])
-        np.testing.assert_allclose(cov.chol, expected)
+        np.testing.assert_allclose(chol_psd(cov.entries)[0], expected)
 
     def test_reconstruction(self):
         cov = exponential_cov(GridLayout(10, 10), range_=5.0)
-        factor = cov.chol
+        factor, _ = chol_psd(cov.entries)
         err = np.linalg.norm(factor @ factor.T - cov.entries)
         assert err / np.linalg.norm(cov.entries) < 1e-8
 
     def test_not_positive_definite(self):
         cov = CovarianceMatrix([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(NotPositiveDefiniteError):
-            cov.chol
+            chol_psd(cov.entries)
 
     def test_no_jitter_needed_on_clean_matrix(self):
         cov = exponential_cov(GridLayout(3, 3), range_=1.0)
-        cov.chol
-        assert cov.jitter == 0.0
+        assert chol_psd(cov.entries)[1] == 0.0
 
 
 class TestCholInverse:

@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from misfdr import covariance, posterior, sampdist
+from misfdr import posterior, sampdist
 from misfdr.covariance import CovarianceMatrix, identity_cov
 from misfdr.divergence import check_kl_specs, kl_laws
 from misfdr.errors import NotPositiveDefiniteError, ParameterError
-from misfdr.posterior import KnownVariance, ModelSpec, TrueProcess, UnknownVariance
+from misfdr.posterior import KnownVariance, ModelSpec, TrueProcess, UnknownVariance, draw_replications
+from misfdr.rng import stream
 from misfdr.sampdist import joint_log_pdf, law_known_var, law_unknown_var
 from oracles import dense_twin, random_truth_spec_pairs
 
@@ -105,10 +106,16 @@ class TestOneForm:
         spec = ModelSpec(truth.theta0, 1.0, dense_twin(cov) if dense else cov,
                          noise_of(truth, known))
         law = (law_known_var if known else law_unknown_var)(truth, spec)
+        # Reading the derived matrices keeps neither of them.
+        law.copula, law.p_b
         law_matrices = {name for name, v in vars(law).items() if np.ndim(v) == 2}
         assert law_matrices == ({"b_chol", "c"} if dense and not known else {"b_chol"})
         op_matrices = {name for name, v in vars(spec.posterior).items() if np.ndim(v) == 2}
         assert op_matrices == ({"a"} if dense else set())
+        # A draw reads the truth's own factor: Sigma_1 keeps its entries alone.
+        draw_replications(truth, stream(1), 3)
+        cov_matrices = {name for name, v in vars(truth.sigma1).items() if np.ndim(v) == 2}
+        assert cov_matrices == {"entries"}
 
 
 def count_calls(monkeypatch, module, name):
@@ -124,12 +131,11 @@ class TestNoDenseAlgebra:
         _, truth, cov = next(diagonal_cases())
         calls = [count_calls(monkeypatch, module, name)
                  for module, names in ((posterior, ("chol_psd", "chol_inverse")),
-                                       (sampdist, ("chol_psd", "chol_inverse", "congruence")),
-                                       (covariance, ("chol_psd",)))
+                                       (sampdist, ("chol_psd", "chol_inverse", "congruence")))
                  for name in names]
         spec = ModelSpec(truth.theta0, 1.0, cov, noise_of(truth, known))
         (law_known_var if known else law_unknown_var)(truth, spec)
-        assert calls == [[]] * 6
+        assert calls == [[]] * 5
 
     def test_counts_see_the_dense_path(self, monkeypatch):
         # The same counters on the dense twin: they are not vacuous.

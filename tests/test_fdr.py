@@ -183,8 +183,8 @@ class TestBatchedStepUp:
             assert counts[i].tolist() == [k, v, t]
 
     def test_batch_spanning_mean_blocks_matches_rows(self):
-        # Running means are formed in blocks of rows; rows of a batch larger
-        # than one block decide exactly as each row alone.
+        # Rows of a batch larger than the blocks `replicate` hands over decide
+        # exactly as each row alone.
         rng = np.random.default_rng(11)
         h = rng.beta(0.3, 1.0, size=(2 * fdr._BLOCK_ROWS + 37, 40))
         h[::7, :5] = 0.04
@@ -412,6 +412,19 @@ class TestRowBlocks:
             rows = slice(start, start + fdr._BLOCK_ROWS)
             _, y_rows = draw_replications(truth, gen, len(whole[rows]))
             np.testing.assert_allclose(spec.posterior.probs(y_rows), whole[rows], rtol=1e-12)
+
+    def test_draws_factor_nothing(self, monkeypatch):
+        # The truth and the spec own every factor the replications read, built
+        # with them: a draw never factors a matrix.
+        truth = TrueProcess(np.zeros(25), 0.25, exponential_cov(GridLayout(5, 5), 5.0))
+        spec = ModelSpec(np.zeros(25), 1.0, identity_cov(25), KnownVariance(0.25))
+
+        def refuse(a):
+            raise AssertionError("a replication factored a matrix")
+
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        (counts,) = replicate(truth, [spec], 0.05, stream(8), self.n)
+        assert counts.shape == (self.n, 3)
 
     @pytest.mark.parametrize("diagonal", [False, True], ids=["dense", "diagonal"])
     def test_peak_memory_below_one_batch(self, diagonal):

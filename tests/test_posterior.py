@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from misfdr.covariance import CovarianceMatrix, identity_cov
-from misfdr.errors import ParameterError
+from misfdr.errors import NotPositiveDefiniteError, ParameterError
 from misfdr.posterior import (
     KnownVariance,
     ModelSpec,
@@ -262,6 +262,16 @@ class TestNonFiniteParameters:
     def test_model_spec_g(self, bad):
         with pytest.raises(ParameterError, match="finite"):
             ModelSpec(np.zeros(2), bad, identity_cov(2), KnownVariance(0.25))
+
+
+class TestTruthFactors:
+    def test_indefinite_sigma1_rejected(self):
+        # Sigma_1 has an eigenvalue of -0.1 while V = 0.25 I + Sigma_1 is
+        # positive definite, so only Sigma_1's own factor can catch it.
+        sigma1 = CovarianceMatrix([[1.0, 1.1], [1.1, 1.0]])
+        assert np.all(np.linalg.eigvalsh(sigma1.entries + 0.25 * np.eye(2)) > 0)
+        with pytest.raises(NotPositiveDefiniteError):
+            TrueProcess(np.zeros(2), 0.25, sigma1)
 
 
 class TestNoiseModeChecks:

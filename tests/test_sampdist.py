@@ -5,7 +5,7 @@ from scipy.special import ndtr, stdtr
 
 from misfdr.covariance import CovarianceMatrix, GridLayout, exponential_cov, identity_cov
 from misfdr.errors import BoundaryError, ParameterError
-from misfdr.linalg import chol_inverse
+from misfdr.linalg import chol_inverse, chol_psd
 from misfdr import sampdist
 from misfdr.fdr import operating_characteristics
 from misfdr.posterior import KnownVariance, ModelSpec, PosteriorOperator, TrueProcess, UnknownVariance
@@ -110,7 +110,7 @@ class TestLawUnknownVar:
         truth, spec_cor, _ = grid_setup(rows=6, cols=6)
         spec = ModelSpec(spec_cor.theta0, 0.7, spec_cor.sigma_spec, UnknownVariance(2.0, 0.5))
         law = law_unknown_var(truth, spec)
-        p = chol_inverse(spec.sigma_spec.chol) / spec.g
+        p = chol_inverse(chol_psd(spec.sigma_spec.entries)[0]) / spec.g
         c = p @ p + p
         c = 0.5 * (c + c.T)
         sd = np.sqrt(law.b_diag)
@@ -203,10 +203,11 @@ class TestOneMatrixPerObject:
         factored = count_calls(monkeypatch, sampdist, "chol_psd")
         inverted = count_calls(monkeypatch, sampdist, "chol_inverse")
         law = law_of(truth, spec)
-        # B is factored first; the unknown-variance law then certifies C by a
-        # factor and forms Sigma_spec^-1 for it, the known-variance law does neither.
+        # B is factored first; the unknown-variance law then factors Sigma_spec
+        # to form Sigma_spec^-1 and certifies C by a factor, the known-variance
+        # law does neither.
         known = isinstance(noise, KnownVariance)
-        assert len(factored) == (1 if known else 2)
+        assert len(factored) == (1 if known else 3)
         assert (inverted == []) == known
         np.testing.assert_allclose(law.b_chol @ law.b_chol.T, factored[0], rtol=1e-12, atol=0)
 

@@ -350,6 +350,34 @@ class TestConfigParsing:
         with pytest.raises(ParameterError, match=f"config key {key}: invalid value"):
             config_from_mapping(mapping)
 
+    def ar2_mapping(self, prefix: str) -> dict:
+        """TEXT with an AR(2) kernel for `prefix` ("truth" or "mis")."""
+        mapping = parse_config_text(self.TEXT)
+        mapping.pop(f"{prefix}.range", None)
+        mapping.update({f"{prefix}.kernel": "ar2", f"{prefix}.rho1": "0.6",
+                        f"{prefix}.rho2": "0.3"})
+        return mapping
+
+    @pytest.mark.parametrize("prefix", ["truth", "mis"])
+    @pytest.mark.parametrize("value, expected", [("true", True), ("TRUE", True),
+                                                 ("False", False), (None, False)])
+    def test_normalize_is_true_or_false(self, prefix, value, expected):
+        mapping = self.ar2_mapping(prefix)
+        if value is not None:
+            mapping[f"{prefix}.normalize"] = value
+        config = config_from_mapping(mapping)
+        kernel = config.truth_kernel if prefix == "truth" else config.mis_kernel
+        assert kernel["normalize"] is expected
+
+    @pytest.mark.parametrize("prefix", ["truth", "mis"])
+    @pytest.mark.parametrize("value", ["yes", "1", "ture", "no", ""])
+    def test_normalize_other_text_rejected(self, prefix, value):
+        # Any text but true/false once read as False, silently.
+        mapping = {**self.ar2_mapping(prefix), f"{prefix}.normalize": value}
+        with pytest.raises(ParameterError,
+                           match=f"config key {prefix}.normalize: invalid value {value!r}"):
+            config_from_mapping(mapping)
+
     def test_unknown_noise_mode_rejected(self):
         mapping = parse_config_text(self.TEXT)
         mapping["noise.mode"] = "unknown"
