@@ -4,9 +4,7 @@
 Runs the grid study (exponential truth vs. independence working model, g
 sweep), the time-series study (oscillating vs. smooth AR(2), g sweep), and
 the range-mismatch study (exponential vs. exponential, range sweep), then
-prints a compact summary table per study. On a 2-core machine with one BLAS
-thread, each study takes 1.6-2.2 s with the default --threads 2; with
---threads 1, study 1 takes about 2.3 s and studies 2 and 3 take 2.5-2.8 s.
+prints a compact summary table per study, with the time each took.
 
 Usage:
     python scripts/run_full_scale.py [--out-dir results-full] [--seed N]

@@ -169,8 +169,8 @@ def _cmd_gen_cov(args) -> tuple[bytes, None]:
         times = np.arange(1, args.n_times + 1)
         cov = separable_cov(layout.points(), times, args.delta, args.range_, args.alpha)
     chol_psd(cov.entries)  # certify positive definiteness before writing
-    _write_artifact(args, [f"# covariance m={cov.dim} kernel={cov.kernel}"], cov.entries,
-                    f" (m={cov.dim}, kernel={cov.kernel})")
+    _write_artifact(args, [f"# covariance m={cov.dim} kernel={args.kernel}"], cov.entries,
+                    f" (m={cov.dim}, kernel={args.kernel})")
     return _request_bytes(args), None
 
 

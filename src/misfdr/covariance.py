@@ -48,7 +48,7 @@ class GridLayout:
 
 
 class CovarianceMatrix:
-    """Symmetric matrix with kernel provenance.
+    """Symmetric matrix: its `entries`, `dim` and `is_diagonal`.
 
     Immutable after construction, so instances are shared across concurrent
     sweep points without a lock. Positive definiteness is certified by
@@ -56,7 +56,7 @@ class CovarianceMatrix:
     `is_diagonal` is True when every off-diagonal entry is zero.
     """
 
-    def __init__(self, entries, kernel: str = "custom", params: dict | None = None):
+    def __init__(self, entries):
         entries = np.array(entries, dtype=float)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1] or entries.size == 0:
             raise ParameterError("covariance must be a nonempty square matrix")
@@ -75,11 +75,9 @@ class CovarianceMatrix:
         # No off-diagonal entry is nonzero: one pass over the entries.
         self.is_diagonal = bool(np.count_nonzero(entries) == np.count_nonzero(entries.diagonal()))
         self.dim = entries.shape[0]
-        self.kernel = kernel
-        self.params = dict(params or {})
 
     def __repr__(self) -> str:
-        return f"CovarianceMatrix(dim={self.dim}, kernel={self.kernel!r}, params={self.params})"
+        return f"CovarianceMatrix(dim={self.dim}, is_diagonal={self.is_diagonal})"
 
 
 def _distances(points: np.ndarray) -> np.ndarray:
@@ -97,26 +95,15 @@ def exponential_cov(layout: GridLayout, range_: float) -> CovarianceMatrix:
     """exp(-d/range) kernel on a regular grid, row-major point order."""
     if range_ <= 0:
         raise ParameterError("range must be positive")
-    entries = np.exp(-_distances(layout.points()) / range_)
-    return CovarianceMatrix(
-        entries,
-        kernel="exponential",
-        params={"range": range_, "rows": layout.rows, "cols": layout.cols,
-                "spacing": layout.spacing},
-    )
+    return CovarianceMatrix(np.exp(-_distances(layout.points()) / range_))
 
 
-def ar2_autocovariance(
-    rho1: float, rho2: float, innovation_var: float, n_lags: int
-) -> np.ndarray:
-    """Stationary AR(2) autocovariance gamma(0..n_lags-1), Yule-Walker form."""
+def ar2_autocovariance(rho1: float, rho2: float, n_lags: int) -> np.ndarray:
+    """Stationary AR(2) autocovariance gamma(0..n_lags-1) under unit innovation
+    variance, Yule-Walker form."""
     _check_ar2_stationary(rho1, rho2)
     gamma = np.empty(max(n_lags, 2))
-    gamma[0] = (
-        (1 - rho2)
-        * innovation_var
-        / ((1 + rho2) * ((1 - rho2) ** 2 - rho1**2))
-    )
+    gamma[0] = (1 - rho2) / ((1 + rho2) * ((1 - rho2) ** 2 - rho1**2))
     gamma[1] = rho1 * gamma[0] / (1 - rho2)
     for k in range(2, n_lags):
         gamma[k] = rho1 * gamma[k - 1] + rho2 * gamma[k - 2]
@@ -132,38 +119,25 @@ def _check_ar2_stationary(rho1: float, rho2: float) -> None:
         raise ParameterError(f"nonstationary AR(2): |rho2| = {abs(rho2)} >= 1")
 
 
-def ar2_cov(
-    m: int,
-    rho1: float,
-    rho2: float,
-    innovation_var: float = 1.0,
-    normalize: bool = False,
-) -> CovarianceMatrix:
-    """Toeplitz covariance of a stationary AR(2) series of length m.
+def ar2_cov(m: int, rho1: float, rho2: float, normalize: bool = False) -> CovarianceMatrix:
+    """Toeplitz covariance of a stationary AR(2) series of length m, with unit
+    innovation variance.
 
     With normalize=True the matrix is rescaled to unit diagonal (a
     correlation matrix); the default is the raw Yule-Walker autocovariance.
     """
     if m < 1:
         raise ParameterError("m must be positive")
-    if innovation_var <= 0:
-        raise ParameterError("innovation variance must be positive")
-    gamma = ar2_autocovariance(rho1, rho2, innovation_var, m)
+    gamma = ar2_autocovariance(rho1, rho2, m)
     if normalize:
         gamma = gamma / gamma[0]
-    entries = toeplitz(gamma)
-    return CovarianceMatrix(
-        entries,
-        kernel="ar2",
-        params={"rho1": rho1, "rho2": rho2, "innovation_var": innovation_var,
-                "normalize": normalize},
-    )
+    return CovarianceMatrix(toeplitz(gamma))
 
 
 def identity_cov(m: int) -> CovarianceMatrix:
     if m < 1:
         raise ParameterError("m must be positive")
-    return CovarianceMatrix(np.eye(m), kernel="identity", params={})
+    return CovarianceMatrix(np.eye(m))
 
 
 def separable_cov(
@@ -187,13 +161,6 @@ def separable_cov(
         raise ParameterError("alpha must lie in (0, 1)")
     locations = np.atleast_2d(np.asarray(locations, dtype=float))
     times = np.asarray(times, dtype=float)
-    n_s = locations.shape[0]
     spatial = np.exp(-_distances(locations) / range_)
     temporal = alpha ** np.abs(times[:, None] - times[None, :])
-    entries = delta * np.kron(temporal, spatial)
-    return CovarianceMatrix(
-        entries,
-        kernel="separable",
-        params={"delta": delta, "range": range_, "alpha": alpha,
-                "n_stations": n_s, "n_times": len(times)},
-    )
+    return CovarianceMatrix(delta * np.kron(temporal, spatial))

@@ -3,7 +3,7 @@
 Under either known-variance law, phi = Phi^{-1}(h) ~ N(0, F F') with F the
 law's factor, so the divergence has a closed form: `kl_laws` from two laws,
 `kl_exact` from the truth and the two specs. The unknown-variance joint
-density is not implemented yet, and is rejected with an explanatory error.
+density is not implemented yet: `law_known_var` rejects a spec in that mode.
 """
 
 from __future__ import annotations
@@ -14,30 +14,22 @@ import numpy as np
 
 from .errors import ParameterError
 from .linalg import tri_solve
-from .posterior import KnownVariance, ModelSpec, TrueProcess
+from .posterior import ModelSpec, TrueProcess
 from .sampdist import SamplingLaw, law_known_var, require_density
 
 _SAME_COV_TOL = 1e-12
 
 
 def check_kl_specs(truth: TrueProcess, spec_cor: ModelSpec, spec_mis: ModelSpec) -> None:
-    """Raise unless both specs use known variance and `spec_cor` is the truth's
-    covariance, entry by entry to within rounding, and noise variance; warn
-    when the two use different g."""
-    if not isinstance(spec_cor.noise, KnownVariance) or not isinstance(
-        spec_mis.noise, KnownVariance
-    ):
-        raise ParameterError(
-            "KL divergence is implemented for known-variance laws only; the "
-            "joint density of the unknown-variance law is not implemented yet"
-        )
+    """Raise unless `spec_cor` uses the truth's covariance, entry by entry to
+    within rounding; warn when the two specs use different g. The noise mode
+    and variance of each spec are checked by `law_known_var`."""
     spec_cov, true_cov = spec_cor.sigma_spec, truth.sigma1
-    same_cov = spec_cov is true_cov or np.allclose(
+    same_cov = spec_cov is true_cov or (spec_cov.dim == true_cov.dim and np.allclose(
         spec_cov.entries, true_cov.entries, rtol=_SAME_COV_TOL, atol=_SAME_COV_TOL
-    )
-    same_noise = np.isclose(spec_cor.noise.sigma0_sq, truth.sigma0_sq)
-    if not (same_cov and same_noise):
-        raise ParameterError("spec_cor must use the true covariance and noise variance")
+    ))
+    if not same_cov:
+        raise ParameterError("spec_cor must use the true covariance")
     if not np.isclose(spec_cor.g, spec_mis.g):
         warnings.warn("correct and misspecified specs use different g", stacklevel=3)
 
@@ -62,7 +54,8 @@ def kl_laws(law_cor: SamplingLaw, law_mis: SamplingLaw) -> float:
 
 def kl_exact(truth: TrueProcess, spec_cor: ModelSpec, spec_mis: ModelSpec) -> float:
     """KL(f_cor || f_mis) of the statistic vector in nats, in closed form: the
-    checks of `check_kl_specs`, then `kl_laws` of the two specs' laws."""
+    checks of `check_kl_specs`, then `kl_laws` of the two specs' laws from
+    `law_known_var`, which checks each spec's noise mode and variance."""
     check_kl_specs(truth, spec_cor, spec_mis)
     return kl_laws(law_known_var(truth, spec_cor), law_known_var(truth, spec_mis))
 

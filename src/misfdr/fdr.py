@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .posterior import ModelSpec, TrueProcess, draw_replications
+from .posterior import ModelSpec, TrueProcess, check_dims, draw_replications
 
 
 @dataclass(frozen=True)
@@ -107,6 +107,8 @@ def replicate(
     n is. Row r is the r-th dataset of the stream whatever the block size, so
     the first N rows of n > N replications are the N replications.
     """
+    for spec in specs:
+        check_dims(truth, spec)
     counts = [np.empty((n, 3), dtype=np.intp) for _ in specs]
     for start in range(0, n, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n)

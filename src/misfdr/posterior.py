@@ -118,6 +118,12 @@ def draw_replications(
     return theta, y
 
 
+def check_dims(truth: TrueProcess, spec: ModelSpec) -> None:
+    """Raise unless `spec` has the dimension of `truth`."""
+    if spec.m != truth.m:
+        raise ParameterError(f"spec dimension {spec.m} does not match the truth's {truth.m}")
+
+
 def require_noise(spec: ModelSpec, mode: type) -> None:
     """Raise unless `spec` uses the noise mode `mode`."""
     if not isinstance(spec.noise, mode):
@@ -201,12 +207,6 @@ class PosteriorOperator:
         quad = np.einsum("...i,...i->...", resid, resid)
         quad -= np.einsum("...i,...i->...", resid, shift)
         return shift, quad
-
-    def posterior_mean(self, y: np.ndarray) -> np.ndarray:
-        """Posterior mean of theta given y; accepts (m,) or (n, m)."""
-        shift, _ = self._shift(y)
-        shift += self.theta0
-        return shift
 
     def standardized(self, y: np.ndarray) -> np.ndarray:
         """(posterior mean - theta0) / posterior scale: the argument of the

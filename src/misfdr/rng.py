@@ -1,6 +1,7 @@
 """Reproducible RNG streams, from one scheme: `stream(root, *path)` is the
 Generator of `SeedSequence(root, spawn_key=path)`, a stream addressed by a root
-seed and a path. Its spawned children are `stream(root, *path, r)`.
+seed and a path. Its children are `stream(root, *path, r)`, the children
+numpy's `SeedSequence.spawn` would give.
 
 A Monte Carlo run draws from one stream: sweep point j of a sweep with root
 seed s draws its replications, in order, from `stream(s, 0, j)`. The values
@@ -19,12 +20,6 @@ def stream(root_seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-def spawn(seed_or_rng, n: int) -> list[np.random.Generator]:
-    """n independent child Generators of an int seed or a Generator."""
-    children = np.random.default_rng(seed_or_rng).bit_generator.seed_seq.spawn(n)
-    return [np.random.default_rng(s) for s in children]
-
-
 def streams(root_seed: int, n: int, *prefix: int) -> list[np.random.Generator]:
     """n sibling substreams, indexed 0..n-1 under an optional path prefix."""
-    return spawn(stream(root_seed, *prefix), n)
+    return [stream(root_seed, *prefix, r) for r in range(n)]

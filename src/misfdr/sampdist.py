@@ -14,7 +14,8 @@ from scipy.special import ndtr, ndtri, stdtr
 
 from .errors import BoundaryError, NotPositiveDefiniteError, ParameterError
 from .linalg import chol_inverse, chol_psd, congruence, square, tri_solve
-from .posterior import KnownVariance, ModelSpec, TrueProcess, UnknownVariance, require_noise
+from .posterior import (KnownVariance, ModelSpec, TrueProcess, UnknownVariance, check_dims,
+                        require_noise)
 
 
 class SamplingLaw:
@@ -79,6 +80,7 @@ def _law(truth: TrueProcess, spec: ModelSpec) -> SamplingLaw:
     diag(a / s), so L_B is a row scaling of L_V, lower triangular as it
     stands; otherwise B is formed as (S L_V)(S L_V)' and factored.
     """
+    check_dims(truth, spec)
     op = spec.posterior
     if op.known and not np.isclose(op.scale, truth.sigma0_sq):
         raise ParameterError(

@@ -70,7 +70,7 @@ def random_truth_spec_pairs(seed=7):
 def dense_twin(cov: CovarianceMatrix) -> CovarianceMatrix:
     """`cov`'s entries in a covariance that takes the dense path: its operator
     factors K and inverts it, its law forms B by congruence and factors it."""
-    twin = CovarianceMatrix(cov.entries, cov.kernel, cov.params)
+    twin = CovarianceMatrix(cov.entries)
     twin.is_diagonal = False
     return twin
 

@@ -60,7 +60,7 @@ class TestAR2:
         np.testing.assert_allclose(cov.entries, np.eye(3))
 
     def test_oscillating_autocorrelation(self):
-        gamma = ar2_autocovariance(1.5, -0.9, 1.0, 40)
+        gamma = ar2_autocovariance(1.5, -0.9, 40)
         signs = np.sign(gamma)
         assert np.any(signs > 0) and np.any(signs < 0)
         # sign changes recur throughout the sequence, not just once
@@ -80,13 +80,13 @@ class TestAR2:
         for i in range(2, n + 500):
             x[i] = rho1 * x[i - 1] + rho2 * x[i - 2] + eps[i]
         x = x[500:]
-        gamma = ar2_autocovariance(rho1, rho2, 1.0, 6)
+        gamma = ar2_autocovariance(rho1, rho2, 6)
         for lag in range(6):
             sample = np.mean(x[: n - lag] * x[lag:])
             assert sample == pytest.approx(gamma[lag], rel=0.02)
 
     def test_recursion_holds_exactly(self):
-        gamma = ar2_autocovariance(1.5, -0.9, 1.0, 30)
+        gamma = ar2_autocovariance(1.5, -0.9, 30)
         for k in range(2, 30):
             assert gamma[k] == pytest.approx(
                 1.5 * gamma[k - 1] - 0.9 * gamma[k - 2], abs=1e-12
@@ -338,6 +338,9 @@ class TestCovarianceMatrix:
             "underflowed-exponential", "tiny-off-diagonal", "zero-diagonal-entry"])
     def test_is_diagonal_read_from_entries(self, cov, diagonal):
         assert cov.is_diagonal is diagonal
+
+    def test_holds_only_its_entries_and_what_they_fix(self):
+        assert set(vars(identity_cov(3))) == {"entries", "dim", "is_diagonal"}
 
     def test_entries_are_immutable(self):
         cov = identity_cov(2)

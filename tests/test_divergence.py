@@ -149,8 +149,18 @@ class TestKLEstimate:
     def test_unknown_variance_rejected(self, kl):
         truth, spec_cor, spec_mis = desk_setup()
         bad = ModelSpec(spec_cor.theta0, 1.0, spec_cor.sigma_spec, UnknownVariance(1.0, 1.0))
-        with pytest.raises(ParameterError, match="unknown-variance"):
+        with pytest.raises(ParameterError, match="known-variance noise mode"):
             kl(truth, bad, spec_mis)
+
+    @pytest.mark.parametrize("which", ["cor", "mis"])
+    def test_noise_variance_checked_by_the_law(self, which):
+        # `sampdist._law` is the one check of each spec's noise variance.
+        truth, spec_cor, spec_mis = desk_setup()
+        specs = {"cor": spec_cor, "mis": spec_mis}
+        bad = specs[which]
+        specs[which] = ModelSpec(bad.theta0, bad.g, bad.sigma_spec, KnownVariance(0.5))
+        with pytest.raises(ParameterError, match="equal the truth"):
+            kl_exact(truth, specs["cor"], specs["mis"])
 
     def test_true_covariance_to_within_rounding_only(self):
         # A covariance 1e-7 away from the truth's is a misspecification.

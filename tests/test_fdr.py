@@ -19,7 +19,7 @@ from misfdr.fdr import (
     truth_labels,
 )
 from misfdr.posterior import KnownVariance, ModelSpec, TrueProcess, draw_replications
-from misfdr.rng import spawn, stream, streams
+from misfdr.rng import stream, streams
 from oracles import draw_dataset, step_up_reference
 
 h_vectors = arrays(
@@ -445,13 +445,14 @@ class TestRowBlocks:
 
 class TestSeeding:
     def test_one_spawn_scheme(self):
-        # streams, spawn of the parent stream and the addressed child streams
-        # all give the same draws
+        # streams, numpy's spawn of the parent seed sequence and the addressed
+        # child streams all give the same draws
+        children = np.random.SeedSequence(5, spawn_key=(0, 2)).spawn(3)
         draws = [
             [g.standard_normal(4) for g in gens]
             for gens in (
                 streams(5, 3, 0, 2),
-                spawn(stream(5, 0, 2), 3),
+                [np.random.default_rng(s) for s in children],
                 [stream(5, 0, 2, r) for r in range(3)],
             )
         ]

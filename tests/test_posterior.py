@@ -126,7 +126,7 @@ class TestKnownVariance:
         spec = ModelSpec(np.zeros(2), 1e8, sigma, KnownVariance(0.25))
         y = np.array([1.0, -2.0])
         op = PosteriorOperator(spec)
-        mean = op.posterior_mean(y)
+        mean = op.standardized(y) * np.sqrt(np.diag(op.a))
         assert np.linalg.norm(mean - y) < 1e-4 * np.linalg.norm(y)
         np.testing.assert_allclose(np.diag(op.a), 0.25, atol=1e-6)
 
@@ -195,10 +195,8 @@ class TestPosteriorOperatorPin:
             m = spec.m
             sigma_inv = np.linalg.inv(sigma.entries)
             post_cov = np.linalg.inv(np.eye(m) / sigma0_sq + sigma_inv / g)
-            mean = (y / sigma0_sq + sigma_inv @ theta0 / g) @ post_cov
             op = PosteriorOperator(spec)
             np.testing.assert_allclose(op.a, post_cov, rtol=1e-10, atol=0)
-            np.testing.assert_allclose(op.posterior_mean(y), mean, rtol=1e-10, atol=0)
 
     @pytest.mark.parametrize("g", PIN_GS)
     def test_known_variance_standardized(self, g):
@@ -230,7 +228,6 @@ class TestPosteriorOperatorPin:
             scale = (2 * noise.beta + quad) / dof
             op = PosteriorOperator(spec)
             np.testing.assert_allclose(op.a, shape, rtol=1e-10, atol=0)
-            np.testing.assert_allclose(op.posterior_mean(y), mean, rtol=1e-10, atol=0)
             # the quadratic form enters only through the t scale
             z = (mean - theta0) / np.sqrt(scale[:, None] * np.diag(shape))
             np.testing.assert_allclose(op.standardized(y), z, rtol=1e-10, atol=0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from misfdr.rng import spawn, stream, streams
+from misfdr.rng import stream, streams
 
 ROOTS = [0, 1, 2**32 + 5, 2**70]
 PATHS = [(), (0,), (0, 6), (7, 2**33)]
@@ -26,9 +26,10 @@ class TestSubstreamsPin:
         np.testing.assert_array_equal(np.reshape(words, (n, 4)), np.reshape(expected, (n, 4)))
 
     def test_rows_match_spawned_generators(self, root, path, n):
-        # Two successive calls of each spawned child give what the addressed
+        # Two successive calls of each numpy child give what the addressed
         # stream gives.
-        for r, gen in enumerate(spawn(stream(root, *path), n)):
+        for r, child in enumerate(numpy_children(root, path, n)):
+            gen = np.random.default_rng(child)
             twin = stream(root, *path, r)
             np.testing.assert_array_equal(gen.standard_normal(5), twin.standard_normal(5))
             np.testing.assert_array_equal(gen.standard_normal(3), twin.standard_normal(3))
@@ -36,18 +37,10 @@ class TestSubstreamsPin:
 
 class TestSubstreamsFromGenerator:
     def test_int_seed_matches_spawn(self):
-        expected = [g.standard_normal(6) for g in spawn(12, 4)]
+        expected = [np.random.default_rng(s).standard_normal(6)
+                    for s in numpy_children(12, (), 4)]
         for gens in (streams(12, 4), [stream(12, r) for r in range(4)]):
             np.testing.assert_array_equal([g.standard_normal(6) for g in gens], expected)
-
-    def test_generator_children_match_spawn(self):
-        # Successive spawns from one Generator continue the numbering of its
-        # children.
-        gen = stream(3)
-        children = spawn(gen, 3) + spawn(gen, 2)
-        for r, child in enumerate(children):
-            np.testing.assert_array_equal(child.standard_normal(4), stream(3, r).standard_normal(4))
-        assert gen.bit_generator.seed_seq.n_children_spawned == 5
 
 
 class TestStream:

@@ -7,6 +7,7 @@ from misfdr.covariance import CovarianceMatrix, GridLayout, exponential_cov, ide
 from misfdr.errors import BoundaryError, ParameterError
 from misfdr.linalg import chol_inverse, chol_psd
 from misfdr import sampdist
+from misfdr.divergence import kl_exact
 from misfdr.fdr import operating_characteristics
 from misfdr.posterior import KnownVariance, ModelSpec, PosteriorOperator, TrueProcess, UnknownVariance
 from misfdr.rng import stream
@@ -68,6 +69,51 @@ class TestLawKnownVar:
         for spec in (spec_cor, spec_mis):
             law = law_known_var(truth, spec)
             assert np.abs(law.r - target).max() < 1e-5
+
+
+SPEC_COVS = pytest.mark.parametrize(
+    "cov", [identity_cov(4), exponential_cov(GridLayout(2, 2), 5.0)], ids=["diagonal", "dense"])
+
+
+class TestDimensionMismatch:
+    """A spec whose dimension is not the truth's is a configuration error at
+    every place where a truth meets a spec."""
+
+    MISMATCH = "dimension 4 does not match the truth's 3"
+
+    @staticmethod
+    def truth():
+        return TrueProcess(np.zeros(3), 0.25, identity_cov(3))
+
+    @SPEC_COVS
+    def test_law_known_var(self, cov):
+        spec = ModelSpec(np.zeros(4), 1.0, cov, KnownVariance(0.25))
+        with pytest.raises(ParameterError, match=self.MISMATCH):
+            law_known_var(self.truth(), spec)
+
+    @SPEC_COVS
+    def test_law_unknown_var(self, cov):
+        spec = ModelSpec(np.zeros(4), 1.0, cov, UnknownVariance(2.0, 0.5))
+        with pytest.raises(ParameterError, match=self.MISMATCH):
+            law_unknown_var(self.truth(), spec)
+
+    @SPEC_COVS
+    @pytest.mark.parametrize("noise", [KnownVariance(0.25), UnknownVariance(2.0, 0.5)],
+                             ids=["known", "unknown"])
+    def test_operating_characteristics(self, cov, noise):
+        spec = ModelSpec(np.zeros(4), 1.0, cov, noise)
+        with pytest.raises(ParameterError, match=self.MISMATCH):
+            operating_characteristics(self.truth(), spec, 0.05, 10)
+
+    @SPEC_COVS
+    def test_kl_exact(self, cov):
+        truth = self.truth()
+        spec_cor = ModelSpec(np.zeros(3), 1.0, truth.sigma1, KnownVariance(0.25))
+        spec = ModelSpec(np.zeros(4), 1.0, cov, KnownVariance(0.25))
+        with pytest.raises(ParameterError, match=self.MISMATCH):
+            kl_exact(truth, spec_cor, spec)
+        with pytest.raises(ParameterError, match="true covariance"):
+            kl_exact(truth, spec, spec_cor)
 
 
 class TestLawUnknownVar:

@@ -1,4 +1,5 @@
 import gc
+import sys
 import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -144,6 +145,21 @@ class TestRunSweep:
             g = config.g if rho else row.sweep_value
             expected = kl_exact(*paired_specs(config, truth_cov, mis_cov, g)) / config.m
             assert row.kl_per_dim == pytest.approx(expected, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("which", [1, 3], ids=["g", "rho"])
+    def test_sweep_points_make_no_spec_check(self, monkeypatch, which):
+        # A sweep builds spec_cor from the truth's covariance and noise
+        # variance, and both specs at the point's g: the KL checks cannot fire.
+        config = replace(builtin_example(which, scale="desk"), n_reps=50)
+        expected = run_sweep(config)
+
+        def refuse(*args):
+            raise AssertionError("check_kl_specs called")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("misfdr") and hasattr(module, "check_kl_specs"):
+                monkeypatch.setattr(module, "check_kl_specs", refuse)
+        assert run_sweep(config) == expected
 
     def test_one_operator_per_spec(self, monkeypatch):
         built = []
