@@ -3,7 +3,7 @@
 Under either known-variance law, phi = Phi^{-1}(h) ~ N(0, F F') with F the
 law's factor, so the divergence has a closed form: `kl_laws` from two laws,
 `kl_exact` from the truth and the two specs. The unknown-variance joint
-density is not implemented yet: `law_known_var` rejects a spec in that mode.
+density is not implemented yet: `check_law` rejects a spec in that mode.
 """
 
 from __future__ import annotations
@@ -14,16 +14,16 @@ import numpy as np
 
 from .errors import ParameterError
 from .linalg import tri_solve
-from .posterior import ModelSpec, TrueProcess
-from .sampdist import SamplingLaw, law_known_var, require_density
+from .posterior import KnownVariance, ModelSpec, TrueProcess
+from .sampdist import SamplingLaw, _law, check_law, require_density
 
 _SAME_COV_TOL = 1e-12
 
 
 def check_kl_specs(truth: TrueProcess, spec_cor: ModelSpec, spec_mis: ModelSpec) -> None:
     """Raise unless `spec_cor` uses the truth's covariance, entry by entry to
-    within rounding; warn when the two specs use different g. The noise mode
-    and variance of each spec are checked by `law_known_var`."""
+    within rounding; warn when the two specs use different g. The noise mode,
+    dimension and noise variance of each spec are checked by `check_law`."""
     spec_cov, true_cov = spec_cor.sigma_spec, truth.sigma1
     same_cov = spec_cov is true_cov or (spec_cov.dim == true_cov.dim and np.allclose(
         spec_cov.entries, true_cov.entries, rtol=_SAME_COV_TOL, atol=_SAME_COV_TOL
@@ -54,8 +54,11 @@ def kl_laws(law_cor: SamplingLaw, law_mis: SamplingLaw) -> float:
 
 def kl_exact(truth: TrueProcess, spec_cor: ModelSpec, spec_mis: ModelSpec) -> float:
     """KL(f_cor || f_mis) of the statistic vector in nats, in closed form: the
-    checks of `check_kl_specs`, then `kl_laws` of the two specs' laws from
-    `law_known_var`, which checks each spec's noise mode and variance."""
+    checks of `check_kl_specs` and each spec's `check_law` (noise mode,
+    dimension, noise variance), all before either law is built, then
+    `kl_laws` of the two laws."""
     check_kl_specs(truth, spec_cor, spec_mis)
-    return kl_laws(law_known_var(truth, spec_cor), law_known_var(truth, spec_mis))
+    for spec in (spec_cor, spec_mis):
+        check_law(truth, spec, KnownVariance)
+    return kl_laws(_law(truth, spec_cor), _law(truth, spec_mis))
 

@@ -16,6 +16,13 @@ from .errors import NotPositiveDefiniteError
 # silent heavier regularization would bias the divergence study.
 JITTER_SCALE = 1e-10
 
+# Columns `_mirror_lower` mirrors per block copy, so its Python loop makes
+# ceil(m / 64) passes rather than m; and the mask of a diagonal block's upper
+# triangle.
+_MIRROR_COLUMNS = 64
+_UPPER = np.triu(np.ones((_MIRROR_COLUMNS, _MIRROR_COLUMNS), dtype=bool), 1)
+_UPPER.setflags(write=False)
+
 
 def chol_psd(a: np.ndarray) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of `a`, with one jittered retry.
@@ -88,8 +95,16 @@ def square(p: np.ndarray) -> np.ndarray:
 
 def _mirror_lower(sym: np.ndarray) -> np.ndarray:
     """Copy the lower triangle of a Fortran-ordered LAPACK/BLAS result into its
-    upper triangle in place; return it in C order."""
-    for i in range(1, sym.shape[0]):
-        sym[:i, i] = sym[i, :i]
+    upper triangle in place, _MIRROR_COLUMNS columns at a time; return it in
+    C order."""
+    m = sym.shape[0]
+    for start in range(0, m, _MIRROR_COLUMNS):
+        stop = min(start + _MIRROR_COLUMNS, m)
+        # Above the diagonal block: one copy of the rows left of the block.
+        sym[:start, start:stop] = sym[start:stop, :start].T
+        # The diagonal block: its transpose, written over its upper triangle
+        # only (numpy reads an overlapping source as if it were a copy).
+        block = sym[start:stop, start:stop]
+        np.copyto(block, block.T, where=_UPPER[:stop - start, :stop - start])
     # The matrix is symmetric, so its transpose is the same matrix in C order.
     return sym.T

@@ -3,8 +3,9 @@ Generator of `SeedSequence(root, spawn_key=path)`, a stream addressed by a root
 seed and a path. Its children are `stream(root, *path, r)`, the children
 numpy's `SeedSequence.spawn` would give.
 
-A Monte Carlo run draws from one stream: sweep point j of a sweep with root
-seed s draws its replications, in order, from `stream(s, 0, j)`. The values
+A Monte Carlo run draws from one stream: every point of a sweep with root
+seed s scores the same replications, the ones `stream(s, 0, 0)` draws, in
+order, and each point makes its own Generator from that path. The values
 depend only on the stream and the replication count, never on the order in
 which sweep points run or on the number of threads.
 """

@@ -70,9 +70,22 @@ class SamplingLaw:
         return self.m + 2 * self.mode.alpha
 
 
+def check_law(truth: TrueProcess, spec: ModelSpec, mode: type) -> None:
+    """Raise unless `_law` can build the law of `spec` in the noise mode `mode`
+    on data from `truth`: the spec must use that mode and the truth's dimension,
+    and a known noise variance must equal the truth's. It factors nothing."""
+    require_noise(spec, mode)
+    check_dims(truth, spec)
+    if mode is KnownVariance and not np.isclose(spec.noise.sigma0_sq, truth.sigma0_sq):
+        raise ParameterError(
+            "known-variance theory requires the spec noise variance to equal the truth"
+        )
+
+
 def _law(truth: TrueProcess, spec: ModelSpec) -> SamplingLaw:
     """Sampling law of the statistics of `spec` on data from `truth`,
-    reusing the factorization of the spec's posterior operator.
+    reusing the factorization of the spec's posterior operator. It checks
+    nothing: its callers run `check_law` first.
 
     The posterior mean is theta0 + S (y - theta0) with the smoother S = A / s,
     so its sampling covariance is B = S V S' with V = sigma0^2 I + Sigma_1,
@@ -80,12 +93,7 @@ def _law(truth: TrueProcess, spec: ModelSpec) -> SamplingLaw:
     diag(a / s), so L_B is a row scaling of L_V, lower triangular as it
     stands; otherwise B is formed as (S L_V)(S L_V)' and factored.
     """
-    check_dims(truth, spec)
     op = spec.posterior
-    if op.known and not np.isclose(op.scale, truth.sigma0_sq):
-        raise ParameterError(
-            "known-variance theory requires the spec noise variance to equal the truth"
-        )
     if op.diagonal:
         w = op.a_diag / op.scale
         b_chol = truth.cov_y_chol * w[:, None]
@@ -127,13 +135,13 @@ def _law(truth: TrueProcess, spec: ModelSpec) -> SamplingLaw:
 
 def law_known_var(truth: TrueProcess, spec: ModelSpec) -> SamplingLaw:
     """Sampling law of the statistics for a known-variance model spec."""
-    require_noise(spec, KnownVariance)
+    check_law(truth, spec, KnownVariance)
     return _law(truth, spec)
 
 
 def law_unknown_var(truth: TrueProcess, spec: ModelSpec) -> SamplingLaw:
     """Sampling law for an unknown-variance (IG prior) model spec."""
-    require_noise(spec, UnknownVariance)
+    check_law(truth, spec, UnknownVariance)
     return _law(truth, spec)
 
 

@@ -4,6 +4,14 @@ A sweep varies either the prior scale g or the misspecified spatial range,
 runs the step-up procedure under both specifications on the *same* datasets
 (pairing reduces the variance of the rejection-rate difference), and
 attaches the exact per-dimension KL divergence between the two laws.
+
+Every point of a sweep scores the same datasets, the first n_reps of the
+stream `(seed, 0, 0)`: common random numbers, which pair the points with each
+other too. Each row's standard errors are still that row's own Monte Carlo
+errors, but the rows are correlated, so a difference between two rows is
+estimated more precisely than the two errors suggest. A range sweep's
+correct spec does not depend on the range, so it is replicated once and its
+counts are shared by every row.
 """
 
 from __future__ import annotations
@@ -112,27 +120,29 @@ def paired_specs(config: ExperimentConfig, truth_cov, mis_cov, g: float):
 
 def _sweep_point(config: ExperimentConfig, truth: TrueProcess, mis_cov, cor,
                  index: int) -> SweepRow:
-    """One sweep point. A g sweep passes the misspecified covariance `mis_cov`
-    that all its points share and builds both specs and laws here. A range
-    sweep passes `cor`, the (spec, law) pair of the correct spec that all its
-    points share, and builds only the misspecified spec and law."""
+    """One sweep point, scored on the sweep's one set of datasets: the first
+    n_reps that `stream(seed, 0, 0)` draws, regenerated here from that path so
+    that points share no Generator. A g sweep passes the misspecified
+    covariance `mis_cov` that all its points share, and the point builds and
+    replicates both specs. A range sweep passes `cor`, the correct spec's law
+    and (n_reps, 3) counts that all its points share, and the point builds and
+    replicates only the misspecified spec."""
     value = float(config.sweep_values[index])
+    gen = stream(config.root_seed, 0, 0)
     if cor is None:
-        spec_cor, law_cor = sweep_spec(config, truth.sigma1, value), None
+        spec_cor = sweep_spec(config, truth.sigma1, value)
         spec_mis = sweep_spec(config, mis_cov, value)
+        counts_cor, counts_mis = replicate(truth, [spec_cor, spec_mis], config.alpha_star,
+                                           gen, config.n_reps)
+        law_cor = law_known_var(truth, spec_cor)
     else:
-        spec_cor, law_cor = cor
+        law_cor, counts_cor = cor
         mis_cov = build_cov({**config.mis_kernel, "range": value}, config.m, config.grid)
         spec_mis = sweep_spec(config, mis_cov, config.g)
-
-    gen = stream(config.root_seed, 0, index)
-    counts_cor, counts_mis = replicate(truth, [spec_cor, spec_mis], config.alpha_star, gen,
-                                       config.n_reps)
+        (counts_mis,) = replicate(truth, [spec_mis], config.alpha_star, gen, config.n_reps)
     oc_cor = summarize_counts(counts_cor, config.m)
     oc_mis = summarize_counts(counts_mis, config.m)
     diff = float((counts_cor[:, 0].mean() - counts_mis[:, 0].mean()) / config.m)
-    if law_cor is None:
-        law_cor = law_known_var(truth, spec_cor)
     kl = kl_laws(law_cor, law_known_var(truth, spec_mis))
 
     return SweepRow(
@@ -154,11 +164,14 @@ def _sweep_point(config: ExperimentConfig, truth: TrueProcess, mis_cov, cor,
 def run_sweep(config: ExperimentConfig, threads: int = 1) -> list[SweepRow]:
     """Run every sweep point; deterministic given config.root_seed.
 
-    The truth is built once. A g sweep shares its misspecified covariance
-    across points; a range sweep shares its correct spec and that spec's law.
-    Points are independent; `threads` caps worker parallelism, and a sweep
-    starts no more workers than it has points. Output order always follows
-    config.sweep_values.
+    The truth is built once, and every point scores the same n_reps datasets,
+    so the rows are paired with each other as well as within themselves. A g
+    sweep shares its misspecified covariance across points. A range sweep's
+    correct spec does not depend on the range: it is built, replicated and
+    given its law once, before the points, which share the law and the
+    read-only counts. Points are independent; `threads` caps worker
+    parallelism, and a sweep starts no more workers than it has points.
+    Output order always follows config.sweep_values.
     """
     truth = sweep_truth(config, build_cov(config.truth_kernel, config.m, config.grid))
     indices = range(len(config.sweep_values))
@@ -169,7 +182,10 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> list[SweepRow]:
             mis_cov = build_cov(config.mis_kernel, config.m, config.grid)
         else:
             spec_cor = sweep_spec(config, truth.sigma1, config.g)
-            cor = spec_cor, law_known_var(truth, spec_cor)
+            (counts_cor,) = replicate(truth, [spec_cor], config.alpha_star,
+                                      stream(config.root_seed, 0, 0), config.n_reps)
+            counts_cor.setflags(write=False)
+            cor = law_known_var(truth, spec_cor), counts_cor
         point = partial(_sweep_point, config, truth, mis_cov, cor)
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:

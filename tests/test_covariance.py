@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from itertools import product
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from misfdr.covariance import (
     separable_cov,
 )
 from misfdr.errors import NotPositiveDefiniteError, ParameterError
-from misfdr.linalg import chol_inverse, chol_psd, congruence, square
+from misfdr.linalg import _mirror_lower, chol_inverse, chol_psd, congruence, square
 
 
 class TestExponential:
@@ -284,6 +285,38 @@ class TestSquare:
             np.testing.assert_allclose(got, p @ p, rtol=1e-12)
             np.testing.assert_array_equal(got, got.T)
             assert got.flags.c_contiguous
+
+
+def mirror_by_column(sym):
+    """The column-at-a-time mirror `linalg._mirror_lower` replaced."""
+    for i in range(1, sym.shape[0]):
+        sym[:i, i] = sym[i, :i]
+    return sym.T
+
+
+class TestMirrorLower:
+    @pytest.mark.parametrize("m", [1, 2, 63, 64, 65, 130, 900])
+    def test_matches_column_loop_bit_for_bit(self, m):
+        rng = np.random.default_rng(m)
+        lower = np.tril(rng.standard_normal((m, m)))
+        # NaN above the diagonal: any entry the mirror misses stays NaN.
+        sym = np.asfortranarray(lower + np.triu(np.full((m, m), np.nan), 1))
+        expected = mirror_by_column(sym.copy(order="F"))
+        got = _mirror_lower(sym)
+        np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(np.tril(got), lower)
+        assert got.flags.c_contiguous and np.shares_memory(got, sym)
+
+    def test_no_square_temporary(self):
+        m = 900
+        sym = np.asfortranarray(np.random.default_rng(0).standard_normal((m, m)))
+        tracemalloc.start()
+        try:
+            _mirror_lower(sym)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < m * m * 8 / 8
 
 
 class TestCovarianceMatrix:

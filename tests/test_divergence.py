@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from misfdr import sampdist
 from misfdr.covariance import CovarianceMatrix, GridLayout, exponential_cov, identity_cov
 from misfdr.divergence import kl_exact, kl_laws
 from misfdr.errors import BoundaryError, ParameterError
@@ -216,6 +217,30 @@ class TestKLExact:
             exact = kl_exact(truth, spec_cor, spec_mis)
         assert exact == pytest.approx(scalar_closed_form(truth, spec_cor, spec_mis),
                                       rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize(
+        "noise, grid, match",
+        [(UnknownVariance(1.0, 1.0), GridLayout(10, 10), "known-variance noise mode"),
+         (KnownVariance(0.5), GridLayout(10, 10), "equal the truth"),
+         (KnownVariance(0.25), GridLayout(9, 11), "dimension 99 does not match the truth's 100")],
+        ids=["noise-mode", "noise-variance", "dimension"],
+    )
+    def test_both_specs_checked_before_any_factorization(self, monkeypatch, noise, grid,
+                                                         match):
+        # A bad spec_mis is rejected before spec_cor's law factors B.
+        truth, spec_cor, _ = desk_setup()
+        bad_mis = ModelSpec(np.zeros(grid.m), 1.0, exponential_cov(grid, 2.0), noise)
+        factored = []
+        chol = sampdist.chol_psd
+
+        def counting_chol(a):
+            factored.append(a.shape)
+            return chol(a)
+
+        monkeypatch.setattr(sampdist, "chol_psd", counting_chol)
+        with pytest.raises(ParameterError, match=match):
+            kl_exact(truth, spec_cor, bad_mis)
+        assert factored == []
 
     def test_identical_specs_give_exact_zero(self):
         truth, spec_cor, _ = desk_setup()
