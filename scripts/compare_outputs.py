@@ -1,0 +1,114 @@
+#!/usr/bin/env python3
+"""Check that this tree's CLI writes the same CSVs, byte for byte, as another tree's.
+
+Each request below runs once from this tree and once from OTHER_TREE, each
+in a fresh interpreter with PYTHONPATH=<tree>/src and every BLAS thread
+variable set to 1. The requests are studies 1-3 at full scale, seed 0, with
+--threads 1 and 2; `kl` on a 10 x 10 exponential-vs-identity config; and
+`gen-cov` for every kernel. Every CSV is compared byte for byte;
+run-meta.txt, which records a timestamp, is skipped. One line is printed per
+artifact, and the exit code is 1 on any difference or failed run.
+
+Usage:
+    python scripts/compare_outputs.py OTHER_TREE
+"""
+
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+THIS_TREE = Path(__file__).resolve().parents[1]
+
+KL_CONFIG = """\
+grid.rows = 10
+grid.cols = 10
+sigma0_sq = 0.25
+g = 1.0
+truth.kernel = exponential
+truth.range = 5.0
+mis.kernel = identity
+"""
+
+
+def requests(kl_config: Path) -> dict[str, list[str]]:
+    """Named CLI argument lists, each written to its own output directory."""
+    runs = {
+        f"example{which}-threads{threads}":
+            ["--seed", "0", "--threads", str(threads),
+             "example", "--which", str(which), "--scale", "full"]
+        for which in (1, 2, 3) for threads in (1, 2)
+    }
+    runs["kl"] = ["kl", "--config", str(kl_config)]
+    ar2 = ["gen-cov", "--kernel", "ar2", "--m", "50", "--rho1", "0.6", "--rho2", "0.3"]
+    runs.update({
+        "gen-cov-exponential": ["gen-cov", "--kernel", "exponential",
+                                "--rows", "10", "--cols", "10", "--range", "5.0"],
+        "gen-cov-ar2": ar2,
+        "gen-cov-ar2-normalized": [*ar2, "--normalize"],
+        "gen-cov-identity": ["gen-cov", "--kernel", "identity", "--m", "20"],
+        "gen-cov-separable": ["gen-cov", "--kernel", "separable", "--stations-rows", "3",
+                              "--stations-cols", "3", "--n-times", "4", "--delta", "1.0",
+                              "--range", "2.0", "--alpha", "0.5"],
+    })
+    return runs
+
+
+def run_cli(tree: Path, out_dir: Path, argv: list[str]) -> bool:
+    """Run the CLI of `tree` into `out_dir`; True when it exits 0."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1",
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    done = subprocess.run(
+        [sys.executable, "-m", "misfdr.cli", "--output-dir", str(out_dir), *argv],
+        env=env, cwd=tree, capture_output=True, text=True,
+    )
+    if done.returncode != 0:
+        print(f"FAILED     {tree}: {' '.join(argv)} exited {done.returncode}: "
+              f"{done.stderr.strip()}")
+    return done.returncode == 0
+
+
+def compare(name: str, ours: Path, theirs: Path) -> bool:
+    """Print one line per CSV of the two output directories; True when all match."""
+    names = sorted({p.name for d in (ours, theirs) for p in d.glob("*.csv")})
+    if not names:
+        print(f"MISSING    {name}: no CSV written")
+        return False
+    same = True
+    for csv in names:
+        a, b = ours / csv, theirs / csv
+        if not (a.exists() and b.exists()):
+            status = "MISSING"
+        elif a.read_bytes() == b.read_bytes():
+            status = "identical"
+        else:
+            status = "DIFFERS"
+        same &= status == "identical"
+        print(f"{status:<10} {name}/{csv}")
+    return same
+
+
+def main() -> int:
+    if len(sys.argv) != 2:
+        print(__doc__.strip().splitlines()[-1].strip(), file=sys.stderr)
+        return 2
+    other = Path(sys.argv[1]).resolve()
+    if not (other / "src" / "misfdr").is_dir():
+        print(f"{other} has no src/misfdr", file=sys.stderr)
+        return 2
+    ok = True
+    with tempfile.TemporaryDirectory() as work:
+        work = Path(work)
+        kl_config = work / "kl.cfg"
+        kl_config.write_text(KL_CONFIG)
+        for name, argv in requests(kl_config).items():
+            outs = (work / "this" / name, work / "other" / name)
+            ran = [run_cli(tree, out, argv) for tree, out in zip((THIS_TREE, other), outs)]
+            ok &= all(ran) and compare(name, *outs)
+    print("all artifacts identical" if ok else "outputs differ")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -3,8 +3,8 @@
 Constructors cover the kernels exercised in the numerical studies: an
 exponential spatial kernel on a regular grid, stationary AR(2) autocovariance,
 the identity, and a separable space-time product kernel. Matrices are
-immutable values and keep no factor: a `TrueProcess` or a posterior operator
-that needs one builds it on construction. Whether a matrix is diagonal is read
+immutable values and keep no factor: a `TrueProcess` or a `ModelSpec` that
+needs one builds it on construction. Whether a matrix is diagonal is read
 from its entries on construction; the posterior and the sampling law of a
 diagonal specification are closed form.
 """

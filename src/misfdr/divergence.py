@@ -15,18 +15,17 @@ import numpy as np
 from .errors import ParameterError
 from .linalg import tri_solve
 from .posterior import KnownVariance, ModelSpec, TrueProcess
-from .sampdist import SamplingLaw, _law, check_law, require_density
-
-_SAME_COV_TOL = 1e-12
+from .sampdist import _SAME_TOL, SamplingLaw, _law, check_law, require_density
 
 
 def check_kl_specs(truth: TrueProcess, spec_cor: ModelSpec, spec_mis: ModelSpec) -> None:
     """Raise unless `spec_cor` uses the truth's covariance, entry by entry to
     within rounding; warn when the two specs use different g. The noise mode,
-    dimension and noise variance of each spec are checked by `check_law`."""
+    dimension, prior mean and noise variance of each spec are checked by
+    `check_law`."""
     spec_cov, true_cov = spec_cor.sigma_spec, truth.sigma1
     same_cov = spec_cov is true_cov or (spec_cov.dim == true_cov.dim and np.allclose(
-        spec_cov.entries, true_cov.entries, rtol=_SAME_COV_TOL, atol=_SAME_COV_TOL
+        spec_cov.entries, true_cov.entries, rtol=_SAME_TOL, atol=_SAME_TOL
     ))
     if not same_cov:
         raise ParameterError("spec_cor must use the true covariance")
@@ -55,7 +54,7 @@ def kl_laws(law_cor: SamplingLaw, law_mis: SamplingLaw) -> float:
 def kl_exact(truth: TrueProcess, spec_cor: ModelSpec, spec_mis: ModelSpec) -> float:
     """KL(f_cor || f_mis) of the statistic vector in nats, in closed form: the
     checks of `check_kl_specs` and each spec's `check_law` (noise mode,
-    dimension, noise variance), all before either law is built, then
+    dimension, prior mean, noise variance), all before either law is built, then
     `kl_laws` of the two laws."""
     check_kl_specs(truth, spec_cor, spec_mis)
     for spec in (spec_cor, spec_mis):

@@ -117,7 +117,7 @@ def replicate(
         nulls = [truth_labels(theta, spec.theta0) for spec in specs]
         del theta
         for spec, null, out in zip(specs, nulls, counts):
-            out[start:stop] = replication_counts(spec.posterior.probs(y), null, alpha_star)
+            out[start:stop] = replication_counts(spec.probs(y), null, alpha_star)
     return counts
 
 

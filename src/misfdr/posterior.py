@@ -2,7 +2,7 @@
 
 The statistic for hypothesis i is h_i = P(theta_i >= theta0_i | y): the
 posterior probability, under the analyst's assumed model, that theta_i is at
-least its prior mean theta0_i. A spec scores data as `spec.posterior.probs(y)`.
+least its prior mean theta0_i. A spec scores data as `spec.probs(y)`.
 Two noise modes are supported: known noise variance (Gaussian posterior) and
 unknown noise variance with an inverse-gamma prior (multivariate-t posterior).
 """
@@ -17,6 +17,17 @@ from scipy.special import ndtr, stdtr
 from .covariance import CovarianceMatrix
 from .errors import NotPositiveDefiniteError, ParameterError
 from .linalg import chol_inverse, chol_psd
+
+
+def _prior_mean(theta0, cov: CovarianceMatrix, cov_name: str) -> np.ndarray:
+    """theta0 as a float vector, checked to be 1-d, finite and of the
+    dimension of `cov`."""
+    theta0 = np.asarray(theta0, dtype=float)
+    if theta0.ndim != 1 or not np.all(np.isfinite(theta0)):
+        raise ParameterError("theta0 must be a finite 1-d vector")
+    if cov.dim != theta0.shape[0]:
+        raise ParameterError(f"{cov_name} dimension does not match theta0")
+    return theta0
 
 
 @dataclass(frozen=True)
@@ -34,12 +45,9 @@ class TrueProcess:
     cov_y_chol: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        theta0 = np.asarray(self.theta0, dtype=float)
-        object.__setattr__(self, "theta0", theta0)
+        object.__setattr__(self, "theta0", _prior_mean(self.theta0, self.sigma1, "sigma1"))
         if not 0 < self.sigma0_sq < np.inf:
             raise ParameterError("true noise variance must be positive and finite")
-        if self.sigma1.dim != theta0.shape[0]:
-            raise ParameterError("sigma1 dimension does not match theta0")
         object.__setattr__(self, "sigma1_chol", chol_psd(self.sigma1.entries)[0])
         cov_y = self.sigma1.entries.copy()
         cov_y[np.diag_indices(self.m)] += self.sigma0_sq
@@ -69,33 +77,6 @@ class UnknownVariance:
     def __post_init__(self) -> None:
         if not (0 < self.alpha < np.inf and 0 < self.beta < np.inf):
             raise ParameterError("inverse-gamma parameters must be positive and finite")
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    """The analyst's assumed model: prior mean, scale g, specified covariance,
-    noise mode, and the posterior they imply, factored once on construction."""
-
-    theta0: np.ndarray
-    g: float
-    sigma_spec: CovarianceMatrix
-    noise: KnownVariance | UnknownVariance
-    posterior: PosteriorOperator = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        theta0 = np.asarray(self.theta0, dtype=float)
-        object.__setattr__(self, "theta0", theta0)
-        if not 0 < self.g < np.inf:
-            raise ParameterError("prior scale g must be positive and finite")
-        if self.sigma_spec.dim != theta0.shape[0]:
-            raise ParameterError("sigma_spec dimension does not match theta0")
-        # Built eagerly: a lazy build would run after the draws it scores and
-        # raise the peak memory of a sweep point.
-        object.__setattr__(self, "posterior", PosteriorOperator(self))
-
-    @property
-    def m(self) -> int:
-        return self.theta0.shape[0]
 
 
 def draw_replications(
@@ -131,8 +112,10 @@ def require_noise(spec: ModelSpec, mode: type) -> None:
         raise ParameterError(f"spec must use the {name} noise mode")
 
 
-class PosteriorOperator:
-    """Posterior of theta under one model spec, from one Cholesky factor.
+class ModelSpec:
+    """The analyst's assumed model: prior mean theta0, prior scale g,
+    specified covariance Sigma_spec and noise mode; and the posterior of theta
+    it implies, from one Cholesky factor built on construction.
 
     With noise scale s (sigma0^2 when the variance is known, 1 under the
     inverse-gamma prior) and K = s I + g Sigma_spec, the posterior covariance
@@ -144,40 +127,41 @@ class PosteriorOperator:
     form r' K^{-1} r = r.r - r.(S r), since s = 1. Nothing here inverts
     Sigma_spec, so an ill-conditioned specification is only ever factored
     after adding s I. A is formed in place of K^{-1} (LAPACK potri from K's
-    factor) and is the one m x m array the operator keeps, in either mode.
+    factor) and is the one m x m array the spec builds, in either mode.
 
     A diagonal Sigma_spec = diag(d) needs no factor: A = diag(a) with
-    a_i = s g d_i / (s + g d_i), and the operator keeps only the vector a
+    a_i = s g d_i / (s + g d_i), and the spec keeps only the vector a
     (`a_diag`), scaling residuals elementwise.
 
     Every posterior variance a_ii must be positive, or the scores of that
-    coordinate are NaN: a dense operator checks diag(A), a diagonal one
-    checks d > 0, which holds exactly when both K and A are positive.
-
-    Each `ModelSpec` builds its own as `spec.posterior`. The operator keeps
-    only the values of the spec it needs, never the spec itself: a reference
-    back would make a cycle that only the cyclic garbage collector frees,
-    keeping the m x m matrices alive long after their sweep point.
+    coordinate are NaN: a dense spec checks diag(A), a diagonal one checks
+    d > 0, which holds exactly when both K and A are positive. The posterior
+    is built eagerly: a lazy build would run after the draws it scores and
+    raise the peak memory of a sweep point.
     """
 
-    def __init__(self, spec: ModelSpec):
-        self.known = isinstance(spec.noise, KnownVariance)
-        self.scale = spec.noise.sigma0_sq if self.known else 1.0
-        self.theta0 = spec.theta0
-        self.beta = None if self.known else spec.noise.beta
-        self.diagonal = spec.sigma_spec.is_diagonal
+    def __init__(self, theta0, g: float, sigma_spec: CovarianceMatrix,
+                 noise: KnownVariance | UnknownVariance):
+        if not 0 < g < np.inf:
+            raise ParameterError("prior scale g must be positive and finite")
+        self.theta0 = _prior_mean(theta0, sigma_spec, "sigma_spec")
+        self.g, self.sigma_spec, self.noise = g, sigma_spec, noise
+        self.m = self.theta0.shape[0]
+        self.known = isinstance(noise, KnownVariance)
+        self.scale = noise.sigma0_sq if self.known else 1.0
+        self.diagonal = sigma_spec.is_diagonal
         if self.diagonal:
-            d = spec.sigma_spec.entries.diagonal()
+            d = sigma_spec.entries.diagonal()
             if not np.all(d > 0):
                 raise NotPositiveDefiniteError(
-                    f"diagonal Sigma_spec of dim {spec.m} is not positive definite: "
+                    f"diagonal Sigma_spec of dim {self.m} is not positive definite: "
                     f"{np.count_nonzero(~(d > 0))} entries are not positive"
                 )
-            gd = spec.g * d
+            gd = g * d
             self.a_diag = self.scale * gd / (gd + self.scale)
         else:
-            diag = np.diag_indices(spec.m)
-            k = spec.g * spec.sigma_spec.entries
+            diag = np.diag_indices(self.m)
+            k = g * sigma_spec.entries
             k[diag] += self.scale
             k_chol, _ = chol_psd(k)
             del k
@@ -188,11 +172,11 @@ class PosteriorOperator:
             self.a_diag = a.diagonal()
             if not np.all(self.a_diag > 0):
                 raise NotPositiveDefiniteError(
-                    f"posterior covariance A of dim {spec.m} has "
+                    f"posterior covariance A of dim {self.m} has "
                     f"{np.count_nonzero(~(self.a_diag > 0))} variances that are not positive"
                 )
         self._sd = np.sqrt(self.a_diag)
-        self.dof = None if self.known else spec.m + 2 * spec.noise.alpha
+        self.dof = None if self.known else self.m + 2 * noise.alpha
 
     def _shift(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """(S r, r' K^{-1} r) with r = y - theta0, accepting (m,) or (n, m);
@@ -219,7 +203,7 @@ class PosteriorOperator:
         z, quad = self._shift(y)
         z /= self._sd
         if not self.known:
-            z /= np.sqrt((2 * self.beta + quad) / self.dof)[..., None]
+            z /= np.sqrt((2 * self.noise.beta + quad) / self.dof)[..., None]
         return z
 
     def probs(self, y: np.ndarray) -> np.ndarray:

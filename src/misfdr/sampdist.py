@@ -17,6 +17,10 @@ from .linalg import chol_inverse, chol_psd, congruence, square, tri_solve
 from .posterior import (KnownVariance, ModelSpec, TrueProcess, UnknownVariance, check_dims,
                         require_noise)
 
+# Tolerance, relative and absolute, for a spec's value to equal the truth's
+# entry by entry: its prior mean here, its covariance in `divergence`.
+_SAME_TOL = 1e-12
+
 
 class SamplingLaw:
     """The law of the scores of one spec on data from one truth, fixed by the
@@ -72,10 +76,16 @@ class SamplingLaw:
 
 def check_law(truth: TrueProcess, spec: ModelSpec, mode: type) -> None:
     """Raise unless `_law` can build the law of `spec` in the noise mode `mode`
-    on data from `truth`: the spec must use that mode and the truth's dimension,
-    and a known noise variance must equal the truth's. It factors nothing."""
+    on data from `truth`: the spec must use that mode, the truth's dimension
+    and the truth's prior mean (the law is that of scores centred on the
+    truth's mean), and a known noise variance must equal the truth's. It
+    factors nothing."""
     require_noise(spec, mode)
     check_dims(truth, spec)
+    if not np.allclose(spec.theta0, truth.theta0, rtol=_SAME_TOL, atol=_SAME_TOL):
+        raise ParameterError(
+            "sampling-law theory requires the spec prior mean to equal the truth's"
+        )
     if mode is KnownVariance and not np.isclose(spec.noise.sigma0_sq, truth.sigma0_sq):
         raise ParameterError(
             "known-variance theory requires the spec noise variance to equal the truth"
@@ -83,9 +93,9 @@ def check_law(truth: TrueProcess, spec: ModelSpec, mode: type) -> None:
 
 
 def _law(truth: TrueProcess, spec: ModelSpec) -> SamplingLaw:
-    """Sampling law of the statistics of `spec` on data from `truth`,
-    reusing the factorization of the spec's posterior operator. It checks
-    nothing: its callers run `check_law` first.
+    """Sampling law of the statistics of `spec` on data from `truth`, from
+    the posterior the spec factored on construction. It checks nothing: its
+    callers run `check_law` first.
 
     The posterior mean is theta0 + S (y - theta0) with the smoother S = A / s,
     so its sampling covariance is B = S V S' with V = sigma0^2 I + Sigma_1,
@@ -93,19 +103,18 @@ def _law(truth: TrueProcess, spec: ModelSpec) -> SamplingLaw:
     diag(a / s), so L_B is a row scaling of L_V, lower triangular as it
     stands; otherwise B is formed as (S L_V)(S L_V)' and factored.
     """
-    op = spec.posterior
-    if op.diagonal:
-        w = op.a_diag / op.scale
+    if spec.diagonal:
+        w = spec.a_diag / spec.scale
         b_chol = truth.cov_y_chol * w[:, None]
         b_diag = w * w * (truth.sigma1.entries.diagonal() + truth.sigma0_sq)
     else:
-        b = congruence(op.a, truth.cov_y_chol, 1.0 / op.scale)
+        b = congruence(spec.a, truth.cov_y_chol, 1.0 / spec.scale)
         b_chol = chol_psd(b)[0]
         b_diag = b.diagonal().copy()
         del b
-    if op.known:
+    if spec.known:
         c = None
-    elif op.diagonal:
+    elif spec.diagonal:
         # P = diag(1 / (g d)) for Sigma_spec = diag(d), so C is diagonal too.
         p = 1.0 / (spec.g * spec.sigma_spec.entries.diagonal())
         c = (p * p + p) * b_diag
@@ -130,7 +139,7 @@ def _law(truth: TrueProcess, spec: ModelSpec) -> SamplingLaw:
         sd = np.sqrt(b_diag)
         c *= sd[:, None]
         c *= sd
-    return SamplingLaw(op.a_diag, b_diag, b_chol, c, spec.noise)
+    return SamplingLaw(spec.a_diag, b_diag, b_chol, c, spec.noise)
 
 
 def law_known_var(truth: TrueProcess, spec: ModelSpec) -> SamplingLaw:

@@ -127,7 +127,7 @@ def kl_known_var(
     # Work with phi = Phi^{-1}(h) computed directly from the standardized
     # posterior mean: round-tripping through h loses the tail (h saturates
     # at 1.0 in float64 once phi exceeds ~8.2) and would force exclusions.
-    phi = spec_cor.posterior.standardized(y)
+    phi = spec_cor.standardized(y)
 
     interior = np.all(np.isfinite(phi), axis=1)
     n_excluded = int(n_draws - interior.sum())

@@ -26,7 +26,6 @@ from misfdr.fdr import step_up
 from misfdr.posterior import (
     KnownVariance,
     ModelSpec,
-    PosteriorOperator,
     TrueProcess,
     UnknownVariance,
     draw_replications,
@@ -90,7 +89,7 @@ def test_criterion_2_known_var_marginal_law():
     worst = 1.0
     for spec in (spec_cor, spec_mis):
         law = law_known_var(truth, spec)
-        h = PosteriorOperator(spec).probs(y)
+        h = spec.probs(y)
         for i in coords:
             root_r = np.sqrt(law.r[i])
             # closed-form reference CDF; written via the probit so that the
@@ -113,7 +112,7 @@ def test_criterion_3_unknown_var_joint_law():
     for sigma_spec in (sigma1, identity_cov(grid.m)):
         spec = ModelSpec(np.zeros(grid.m), 1.0, sigma_spec, UnknownVariance(1.0, 1.0))
         _, y = draw_replications(truth, stream(42, 0), n_draws)
-        h_sim = PosteriorOperator(spec).probs(y)
+        h_sim = spec.probs(y)
 
         law = law_unknown_var(truth, spec)
         xi = xi_sampler(law, n_draws, stream(42, 1))

@@ -49,8 +49,8 @@ class TestOperatorPin:
         for rng, truth, cov in diagonal_cases():
             theta0 = rng.standard_normal(truth.m)
             y = theta0 + 1.5 * rng.standard_normal((5, truth.m))
-            fast = ModelSpec(theta0, g, cov, noise_of(truth, known)).posterior
-            dense = ModelSpec(theta0, g, dense_twin(cov), noise_of(truth, known)).posterior
+            fast = ModelSpec(theta0, g, cov, noise_of(truth, known))
+            dense = ModelSpec(theta0, g, dense_twin(cov), noise_of(truth, known))
             assert fast.diagonal and not dense.diagonal
             assert_close(fast.a_diag, np.diag(dense.a))
             assert_close(fast.standardized(y), dense.standardized(y))
@@ -109,7 +109,7 @@ class TestOneForm:
         law.copula, law.p_b
         law_matrices = {name for name, v in vars(law).items() if np.ndim(v) == 2}
         assert law_matrices == ({"b_chol", "c"} if dense and not known else {"b_chol"})
-        op_matrices = {name for name, v in vars(spec.posterior).items() if np.ndim(v) == 2}
+        op_matrices = {name for name, v in vars(spec).items() if np.ndim(v) == 2}
         assert op_matrices == ({"a"} if dense else set())
         # A draw reads the truth's own factor: Sigma_1 keeps its entries alone.
         draw_replications(truth, stream(1), 3)

@@ -219,17 +219,19 @@ class TestKLExact:
                                       rel=1e-12, abs=0)
 
     @pytest.mark.parametrize(
-        "noise, grid, match",
-        [(UnknownVariance(1.0, 1.0), GridLayout(10, 10), "known-variance noise mode"),
-         (KnownVariance(0.5), GridLayout(10, 10), "equal the truth"),
-         (KnownVariance(0.25), GridLayout(9, 11), "dimension 99 does not match the truth's 100")],
-        ids=["noise-mode", "noise-variance", "dimension"],
+        "noise, grid, theta0, match",
+        [(UnknownVariance(1.0, 1.0), GridLayout(10, 10), 0.0, "known-variance noise mode"),
+         (KnownVariance(0.5), GridLayout(10, 10), 0.0, "equal the truth"),
+         (KnownVariance(0.25), GridLayout(9, 11), 0.0,
+          "dimension 99 does not match the truth's 100"),
+         (KnownVariance(0.25), GridLayout(10, 10), 1.0, "prior mean")],
+        ids=["noise-mode", "noise-variance", "dimension", "prior-mean"],
     )
     def test_both_specs_checked_before_any_factorization(self, monkeypatch, noise, grid,
-                                                         match):
+                                                         theta0, match):
         # A bad spec_mis is rejected before spec_cor's law factors B.
         truth, spec_cor, _ = desk_setup()
-        bad_mis = ModelSpec(np.zeros(grid.m), 1.0, exponential_cov(grid, 2.0), noise)
+        bad_mis = ModelSpec(np.full(grid.m, theta0), 1.0, exponential_cov(grid, 2.0), noise)
         factored = []
         chol = sampdist.chol_psd
 

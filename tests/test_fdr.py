@@ -380,7 +380,7 @@ class TestRowBlocks:
         for _ in range(self.n):
             theta, y = draw_dataset(truth, twin)
             null = truth_labels(theta, spec.theta0)
-            expected.append(replication_counts(spec.posterior.probs(y), null, 0.05))
+            expected.append(replication_counts(spec.probs(y), null, 0.05))
         np.testing.assert_array_equal(counts, expected)
 
     def test_counts_do_not_depend_on_block_rows(self, monkeypatch):
@@ -403,7 +403,7 @@ class TestRowBlocks:
         truth = TrueProcess(np.zeros(25), 0.25, sigma1)
         spec = ModelSpec(np.zeros(25), 1.0, sigma1, KnownVariance(0.25))
         theta, y = draw_replications(truth, stream(4), self.n)
-        whole = spec.posterior.probs(y)
+        whole = spec.probs(y)
         expected = replication_counts(whole, truth_labels(theta, spec.theta0), 0.05)
         (counts,) = replicate(truth, [spec], 0.05, stream(4), self.n)
         np.testing.assert_array_equal(counts, expected)
@@ -411,7 +411,7 @@ class TestRowBlocks:
         for start in range(0, self.n, fdr._BLOCK_ROWS):
             rows = slice(start, start + fdr._BLOCK_ROWS)
             _, y_rows = draw_replications(truth, gen, len(whole[rows]))
-            np.testing.assert_allclose(spec.posterior.probs(y_rows), whole[rows], rtol=1e-12)
+            np.testing.assert_allclose(spec.probs(y_rows), whole[rows], rtol=1e-12)
 
     def test_draws_factor_nothing(self, monkeypatch):
         # The truth and the spec own every factor the replications read, built

@@ -9,7 +9,6 @@ from misfdr.errors import NotPositiveDefiniteError, ParameterError
 from misfdr.posterior import (
     KnownVariance,
     ModelSpec,
-    PosteriorOperator,
     TrueProcess,
     UnknownVariance,
     draw_replications,
@@ -75,12 +74,12 @@ class TestDrawDataset:
 
 class TestKnownVariance:
     def test_half_at_prior_mean(self):
-        h = scalar_spec().posterior.probs(np.zeros(1))
+        h = scalar_spec().probs(np.zeros(1))
         assert h[0] == pytest.approx(0.5)
 
     def test_scalar_value_against_quadrature(self):
         spec = scalar_spec()
-        h = spec.posterior.probs(np.array([1.0]))
+        h = spec.probs(np.array([1.0]))
         assert h[0] == pytest.approx(0.96318, abs=1e-5)
         # independent oracle: 1-D quadrature of the unnormalized posterior
         y = 1.0
@@ -91,7 +90,7 @@ class TestKnownVariance:
 
     def test_monotone_limit_in_y(self):
         spec = scalar_spec()
-        h = spec.posterior.probs(np.array([50.0]))
+        h = spec.probs(np.array([50.0]))
         assert h[0] == pytest.approx(1.0, abs=1e-12)
 
     @given(st.floats(-3, 3), st.floats(-3, 3), st.floats(0.05, 2))
@@ -103,8 +102,8 @@ class TestKnownVariance:
             sigma_spec=CovarianceMatrix(np.diag([1.0, 2.0])),
             noise=KnownVariance(0.25),
         )
-        lo = spec.posterior.probs(np.array([y0, y1]))
-        hi = spec.posterior.probs(np.array([y0 + bump, y1]))
+        lo = spec.probs(np.array([y0, y1]))
+        hi = spec.probs(np.array([y0 + bump, y1]))
         assert hi[0] > lo[0]
         assert hi[1] == pytest.approx(lo[1])
 
@@ -117,18 +116,17 @@ class TestKnownVariance:
         )
         base = ModelSpec(np.zeros(3), 1.0, sigma, KnownVariance(0.5))
         shifted = ModelSpec(np.full(3, shift), 1.0, sigma, KnownVariance(0.5))
-        h0 = base.posterior.probs(y)
-        h1 = shifted.posterior.probs(y + shift)
+        h0 = base.probs(y)
+        h1 = shifted.probs(y + shift)
         np.testing.assert_allclose(h0, h1, atol=1e-10)
 
     def test_vague_prior_is_data_dominated(self):
         sigma = CovarianceMatrix([[1.0, 0.4], [0.4, 1.0]])
         spec = ModelSpec(np.zeros(2), 1e8, sigma, KnownVariance(0.25))
         y = np.array([1.0, -2.0])
-        op = PosteriorOperator(spec)
-        mean = op.standardized(y) * np.sqrt(np.diag(op.a))
+        mean = spec.standardized(y) * np.sqrt(np.diag(spec.a))
         assert np.linalg.norm(mean - y) < 1e-4 * np.linalg.norm(y)
-        np.testing.assert_allclose(np.diag(op.a), 0.25, atol=1e-6)
+        np.testing.assert_allclose(np.diag(spec.a), 0.25, atol=1e-6)
 
     def test_half_everywhere_at_prior_mean_diagonal(self):
         spec = ModelSpec(
@@ -137,19 +135,19 @@ class TestKnownVariance:
             CovarianceMatrix(np.diag([1.0, 0.5, 2.0])),
             KnownVariance(0.3),
         )
-        h = spec.posterior.probs(spec.theta0.copy())
+        h = spec.probs(spec.theta0.copy())
         np.testing.assert_allclose(h, 0.5, atol=1e-12)
 
 
 class TestUnknownVariance:
     def test_half_at_prior_mean(self):
         spec = scalar_spec(noise=UnknownVariance(1.0, 1.0))
-        h = spec.posterior.probs(np.zeros(1))
+        h = spec.probs(np.zeros(1))
         assert h[0] == pytest.approx(0.5)
 
     def test_scalar_value_against_quadrature(self):
         spec = scalar_spec(noise=UnknownVariance(1.0, 1.0))
-        h = spec.posterior.probs(np.array([1.0]))
+        h = spec.probs(np.array([1.0]))
         assert h[0] == pytest.approx(0.7525, abs=1e-4)
         # oracle: the marginal posterior is proportional to
         # [(y - t)^2 + t^2/g + 2 beta]^{-(m + alpha)} with m = 1, alpha = 1
@@ -162,7 +160,7 @@ class TestUnknownVariance:
     def test_beta_limit_monotone_toward_half(self):
         y = np.array([1.0])
         values = [
-            scalar_spec(noise=UnknownVariance(1.0, b)).posterior.probs(y)[0]
+            scalar_spec(noise=UnknownVariance(1.0, b)).probs(y)[0]
             for b in (1e2, 1e4, 1e6)
         ]
         assert values[0] > values[1] > values[2] > 0.5
@@ -185,7 +183,7 @@ PIN_GS = (1e-2, 1e-1, 1.0, 10.0, 1e3, 1e8)
 
 
 class TestPosteriorOperatorPin:
-    """The one-factor operator against dense textbook formulas."""
+    """A spec's one-factor posterior against dense textbook formulas."""
 
     @pytest.mark.parametrize("g", PIN_GS)
     def test_known_variance(self, g):
@@ -195,8 +193,7 @@ class TestPosteriorOperatorPin:
             m = spec.m
             sigma_inv = np.linalg.inv(sigma.entries)
             post_cov = np.linalg.inv(np.eye(m) / sigma0_sq + sigma_inv / g)
-            op = PosteriorOperator(spec)
-            np.testing.assert_allclose(op.a, post_cov, rtol=1e-10, atol=0)
+            np.testing.assert_allclose(spec.a, post_cov, rtol=1e-10, atol=0)
 
     @pytest.mark.parametrize("g", PIN_GS)
     def test_known_variance_standardized(self, g):
@@ -210,8 +207,8 @@ class TestPosteriorOperatorPin:
             post_cov = np.linalg.inv(np.eye(m) / sigma0_sq + sigma_inv / g)
             mean = (y / sigma0_sq + sigma_inv @ theta0 / g) @ post_cov
             z = (mean - theta0) / np.sqrt(np.diag(post_cov))
-            np.testing.assert_allclose(spec.posterior.standardized(y), z, rtol=1e-10, atol=0)
-            np.testing.assert_allclose(spec.posterior.standardized(y[0]), z[0], rtol=1e-10, atol=0)
+            np.testing.assert_allclose(spec.standardized(y), z, rtol=1e-10, atol=0)
+            np.testing.assert_allclose(spec.standardized(y[0]), z[0], rtol=1e-10, atol=0)
 
     @pytest.mark.parametrize("g", PIN_GS)
     def test_unknown_variance(self, g):
@@ -226,11 +223,10 @@ class TestPosteriorOperatorPin:
             quad = np.sum(resid * (resid @ np.linalg.inv(np.eye(m) + g * sigma.entries)), axis=1)
             dof = m + 2 * noise.alpha
             scale = (2 * noise.beta + quad) / dof
-            op = PosteriorOperator(spec)
-            np.testing.assert_allclose(op.a, shape, rtol=1e-10, atol=0)
+            np.testing.assert_allclose(spec.a, shape, rtol=1e-10, atol=0)
             # the quadratic form enters only through the t scale
             z = (mean - theta0) / np.sqrt(scale[:, None] * np.diag(shape))
-            np.testing.assert_allclose(op.standardized(y), z, rtol=1e-10, atol=0)
+            np.testing.assert_allclose(spec.standardized(y), z, rtol=1e-10, atol=0)
 
 
 NON_FINITE = pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -259,6 +255,28 @@ class TestNonFiniteParameters:
     def test_model_spec_g(self, bad):
         with pytest.raises(ParameterError, match="finite"):
             ModelSpec(np.zeros(2), bad, identity_cov(2), KnownVariance(0.25))
+
+
+BAD_THETA0 = pytest.mark.parametrize(
+    "theta0, match",
+    [(0.0, "1-d"), (np.zeros((2, 2)), "1-d"), (np.array([0.0, np.nan]), "finite"),
+     (np.array([np.inf, 0.0]), "finite"), (np.zeros(3), None)],
+    ids=["scalar", "2-d", "nan", "inf", "length"],
+)
+
+
+class TestPriorMeanChecks:
+    # theta0 must be a finite vector as long as the covariance; a wrong length
+    # keeps each constructor's own message.
+    @BAD_THETA0
+    def test_true_process(self, theta0, match):
+        with pytest.raises(ParameterError, match=match or "sigma1 dimension does not match"):
+            TrueProcess(theta0, 0.25, identity_cov(2))
+
+    @BAD_THETA0
+    def test_model_spec(self, theta0, match):
+        with pytest.raises(ParameterError, match=match or "sigma_spec dimension does not match"):
+            ModelSpec(theta0, 1.0, identity_cov(2), KnownVariance(0.25))
 
 
 class TestTruthFactors:

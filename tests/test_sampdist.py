@@ -6,10 +6,10 @@ from scipy.special import ndtr, stdtr
 from misfdr.covariance import CovarianceMatrix, GridLayout, exponential_cov, identity_cov
 from misfdr.errors import BoundaryError, ParameterError
 from misfdr.linalg import chol_inverse, chol_psd
-from misfdr import sampdist
+from misfdr import posterior, sampdist
 from misfdr.divergence import kl_exact
 from misfdr.fdr import operating_characteristics
-from misfdr.posterior import KnownVariance, ModelSpec, PosteriorOperator, TrueProcess, UnknownVariance
+from misfdr.posterior import KnownVariance, ModelSpec, TrueProcess, UnknownVariance
 from misfdr.rng import stream
 from misfdr.sampdist import (
     SamplingLaw,
@@ -116,6 +116,35 @@ class TestDimensionMismatch:
             kl_exact(truth, spec, spec_cor)
 
 
+class TestPriorMeanMismatch:
+    """A law is that of scores centred on the truth's mean. With truth
+    theta0 = 0 and spec theta0 = 1 on this Sigma, Phi^-1(h) has a Monte Carlo
+    mean of about -2.2 in every coordinate, where a law would say 0."""
+
+    @staticmethod
+    def truth_and_cov():
+        cov = exponential_cov(GridLayout(1, 3), 2.0)
+        return TrueProcess(np.zeros(3), 0.25, cov), cov
+
+    @pytest.mark.parametrize(
+        "noise, law_of",
+        [(KnownVariance(0.25), law_known_var), (UnknownVariance(2.0, 0.5), law_unknown_var)],
+        ids=["known", "unknown"],
+    )
+    def test_law_rejects_shifted_theta0(self, noise, law_of):
+        truth, cov = self.truth_and_cov()
+        with pytest.raises(ParameterError, match="prior mean"):
+            law_of(truth, ModelSpec(np.ones(3), 1.0, cov, noise))
+        # within rounding, the truth's mean is the truth's mean
+        law_of(truth, ModelSpec(np.full(3, 1e-13), 1.0, cov, noise))
+
+    def test_monte_carlo_accepts_shifted_theta0(self):
+        # The Monte Carlo labels nulls by the spec's theta0, so it has a meaning.
+        truth, cov = self.truth_and_cov()
+        spec = ModelSpec(np.ones(3), 1.0, cov, KnownVariance(0.25))
+        assert operating_characteristics(truth, spec, 0.05, n_reps=50, rng=0).n_reps == 50
+
+
 class TestLawUnknownVar:
     def test_scalar_values(self):
         truth = scalar_truth()
@@ -136,7 +165,7 @@ class TestLawUnknownVar:
         rng = np.random.default_rng(3)
         y = rng.standard_normal(truth.m)
         direct = y @ np.linalg.solve(np.eye(truth.m) + spec.g * spec.sigma_spec.entries, y)
-        theta_post = spec.posterior.a @ y
+        theta_post = spec.a @ y
         z_b = theta_post / np.sqrt(law.b_diag)
         assert z_b @ law.c @ z_b == pytest.approx(direct, rel=1e-10)
 
@@ -144,7 +173,7 @@ class TestLawUnknownVar:
         truth, _, _ = grid_setup(rows=5, cols=5)
         spec = ModelSpec(np.zeros(25), 1e8, truth.sigma1, UnknownVariance(1.0, 1.0))
         law = law_unknown_var(truth, spec)
-        np.testing.assert_allclose(spec.posterior.a, np.eye(25), atol=1e-6)
+        np.testing.assert_allclose(spec.a, np.eye(25), atol=1e-6)
         np.testing.assert_allclose(
             law.b_chol @ law.b_chol.T, truth.sigma0_sq * np.eye(25) + truth.sigma1.entries,
             atol=1e-6,
@@ -173,19 +202,14 @@ class TestLawUnknownVar:
             law_unknown_var(truth, spec)
 
     def test_operating_characteristics_and_law_share_one_operator(self, monkeypatch):
+        # A dense spec factors its posterior once, on construction: scoring
+        # and the law read that A and invert K no more.
         truth, _, _ = grid_setup(rows=4, cols=4)
-        built = []
-        init = PosteriorOperator.__init__
-
-        def counting_init(self, spec):
-            built.append(spec)
-            init(self, spec)
-
-        monkeypatch.setattr(PosteriorOperator, "__init__", counting_init)
+        inverted = count_calls(monkeypatch, posterior, "chol_inverse")
         spec = ModelSpec(truth.theta0, 1.0, truth.sigma1, UnknownVariance(2.0, 0.5))
         operating_characteristics(truth, spec, 0.05, n_reps=20, rng=0)
         law_unknown_var(truth, spec)
-        assert len(built) == 1
+        assert len(inverted) == 1
 
 
 class TestLawB:
@@ -201,7 +225,7 @@ class TestLawB:
             law = (law_known_var if known else law_unknown_var)(truth, spec)
             s = truth.sigma0_sq if known else 1.0
             cov_y = truth.sigma1.entries + truth.sigma0_sq * np.eye(truth.m)
-            a = spec.posterior.a
+            a = spec.a
             dense = a @ cov_y @ a / (s * s)
             b = law.b_chol @ law.b_chol.T
             np.testing.assert_allclose(b, dense, rtol=1e-10, atol=0)
@@ -238,9 +262,9 @@ class TestOneMatrixPerObject:
     def test_operator_keeps_one_square_matrix(self, noise):
         _, spec_cor, _ = grid_setup(rows=3, cols=3)
         spec = ModelSpec(spec_cor.theta0, 1.0, spec_cor.sigma_spec, noise)
-        square = [v for v in vars(spec.posterior).values()
+        square = [v for v in vars(spec).values()
                   if isinstance(v, np.ndarray) and v.shape == (spec.m, spec.m)]
-        assert len(square) == 1 and square[0] is spec.posterior.a
+        assert len(square) == 1 and square[0] is spec.a
 
     @BOTH_MODES
     def test_law_factors_b_once(self, monkeypatch, noise, law_of):

@@ -8,11 +8,11 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 
-from misfdr import simulation
+from misfdr import posterior, simulation
 from misfdr.covariance import GridLayout
 from misfdr.divergence import kl_exact
 from misfdr.errors import ParameterError
-from misfdr.posterior import PosteriorOperator
+from misfdr.posterior import ModelSpec
 from misfdr.sampdist import SamplingLaw
 from misfdr.simulation import (
     DEFAULT_G_GRID,
@@ -168,16 +168,15 @@ class TestRunSweep:
         assert run_sweep(config) == expected
 
     def test_one_operator_per_spec(self, monkeypatch):
-        built = []
-        init = PosteriorOperator.__init__
-
-        def counting_init(self, spec):
-            built.append(spec)
-            init(self, spec)
-
-        monkeypatch.setattr(PosteriorOperator, "__init__", counting_init)
-        run_sweep(tiny_config(sweep_values=(1.0,)))
-        assert len(built) == 2
+        # Each point's dense correct spec inverts K once, on construction; the
+        # identity spec is closed form and inverts nothing.
+        inverted = []
+        inverse = posterior.chol_inverse
+        monkeypatch.setattr(posterior, "chol_inverse",
+                            lambda chol: inverted.append(chol) or inverse(chol))
+        config = tiny_config()
+        run_sweep(config)
+        assert len(inverted) == len(config.sweep_values)
 
     @pytest.mark.parametrize(
         "overrides, builds",
@@ -190,7 +189,7 @@ class TestRunSweep:
         # A range sweep builds its correct spec and law once; a g sweep needs
         # both specs and laws anew at every g.
         config = tiny_config(**overrides)
-        built = {PosteriorOperator: 0, SamplingLaw: 0}
+        built = {ModelSpec: 0, SamplingLaw: 0}
         for cls in built:
             def counting_init(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
                 built[_cls] += 1
@@ -199,14 +198,14 @@ class TestRunSweep:
             monkeypatch.setattr(cls, "__init__", counting_init)
         run_sweep(config, threads=2)
         n = len(config.sweep_values)
-        assert built == {PosteriorOperator: builds(n), SamplingLaw: builds(n)}
+        assert built == {ModelSpec: builds(n), SamplingLaw: builds(n)}
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_refcounting_frees_every_factor(self, monkeypatch, threads):
-        # A reference cycle through an operator or a law would keep each
+        # A reference cycle through a spec or a law would keep each
         # point's m x m factors alive until the cyclic collector ran.
         made = []
-        for cls in (PosteriorOperator, SamplingLaw):
+        for cls in (ModelSpec, SamplingLaw):
             def tracking_init(self, *args, _init=cls.__init__, **kwargs):
                 made.append(weakref.ref(self))
                 _init(self, *args, **kwargs)
@@ -222,12 +221,12 @@ class TestRunSweep:
         assert alive == []
 
     def test_range_sweep_scores_its_correct_spec_once(self, monkeypatch):
-        # 1100 replications are 3 blocks of at most 512 rows: each operator,
-        # the correct spec's included, scores 3 blocks in the whole sweep.
+        # 1100 replications are 3 blocks of at most 512 rows: each spec,
+        # the correct one included, scores 3 blocks in the whole sweep.
         config = tiny_config(**RANGE_SWEEP, n_reps=1100)
         truths, specs, scored = [], [], []
         make_truth, make_spec, probs = (simulation.sweep_truth, simulation.sweep_spec,
-                                        PosteriorOperator.probs)
+                                        ModelSpec.probs)
 
         def recording_truth(*args):
             truths.append(make_truth(*args))
@@ -243,13 +242,13 @@ class TestRunSweep:
 
         monkeypatch.setattr(simulation, "sweep_truth", recording_truth)
         monkeypatch.setattr(simulation, "sweep_spec", recording_spec)
-        monkeypatch.setattr(PosteriorOperator, "probs", counting_probs)
+        monkeypatch.setattr(ModelSpec, "probs", counting_probs)
         run_sweep(config, threads=2)
         (truth,) = truths
         # The one spec on the truth's covariance is built before the points.
         on_truth = [cov is truth.sigma1 for cov, _ in specs]
         assert on_truth == [True] + [False] * len(config.sweep_values)
-        assert [scored.count(spec.posterior) for _, spec in specs] == [3] * len(specs)
+        assert [scored.count(spec) for _, spec in specs] == [3] * len(specs)
 
     def test_range_sweep_rows_share_the_correct_spec(self):
         config = replace(builtin_example(3, scale="desk"), n_reps=100)
