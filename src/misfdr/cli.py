@@ -196,12 +196,18 @@ def _read_config(path: str) -> tuple[dict[str, str], bytes]:
     return parse_config_text(raw.decode()), raw
 
 
+# Config keys of a sweep that the KL divergence, exact and at one g, never
+# reads; a `sweep.` key is one too.
+_KL_UNREAD = ("n_reps", "seed", "alpha_star")
+
+
 def _cmd_kl(args) -> tuple[bytes, None]:
     mapping, raw = _read_config(args.config)
+    unread = sorted(k for k in mapping if k in _KL_UNREAD or k.startswith("sweep."))
+    if unread:
+        raise ParameterError(f"config key(s) that kl does not use: {', '.join(unread)}")
+    # With no sweep.variable, the parser requires mis.range of an exponential kernel.
     config = config_from_mapping(mapping, label="kl")
-    if config.mis_kernel == {"kind": "exponential"}:
-        # A range sweep may omit mis.range; the KL divergence is taken at it.
-        raise ParameterError("missing config key: mis.range")
     truth_cov = build_cov(config.truth_kernel, config.m, config.grid)
     mis_cov = build_cov(config.mis_kernel, config.m, config.grid)
     truth, spec_cor, spec_mis = paired_specs(config, truth_cov, mis_cov, config.g)

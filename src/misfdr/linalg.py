@@ -69,6 +69,15 @@ def tri_solve(chol_l: np.ndarray, b: np.ndarray) -> np.ndarray:
     return dtrsm(1.0, chol_l.T, rhs, side=1, lower=0, overwrite_b=1).T.reshape(b.shape)
 
 
+def tri_mul(x: np.ndarray, chol_l: np.ndarray) -> np.ndarray:
+    """x L' for a lower triangular L and an (n, m) x, by one BLAS trmm: m^2 n
+    flops, half those of a general product. x in C order is x' in Fortran
+    order, so L x' is written over x when x is C-ordered float64 (any other x
+    is copied first), and L' in C order is L in the Fortran order BLAS reads,
+    so the factor is not copied."""
+    return dtrmm(1.0, chol_l.T, x.T, lower=0, trans_a=1, overwrite_b=1).T
+
+
 def congruence(a: np.ndarray, chol_l: np.ndarray, alpha: float = 1.0) -> np.ndarray:
     """alpha^2 a V a' for V = L L' given its lower Cholesky factor L, exactly
     symmetric.

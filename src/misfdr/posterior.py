@@ -2,7 +2,10 @@
 
 The statistic for hypothesis i is h_i = P(theta_i >= theta0_i | y): the
 posterior probability, under the analyst's assumed model, that theta_i is at
-least its prior mean theta0_i. A spec scores data as `spec.probs(y)`.
+least its prior mean theta0_i. A spec scores data in two steps: the
+standardized score z = `spec.standardized(y)`, then h = `spec.cdf(z)`, the
+posterior CDF Psi at z. Psi is monotone, so the step-up rule sorts z and
+applies Psi only to the prefix of each sorted row it reads (`fdr.replicate`).
 Two noise modes are supported: known noise variance (Gaussian posterior) and
 unknown noise variance with an inverse-gamma prior (multivariate-t posterior).
 """
@@ -16,7 +19,7 @@ from scipy.special import ndtr, stdtr
 
 from .covariance import CovarianceMatrix
 from .errors import NotPositiveDefiniteError, ParameterError
-from .linalg import chol_inverse, chol_psd
+from .linalg import chol_inverse, chol_psd, tri_mul
 
 
 def _prior_mean(theta0, cov: CovarianceMatrix, cov_name: str) -> np.ndarray:
@@ -91,7 +94,7 @@ def draw_replications(
     """
     m = truth.m
     z = gen.standard_normal((n, 2 * m))
-    theta = z[:, :m] @ truth.sigma1_chol.T
+    theta = tri_mul(z[:, :m], truth.sigma1_chol)
     theta += truth.theta0
     y = z[:, m:]
     y *= np.sqrt(truth.sigma0_sq)
@@ -194,7 +197,7 @@ class ModelSpec:
 
     def standardized(self, y: np.ndarray) -> np.ndarray:
         """(posterior mean - theta0) / posterior scale: the argument of the
-        posterior CDF in `probs`, so Phi^{-1}(h) exactly when the variance is
+        posterior CDF `cdf`, so Phi^{-1}(h) exactly when the variance is
         known and the Student-t quantile of h when it is not.
 
         Downstream density evaluations work with this quantity directly so
@@ -206,8 +209,11 @@ class ModelSpec:
             z /= np.sqrt((2 * self.noise.beta + quad) / self.dof)[..., None]
         return z
 
-    def probs(self, y: np.ndarray) -> np.ndarray:
-        """h_i = P(theta_i >= theta0_i | y); accepts (m,) or (n, m)."""
-        z = self.standardized(y)
-        return ndtr(z, out=z) if self.known else stdtr(self.dof, z, out=z)
+    def cdf(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """h = Psi(z), the posterior CDF at the standardized score z: the
+        normal CDF when the variance is known, Student t with `dof` degrees
+        of freedom when it is not. `cdf(standardized(y))` is h_i =
+        P(theta_i >= theta0_i | y), for (m,) or (n, m) y; `out` is as for a
+        numpy ufunc."""
+        return ndtr(z, out=out) if self.known else stdtr(self.dof, z, out=out)
 

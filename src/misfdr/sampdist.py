@@ -13,7 +13,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri, stdtr
 
 from .errors import BoundaryError, NotPositiveDefiniteError, ParameterError
-from .linalg import chol_inverse, chol_psd, congruence, square, tri_solve
+from .linalg import chol_inverse, chol_psd, congruence, square, tri_mul, tri_solve
 from .posterior import (KnownVariance, ModelSpec, TrueProcess, UnknownVariance, check_dims,
                         require_noise)
 
@@ -211,7 +211,7 @@ def xi_sampler(law: SamplingLaw, n_draws: int, rng: np.random.Generator) -> np.n
         raise ParameterError("law has no C matrix; use the unknown-variance constructor")
     if n_draws < 1:
         raise ParameterError("n_draws must be at least 1")
-    z = rng.standard_normal((n_draws, law.m)) @ law.b_chol.T
+    z = tri_mul(rng.standard_normal((n_draws, law.m)), law.b_chol)
     z /= np.sqrt(law.b_diag)
     if law.c.ndim == 1:
         quad = np.square(z) @ law.c

@@ -16,6 +16,10 @@
   pinned to.
 - `step_up_reference`: the step-up rule in its earlier, many-pass form, the
   reference whose k and rejections `fdr.step_up` reproduces exactly.
+- `probs`: a spec's scores h = Psi(z) on every coordinate of y.
+- `replication_counts`: (R, V, T) from scores h by `step_up_reference`, the
+  reference that `fdr.replicate`, which decides from the standardized
+  scores, reproduces exactly.
 """
 
 from __future__ import annotations
@@ -212,3 +216,17 @@ def step_up_reference(h: np.ndarray, alpha_star: float) -> DecisionSet:
     if h.ndim == 1:
         return DecisionSet(rejected[0], int(k[0]))
     return DecisionSet(rejected, k)
+
+
+def probs(spec: ModelSpec, y: np.ndarray) -> np.ndarray:
+    """h_i = P(theta_i >= theta0_i | y) under `spec`, for (m,) or (n, m) y."""
+    return spec.cdf(spec.standardized(y))
+
+
+def replication_counts(h: np.ndarray, null_mask: np.ndarray, alpha_star: float) -> np.ndarray:
+    """(R, V, T) for one replication: rejections, false rejections, true
+    alternatives left unrejected. A batch (n, m) gives one row per replication."""
+    decision = step_up_reference(h, alpha_star)
+    false_rejections = np.count_nonzero(decision.rejected & null_mask, axis=-1)
+    missed = np.count_nonzero(~(decision.rejected | null_mask), axis=-1)
+    return np.stack((decision.k, false_rejections, missed), axis=-1)

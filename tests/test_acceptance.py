@@ -33,7 +33,7 @@ from misfdr.posterior import (
 from misfdr.rng import stream
 from misfdr.sampdist import law_known_var, law_unknown_var, marginal_cdf, xi_sampler, xi_to_h
 from misfdr.simulation import builtin_example, run_sweep
-from oracles import kl_known_var
+from oracles import kl_known_var, probs
 
 RUN_FULL = os.environ.get("MISFDR_RUN_FULL") == "1"
 
@@ -89,7 +89,7 @@ def test_criterion_2_known_var_marginal_law():
     worst = 1.0
     for spec in (spec_cor, spec_mis):
         law = law_known_var(truth, spec)
-        h = spec.probs(y)
+        h = probs(spec, y)
         for i in coords:
             root_r = np.sqrt(law.r[i])
             # closed-form reference CDF; written via the probit so that the
@@ -112,7 +112,7 @@ def test_criterion_3_unknown_var_joint_law():
     for sigma_spec in (sigma1, identity_cov(grid.m)):
         spec = ModelSpec(np.zeros(grid.m), 1.0, sigma_spec, UnknownVariance(1.0, 1.0))
         _, y = draw_replications(truth, stream(42, 0), n_draws)
-        h_sim = spec.probs(y)
+        h_sim = probs(spec, y)
 
         law = law_unknown_var(truth, spec)
         xi = xi_sampler(law, n_draws, stream(42, 1))

@@ -20,6 +20,10 @@ seed = 0
 """
 
 
+# CONFIG without the keys that only a sweep reads: what `kl` accepts.
+KL_CONFIG = CONFIG.replace("sweep.values = 0.1, 1.0\nn_reps = 40\nseed = 0\n", "")
+
+
 def run(tmp_path, *argv):
     return main(["--output-dir", str(tmp_path), *argv])
 
@@ -85,8 +89,8 @@ class TestDist:
 class TestKl:
     def test_identical_kernels_give_zero(self, tmp_path):
         config = tmp_path / "exp.cfg"
-        config.write_text(CONFIG.replace("mis.kernel = identity",
-                                         "mis.kernel = exponential\nmis.range = 5.0"))
+        config.write_text(KL_CONFIG.replace("mis.kernel = identity",
+                                            "mis.kernel = exponential\nmis.range = 5.0"))
         assert run(tmp_path, "kl", "--config", str(config)) == 0
         header, row = (tmp_path / "kl.csv").read_text().splitlines()
         assert header == "g,m,total,per_dim"
@@ -96,16 +100,29 @@ class TestKl:
 
     def test_positive_for_real_misspecification(self, tmp_path):
         config = tmp_path / "mis.cfg"
-        config.write_text(CONFIG)
+        config.write_text(KL_CONFIG)
         assert run(tmp_path, "kl", "--config", str(config)) == 0
         row = (tmp_path / "kl.csv").read_text().splitlines()[1]
         assert float(row.split(",")[3]) > 0.0
 
     def test_unknown_variance_rejected(self, tmp_path, capsys):
         config = tmp_path / "bad.cfg"
-        config.write_text(CONFIG + "noise.mode = unknown\n")
+        config.write_text(KL_CONFIG + "noise.mode = unknown\n")
         assert run(tmp_path, "kl", "--config", str(config)) == 1
         assert "known-variance" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", [
+        "n_reps = 40", "seed = 3", "alpha_star = 0.2", "sweep.values = 1.0, 5.0",
+        "sweep.variable = g",
+    ], ids=["n_reps", "seed", "alpha_star", "sweep.values", "sweep.variable"])
+    def test_sweep_key_rejected(self, tmp_path, capsys, line):
+        config = tmp_path / "run.cfg"
+        config.write_text(KL_CONFIG + line + "\n")
+        assert run(tmp_path, "kl", "--config", str(config)) == 1
+        key = line.split(" = ")[0]
+        assert capsys.readouterr().err == (
+            f"configuration error: config key(s) that kl does not use: {key}\n")
+        assert not (tmp_path / "kl.csv").exists()
 
 
 class TestFdr:
@@ -311,7 +328,7 @@ class TestRunMetaSeed:
     ], ids=["gen-cov", "dist", "kl", "fdr"])
     def test_commands_without_draws_record_none(self, tmp_path, argv):
         config = tmp_path / "run.cfg"
-        config.write_text(CONFIG)
+        config.write_text(KL_CONFIG)
         scores = tmp_path / "h.csv"
         scores.write_text("h\n0.01\n0.5\n")
         argv = [a.format(config=config, scores=scores) for a in argv]
@@ -387,8 +404,9 @@ class TestRangeSweepWithoutRange:
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_kl_names_the_missing_range(self, tmp_path, capsys):
+        # kl takes no sweep key, so its exponential mis kernel needs a range.
         config = tmp_path / "bare.cfg"
-        config.write_text(RANGE_SWEEP)
+        config.write_text(KL_CONFIG.replace("mis.kernel = identity", "mis.kernel = exponential"))
         assert run(tmp_path, "kl", "--config", str(config)) == 1
         assert "configuration error: missing config key: mis.range" in capsys.readouterr().err
         assert not (tmp_path / "kl.csv").exists()
@@ -401,7 +419,7 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "kl_exact", fail)
         config = tmp_path / "run.cfg"
-        config.write_text(CONFIG)
+        config.write_text(KL_CONFIG)
         assert run(tmp_path, "kl", "--config", str(config)) == 2
         err = capsys.readouterr().err
         assert err == "numerical failure: matrix is not positive definite\n"
@@ -412,15 +430,17 @@ class TestVerbose:
     @pytest.mark.parametrize("argv, artifact, note", [
         (["gen-cov", "--kernel", "identity", "--m", "3"], "cov.csv", " (m=3, kernel=identity)"),
         (["dist", "--r", "0.5", "--points", "5"], "dist.csv", ""),
-        (["kl", "--config", "{config}"], "kl.csv", " (per_dim=0.199017)"),
+        (["kl", "--config", "{kl_config}"], "kl.csv", " (per_dim=0.199017)"),
         (["fdr", "--input", "{scores}", "--alpha", "0.05"], "rejections.csv", " (k=2)"),
         (["example", "--which", "2", "--scale", "desk"], "sweep.csv", " (6 sweep points)"),
         (["simulate", "--config", "{config}"], "sweep.csv", " (2 sweep points)"),
     ], ids=["gen-cov", "dist", "kl", "fdr", "example", "simulate"])
     def test_one_line_per_artifact(self, tmp_path, capsys, argv, artifact, note):
         (tmp_path / "run.cfg").write_text(CONFIG)
+        (tmp_path / "kl.cfg").write_text(KL_CONFIG)
         (tmp_path / "h.csv").write_text("0.01\n0.02\n0.9\n")
-        paths = {"config": tmp_path / "run.cfg", "scores": tmp_path / "h.csv"}
+        paths = {"config": tmp_path / "run.cfg", "kl_config": tmp_path / "kl.cfg",
+                 "scores": tmp_path / "h.csv"}
         assert run(tmp_path, "-v", *(a.format(**paths) for a in argv)) == 0
         assert capsys.readouterr().out == f"wrote {tmp_path / artifact}{note}\n"
 

@@ -13,14 +13,14 @@ from misfdr.errors import ParameterError
 from misfdr.fdr import (
     operating_characteristics,
     replicate,
-    replication_counts,
     step_up,
     summarize_counts,
     truth_labels,
 )
-from misfdr.posterior import KnownVariance, ModelSpec, TrueProcess, draw_replications
+from misfdr.posterior import (KnownVariance, ModelSpec, TrueProcess, UnknownVariance,
+                              draw_replications)
 from misfdr.rng import stream, streams
-from oracles import draw_dataset, step_up_reference
+from oracles import draw_dataset, probs, replication_counts, step_up_reference
 
 h_vectors = arrays(
     np.float64,
@@ -303,6 +303,160 @@ class TestStepUpMatchesReference:
         assert str(new.value) == str(old.value)
 
 
+def noise_cdf(kind: str, m: int):
+    """The posterior CDF of an m-dimensional spec: ndtr under known variance,
+    Student t with m + 4 degrees of freedom under IG(2, 0.5)."""
+    noise = KnownVariance(0.25) if kind == "known" else UnknownVariance(2.0, 0.5)
+    return ModelSpec(np.zeros(m), 1.0, identity_cov(m), noise).cdf
+
+
+def unit_cdf(x, out=None):
+    """h = x on [0, 1]: lets a test set the sorted h of a row directly."""
+    return np.clip(x, 0.0, 1.0, out=out)
+
+
+def assert_decides_as_reference(z, alpha, cdf, nulls=None):
+    """`_decide` on scores z and public `step_up` on h = cdf(z) give the k and
+    masks of `oracles.step_up_reference`, and the (R, V, T) of
+    `oracles.replication_counts`."""
+    h = cdf(z)
+    old = step_up_reference(h, alpha)
+    for new in (fdr._decide(z, alpha, cdf), step_up(h, alpha)):
+        np.testing.assert_array_equal(new.k, old.k)
+        np.testing.assert_array_equal(new.rejected, old.rejected)
+    if nulls is not None:
+        new = fdr._decide(z, alpha, cdf)
+        counts = np.stack([new.k, np.count_nonzero(new.rejected & nulls, axis=1),
+                           np.count_nonzero(~(new.rejected | nulls), axis=1)], axis=1)
+        np.testing.assert_array_equal(counts, replication_counts(h, nulls, alpha))
+
+
+noise_kinds = pytest.mark.parametrize("kind", ["known", "unknown"])
+# Rows wider than fdr._STEP, so that most rows take more than one pass.
+wide_batches = st.tuples(st.integers(1, 8), st.integers(1, 300))
+
+
+class TestDecideFromScores:
+    """`replicate` decides each row from its standardized scores, applying the
+    posterior CDF only to the sorted prefix the step-up rule reads
+    (`fdr._decide`). Its k, masks and (R, V, T) must be those of the scores
+    h = cdf(z) under `oracles.step_up_reference`."""
+
+    @noise_kinds
+    @pytest.mark.parametrize("seed", range(3))
+    def test_replicate_counts_match_oracle(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        grid = GridLayout(6, 7)
+        sigma1 = exponential_cov(grid, float(rng.uniform(1.0, 8.0)))
+        truth = TrueProcess(np.zeros(grid.m), 0.25, sigma1)
+        noise = KnownVariance(0.25) if kind == "known" else UnknownVariance(2.0, 0.5)
+        g = float(10.0 ** rng.uniform(-1.0, 1.0))
+        specs = [ModelSpec(np.zeros(grid.m), g, cov, noise)
+                 for cov in (sigma1, identity_cov(grid.m))]
+        alpha = float(rng.choice([0.01, 0.05, 0.2]))
+        # One block of rows: the draws and scores are those of one batch.
+        n = fdr._BLOCK_ROWS
+        counts = replicate(truth, specs, alpha, stream(seed, 3), n)
+        theta, y = draw_replications(truth, stream(seed, 3), n)
+        for spec, got in zip(specs, counts):
+            nulls = truth_labels(theta, spec.theta0)
+            np.testing.assert_array_equal(got, replication_counts(probs(spec, y), nulls, alpha))
+            assert_decides_as_reference(spec.standardized(y), alpha, spec.cdf, nulls)
+
+    @noise_kinds
+    @given(shape=wide_batches, data=st.data(), alpha=st.sampled_from([0.02, 0.05, 0.3]))
+    @settings(max_examples=40, deadline=None)
+    def test_random_batches(self, kind, shape, data, alpha):
+        seed = data.draw(st.integers(0, 2**16))
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal(shape) * rng.uniform(0.5, 4.0) + rng.uniform(-4.0, 1.0)
+        nulls = rng.random(shape) < 0.5
+        assert_decides_as_reference(z, alpha, noise_cdf(kind, shape[1]), nulls)
+
+    @noise_kinds
+    @given(shape=wide_batches, seed=st.integers(0, 2**16), alpha=unit_alphas)
+    @settings(max_examples=40, deadline=None)
+    def test_exact_score_ties(self, kind, shape, seed, alpha):
+        z = np.random.default_rng(seed).choice([-3.0, -2.0, -1.5, -1.0, 0.0, 2.0], size=shape)
+        assert_decides_as_reference(z, alpha, noise_cdf(kind, shape[1]))
+
+    @noise_kinds
+    @given(shape=wide_batches, seed=st.integers(0, 2**16), alpha=unit_alphas)
+    @settings(max_examples=40, deadline=None)
+    def test_distinct_scores_that_round_to_one_h(self, kind, shape, seed, alpha):
+        # ndtr(z) is exactly 0.0 below z = -38.5 and 1.0 above 8.3; a t CDF
+        # with at least 5 degrees of freedom is 0.0 and 1.0 at |z| = 1e200.
+        saturated = {"known": [-45.0, -41.0, -40.0, -39.0, 9.0, 20.0],
+                     "unknown": [-1e300, -1e250, -1e200, 1e200, 1e250, 1e300]}[kind]
+        rng = np.random.default_rng(seed)
+        z = rng.choice([*saturated, -1.0, 0.5], size=shape)
+        cdf = noise_cdf(kind, shape[1])
+        assert set(np.unique(cdf(np.array(saturated)))) == {0.0, 1.0}
+        assert_decides_as_reference(z, alpha, cdf)
+
+    @noise_kinds
+    @pytest.mark.parametrize("m", [1, 63, 64, 65, 300])
+    def test_rows_rejecting_nothing_and_everything(self, kind, m):
+        rng = np.random.default_rng(m)
+        nothing = rng.uniform(1.0, 3.0, size=(3, m))
+        everything = rng.uniform(-9.0, -6.0, size=(3, m))
+        z = np.concatenate([nothing, everything])
+        cdf = noise_cdf(kind, m)
+        decision = fdr._decide(z, 0.05, cdf)
+        assert decision.k.tolist() == [0] * 3 + [m] * 3
+        assert_decides_as_reference(z, 0.05, cdf, rng.random(z.shape) < 0.5)
+
+    @pytest.mark.parametrize("value", [0.1, 0.3, 0.05])
+    def test_running_means_that_straddle_alpha(self, value):
+        # Float running means of a constant row fall on both sides of it, far
+        # past the first pass: the last qualifying prefix is found all the same.
+        row = np.full(500, value)
+        means = np.cumsum(row) / np.arange(1, 501)
+        assert np.any(means[fdr._STEP:] > value) and np.any(means[fdr._STEP:] <= value)
+        z = np.stack([row, row[::-1], np.concatenate([np.zeros(20), row[20:]])])
+        assert_decides_as_reference(z, value, unit_cdf)
+
+    @given(h=tied_vectors, data=st.data(), steps=st.integers(-4, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_prefix_mean_within_ulps_of_alpha(self, h, data, steps):
+        # As for public step_up, through the lazy path of `_decide`, with the
+        # row repeated so that its prefixes reach past the first pass.
+        h = np.tile(h, 8)
+        k = data.draw(st.integers(1, h.size))
+        alpha = ulps_from(np.cumsum(np.sort(h))[k - 1] / k, steps)
+        assume(0.0 < alpha < 1.0)
+        assert_decides_as_reference(np.stack([h, h[::-1]]), alpha, unit_cdf)
+
+    @noise_kinds
+    @pytest.mark.parametrize("bad", [np.nan, -np.nan])
+    def test_nan_score_raises(self, kind, bad):
+        z = np.zeros((3, 80))
+        z[1, 40] = bad
+        with pytest.raises(ParameterError, match="finite"):
+            fdr._decide(z, 0.05, noise_cdf(kind, 80))
+
+    def test_infinite_scores_are_extreme_h(self):
+        z = np.array([[-np.inf, 0.0, np.inf, -2.0]])
+        assert_decides_as_reference(z, 0.2, noise_cdf("known", 4))
+
+    @noise_kinds
+    def test_cdf_reaches_only_the_prefix(self, kind):
+        # Rows that reject a few scores leave most of each row unevaluated.
+        m = 900
+        z = np.random.default_rng(4).standard_normal((20, m)) + 2.5
+        cdf = noise_cdf(kind, m)
+        seen = []
+
+        def counting(x, out=None):
+            seen.append(np.size(x))
+            return cdf(x, out=out)
+
+        decision = fdr._decide(z, 0.05, counting)
+        assert decision.k.max() < 64
+        assert sum(seen) < z.size / 4
+        assert_decides_as_reference(z, 0.05, cdf)
+
+
 class TestTruthLabels:
     def test_boundary_counts_as_null(self):
         theta = np.array([-1.0, 0.0, 1.0])
@@ -380,7 +534,7 @@ class TestRowBlocks:
         for _ in range(self.n):
             theta, y = draw_dataset(truth, twin)
             null = truth_labels(theta, spec.theta0)
-            expected.append(replication_counts(spec.probs(y), null, 0.05))
+            expected.append(replication_counts(probs(spec, y), null, 0.05))
         np.testing.assert_array_equal(counts, expected)
 
     def test_counts_do_not_depend_on_block_rows(self, monkeypatch):
@@ -403,7 +557,7 @@ class TestRowBlocks:
         truth = TrueProcess(np.zeros(25), 0.25, sigma1)
         spec = ModelSpec(np.zeros(25), 1.0, sigma1, KnownVariance(0.25))
         theta, y = draw_replications(truth, stream(4), self.n)
-        whole = spec.probs(y)
+        whole = probs(spec, y)
         expected = replication_counts(whole, truth_labels(theta, spec.theta0), 0.05)
         (counts,) = replicate(truth, [spec], 0.05, stream(4), self.n)
         np.testing.assert_array_equal(counts, expected)
@@ -411,7 +565,7 @@ class TestRowBlocks:
         for start in range(0, self.n, fdr._BLOCK_ROWS):
             rows = slice(start, start + fdr._BLOCK_ROWS)
             _, y_rows = draw_replications(truth, gen, len(whole[rows]))
-            np.testing.assert_allclose(spec.probs(y_rows), whole[rows], rtol=1e-12)
+            np.testing.assert_allclose(probs(spec, y_rows), whole[rows], rtol=1e-12)
 
     def test_draws_factor_nothing(self, monkeypatch):
         # The truth and the spec own every factor the replications read, built

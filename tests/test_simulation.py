@@ -225,8 +225,8 @@ class TestRunSweep:
         # the correct one included, scores 3 blocks in the whole sweep.
         config = tiny_config(**RANGE_SWEEP, n_reps=1100)
         truths, specs, scored = [], [], []
-        make_truth, make_spec, probs = (simulation.sweep_truth, simulation.sweep_spec,
-                                        ModelSpec.probs)
+        make_truth, make_spec, standardized = (simulation.sweep_truth, simulation.sweep_spec,
+                                               ModelSpec.standardized)
 
         def recording_truth(*args):
             truths.append(make_truth(*args))
@@ -236,13 +236,13 @@ class TestRunSweep:
             specs.append((cov, make_spec(config, cov, g)))
             return specs[-1][1]
 
-        def counting_probs(self, y):
+        def counting_standardized(self, y):
             scored.append(self)
-            return probs(self, y)
+            return standardized(self, y)
 
         monkeypatch.setattr(simulation, "sweep_truth", recording_truth)
         monkeypatch.setattr(simulation, "sweep_spec", recording_spec)
-        monkeypatch.setattr(ModelSpec, "probs", counting_probs)
+        monkeypatch.setattr(ModelSpec, "standardized", counting_standardized)
         run_sweep(config, threads=2)
         (truth,) = truths
         # The one spec on the truth's covariance is built before the points.
