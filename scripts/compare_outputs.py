@@ -3,9 +3,12 @@
 
 Each request below runs once from this tree and once from OTHER_TREE, each
 in a fresh interpreter with PYTHONPATH=<tree>/src and every BLAS thread
-variable set to 1. The requests are studies 1-3 at full scale, seed 0, with
---threads 1 and 2; `kl` on a 10 x 10 exponential-vs-identity config; and
-`gen-cov` for every kernel. Every CSV is compared byte for byte;
+variable set to 1. The requests cover all six subcommands: studies 1-3 at
+full scale, seed 0, with --threads 1 and 2; a desk-size `simulate` range
+sweep from a config file; `kl` on a 10 x 10 exponential-vs-identity config;
+`gen-cov` for every kernel; `dist` at three ratios; and `fdr` on a CSV with
+a header and tied scores. The config files and the `fdr` input are written
+to the work directory first. Every CSV is compared byte for byte;
 run-meta.txt, which records a timestamp, is skipped. One line is printed per
 artifact, and the exit code is 1 on any difference or failed run.
 
@@ -31,16 +34,38 @@ truth.range = 5.0
 mis.kernel = identity
 """
 
+RANGE_CONFIG = """\
+grid.rows = 10
+grid.cols = 10
+sigma0_sq = 0.25
+g = 1.0
+truth.kernel = exponential
+truth.range = 5.0
+mis.kernel = exponential
+sweep.variable = rho
+sweep.values = 1.0, 2.5, 5.0, 10.0
+n_reps = 200
+seed = 3
+"""
 
-def requests(kl_config: Path) -> dict[str, list[str]]:
-    """Named CLI argument lists, each written to its own output directory."""
+# The step-up rule at alpha 0.021 stops inside the run of tied 0.03 scores.
+FDR_INPUT = "i,h\n" + "".join(
+    f"{i},{h}\n" for i, h in enumerate([0.03, 0.01, 0.2, 0.03, 0.9, 0.01, 0.03, 0.5]))
+
+INPUTS = {"kl.cfg": KL_CONFIG, "range.cfg": RANGE_CONFIG, "scores.csv": FDR_INPUT}
+
+
+def requests(work: Path) -> dict[str, list[str]]:
+    """Named CLI argument lists, each written to its own output directory;
+    they read the INPUTS written to `work`."""
     runs = {
         f"example{which}-threads{threads}":
             ["--seed", "0", "--threads", str(threads),
              "example", "--which", str(which), "--scale", "full"]
         for which in (1, 2, 3) for threads in (1, 2)
     }
-    runs["kl"] = ["kl", "--config", str(kl_config)]
+    runs["simulate-range"] = ["simulate", "--config", str(work / "range.cfg")]
+    runs["kl"] = ["kl", "--config", str(work / "kl.cfg")]
     ar2 = ["gen-cov", "--kernel", "ar2", "--m", "50", "--rho1", "0.6", "--rho2", "0.3"]
     runs.update({
         "gen-cov-exponential": ["gen-cov", "--kernel", "exponential",
@@ -51,6 +76,8 @@ def requests(kl_config: Path) -> dict[str, list[str]]:
         "gen-cov-separable": ["gen-cov", "--kernel", "separable", "--stations-rows", "3",
                               "--stations-cols", "3", "--n-times", "4", "--delta", "1.0",
                               "--range", "2.0", "--alpha", "0.5"],
+        "dist": ["dist", "--r", "0.25", "--r", "1.0", "--r", "4.0", "--points", "50"],
+        "fdr": ["fdr", "--input", str(work / "scores.csv"), "--alpha", "0.021"],
     })
     return runs
 
@@ -100,9 +127,9 @@ def main() -> int:
     ok = True
     with tempfile.TemporaryDirectory() as work:
         work = Path(work)
-        kl_config = work / "kl.cfg"
-        kl_config.write_text(KL_CONFIG)
-        for name, argv in requests(kl_config).items():
+        for file, text in INPUTS.items():
+            (work / file).write_text(text)
+        for name, argv in requests(work).items():
             outs = (work / "this" / name, work / "other" / name)
             ran = [run_cli(tree, out, argv) for tree, out in zip((THIS_TREE, other), outs)]
             ok &= all(ran) and compare(name, *outs)

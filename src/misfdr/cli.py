@@ -25,7 +25,7 @@ from .covariance import GridLayout, ar2_cov, exponential_cov, identity_cov, sepa
 from .divergence import kl_exact
 from .errors import BoundaryError, NotPositiveDefiniteError, ParameterError
 from .fdr import step_up
-from .linalg import chol_psd
+from .linalg import chol
 from .sampdist import marginal_cdf, marginal_pdf
 from .simulation import (
     SWEEP_COLUMNS,
@@ -168,7 +168,7 @@ def _cmd_gen_cov(args) -> tuple[bytes, None]:
         layout = GridLayout(args.stations_rows, args.stations_cols, args.spacing)
         times = np.arange(1, args.n_times + 1)
         cov = separable_cov(layout.points(), times, args.delta, args.range_, args.alpha)
-    chol_psd(cov.entries)  # certify positive definiteness before writing
+    chol(cov.entries)  # certify positive definiteness before writing
     _write_artifact(args, [f"# covariance m={cov.dim} kernel={args.kernel}"], cov.entries,
                     f" (m={cov.dim}, kernel={args.kernel})")
     return _request_bytes(args), None
@@ -259,19 +259,22 @@ def _is_float(token: str) -> bool:
 
 
 def _run_and_write_sweep(config, args) -> None:
+    plt = None
+    if args.plots:
+        # Before the sweep, so a missing matplotlib fails before any work.
+        try:
+            import matplotlib
+            matplotlib.use("svg")
+            import matplotlib.pyplot as plt
+        except ImportError as err:
+            raise ParameterError("matplotlib is required for --plots") from err
     rows = run_sweep(config, threads=args.threads)
     _write_artifact(args, SWEEP_COLUMNS, map(astuple, rows), f" ({len(rows)} sweep points)")
-    if getattr(args, "plots", False):
-        _write_plots(config, rows, args.output_dir)
+    if plt is not None:
+        _write_plots(plt, config, rows, args.output_dir)
 
 
-def _write_plots(config, rows, output_dir: str) -> None:
-    try:
-        import matplotlib
-        matplotlib.use("svg")
-        import matplotlib.pyplot as plt
-    except ImportError as err:
-        raise ParameterError("matplotlib is required for --plots") from err
+def _write_plots(plt, config, rows, output_dir: str) -> None:
     xs = [row.sweep_value for row in rows]
     xlabel = "g" if config.sweep_variable == "g" else "misspecified range"
     panels = [

@@ -4,9 +4,10 @@ Constructors cover the kernels exercised in the numerical studies: an
 exponential spatial kernel on a regular grid, stationary AR(2) autocovariance,
 the identity, and a separable space-time product kernel. Matrices are
 immutable values and keep no factor: a `TrueProcess` or a `ModelSpec` that
-needs one builds it on construction. Whether a matrix is diagonal is read
-from its entries on construction; the posterior and the sampling law of a
-diagonal specification are closed form.
+needs one builds it on construction with `linalg.chol`, which refuses a
+matrix that is not positive definite rather than ridging it. Whether a
+matrix is diagonal is read from its entries on construction; the posterior
+and the sampling law of a diagonal specification are closed form.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ class CovarianceMatrix:
 
     Immutable after construction, so instances are shared across concurrent
     sweep points without a lock. Positive definiteness is certified by
-    whoever factors the entries (`linalg.chol_psd`).
+    whoever factors the entries (`linalg.chol`).
     `is_diagonal` is True when every off-diagonal entry is zero.
     """
 

@@ -6,7 +6,7 @@ class ParameterError(ValueError):
 
 
 class NotPositiveDefiniteError(ValueError):
-    """Cholesky factorization failed even after the jitter retry."""
+    """A matrix has no Cholesky factor: it is not positive definite."""
 
 
 class BoundaryError(ValueError):

@@ -1,7 +1,8 @@
 """Cholesky-based helpers for symmetric positive-definite matrices.
 
 All factorizations, inverses and solves in the package go through these
-routines; nothing inverts or solves with a general-purpose solver.
+routines; nothing inverts or solves with a general-purpose solver. Nothing
+is regularized either: a matrix that has no Cholesky factor is refused.
 """
 
 from __future__ import annotations
@@ -12,10 +13,6 @@ from scipy.linalg.lapack import dpotri
 
 from .errors import NotPositiveDefiniteError
 
-# One retry with a ridge of this size (relative to the mean diagonal);
-# silent heavier regularization would bias the divergence study.
-JITTER_SCALE = 1e-10
-
 # Columns `_mirror_lower` mirrors per block copy, so its Python loop makes
 # ceil(m / 64) passes rather than m; and the mask of a diagonal block's upper
 # triangle.
@@ -24,25 +21,15 @@ _UPPER = np.triu(np.ones((_MIRROR_COLUMNS, _MIRROR_COLUMNS), dtype=bool), 1)
 _UPPER.setflags(write=False)
 
 
-def chol_psd(a: np.ndarray) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor of `a`, with one jittered retry.
-
-    Returns (L, jitter) where jitter is the ridge actually added (0.0 on
-    first-try success). Raises NotPositiveDefiniteError if the jittered
-    attempt also fails.
-    """
+def chol(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of `a`, which certifies that `a` is positive
+    definite. Raises NotPositiveDefiniteError if the factorization fails;
+    nothing is added to the diagonal."""
     try:
-        return np.linalg.cholesky(a), 0.0
-    except np.linalg.LinAlgError:
-        pass
-    jitter = JITTER_SCALE * float(np.mean(np.diag(a)))
-    try:
-        ridged = a + jitter * np.eye(a.shape[0])
-        return np.linalg.cholesky(ridged), jitter
+        return np.linalg.cholesky(a)
     except np.linalg.LinAlgError as err:
         raise NotPositiveDefiniteError(
-            f"matrix of dim {a.shape[0]} is not positive definite "
-            f"(jitter {jitter:.3e} did not help)"
+            f"matrix of dim {a.shape[0]} is not positive definite"
         ) from err
 
 

@@ -19,7 +19,7 @@ from scipy.special import ndtr, stdtr
 
 from .covariance import CovarianceMatrix
 from .errors import NotPositiveDefiniteError, ParameterError
-from .linalg import chol_inverse, chol_psd, tri_mul
+from .linalg import chol, chol_inverse, tri_mul
 
 
 def _prior_mean(theta0, cov: CovarianceMatrix, cov_name: str) -> np.ndarray:
@@ -51,10 +51,10 @@ class TrueProcess:
         object.__setattr__(self, "theta0", _prior_mean(self.theta0, self.sigma1, "sigma1"))
         if not 0 < self.sigma0_sq < np.inf:
             raise ParameterError("true noise variance must be positive and finite")
-        object.__setattr__(self, "sigma1_chol", chol_psd(self.sigma1.entries)[0])
+        object.__setattr__(self, "sigma1_chol", chol(self.sigma1.entries))
         cov_y = self.sigma1.entries.copy()
         cov_y[np.diag_indices(self.m)] += self.sigma0_sq
-        object.__setattr__(self, "cov_y_chol", chol_psd(cov_y)[0])
+        object.__setattr__(self, "cov_y_chol", chol(cov_y))
 
     @property
     def m(self) -> int:
@@ -166,7 +166,7 @@ class ModelSpec:
             diag = np.diag_indices(self.m)
             k = g * sigma_spec.entries
             k[diag] += self.scale
-            k_chol, _ = chol_psd(k)
+            k_chol = chol(k)
             del k
             a = chol_inverse(k_chol)
             a *= -self.scale * self.scale

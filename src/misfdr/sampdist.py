@@ -13,7 +13,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri, stdtr
 
 from .errors import BoundaryError, NotPositiveDefiniteError, ParameterError
-from .linalg import chol_inverse, chol_psd, congruence, square, tri_mul, tri_solve
+from .linalg import chol, chol_inverse, congruence, square, tri_mul, tri_solve
 from .posterior import (KnownVariance, ModelSpec, TrueProcess, UnknownVariance, check_dims,
                         require_noise)
 
@@ -109,7 +109,7 @@ def _law(truth: TrueProcess, spec: ModelSpec) -> SamplingLaw:
         b_diag = w * w * (truth.sigma1.entries.diagonal() + truth.sigma0_sq)
     else:
         b = congruence(spec.a, truth.cov_y_chol, 1.0 / spec.scale)
-        b_chol = chol_psd(b)[0]
+        b_chol = chol(b)
         b_diag = b.diagonal().copy()
         del b
     if spec.known:
@@ -122,7 +122,7 @@ def _law(truth: TrueProcess, spec: ModelSpec) -> SamplingLaw:
         # A^-1 = I + P with P = Sigma_spec^-1 / g, so A^-2 - A^-1 = P (I + P),
         # formed in place: Sigma_spec's factor lives only until P is formed,
         # and P and C are the only other new m x m arrays.
-        p = chol_inverse(chol_psd(spec.sigma_spec.entries)[0])
+        p = chol_inverse(chol(spec.sigma_spec.entries))
         p /= spec.g
         c = square(p)
         c += p
@@ -130,7 +130,7 @@ def _law(truth: TrueProcess, spec: ModelSpec) -> SamplingLaw:
         # C is positive definite because P is; a Cholesky factor certifies it
         # at a fraction of the cost of its eigenvalues.
         try:
-            chol_psd(c)
+            chol(c)
         except NotPositiveDefiniteError:
             raise ParameterError("A^-2 - A^-1 is not positive semidefinite") from None
         # diag(B)^{1/2} on both sides: this is what the substitution

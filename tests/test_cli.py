@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 import scipy
@@ -53,9 +55,11 @@ class TestGenCov:
         assert code == 0
         assert (tmp_path / "cov.csv").read_text().startswith("# covariance m=12")
 
-    def test_missing_parameters_exit_code(self, tmp_path, capsys):
-        assert run(tmp_path, "gen-cov", "--kernel", "exponential") == 1
-        assert "configuration error" in capsys.readouterr().err
+    @pytest.mark.parametrize("kernel", ["exponential", "ar2", "identity", "separable"])
+    def test_missing_parameters_exit_code(self, tmp_path, capsys, kernel):
+        assert run(tmp_path, "gen-cov", "--kernel", kernel) == 1
+        assert f"configuration error: {kernel} kernel needs --" in capsys.readouterr().err
+        assert not (tmp_path / "cov.csv").exists()
 
     def test_nonstationary_ar2_exit_code(self, tmp_path):
         assert run(tmp_path, "gen-cov", "--kernel", "ar2", "--m", "4",
@@ -145,6 +149,13 @@ class TestFdr:
         assert run(tmp_path, "fdr", "--input", str(tmp_path / "nope.csv"),
                    "--alpha", "0.05") == 1
 
+    def test_header_without_h_rejected(self, tmp_path, capsys):
+        inp = tmp_path / "h.csv"
+        inp.write_text("i,score\n0,0.01\n")
+        assert run(tmp_path, "fdr", "--input", str(inp), "--alpha", "0.05") == 1
+        assert "input CSV needs an 'h' column" in capsys.readouterr().err
+        assert not (tmp_path / "rejections.csv").exists()
+
     def test_nan_score_rejected(self, tmp_path, capsys):
         inp = tmp_path / "h.csv"
         inp.write_text("0.01\nnan\n0.02\n")
@@ -193,6 +204,26 @@ class TestSimulateAndExample:
         run(tmp_path, "--seed", "99", "simulate", "--config", str(config), "--out", "b.csv")
         assert (tmp_path / "a.csv").read_bytes() != (tmp_path / "b.csv").read_bytes()
         assert "seed = 99" in (tmp_path / "run-meta.txt").read_text()
+
+    @pytest.mark.parametrize("subcommand", ["simulate", "kl"])
+    def test_unreadable_config_exit_code(self, tmp_path, capsys, subcommand):
+        assert run(tmp_path, subcommand, "--config", str(tmp_path / "nope.cfg")) == 1
+        assert "cannot read config file" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("subcommand", ["simulate", "example"])
+    def test_plots_without_matplotlib_fail_before_the_sweep(self, tmp_path, capsys,
+                                                           monkeypatch, subcommand):
+        monkeypatch.setitem(sys.modules, "matplotlib", None)
+        config = tmp_path / "run.cfg"
+        config.write_text(CONFIG)
+        request = {"simulate": ["--config", str(config)],
+                   "example": ["--which", "3", "--scale", "desk"]}[subcommand]
+        monkeypatch.setattr(cli, "run_sweep", lambda *a, **k: pytest.fail("sweep ran"))
+        assert run(tmp_path, subcommand, *request, "--plots") == 1
+        assert capsys.readouterr().err == (
+            "configuration error: matplotlib is required for --plots\n")
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_malformed_config_exit_code(self, tmp_path, capsys):
         config = tmp_path / "bad.cfg"

@@ -19,7 +19,7 @@ from misfdr.covariance import (
     separable_cov,
 )
 from misfdr.errors import NotPositiveDefiniteError, ParameterError
-from misfdr.linalg import _mirror_lower, chol_inverse, chol_psd, congruence, square
+from misfdr.linalg import _mirror_lower, chol, chol_inverse, congruence, square
 
 
 class TestExponential:
@@ -35,13 +35,18 @@ class TestExponential:
     def test_full_grid_is_positive_definite(self):
         cov = exponential_cov(GridLayout(30, 30), range_=5.0)
         assert cov.dim == 900
-        factor, _ = chol_psd(cov.entries)
+        factor = chol(cov.entries)
         assert np.all(np.diag(factor) > 0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_spacing_rejected(self, bad):
         with pytest.raises(ParameterError, match="finite"):
             GridLayout(2, 2, bad)
+
+    @pytest.mark.parametrize("rows, cols", [(0, 2), (2, 0)])
+    def test_empty_grid_rejected(self, rows, cols):
+        with pytest.raises(ParameterError, match="grid dimensions must be positive"):
+            GridLayout(rows, cols)
 
     def test_nonpositive_range_rejected(self):
         with pytest.raises(ParameterError):
@@ -115,6 +120,13 @@ class TestIdentity:
         np.testing.assert_array_equal(cov.entries, np.eye(m))
 
 
+@pytest.mark.parametrize("build", [identity_cov, lambda m: ar2_cov(m, 0.6, 0.3)],
+                         ids=["identity", "ar2"])
+def test_nonpositive_dimension_rejected(build):
+    with pytest.raises(ParameterError, match="m must be positive"):
+        build(0)
+
+
 class TestSeparable:
     def test_single_point_single_time(self):
         cov = separable_cov([[0.0, 0.0]], [1], delta=2.5, range_=1.0, alpha=0.5)
@@ -131,7 +143,7 @@ class TestSeparable:
         pts = GridLayout(2, 2).points()
         cov = separable_cov(pts, [1, 2, 3], delta=1.0, range_=5.0, alpha=0.5)
         assert cov.dim == 12
-        chol_psd(cov.entries)
+        chol(cov.entries)
 
     def test_same_time_block_is_scaled_exponential(self):
         layout = GridLayout(2, 3)
@@ -220,27 +232,28 @@ def test_cli_import_leaves_scipy_spatial_unloaded():
 
 class TestCholesky:
     def test_identity_factor(self):
-        np.testing.assert_array_equal(chol_psd(identity_cov(3).entries)[0], np.eye(3))
+        np.testing.assert_array_equal(chol(identity_cov(3).entries), np.eye(3))
 
     def test_closed_form_2x2(self):
         cov = CovarianceMatrix([[1.0, 0.5], [0.5, 1.0]])
         expected = np.array([[1.0, 0.0], [0.5, np.sqrt(0.75)]])
-        np.testing.assert_allclose(chol_psd(cov.entries)[0], expected)
+        np.testing.assert_allclose(chol(cov.entries), expected)
 
     def test_reconstruction(self):
         cov = exponential_cov(GridLayout(10, 10), range_=5.0)
-        factor, _ = chol_psd(cov.entries)
+        factor = chol(cov.entries)
         err = np.linalg.norm(factor @ factor.T - cov.entries)
         assert err / np.linalg.norm(cov.entries) < 1e-8
 
     def test_not_positive_definite(self):
         cov = CovarianceMatrix([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(NotPositiveDefiniteError):
-            chol_psd(cov.entries)
+            chol(cov.entries)
 
-    def test_no_jitter_needed_on_clean_matrix(self):
-        cov = exponential_cov(GridLayout(3, 3), range_=1.0)
-        assert chol_psd(cov.entries)[1] == 0.0
+    def test_singular_psd_refused(self):
+        # Positive semidefinite with a zero pivot: refused, not ridged.
+        with pytest.raises(NotPositiveDefiniteError):
+            chol(np.ones((3, 3)))
 
 
 class TestCholInverse:

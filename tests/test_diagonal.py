@@ -129,8 +129,8 @@ class TestNoDenseAlgebra:
     def test_operator_and_law_factor_nothing(self, monkeypatch, known):
         _, truth, cov = next(diagonal_cases())
         calls = [count_calls(monkeypatch, module, name)
-                 for module, names in ((posterior, ("chol_psd", "chol_inverse")),
-                                       (sampdist, ("chol_psd", "chol_inverse", "congruence")))
+                 for module, names in ((posterior, ("chol", "chol_inverse")),
+                                       (sampdist, ("chol", "chol_inverse", "congruence")))
                  for name in names]
         spec = ModelSpec(truth.theta0, 1.0, cov, noise_of(truth, known))
         (law_known_var if known else law_unknown_var)(truth, spec)
@@ -139,7 +139,7 @@ class TestNoDenseAlgebra:
     def test_counts_see_the_dense_path(self, monkeypatch):
         # The same counters on the dense twin: they are not vacuous.
         _, truth, cov = next(diagonal_cases())
-        factored = count_calls(monkeypatch, posterior, "chol_psd")
+        factored = count_calls(monkeypatch, posterior, "chol")
         inverted = count_calls(monkeypatch, posterior, "chol_inverse")
         congruences = count_calls(monkeypatch, sampdist, "congruence")
         law_known_var(truth, ModelSpec(truth.theta0, 1.0, dense_twin(cov), noise_of(truth, True)))

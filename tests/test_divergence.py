@@ -233,13 +233,13 @@ class TestKLExact:
         truth, spec_cor, _ = desk_setup()
         bad_mis = ModelSpec(np.full(grid.m, theta0), 1.0, exponential_cov(grid, 2.0), noise)
         factored = []
-        chol = sampdist.chol_psd
+        chol = sampdist.chol
 
         def counting_chol(a):
             factored.append(a.shape)
             return chol(a)
 
-        monkeypatch.setattr(sampdist, "chol_psd", counting_chol)
+        monkeypatch.setattr(sampdist, "chol", counting_chol)
         with pytest.raises(ParameterError, match=match):
             kl_exact(truth, spec_cor, bad_mis)
         assert factored == []

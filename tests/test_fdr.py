@@ -507,6 +507,10 @@ class TestOperatingCharacteristics:
         (counts,) = replicate(self.truth, [self.spec], 0.05, stream(8, 0, 1), 30)
         assert oc == summarize_counts(counts, self.truth.m)
 
+    def test_no_reps_rejected(self):
+        with pytest.raises(ParameterError, match="n_reps must be at least 1"):
+            operating_characteristics(self.truth, self.spec, 0.05, n_reps=0, rng=0)
+
     def test_fdr_near_nominal_under_correct_spec(self):
         oc = operating_characteristics(self.truth, self.spec, 0.05, n_reps=400, rng=42)
         assert 0.0 < oc.fdr_hat < 0.10

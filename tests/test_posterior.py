@@ -288,6 +288,11 @@ class TestTruthFactors:
         with pytest.raises(NotPositiveDefiniteError):
             TrueProcess(np.zeros(2), 0.25, sigma1)
 
+    def test_singular_sigma1_rejected(self):
+        # Positive semidefinite but singular: refused on construction, not ridged.
+        with pytest.raises(NotPositiveDefiniteError):
+            TrueProcess(np.zeros(3), 0.25, CovarianceMatrix(np.ones((3, 3))))
+
 
 class TestNoiseModeChecks:
     TRUTH = TrueProcess(np.zeros(1), 0.25, identity_cov(1))

@@ -5,7 +5,7 @@ from scipy.special import ndtr, stdtr
 
 from misfdr.covariance import CovarianceMatrix, GridLayout, exponential_cov, identity_cov
 from misfdr.errors import BoundaryError, ParameterError
-from misfdr.linalg import chol_inverse, chol_psd
+from misfdr.linalg import chol, chol_inverse
 from misfdr import posterior, sampdist
 from misfdr.divergence import kl_exact
 from misfdr.fdr import operating_characteristics
@@ -56,6 +56,12 @@ class TestLawKnownVar:
         truth, spec_cor, _ = grid_setup()
         law = law_known_var(truth, spec_cor)
         assert 0.10 < law.r.min() and law.r.max() < 0.20
+
+    def test_no_degrees_of_freedom(self):
+        truth = scalar_truth()
+        law = law_known_var(truth, ModelSpec(np.zeros(1), 1.0, truth.sigma1, KnownVariance(0.25)))
+        with pytest.raises(ParameterError, match="only in the unknown-variance mode"):
+            law.dof
 
     def test_mismatched_noise_variance_rejected(self):
         truth = scalar_truth()
@@ -185,7 +191,7 @@ class TestLawUnknownVar:
         truth, spec_cor, _ = grid_setup(rows=6, cols=6)
         spec = ModelSpec(spec_cor.theta0, 0.7, spec_cor.sigma_spec, UnknownVariance(2.0, 0.5))
         law = law_unknown_var(truth, spec)
-        p = chol_inverse(chol_psd(spec.sigma_spec.entries)[0]) / spec.g
+        p = chol_inverse(chol(spec.sigma_spec.entries)) / spec.g
         c = p @ p + p
         c = 0.5 * (c + c.T)
         sd = np.sqrt(law.b_diag)
@@ -270,7 +276,7 @@ class TestOneMatrixPerObject:
     def test_law_factors_b_once(self, monkeypatch, noise, law_of):
         truth, spec_cor, _ = grid_setup(rows=3, cols=3)
         spec = ModelSpec(spec_cor.theta0, 1.0, spec_cor.sigma_spec, noise)
-        factored = count_calls(monkeypatch, sampdist, "chol_psd")
+        factored = count_calls(monkeypatch, sampdist, "chol")
         inverted = count_calls(monkeypatch, sampdist, "chol_inverse")
         law = law_of(truth, spec)
         # B is factored first; the unknown-variance law then factors Sigma_spec
@@ -285,7 +291,7 @@ class TestOneMatrixPerObject:
         truth, spec_cor, _ = grid_setup(rows=3, cols=3)
         spec = ModelSpec(spec_cor.theta0, 1.0, spec_cor.sigma_spec, UnknownVariance(2.0, 0.5))
         law = law_unknown_var(truth, spec)
-        factored = count_calls(monkeypatch, sampdist, "chol_psd")
+        factored = count_calls(monkeypatch, sampdist, "chol")
         inverted = count_calls(monkeypatch, sampdist, "chol_inverse")
         xi_sampler(law, 10, stream(1, 3))
         xi_sampler(law, 10, stream(1, 4))
@@ -314,6 +320,11 @@ class TestCorrelationFactor:
         np.testing.assert_allclose(law.p_b, b / np.outer(sd, sd), rtol=0, atol=1e-15)
         np.testing.assert_allclose(law.r, [0.25, 0.4, 0.4], rtol=1e-15)
         np.testing.assert_allclose(law.b_chol @ law.b_chol.T, b, rtol=0, atol=1e-15)
+
+    def test_hand_built_law_rejects_a_nonpositive_ratio(self):
+        with pytest.raises(ParameterError, match="ratios a_ii/b_ii must be positive"):
+            SamplingLaw(a_diag=np.array([0.5, -0.1]), b_diag=np.ones(2), b_chol=np.eye(2),
+                        c=None, mode=KnownVariance(1.0))
 
 
 class TestCopulaIdentity:

@@ -57,6 +57,11 @@ class TestConfigValidation:
         with pytest.raises(ParameterError, match="nonempty"):
             tiny_config(sweep_values=())
 
+    @pytest.mark.parametrize("n_reps", [0, -1])
+    def test_no_reps(self, n_reps):
+        with pytest.raises(ParameterError, match="n_reps must be at least 1"):
+            tiny_config(n_reps=n_reps)
+
     def test_grid_mismatch(self):
         with pytest.raises(ParameterError, match="grid size"):
             tiny_config(grid=GridLayout(2, 2))
@@ -406,9 +411,14 @@ class TestConfigParsing:
         mapping = parse_config_text("a = 1  # trailing\n\n# whole line\nb = 2")
         assert mapping == {"a": "1", "b": "2"}
 
-    def test_malformed_line(self):
-        with pytest.raises(ParameterError, match="line 1"):
-            parse_config_text("just some words")
+    @pytest.mark.parametrize("text, match", [
+        ("just some words", "line 1: expected 'key = value'"),
+        ("a = 1\n= 2", "line 2: empty key or value"),
+        ("a =  # no value", "line 1: empty key or value"),
+    ], ids=["no-equals", "empty-key", "empty-value"])
+    def test_malformed_line(self, text, match):
+        with pytest.raises(ParameterError, match=match):
+            parse_config_text(text)
 
     def test_missing_required_key(self):
         mapping = parse_config_text(self.TEXT)
@@ -471,6 +481,12 @@ class TestConfigParsing:
         mapping = {**self.ar2_mapping(prefix), f"{prefix}.normalize": value}
         with pytest.raises(ParameterError,
                            match=f"config key {prefix}.normalize: invalid value {value!r}"):
+            config_from_mapping(mapping)
+
+    @pytest.mark.parametrize("prefix", ["truth", "mis"])
+    def test_unknown_kernel_kind_rejected(self, prefix):
+        mapping = {**parse_config_text(self.TEXT), f"{prefix}.kernel": "matern"}
+        with pytest.raises(ParameterError, match="unknown kernel kind: 'matern'"):
             config_from_mapping(mapping)
 
     def test_unknown_noise_mode_rejected(self):
