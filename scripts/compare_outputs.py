@@ -4,10 +4,12 @@
 Each request below runs once from this tree and once from OTHER_TREE, each
 in a fresh interpreter with PYTHONPATH=<tree>/src and every BLAS thread
 variable set to 1. The requests cover all six subcommands: studies 1-3 at
-full scale, seed 0, with --threads 1 and 2; a desk-size `simulate` range
-sweep from a config file; `kl` on a 10 x 10 exponential-vs-identity config;
-`gen-cov` for every kernel; `dist` at three ratios; and `fdr` on a CSV with
-a header and tied scores. The config files and the `fdr` input are written
+full scale, seed 0, with --threads 1 and 2; three desk-size `simulate` runs
+from config files (a range sweep; a g sweep that sets `g` beside
+`sweep.values` and sets `kl_draws`; a single run with no `sweep.` key);
+`kl` on a 10 x 10 exponential-vs-identity config; `gen-cov` for every
+kernel; `dist` at three ratios; and `fdr` on a CSV with a header and tied
+scores. The config files and the `fdr` input are written
 to the work directory first. Every CSV is compared byte for byte;
 run-meta.txt, which records a timestamp, is skipped. One line is printed per
 artifact, and the exit code is 1 on any difference or failed run.
@@ -48,11 +50,44 @@ n_reps = 200
 seed = 3
 """
 
+# The shape of the benchmark's reps-heavy config: g is set beside sweep.values,
+# and kl_draws is read and ignored.
+G_CONFIG = """\
+grid.rows = 10
+grid.cols = 10
+sigma0_sq = 0.25
+g = 1.0
+truth.kernel = exponential
+truth.range = 5
+mis.kernel = identity
+sweep.variable = g
+sweep.values = 0.1, 1, 10
+alpha_star = 0.05
+n_reps = 1000
+kl_draws = 1000
+seed = 7
+"""
+
+# No sweep. key: one point, at the config's g.
+SINGLE_CONFIG = """\
+grid.rows = 10
+grid.cols = 10
+sigma0_sq = 0.25
+g = 2.0
+truth.kernel = exponential
+truth.range = 5.0
+mis.kernel = exponential
+mis.range = 2.5
+n_reps = 300
+seed = 4
+"""
+
 # The step-up rule at alpha 0.021 stops inside the run of tied 0.03 scores.
 FDR_INPUT = "i,h\n" + "".join(
     f"{i},{h}\n" for i, h in enumerate([0.03, 0.01, 0.2, 0.03, 0.9, 0.01, 0.03, 0.5]))
 
-INPUTS = {"kl.cfg": KL_CONFIG, "range.cfg": RANGE_CONFIG, "scores.csv": FDR_INPUT}
+INPUTS = {"kl.cfg": KL_CONFIG, "range.cfg": RANGE_CONFIG, "g.cfg": G_CONFIG,
+          "single.cfg": SINGLE_CONFIG, "scores.csv": FDR_INPUT}
 
 
 def requests(work: Path) -> dict[str, list[str]]:
@@ -65,6 +100,8 @@ def requests(work: Path) -> dict[str, list[str]]:
         for which in (1, 2, 3) for threads in (1, 2)
     }
     runs["simulate-range"] = ["simulate", "--config", str(work / "range.cfg")]
+    runs["simulate-g"] = ["simulate", "--config", str(work / "g.cfg")]
+    runs["simulate-single"] = ["simulate", "--config", str(work / "single.cfg")]
     runs["kl"] = ["kl", "--config", str(work / "kl.cfg")]
     ar2 = ["gen-cov", "--kernel", "ar2", "--m", "50", "--rho1", "0.6", "--rho2", "0.3"]
     runs.update({

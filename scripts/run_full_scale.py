@@ -37,17 +37,11 @@ def main() -> int:
         write_csv(out, SWEEP_COLUMNS, map(astuple, rows))
         print(f"\n{config.label} ({elapsed:.1f}s) -> {out}")
         columns = ["fdr_cor", "fdr_mis", "fnr_cor", "fnr_mis"]
-        if config.sweep_variable == "rho":
-            # A range sweep's correct spec does not depend on the range: its
-            # cells are the same in every row, so they are printed once.
-            row = rows[0]
-            print(f"correct spec: fdr {row.fdr_cor:.4f} (se {row.fdr_cor_se:.4f}), "
-                  f"fnr {row.fnr_cor:.4f} (se {row.fnr_cor_se:.4f})")
-            columns = ["fdr_mis", "fnr_mis"]
-        print(f"{'value':>8} " + " ".join(f"{c:>8}" for c in columns) + f" {'kl_per_dim':>11}")
+        print(f"{config.sweep_key:>9} " + " ".join(f"{c:>8}" for c in columns)
+              + f" {'kl_per_dim':>11}")
         for row in rows:
             cells = " ".join(f"{getattr(row, c):8.4f}" for c in columns)
-            print(f"{row.sweep_value:8.2f} {cells} {row.kl_per_dim:11.5f}")
+            print(f"{row.sweep_value:9.2f} {cells} {row.kl_per_dim:11.5f}")
     return 0
 
 

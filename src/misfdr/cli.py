@@ -196,22 +196,13 @@ def _read_config(path: str) -> tuple[dict[str, str], bytes]:
     return parse_config_text(raw.decode()), raw
 
 
-# Config keys of a sweep that the KL divergence, exact and at one g, never
-# reads; a `sweep.` key is one too.
-_KL_UNREAD = ("n_reps", "seed", "alpha_star")
-
-
 def _cmd_kl(args) -> tuple[bytes, None]:
     mapping, raw = _read_config(args.config)
-    unread = sorted(k for k in mapping if k in _KL_UNREAD or k.startswith("sweep."))
-    if unread:
-        raise ParameterError(f"config key(s) that kl does not use: {', '.join(unread)}")
-    # With no sweep.variable, the parser requires mis.range of an exponential kernel.
-    config = config_from_mapping(mapping, label="kl")
-    truth_cov = build_cov(config.truth_kernel, config.m, config.grid)
-    mis_cov = build_cov(config.mis_kernel, config.m, config.grid)
-    truth, spec_cor, spec_mis = paired_specs(config, truth_cov, mis_cov, config.g)
-    total = kl_exact(truth, spec_cor, spec_mis)
+    # A single run's model: a key that only a sweep reads is an unknown key.
+    config = config_from_mapping(mapping, label="kl", sweep=False)
+    truth_cov, mis_cov = (build_cov(kernel, config.m, config.grid)
+                          for kernel in (config.truth_kernel, config.mis_kernel))
+    total = kl_exact(*paired_specs(config, truth_cov, mis_cov, config.g))
     per_dim = total / config.m
     _write_artifact(args, ["g", "m", "total", "per_dim"], [(config.g, config.m, total, per_dim)],
                     f" (per_dim={per_dim:.6g})")
@@ -276,7 +267,6 @@ def _run_and_write_sweep(config, args) -> None:
 
 def _write_plots(plt, config, rows, output_dir: str) -> None:
     xs = [row.sweep_value for row in rows]
-    xlabel = "g" if config.sweep_variable == "g" else "misspecified range"
     panels = [
         ("fdr", [("correct", [r.fdr_cor for r in rows]),
                  ("misspecified", [r.fdr_mis for r in rows])]),
@@ -289,9 +279,8 @@ def _write_plots(plt, config, rows, output_dir: str) -> None:
         fig, ax = plt.subplots(figsize=(4.5, 3.2))
         for label, ys in series:
             ax.plot(xs, ys, marker="o", label=label)
-        if config.sweep_variable == "g":
-            ax.set_xscale("log")
-        ax.set_xlabel(xlabel)
+        ax.set_xscale("log")
+        ax.set_xlabel(config.sweep_key)
         ax.set_ylabel(name)
         if len(series) > 1:
             ax.legend()

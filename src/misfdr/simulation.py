@@ -1,17 +1,18 @@
 """Configuration-driven sweeps: paired correct/misspecified runs.
 
-A sweep varies either the prior scale g or the misspecified spatial range,
-runs the step-up procedure under both specifications on the *same* datasets
-(pairing reduces the variance of the rejection-rate difference), and
-attaches the exact per-dimension KL divergence between the two laws.
+Point j of a sweep is its config with the key `SWEEP_KEYS[sweep.variable]` set
+to `sweep.values[j]`; without `sweep.values` the config is one point, at its
+own value of the key. Each point runs the step-up rule under both specs on the
+*same* datasets (pairing reduces the variance of the rejection-rate
+difference) and attaches the exact per-dimension KL divergence of the laws.
 
 Every point of a sweep scores the same datasets, the first n_reps of the
 stream `(seed, 0, 0)`: common random numbers, which pair the points with each
 other too. Each row's standard errors are still that row's own Monte Carlo
 errors, but the rows are correlated, so a difference between two rows is
-estimated more precisely than the two errors suggest. A range sweep's
-correct spec does not depend on the range, so it is replicated once and its
-counts are shared by every row.
+estimated more precisely than the two errors suggest. A `mis.*` key leaves
+the correct spec alone, so it is replicated once; any other key leaves the
+misspecified covariance alone, so it is built once.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import csv
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import partial
 
 import numpy as np
@@ -34,6 +35,8 @@ from .rng import stream
 
 DEFAULT_G_GRID = tuple(10.0**e for e in (-2, -1, 0, 1, 2, 3))
 DEFAULT_RHO_GRID = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0)
+# sweep.variable -> the config key that each point of the sweep sets.
+SWEEP_KEYS = {"g": "g", "rho": "mis.range"}
 
 
 @dataclass(frozen=True)
@@ -44,7 +47,7 @@ class ExperimentConfig:
     g: float
     truth_kernel: dict
     mis_kernel: dict
-    sweep_variable: str  # "g" or "rho"
+    sweep_variable: str  # a key of SWEEP_KEYS
     sweep_values: tuple
     alpha_star: float
     n_reps: int
@@ -52,16 +55,32 @@ class ExperimentConfig:
     grid: GridLayout | None = None
 
     def __post_init__(self) -> None:
-        if self.sweep_variable not in ("g", "rho"):
-            raise ParameterError("sweep.variable must be 'g' or 'rho'")
+        if self.sweep_variable not in SWEEP_KEYS:
+            raise ParameterError(f"sweep.variable must be one of {', '.join(SWEEP_KEYS)}")
+        prefix, _, name = self.sweep_key.rpartition(".")
+        kinds = [kind for kind, keys in _KERNEL_KEYS.items() if name in keys]
+        if prefix and getattr(self, f"{prefix}_kernel").get("kind") not in kinds:
+            raise ParameterError(f"a {self.sweep_variable!r} sweep varies {self.sweep_key}: "
+                                 f"{prefix}.kernel must be {' or '.join(kinds)}")
         if not self.sweep_values:
             raise ParameterError("sweep.values must be nonempty")
-        if self.sweep_variable == "rho" and self.mis_kernel.get("kind") != "exponential":
-            raise ParameterError("a 'rho' sweep varies mis.range: mis.kernel must be exponential")
         if self.n_reps < 1:
             raise ParameterError("n_reps must be at least 1")
+        if not 0.0 < self.alpha_star < 1.0:
+            raise ParameterError("alpha_star must lie in (0, 1)")
         if self.grid is not None and self.grid.m != self.m:
             raise ParameterError("grid size does not match m")
+
+    @property
+    def sweep_key(self) -> str:
+        return SWEEP_KEYS[self.sweep_variable]
+
+    def at(self, value: float) -> ExperimentConfig:
+        """Sweep point `value`: the one-point config with the swept key set to it."""
+        prefix, _, name = self.sweep_key.rpartition(".")
+        field = f"{prefix}_kernel" if prefix else name
+        setting = {**getattr(self, field), name: value} if prefix else value
+        return replace(self, sweep_values=(value,), **{field: setting})
 
 
 @dataclass(frozen=True)
@@ -91,12 +110,8 @@ def build_cov(kernel: dict, m: int, grid: GridLayout | None) -> CovarianceMatrix
             raise ParameterError("exponential kernel requires a grid layout")
         return exponential_cov(grid, float(kernel["range"]))
     if kind == "ar2":
-        return ar2_cov(
-            m,
-            float(kernel["rho1"]),
-            float(kernel["rho2"]),
-            normalize=bool(kernel.get("normalize", False)),
-        )
+        return ar2_cov(m, float(kernel["rho1"]), float(kernel["rho2"]),
+                       normalize=bool(kernel.get("normalize", False)))
     if kind == "identity":
         return identity_cov(m)
     raise ParameterError(f"unknown kernel kind: {kind!r}")
@@ -119,26 +134,23 @@ def paired_specs(config: ExperimentConfig, truth_cov, mis_cov, g: float):
 
 
 def _sweep_point(config: ExperimentConfig, truth: TrueProcess, mis_cov, cor,
-                 index: int) -> SweepRow:
-    """One sweep point, scored on the sweep's one set of datasets: the first
-    n_reps that `stream(seed, 0, 0)` draws, regenerated here from that path so
-    that points share no Generator. A g sweep passes the misspecified
-    covariance `mis_cov` that all its points share, and the point builds and
-    replicates both specs. A range sweep passes `cor`, the correct spec's law
-    and (n_reps, 3) counts that all its points share, and the point builds and
-    replicates only the misspecified spec."""
-    value = float(config.sweep_values[index])
+                 value: float) -> SweepRow:
+    """Sweep point `value`, the config `at` it, scored on the first n_reps of
+    `stream(seed, 0, 0)`, regenerated here so that points share no Generator.
+    It builds what `run_sweep` does not pass it to share: the misspecified
+    covariance `mis_cov`, or `cor`, the correct spec's law and (n_reps, 3) counts."""
+    point = config.at(float(value))
     gen = stream(config.root_seed, 0, 0)
+    if mis_cov is None:
+        mis_cov = build_cov(point.mis_kernel, point.m, point.grid)
+    spec_mis = sweep_spec(point, mis_cov, point.g)
     if cor is None:
-        spec_cor = sweep_spec(config, truth.sigma1, value)
-        spec_mis = sweep_spec(config, mis_cov, value)
+        spec_cor = sweep_spec(point, truth.sigma1, point.g)
         counts_cor, counts_mis = replicate(truth, [spec_cor, spec_mis], config.alpha_star,
                                            gen, config.n_reps)
         law_cor = law_known_var(truth, spec_cor)
     else:
         law_cor, counts_cor = cor
-        mis_cov = build_cov({**config.mis_kernel, "range": value}, config.m, config.grid)
-        spec_mis = sweep_spec(config, mis_cov, config.g)
         (counts_mis,) = replicate(truth, [spec_mis], config.alpha_star, gen, config.n_reps)
     oc_cor = summarize_counts(counts_cor, config.m)
     oc_mis = summarize_counts(counts_mis, config.m)
@@ -146,7 +158,7 @@ def _sweep_point(config: ExperimentConfig, truth: TrueProcess, mis_cov, cor,
     kl = kl_laws(law_cor, law_known_var(truth, spec_mis))
 
     return SweepRow(
-        sweep_value=value,
+        sweep_value=point.sweep_values[0],
         fdr_cor=oc_cor.fdr_hat,
         fdr_mis=oc_mis.fdr_hat,
         fnr_cor=oc_cor.fnr_hat,
@@ -165,33 +177,32 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> list[SweepRow]:
     """Run every sweep point; deterministic given config.root_seed.
 
     The truth is built once, and every point scores the same n_reps datasets,
-    so the rows are paired with each other as well as within themselves. A g
-    sweep shares its misspecified covariance across points. A range sweep's
-    correct spec does not depend on the range: it is built, replicated and
+    so the rows are paired with each other as well as within themselves. A
+    `mis.*` key leaves the correct spec alone: it is built, replicated and
     given its law once, before the points, which share the law and the
-    read-only counts. Points are independent; `threads` caps worker
+    read-only counts; any other key leaves the shared misspecified covariance
+    alone. Points are independent; `threads` caps worker
     parallelism, and a sweep starts no more workers than it has points.
     Output order always follows config.sweep_values.
     """
     truth = sweep_truth(config, build_cov(config.truth_kernel, config.m, config.grid))
-    indices = range(len(config.sweep_values))
-    workers = min(threads, len(indices))
+    workers = min(threads, len(config.sweep_values))
     try:
         mis_cov = cor = None
-        if config.sweep_variable == "g":
-            mis_cov = build_cov(config.mis_kernel, config.m, config.grid)
-        else:
+        if config.sweep_key.startswith("mis."):
             spec_cor = sweep_spec(config, truth.sigma1, config.g)
             (counts_cor,) = replicate(truth, [spec_cor], config.alpha_star,
                                       stream(config.root_seed, 0, 0), config.n_reps)
             counts_cor.setflags(write=False)
             cor = law_known_var(truth, spec_cor), counts_cor
+        else:
+            mis_cov = build_cov(config.mis_kernel, config.m, config.grid)
         point = partial(_sweep_point, config, truth, mis_cov, cor)
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(point, indices))
+                rows = list(pool.map(point, config.sweep_values))
         else:
-            rows = [point(j) for j in indices]
+            rows = [point(value) for value in config.sweep_values]
     except ParameterError:
         raise
     except Exception as err:
@@ -282,40 +293,50 @@ def _seed(text: str) -> int:
     return value
 
 
-def _kernel_from_mapping(get, prefix: str, needs_range: bool = True) -> dict:
+# kernel kind -> {key read after `<prefix>.kernel`: (cast, default or None if required)}
+_KERNEL_KEYS = {
+    "exponential": {"range": (_finite_float, None)},
+    "ar2": {"rho1": (_finite_float, None), "rho2": (_finite_float, None),
+            "normalize": (_boolean, False)},
+    "identity": {},
+}
+
+
+def _kernel_from_mapping(get, prefix: str) -> dict:
     kind = get(f"{prefix}.kernel")
-    kernel: dict = {"kind": kind}
-    if kind == "exponential":
-        if needs_range:
-            kernel["range"] = get(f"{prefix}.range", cast=_finite_float)
-    elif kind == "ar2":
-        kernel["rho1"] = get(f"{prefix}.rho1", cast=_finite_float)
-        kernel["rho2"] = get(f"{prefix}.rho2", cast=_finite_float)
-        kernel["normalize"] = get(f"{prefix}.normalize", False, _boolean)
-    elif kind != "identity":
+    if kind not in _KERNEL_KEYS:
         raise ParameterError(f"unknown kernel kind: {kind!r}")
-    return kernel
+    return {"kind": kind, **{name: get(f"{prefix}.{name}", default, cast)
+                             for name, (cast, default) in _KERNEL_KEYS[kind].items()}}
 
 
-def config_from_mapping(mapping: dict[str, str], label: str = "config") -> ExperimentConfig:
+def config_from_mapping(mapping: dict[str, str], label: str = "config",
+                        sweep: bool = True) -> ExperimentConfig:
     """Build an ExperimentConfig from parsed key-value pairs.
 
     Every key must be one the build reads: a misspelled key, or a parameter
     the chosen kernel does not take, is an error rather than silently unused.
+    With `sweep` False it reads one run's model only: `sweep.*`, n_reps, seed,
+    alpha_star and kl_draws, which only a sweep reads, are then unknown keys.
     """
-    read: set[str] = set()
+    read: dict[str, object] = {}
 
     def get(key: str, default=None, cast=str):
-        read.add(key)
-        if key not in mapping:
-            if default is None:
-                raise ParameterError(f"missing config key: {key}")
-            return default
+        if key not in mapping and default is None:
+            raise ParameterError(f"missing config key: {key}")
         try:
-            return cast(mapping[key])
+            read[key] = cast(mapping[key]) if key in mapping else default
         except ValueError:
             raise ParameterError(f"config key {key}: invalid value {mapping[key]!r}") from None
+        return read[key]
 
+    run_get = get if sweep else lambda key, default, cast=str: default
+    sweep_variable = run_get("sweep.variable", "g")
+    key = SWEEP_KEYS.get(sweep_variable)
+    values = run_get("sweep.values", (), lambda text: tuple(map(_finite_float, text.split(","))))
+    if values and key:
+        # Each point sets the key, so the config may leave it out: it is point 0.
+        mapping = {key: repr(values[0]), **mapping}
     if get("noise.mode", "known") != "known":
         raise ParameterError(
             "sweeps and the KL divergence require the known-variance mode: the "
@@ -323,39 +344,29 @@ def config_from_mapping(mapping: dict[str, str], label: str = "config") -> Exper
         )
     grid = None
     if "grid.rows" in mapping:
-        grid = GridLayout(
-            get("grid.rows", cast=int), get("grid.cols", cast=int),
-            get("grid.spacing", 1.0, _finite_float),
-        )
-        m = grid.m
-    else:
-        m = get("m", cast=int)
-    g = get("g", 1.0, _finite_float)
-    sweep_variable = get("sweep.variable", "g")
+        grid = GridLayout(get("grid.rows", cast=int), get("grid.cols", cast=int),
+                          get("grid.spacing", 1.0, _finite_float))
     config = ExperimentConfig(
         label=label,
-        m=m,
+        m=get("m", cast=int) if grid is None else grid.m,
         sigma0_sq=get("sigma0_sq", cast=_finite_float),
-        g=g,
+        g=get("g", 1.0, _finite_float),
         truth_kernel=_kernel_from_mapping(get, "truth"),
-        # A range sweep sets mis.range at each point, so it may leave it out.
-        mis_kernel=_kernel_from_mapping(
-            get, "mis", sweep_variable != "rho" or "mis.range" in mapping),
+        mis_kernel=_kernel_from_mapping(get, "mis"),
         sweep_variable=sweep_variable,
-        # A config without sweep.values describes a single run at its g.
-        sweep_values=get("sweep.values", (g,),
-                         lambda text: tuple(map(_finite_float, text.split(",")))),
-        alpha_star=get("alpha_star", 0.05, _finite_float),
-        n_reps=get("n_reps", 400, int),
-        root_seed=get("seed", 0, _seed),
+        # Without sweep.values the config is one point, at its own value of the
+        # key: None if no kernel read the key, which the config then refuses.
+        sweep_values=values or (read.get(key),),
+        alpha_star=run_get("alpha_star", 0.05, _finite_float),
+        n_reps=run_get("n_reps", 400, int),
+        root_seed=run_get("seed", 0, _seed),
         grid=grid,
     )
-    if "kl_draws" in mapping:
-        # Read and ignored: the benchmark's generated reps-heavy config sets it,
-        # and a key the parser does not read is an error.
+    if sweep and "kl_draws" in mapping:
+        # Read and ignored: the benchmark's generated reps-heavy config sets it.
         get("kl_draws", cast=int)
         warnings.warn("config key kl_draws is ignored: the KL divergence is exact", stacklevel=2)
-    unread = sorted(set(mapping) - read)
+    unread = sorted(set(mapping) - set(read))
     if unread:
         raise ParameterError(f"unknown config key(s): {', '.join(unread)}")
     return config

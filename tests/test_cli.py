@@ -117,15 +117,15 @@ class TestKl:
 
     @pytest.mark.parametrize("line", [
         "n_reps = 40", "seed = 3", "alpha_star = 0.2", "sweep.values = 1.0, 5.0",
-        "sweep.variable = g",
-    ], ids=["n_reps", "seed", "alpha_star", "sweep.values", "sweep.variable"])
+        "sweep.variable = g", "kl_draws = 7",
+    ], ids=["n_reps", "seed", "alpha_star", "sweep.values", "sweep.variable", "kl_draws"])
     def test_sweep_key_rejected(self, tmp_path, capsys, line):
         config = tmp_path / "run.cfg"
         config.write_text(KL_CONFIG + line + "\n")
         assert run(tmp_path, "kl", "--config", str(config)) == 1
         key = line.split(" = ")[0]
         assert capsys.readouterr().err == (
-            f"configuration error: config key(s) that kl does not use: {key}\n")
+            f"configuration error: unknown config key(s): {key}\n")
         assert not (tmp_path / "kl.csv").exists()
 
 
@@ -291,6 +291,25 @@ class TestSimulateAndExample:
         assert run(tmp_path, "simulate", "--config", str(config)) == 1
         assert "kl_draws" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("value", ["0", "1", "1.5"])
+    def test_alpha_star_outside_unit_interval_rejected_before_any_work(
+            self, tmp_path, capsys, monkeypatch, value):
+        factored = []
+        for name, module in list(sys.modules.items()):
+            if name.startswith("misfdr") and hasattr(module, "chol"):
+                monkeypatch.setattr(module, "chol",
+                                    lambda a, _chol=module.chol: factored.append(a) or _chol(a))
+        config = tmp_path / "bad.cfg"
+        config.write_text(CONFIG + f"alpha_star = {value}\n")
+        assert run(tmp_path, "simulate", "--config", str(config)) == 1
+        assert "configuration error: alpha_star must lie in (0, 1)" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+        assert factored == []
+        # The count is live: a sweep at a valid alpha_star factors.
+        config.write_text(CONFIG + "alpha_star = 0.05\n")
+        assert run(tmp_path, "simulate", "--config", str(config)) == 0
+        assert factored
 
     def test_configuration_error_in_sweep_point(self, tmp_path, capsys):
         # the misspecified covariance is built inside each sweep point
@@ -478,6 +497,31 @@ class TestVerbose:
     def test_quiet_without_flag(self, tmp_path, capsys):
         assert run(tmp_path, "gen-cov", "--kernel", "identity", "--m", "3") == 0
         assert capsys.readouterr().out == ""
+
+
+# A range config without sweep.values: one point, at its own mis.range.
+ONE_POINT_RANGE = CONFIG.replace("sweep.values = 0.1, 1.0\n", "sweep.variable = rho\n").replace(
+    "g = 1.0", "g = 3.0").replace("mis.kernel = identity", "mis.kernel = exponential")
+
+
+class TestOnePointRangeConfig:
+    def test_runs_at_its_own_range(self, tmp_path):
+        # At the truth's range the misspecified spec is the correct one.
+        config = tmp_path / "one.cfg"
+        config.write_text(ONE_POINT_RANGE + "mis.range = 5.0\n")
+        assert run(tmp_path, "simulate", "--config", str(config)) == 0
+        header, row = (tmp_path / "sweep.csv").read_text().splitlines()
+        values = dict(zip(header.split(","), map(float, row.split(","))))
+        assert values["sweep_value"] == 5.0
+        assert values["kl_per_dim"] == 0.0
+        assert values["fdr_mis"] == values["fdr_cor"]
+
+    def test_needs_its_range(self, tmp_path, capsys):
+        config = tmp_path / "bare.cfg"
+        config.write_text(ONE_POINT_RANGE)
+        assert run(tmp_path, "simulate", "--config", str(config)) == 1
+        assert "configuration error: missing config key: mis.range" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
 
 
 class TestThreads:

@@ -18,6 +18,7 @@ from misfdr.simulation import (
     DEFAULT_G_GRID,
     DEFAULT_RHO_GRID,
     SWEEP_COLUMNS,
+    SWEEP_KEYS,
     ExperimentConfig,
     build_cov,
     builtin_example,
@@ -61,6 +62,17 @@ class TestConfigValidation:
     def test_no_reps(self, n_reps):
         with pytest.raises(ParameterError, match="n_reps must be at least 1"):
             tiny_config(n_reps=n_reps)
+
+    @pytest.mark.parametrize("alpha_star", [0.0, 1.0, 1.5, -0.05])
+    def test_alpha_star_outside_unit_interval(self, alpha_star):
+        with pytest.raises(ParameterError, match=r"alpha_star must lie in \(0, 1\)"):
+            tiny_config(alpha_star=alpha_star)
+
+    def test_at_sets_the_swept_key(self):
+        assert tiny_config().at(3.0) == tiny_config(g=3.0, sweep_values=(3.0,))
+        ranged = tiny_config(**RANGE_SWEEP).at(7.0)
+        assert ranged.mis_kernel == {"kind": "exponential", "range": 7.0}
+        assert (ranged.g, ranged.sweep_values) == (1.0, (7.0,))
 
     def test_grid_mismatch(self):
         with pytest.raises(ParameterError, match="grid size"):
@@ -362,7 +374,8 @@ class TestBuiltinExamples:
         assert config.sweep_variable == "rho"
         assert config.sweep_values == DEFAULT_RHO_GRID
         assert config.g == 1.0
-        assert config.mis_kernel == {"kind": "exponential"}  # each point sets the range
+        # Each point sets the range; the config itself is the first point.
+        assert config.mis_kernel == {"kind": "exponential", "range": DEFAULT_RHO_GRID[0]}
 
     def test_bad_arguments(self):
         with pytest.raises(ParameterError):
@@ -500,7 +513,7 @@ class TestConfigParsing:
     def test_range_sweep_needs_no_mis_range(self):
         mapping = parse_config_text(self.TEXT)
         mapping.update({"mis.kernel": "exponential", "sweep.variable": "rho"})
-        assert config_from_mapping(mapping).mis_kernel == {"kind": "exponential"}
+        assert config_from_mapping(mapping).mis_kernel == {"kind": "exponential", "range": 0.1}
         with_range = config_from_mapping({**mapping, "mis.range": "2.0"})
         assert with_range.mis_kernel == {"kind": "exponential", "range": 2.0}
         assert run_sweep(config_from_mapping(mapping)) == run_sweep(with_range)
@@ -518,3 +531,38 @@ class TestConfigParsing:
         config = config_from_mapping(mapping)
         assert config.sweep_values == (1.0,)
         assert config.sweep_variable == "g"
+
+
+POINT_RULE_TEXT = """
+grid.rows = 4
+grid.cols = 4
+sigma0_sq = 0.25
+g = 2.0
+truth.kernel = exponential
+truth.range = 5.0
+n_reps = 30
+seed = 11
+"""
+
+
+class TestPointRule:
+    """Point j of a sweep is its config with the swept key set to value j. The
+    one-point config drops sweep.values and keeps sweep.variable, which names
+    the key whose value its row reports."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("sweep", [
+        # g is set beside sweep.values; mis.range is left out.
+        {"mis.kernel": "identity", "sweep.variable": "g", "sweep.values": "0.5, 2.0, 8.0"},
+        {"mis.kernel": "exponential", "sweep.variable": "rho", "sweep.values": "1.0, 5.0, 10.0"},
+    ], ids=["g", "rho"])
+    def test_each_row_is_the_one_point_run_of_its_value(self, sweep, threads):
+        mapping = {**parse_config_text(POINT_RULE_TEXT), **sweep}
+        key = SWEEP_KEYS[mapping["sweep.variable"]]
+        rows = run_sweep(config_from_mapping(mapping), threads=threads)
+        values = [float(v) for v in sweep["sweep.values"].split(",")]
+        assert [row.sweep_value for row in rows] == values
+        for row in rows:
+            one_point = {k: v for k, v in mapping.items() if k != "sweep.values"}
+            one_point[key] = repr(row.sweep_value)
+            assert run_sweep(config_from_mapping(one_point), threads=threads) == [row]
