@@ -4,13 +4,14 @@
 Each request below runs once from this tree and once from OTHER_TREE, each
 in a fresh interpreter with PYTHONPATH=<tree>/src and every BLAS thread
 variable set to 1. The requests cover all six subcommands: studies 1-3 at
-full scale, seed 0, with --threads 1 and 2; three desk-size `simulate` runs
-from config files (a range sweep; a g sweep that sets `g` beside
-`sweep.values` and sets `kl_draws`; a single run with no `sweep.` key);
-`kl` on a 10 x 10 exponential-vs-identity config; `gen-cov` for every
-kernel; `dist` at three ratios; and `fdr` on a CSV with a header and tied
-scores. The config files and the `fdr` input are written
-to the work directory first. Every CSV is compared byte for byte;
+full and desk scale, seed 0, with --threads 1 and 2 (at full scale each
+point is a pass of its own, at desk scale points share a pass); three
+desk-size `simulate` runs from config files (a range sweep; a g sweep that
+sets `g` beside `sweep.values` and sets `kl_draws`; a single run with no
+`sweep.` key); `kl` on a 10 x 10 exponential-vs-identity config; `gen-cov`
+for every kernel; `dist` at three ratios; and `fdr` on a CSV with a header
+and tied scores. The config files and the `fdr` input are written to the
+work directory first. Every CSV is compared byte for byte;
 run-meta.txt, which records a timestamp, is skipped. One line is printed per
 artifact, and the exit code is 1 on any difference or failed run.
 
@@ -94,10 +95,10 @@ def requests(work: Path) -> dict[str, list[str]]:
     """Named CLI argument lists, each written to its own output directory;
     they read the INPUTS written to `work`."""
     runs = {
-        f"example{which}-threads{threads}":
+        f"example{which}-{scale}-threads{threads}":
             ["--seed", "0", "--threads", str(threads),
-             "example", "--which", str(which), "--scale", "full"]
-        for which in (1, 2, 3) for threads in (1, 2)
+             "example", "--which", str(which), "--scale", scale]
+        for scale in ("full", "desk") for which in (1, 2, 3) for threads in (1, 2)
     }
     runs["simulate-range"] = ["simulate", "--config", str(work / "range.cfg")]
     runs["simulate-g"] = ["simulate", "--config", str(work / "g.cfg")]

@@ -93,10 +93,25 @@ def _distances(points: np.ndarray) -> np.ndarray:
 
 
 def exponential_cov(layout: GridLayout, range_: float) -> CovarianceMatrix:
-    """exp(-d/range) kernel on a regular grid, row-major point order."""
+    """exp(-d/range) kernel on a regular grid, row-major point order.
+
+    The squared distance between points (i, j) and (k, l) is the squared row
+    offset of (i, k) plus the squared column offset of (j, l): both small
+    tables are broadcast into one m x m array, with the subtraction and the
+    order of the sum of `_distances`, so every entry is the same bit for bit.
+    """
     if range_ <= 0:
         raise ParameterError("range must be positive")
-    return CovarianceMatrix(np.exp(-_distances(layout.points()) / range_))
+    points = layout.points()
+    rows, cols = (coord[:, None] - coord[None, :]
+                  for coord in (points[::layout.cols, 0], points[:layout.cols, 1]))
+    rows *= rows
+    cols *= cols
+    kernel = (rows[:, None, :, None] + cols[None, :, None, :]).reshape(layout.m, layout.m)
+    np.sqrt(kernel, out=kernel)
+    np.negative(kernel, out=kernel)
+    kernel /= range_
+    return CovarianceMatrix(np.exp(kernel, out=kernel))
 
 
 def ar2_autocovariance(rho1: float, rho2: float, n_lags: int) -> np.ndarray:

@@ -33,6 +33,14 @@ class OperatingCharacteristics:
 _BLOCK_ROWS = 512
 
 
+def block_floats(m: int) -> int:
+    """Floats in one block of draws at dimension m: `replicate` draws
+    `_BLOCK_ROWS` replications of 2m normals at a time. A caller that holds
+    no more than this beside a `replicate` call keeps its working set within
+    a few (_BLOCK_ROWS, m) arrays."""
+    return _BLOCK_ROWS * 2 * m
+
+
 # Columns of each sorted row that `_decide` evaluates in its first pass, and
 # the fewest that a later pass adds for the rows whose running mean can still
 # qualify; past 8 of these a pass adds an eighth of the prefix, so a long row
@@ -163,7 +171,8 @@ def replicate(
     """(n, 3) per-replication (R, V, T) counts for each spec in `specs`, all
     scored on the same n datasets, the next n that `gen` draws from `truth`.
     H0i is theta_i >= the spec's prior mean. R is the number of rejections,
-    V the false ones and T the true alternatives left unrejected.
+    V the false ones and T the true alternatives left unrejected. Each is at
+    most m, so the counts are int32: a sweep holds one array per spec.
 
     The datasets are drawn, scored and decided `_BLOCK_ROWS` at a time, in
     order, so the working set is a few (_BLOCK_ROWS, m) arrays however large
@@ -176,7 +185,7 @@ def replicate(
     """
     for spec in specs:
         check_dims(truth, spec)
-    counts = [np.empty((n, 3), dtype=np.intp) for _ in specs]
+    counts = [np.empty((n, 3), dtype=np.int32) for _ in specs]
     for start in range(0, n, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n)
         theta, y = draw_replications(truth, gen, stop - start)

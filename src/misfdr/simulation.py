@@ -11,8 +11,17 @@ stream `(seed, 0, 0)`: common random numbers, which pair the points with each
 other too. Each row's standard errors are still that row's own Monte Carlo
 errors, but the rows are correlated, so a difference between two rows is
 estimated more precisely than the two errors suggest. A `mis.*` key leaves
-the correct spec alone, so it is replicated once; any other key leaves the
+the correct spec alone, so it is scored once; any other key leaves the
 misspecified covariance alone, so it is built once.
+
+The datasets are drawn once per pass, not once per point. A pass is a run
+of consecutive points whose specs all score one draw: it takes points while
+the m x m arrays they add (each dense spec's A, and a range point's own
+covariance) fit in the floats of one draw block of `fdr.replicate`,
+`_BLOCK_ROWS` x 2m. At m = 100 a whole built-in study takes one or two
+passes; at m = 900 one dense A fills the block, so each point is its own
+pass. Each spec's counts are those it would get alone on the stream, so the
+numbers do not depend on the grouping.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ import numpy as np
 from .covariance import CovarianceMatrix, GridLayout, ar2_cov, exponential_cov, identity_cov
 from .divergence import kl_laws
 from .errors import ParameterError
-from .fdr import replicate, summarize_counts
+from .fdr import block_floats, replicate, summarize_counts
 from .posterior import KnownVariance, ModelSpec, TrueProcess
 from .sampdist import law_known_var
 from .rng import stream
@@ -133,38 +142,67 @@ def paired_specs(config: ExperimentConfig, truth_cov, mis_cov, g: float):
             sweep_spec(config, mis_cov, g))
 
 
-def _sweep_point(config: ExperimentConfig, truth: TrueProcess, mis_cov, cor,
-                 value: float) -> SweepRow:
-    """Sweep point `value`, the config `at` it, scored on the first n_reps of
-    `stream(seed, 0, 0)`, regenerated here so that points share no Generator.
-    It builds what `run_sweep` does not pass it to share: the misspecified
-    covariance `mis_cov`, or `cor`, the correct spec's law and (n_reps, 3) counts."""
-    point = config.at(float(value))
-    gen = stream(config.root_seed, 0, 0)
-    if mis_cov is None:
-        mis_cov = build_cov(point.mis_kernel, point.m, point.grid)
-    spec_mis = sweep_spec(point, mis_cov, point.g)
-    if cor is None:
-        spec_cor = sweep_spec(point, truth.sigma1, point.g)
-        counts_cor, counts_mis = replicate(truth, [spec_cor, spec_mis], config.alpha_star,
-                                           gen, config.n_reps)
-        law_cor = law_known_var(truth, spec_cor)
-    else:
-        law_cor, counts_cor = cor
-        (counts_mis,) = replicate(truth, [spec_mis], config.alpha_star, gen, config.n_reps)
-    oc_cor = summarize_counts(counts_cor, config.m)
-    oc_mis = summarize_counts(counts_mis, config.m)
-    diff = float((counts_cor[:, 0].mean() - counts_mis[:, 0].mean()) / config.m)
-    kl = kl_laws(law_cor, law_known_var(truth, spec_mis))
+def _sweep_pass(config: ExperimentConfig, truth: TrueProcess, mis_cov, law_cor, head,
+                values) -> tuple[list, list]:
+    """Score the sweep points `values` in one pass. The specs of the points,
+    after the built specs `head`, all score one draw of the sweep's datasets,
+    the first n_reps of a fresh `stream(seed, 0, 0)`; then each point builds
+    its laws and their KL divergence. A point builds what `run_sweep` does
+    not pass it to share: its misspecified covariance when `mis_cov` is None,
+    its correct spec and law when `law_cor` is None.
 
+    Returns the counts of `head` and, per point, (value, counts_cor,
+    counts_mis, kl), with counts_cor None where the correct spec is shared."""
+    pairs = []
+    for value in values:
+        point = config.at(float(value))
+        cov = mis_cov if mis_cov is not None else build_cov(point.mis_kernel, point.m, point.grid)
+        spec_cor = sweep_spec(point, truth.sigma1, point.g) if law_cor is None else None
+        pairs.append((point.sweep_values[0], spec_cor, sweep_spec(point, cov, point.g)))
+    specs = [*head, *(spec for pair in pairs for spec in pair[1:] if spec is not None)]
+    counts = iter(replicate(truth, specs, config.alpha_star, stream(config.root_seed, 0, 0),
+                            config.n_reps))
+    head_counts = [next(counts) for _ in head]
+    scored = []
+    for value, spec_cor, spec_mis in pairs:
+        counts_cor = None if spec_cor is None else next(counts)
+        law = law_cor if spec_cor is None else law_known_var(truth, spec_cor)
+        scored.append((value, counts_cor, next(counts),
+                       kl_laws(law, law_known_var(truth, spec_mis))))
+    return head_counts, scored
+
+
+def _passes(values, parts: int, cost: int, budget: int, used: int) -> list[list]:
+    """The points `values` in consecutive passes: `parts` runs of near-equal
+    length, each cut before a point whose `cost` would take its pass past
+    `budget`. The first pass holds `used` before its points. A pass scores
+    at least one spec, so the first holds no point when a point does not fit
+    beside `used`."""
+    passes, n = [], len(values)
+    for part in range(parts):
+        group = []
+        for value in values[n * part // parts:n * (part + 1) // parts]:
+            if (group or used) and used + cost > budget:
+                passes.append(group)
+                group, used = [], 0
+            group.append(value)
+            used += cost
+        passes.append(group)
+        used = 0
+    return passes
+
+
+def _sweep_row(m: int, value: float, counts_cor, counts_mis, kl: float) -> SweepRow:
+    oc_cor = summarize_counts(counts_cor, m)
+    oc_mis = summarize_counts(counts_mis, m)
     return SweepRow(
-        sweep_value=point.sweep_values[0],
+        sweep_value=value,
         fdr_cor=oc_cor.fdr_hat,
         fdr_mis=oc_mis.fdr_hat,
         fnr_cor=oc_cor.fnr_hat,
         fnr_mis=oc_mis.fnr_hat,
-        rejection_rate_diff=diff,
-        kl_per_dim=kl / truth.m,
+        rejection_rate_diff=float((counts_cor[:, 0].mean() - counts_mis[:, 0].mean()) / m),
+        kl_per_dim=kl / m,
         kl_se=0.0,
         fdr_cor_se=oc_cor.fdr_se,
         fdr_mis_se=oc_mis.fdr_se,
@@ -178,31 +216,50 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> list[SweepRow]:
 
     The truth is built once, and every point scores the same n_reps datasets,
     so the rows are paired with each other as well as within themselves. A
-    `mis.*` key leaves the correct spec alone: it is built, replicated and
-    given its law once, before the points, which share the law and the
-    read-only counts; any other key leaves the shared misspecified covariance
-    alone. Points are independent; `threads` caps worker
-    parallelism, and a sweep starts no more workers than it has points.
-    Output order always follows config.sweep_values.
+    `mis.*` key leaves the correct spec alone: it is built and given its law
+    once, before the points, and scored once; any other key leaves the
+    shared misspecified covariance alone.
+
+    The points are scored in passes of consecutive points, each of which
+    draws the datasets once for all its specs (`_sweep_pass`). A pass takes
+    points while the m x m arrays they add, each dense spec's A and a range
+    point's own covariance, fit in the floats of one draw block
+    (`fdr.block_floats`); the shared correct spec joins the first pass if
+    it fits beside its first point, and is scored alone if not. With
+    `threads` > 1 the points are first split into min(threads, points) runs
+    of near-equal length, so there are at least as many passes; passes run
+    on at most that many workers. Every spec's counts are those of its own
+    `replicate` on the stream, so the rows do not depend on the grouping or
+    on `threads`. Output order always follows config.sweep_values.
     """
     truth = sweep_truth(config, build_cov(config.truth_kernel, config.m, config.grid))
     workers = min(threads, len(config.sweep_values))
+    square = config.m * config.m
     try:
-        mis_cov = cor = None
+        mis_cov = law_cor = None
+        head, used = [], 0
         if config.sweep_key.startswith("mis."):
             spec_cor = sweep_spec(config, truth.sigma1, config.g)
-            (counts_cor,) = replicate(truth, [spec_cor], config.alpha_star,
-                                      stream(config.root_seed, 0, 0), config.n_reps)
-            counts_cor.setflags(write=False)
-            cor = law_known_var(truth, spec_cor), counts_cor
+            law_cor = law_known_var(truth, spec_cor)
+            head, used = [spec_cor], square * (not spec_cor.diagonal)
+            # A point builds its covariance and its spec's A.
+            cost = 2 * square
         else:
             mis_cov = build_cov(config.mis_kernel, config.m, config.grid)
-        point = partial(_sweep_point, config, truth, mis_cov, cor)
+            cost = square * ((not truth.sigma1.is_diagonal) + (not mis_cov.is_diagonal))
+        passes = _passes(config.sweep_values, max(workers, 1), cost, block_floats(config.m),
+                         used)
+        heads = [head] + [[]] * (len(passes) - 1)
+        score = partial(_sweep_pass, config, truth, mis_cov, law_cor)
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(point, config.sweep_values))
+                results = list(pool.map(score, heads, passes))
         else:
-            rows = [point(value) for value in config.sweep_values]
+            results = list(map(score, heads, passes))
+        shared = results[0][0][0] if head else None
+        rows = [_sweep_row(config.m, value, shared if counts_cor is None else counts_cor,
+                           counts_mis, kl)
+                for _, scored in results for value, counts_cor, counts_mis, kl in scored]
     except ParameterError:
         raise
     except Exception as err:

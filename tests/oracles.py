@@ -20,6 +20,9 @@
 - `replication_counts`: (R, V, T) from scores h by `step_up_reference`, the
   reference that `fdr.replicate`, which decides from the standardized
   scores, reproduces exactly.
+- `sweep_rows_per_point`: a sweep's rows by one `replicate` per point, each
+  on its own fresh stream, the reference that `simulation.run_sweep`, which
+  scores the points in passes, reproduces field for field.
 """
 
 from __future__ import annotations
@@ -32,9 +35,12 @@ from scipy.special import ndtri
 from misfdr.covariance import CovarianceMatrix
 from misfdr.divergence import check_kl_specs
 from misfdr.errors import BoundaryError, ParameterError
-from misfdr.fdr import _BLOCK_ROWS, DecisionSet
+from misfdr.divergence import kl_laws
+from misfdr.fdr import _BLOCK_ROWS, DecisionSet, replicate, summarize_counts
 from misfdr.posterior import ModelSpec, TrueProcess, draw_replications
+from misfdr.rng import stream
 from misfdr.sampdist import SamplingLaw, _check_open_unit, law_known_var, require_density
+from misfdr.simulation import SweepRow, build_cov, sweep_spec, sweep_truth
 
 DEFAULT_DRAWS = 1000
 
@@ -230,3 +236,34 @@ def replication_counts(h: np.ndarray, null_mask: np.ndarray, alpha_star: float) 
     false_rejections = np.count_nonzero(decision.rejected & null_mask, axis=-1)
     missed = np.count_nonzero(~(decision.rejected | null_mask), axis=-1)
     return np.stack((decision.k, false_rejections, missed), axis=-1)
+
+
+def sweep_rows_per_point(config) -> list[SweepRow]:
+    """The rows of a sweep, point by point: each point builds both of its
+    specs and both laws, and scores the specs in one `replicate` call on a
+    fresh `stream(seed, 0, 0)`."""
+    truth = sweep_truth(config, build_cov(config.truth_kernel, config.m, config.grid))
+    m, rows = config.m, []
+    for value in config.sweep_values:
+        point = config.at(float(value))
+        mis_cov = build_cov(point.mis_kernel, m, point.grid)
+        spec_cor, spec_mis = (sweep_spec(point, cov, point.g) for cov in (truth.sigma1, mis_cov))
+        counts_cor, counts_mis = replicate(truth, [spec_cor, spec_mis], config.alpha_star,
+                                           stream(config.root_seed, 0, 0), config.n_reps)
+        oc_cor, oc_mis = summarize_counts(counts_cor, m), summarize_counts(counts_mis, m)
+        kl = kl_laws(law_known_var(truth, spec_cor), law_known_var(truth, spec_mis))
+        rows.append(SweepRow(
+            sweep_value=float(value),
+            fdr_cor=oc_cor.fdr_hat,
+            fdr_mis=oc_mis.fdr_hat,
+            fnr_cor=oc_cor.fnr_hat,
+            fnr_mis=oc_mis.fnr_hat,
+            rejection_rate_diff=float((counts_cor[:, 0].mean() - counts_mis[:, 0].mean()) / m),
+            kl_per_dim=kl / m,
+            kl_se=0.0,
+            fdr_cor_se=oc_cor.fdr_se,
+            fdr_mis_se=oc_mis.fdr_se,
+            fnr_cor_se=oc_cor.fnr_se,
+            fnr_mis_se=oc_mis.fnr_se,
+        ))
+    return rows

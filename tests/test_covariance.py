@@ -10,6 +10,7 @@ import pytest
 from scipy.spatial.distance import pdist, squareform
 
 from misfdr.covariance import (
+    _distances,
     CovarianceMatrix,
     GridLayout,
     ar2_autocovariance,
@@ -200,6 +201,15 @@ class TestDistancesMatchScipy:
     def test_exponential_entries(self, layout, range_):
         grid = GridLayout(*layout)
         expected = np.exp(-scipy_distances(grid.points()) / range_)
+        np.testing.assert_array_equal(exponential_cov(grid, range_).entries, expected)
+
+    @pytest.mark.parametrize("layout", [(30, 30, 1.0), (7, 11, 0.1), (10, 10, 0.37)], ids=str)
+    @pytest.mark.parametrize("range_", [0.1, 5.0, 20.0])
+    def test_grid_kernel_is_the_kernel_of_its_distances(self, layout, range_):
+        # The grid kernel sums row and column offsets without a distance
+        # matrix; the free-location path `_distances` must give the same bits.
+        grid = GridLayout(*layout)
+        expected = np.exp(-_distances(grid.points()) / range_)
         np.testing.assert_array_equal(exponential_cov(grid, range_).entries, expected)
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 9])

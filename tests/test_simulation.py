@@ -1,6 +1,7 @@
 import gc
 import sys
 import threading
+import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, replace
@@ -8,7 +9,7 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 
-from misfdr import posterior, simulation
+from misfdr import fdr, posterior, simulation
 from misfdr.covariance import GridLayout
 from misfdr.divergence import kl_exact
 from misfdr.errors import ParameterError
@@ -28,6 +29,7 @@ from misfdr.simulation import (
     run_sweep,
     write_csv,
 )
+from oracles import sweep_rows_per_point
 
 
 def tiny_config(**overrides):
@@ -141,14 +143,14 @@ class TestRunSweep:
                 requested.append(max_workers)
                 super().__init__(max_workers)
 
-        point = simulation._sweep_point
+        point = simulation._sweep_pass
 
         def recording_point(*args):
             workers.add(threading.get_ident())
             return point(*args)
 
         monkeypatch.setattr(simulation, "ThreadPoolExecutor", RecordingPool)
-        monkeypatch.setattr(simulation, "_sweep_point", recording_point)
+        monkeypatch.setattr(simulation, "_sweep_pass", recording_point)
         assert run_sweep(config, threads=8) == serial
         assert requested == [3] and 1 <= len(workers) <= 3
 
@@ -323,6 +325,69 @@ class TestRunSweep:
         config = tiny_config(mis_kernel={"kind": "exponential"})  # missing range
         with pytest.raises(RuntimeError, match="tiny"):
             run_sweep(config)
+
+
+# A desk-size g sweep and range sweep on a 10 x 10 grid, 1100 replications:
+# three draw blocks, the last one partial.
+DESK_SWEEPS = {"g": replace(builtin_example(1, scale="desk"), n_reps=1100),
+               "rho": replace(builtin_example(3, scale="desk"), n_reps=1100)}
+
+
+class TestPasses:
+    """A sweep scores consecutive points in passes, each of which draws the
+    datasets once for all its specs; the rows are those of one `replicate`
+    per point."""
+
+    @staticmethod
+    def rows_drawn(monkeypatch):
+        drawn = []
+        draw = fdr.draw_replications
+
+        def counting_draw(truth, gen, n):
+            drawn.append(n)
+            return draw(truth, gen, n)
+
+        monkeypatch.setattr(fdr, "draw_replications", counting_draw)
+        return drawn
+
+    @pytest.mark.parametrize("variable", ["g", "rho"])
+    def test_draws_each_dataset_once(self, monkeypatch, variable):
+        # Three points of a 10 x 10 sweep fit beside one draw block.
+        config = replace(DESK_SWEEPS[variable], n_reps=600,
+                         sweep_values=DESK_SWEEPS[variable].sweep_values[1:4])
+        drawn = self.rows_drawn(monkeypatch)
+        run_sweep(config)
+        assert sum(drawn) == config.n_reps
+
+    @pytest.mark.parametrize("variable, extra", [("g", 0), ("rho", 1)])
+    def test_one_point_per_pass_when_one_spec_fills_the_block(self, monkeypatch, variable,
+                                                              extra):
+        # A 16-row block holds 3200 floats, fewer than one 100 x 100 A: each
+        # point is its own pass, and a range sweep scores its correct spec alone.
+        config = replace(DESK_SWEEPS[variable], n_reps=60, sweep_values=(0.5, 2.0, 8.0))
+        monkeypatch.setattr(fdr, "_BLOCK_ROWS", 16)
+        expected = sweep_rows_per_point(config)
+        drawn = self.rows_drawn(monkeypatch)
+        assert run_sweep(config) == expected
+        assert sum(drawn) == (len(config.sweep_values) + extra) * config.n_reps
+
+    @pytest.mark.parametrize("threads", [1, 2, 8])
+    @pytest.mark.parametrize("variable", ["g", "rho"])
+    def test_passes_change_no_number(self, variable, threads):
+        config = DESK_SWEEPS[variable]
+        assert run_sweep(config, threads=threads) == sweep_rows_per_point(config)
+
+    def test_grouped_sweep_keeps_no_datasets(self):
+        # The shape of the benchmark's reps-heavy sweep: all three points in
+        # one pass. Keeping the datasets would take n_reps x m floats.
+        config = replace(DESK_SWEEPS["g"], n_reps=20_000, sweep_values=(0.1, 1.0, 10.0))
+        tracemalloc.start()
+        try:
+            run_sweep(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < config.n_reps * config.m * np.dtype(float).itemsize
 
 
 def write_sweep(rows, path):
