@@ -5,10 +5,13 @@ Each request below runs once from this tree and once from OTHER_TREE, each
 in a fresh interpreter with PYTHONPATH=<tree>/src and every BLAS thread
 variable set to 1. The requests cover all six subcommands: studies 1-3 at
 full and desk scale, seed 0, with --threads 1 and 2 (at full scale each
-point is a pass of its own, at desk scale points share a pass); three
-desk-size `simulate` runs from config files (a range sweep; a g sweep that
-sets `g` beside `sweep.values` and sets `kl_draws`; a single run with no
-`sweep.` key); `kl` on a 10 x 10 exponential-vs-identity config; `gen-cov`
+point is a pass of its own, at desk scale points share a pass, and at both
+each study draws its datasets once); four desk-size `simulate` runs from
+config files (a range sweep; a range sweep of 1100 reps, whose 110,000
+floats of data exceed one draw block, so each pass draws them again, at
+--threads 1 and 2; a g sweep that sets `g` beside `sweep.values` and sets
+`kl_draws`; a single run with no `sweep.` key); `kl` on a 10 x 10
+exponential-vs-identity config; `gen-cov`
 for every kernel; `dist` at three ratios; and `fdr` on a CSV with a header
 and tied scores. The config files and the `fdr` input are written to the
 work directory first. Every CSV is compared byte for byte;
@@ -51,6 +54,11 @@ n_reps = 200
 seed = 3
 """
 
+# Too many reps to keep: 1100 x 100 floats exceed a 512 x 200 draw block, so
+# each of the sweep's passes draws the datasets again.
+REDRAW_CONFIG = RANGE_CONFIG.replace("n_reps = 200", "n_reps = 1100").replace(
+    "1.0, 2.5, 5.0, 10.0", "0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0")
+
 # The shape of the benchmark's reps-heavy config: g is set beside sweep.values,
 # and kl_draws is read and ignored.
 G_CONFIG = """\
@@ -87,8 +95,8 @@ seed = 4
 FDR_INPUT = "i,h\n" + "".join(
     f"{i},{h}\n" for i, h in enumerate([0.03, 0.01, 0.2, 0.03, 0.9, 0.01, 0.03, 0.5]))
 
-INPUTS = {"kl.cfg": KL_CONFIG, "range.cfg": RANGE_CONFIG, "g.cfg": G_CONFIG,
-          "single.cfg": SINGLE_CONFIG, "scores.csv": FDR_INPUT}
+INPUTS = {"kl.cfg": KL_CONFIG, "range.cfg": RANGE_CONFIG, "redraw.cfg": REDRAW_CONFIG,
+          "g.cfg": G_CONFIG, "single.cfg": SINGLE_CONFIG, "scores.csv": FDR_INPUT}
 
 
 def requests(work: Path) -> dict[str, list[str]]:
@@ -101,6 +109,9 @@ def requests(work: Path) -> dict[str, list[str]]:
         for scale in ("full", "desk") for which in (1, 2, 3) for threads in (1, 2)
     }
     runs["simulate-range"] = ["simulate", "--config", str(work / "range.cfg")]
+    for threads in (1, 2):
+        runs[f"simulate-redraw-threads{threads}"] = [
+            "--threads", str(threads), "simulate", "--config", str(work / "redraw.cfg")]
     runs["simulate-g"] = ["simulate", "--config", str(work / "g.cfg")]
     runs["simulate-single"] = ["simulate", "--config", str(work / "single.cfg")]
     runs["kl"] = ["kl", "--config", str(work / "kl.cfg")]

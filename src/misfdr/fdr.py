@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
+from .linalg import chol
 from .posterior import ModelSpec, TrueProcess, check_dims, draw_replications
 
 
@@ -37,7 +38,9 @@ def block_floats(m: int) -> int:
     """Floats in one block of draws at dimension m: `replicate` draws
     `_BLOCK_ROWS` replications of 2m normals at a time. A caller that holds
     no more than this beside a `replicate` call keeps its working set within
-    a few (_BLOCK_ROWS, m) arrays."""
+    a few (_BLOCK_ROWS, m) arrays. A sweep whose n_reps x m floats of data
+    fit in it keeps its datasets (`keep_datasets`) rather than draw them
+    again for each `replicate` call."""
     return _BLOCK_ROWS * 2 * m
 
 
@@ -165,14 +168,43 @@ def truth_labels(theta: np.ndarray, theta_bound: np.ndarray) -> np.ndarray:
     return np.asarray(theta) >= np.asarray(theta_bound)
 
 
+def _drawn_blocks(truth: TrueProcess, gen: np.random.Generator, n: int, bounds):
+    """The next n datasets `gen` draws from `truth`, `_BLOCK_ROWS` at a time:
+    for each block, y and the null masks theta >= bound, one per bound of
+    `bounds`. Sigma_1 is factored once, before the first block, and the
+    factor is freed with the generator after the last; theta is freed once
+    the masks are taken."""
+    sigma1_chol = chol(truth.sigma1.entries)
+    for start in range(0, n, _BLOCK_ROWS):
+        theta, y = draw_replications(truth, sigma1_chol, gen, min(_BLOCK_ROWS, n - start))
+        nulls = [truth_labels(theta, bound) for bound in bounds]
+        del theta
+        yield y, nulls
+
+
+def keep_datasets(
+    truth: TrueProcess, gen: np.random.Generator, n: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The next n datasets `gen` draws from `truth`, kept in the blocks
+    `replicate` draws: y and the null mask theta >= truth.theta0 of each.
+    `replicate` scores them in place of a Generator, for specs whose prior
+    mean is the truth's. They hold n x m floats and as many bools; theta is
+    not kept."""
+    # y is a view of its block's (rows, 2m) normals: a copy keeps half of them.
+    return [(y.copy(), null) for y, (null,) in _drawn_blocks(truth, gen, n, [truth.theta0])]
+
+
 def replicate(
-    truth: TrueProcess, specs, alpha_star: float, gen: np.random.Generator, n: int
+    truth: TrueProcess, specs, alpha_star: float, gen, n: int
 ) -> list[np.ndarray]:
     """(n, 3) per-replication (R, V, T) counts for each spec in `specs`, all
-    scored on the same n datasets, the next n that `gen` draws from `truth`.
-    H0i is theta_i >= the spec's prior mean. R is the number of rejections,
-    V the false ones and T the true alternatives left unrejected. Each is at
-    most m, so the counts are int32: a sweep holds one array per spec.
+    scored on the same n datasets. `gen` is a Generator, and the datasets
+    are the next n it draws from `truth`, H0i being theta_i >= the spec's
+    prior mean; or the blocks `keep_datasets` kept of n datasets of `truth`,
+    whose null mask is taken against the truth's prior mean, so every spec
+    must have that prior mean. R is the number of rejections, V the false
+    ones and T the true alternatives left unrejected. Each is at most m, so
+    the counts are int32: a sweep holds one array per spec.
 
     The datasets are drawn, scored and decided `_BLOCK_ROWS` at a time, in
     order, so the working set is a few (_BLOCK_ROWS, m) arrays however large
@@ -185,19 +217,25 @@ def replicate(
     """
     for spec in specs:
         check_dims(truth, spec)
+    if isinstance(gen, np.random.Generator):
+        blocks = _drawn_blocks(truth, gen, n, [spec.theta0 for spec in specs])
+    else:
+        if sum(len(y) for y, _ in gen) != n:
+            raise ParameterError(f"the kept datasets are not {n} replications")
+        if not all(np.array_equal(spec.theta0, truth.theta0) for spec in specs):
+            raise ParameterError("kept datasets score only specs with the truth's prior mean")
+        blocks = ((y, [null] * len(specs)) for y, null in gen)
     counts = [np.empty((n, 3), dtype=np.int32) for _ in specs]
-    for start in range(0, n, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, n)
-        theta, y = draw_replications(truth, gen, stop - start)
-        # The null labels are all that is read of theta: free it before scoring.
-        nulls = [truth_labels(theta, spec.theta0) for spec in specs]
-        del theta
+    start = 0
+    for y, nulls in blocks:
+        stop = start + len(y)
         for spec, null, out in zip(specs, nulls, counts):
             decision = _decide(spec.standardized(y), alpha_star, spec.cdf)
             block = out[start:stop]
             block[:, 0] = decision.k
             block[:, 1] = np.count_nonzero(decision.rejected & null, axis=1)
             block[:, 2] = np.count_nonzero(~(decision.rejected | null), axis=1)
+        start = stop
     return counts
 
 

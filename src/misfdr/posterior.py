@@ -36,22 +36,25 @@ def _prior_mean(theta0, cov: CovarianceMatrix, cov_name: str) -> np.ndarray:
 @dataclass(frozen=True)
 class TrueProcess:
     """Data-generating triple: true mean, true noise variance, true latent
-    covariance; with two lower Cholesky factors built on construction:
-    Sigma_1's (`sigma1_chol`), which the draws read, and that of the data
-    covariance V = sigma0^2 I + Sigma_1 (`cov_y_chol`), which every sampling
-    law of the scores reads. A Sigma_1 that is not positive definite fails here."""
+    covariance; with the lower Cholesky factor of the data covariance
+    V = sigma0^2 I + Sigma_1 (`cov_y_chol`), which every sampling law of the
+    scores reads, built on construction. Sigma_1 is factored on construction
+    too, so one that is not positive definite fails here, but its factor is
+    not kept: only the draws read it, and whoever draws factors Sigma_1 once
+    for all its blocks (`fdr.replicate`, `fdr.keep_datasets`) and frees the
+    factor after the last. A truth keeps two m x m arrays, Sigma_1's entries
+    and `cov_y_chol`."""
 
     theta0: np.ndarray
     sigma0_sq: float
     sigma1: CovarianceMatrix
-    sigma1_chol: np.ndarray = field(init=False, repr=False, compare=False)
     cov_y_chol: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "theta0", _prior_mean(self.theta0, self.sigma1, "sigma1"))
         if not 0 < self.sigma0_sq < np.inf:
             raise ParameterError("true noise variance must be positive and finite")
-        object.__setattr__(self, "sigma1_chol", chol(self.sigma1.entries))
+        chol(self.sigma1.entries)
         cov_y = self.sigma1.entries.copy()
         cov_y[np.diag_indices(self.m)] += self.sigma0_sq
         object.__setattr__(self, "cov_y_chol", chol(cov_y))
@@ -83,10 +86,12 @@ class UnknownVariance:
 
 
 def draw_replications(
-    truth: TrueProcess, gen: np.random.Generator, n: int
+    truth: TrueProcess, sigma1_chol: np.ndarray, gen: np.random.Generator, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """(theta, y) as (n, m) arrays, the next n replications of `gen`:
-    theta ~ N(theta0, Sigma1), y = theta + N(0, sigma0^2 I).
+    theta ~ N(theta0, Sigma1), y = theta + N(0, sigma0^2 I), with
+    `sigma1_chol` the lower Cholesky factor of Sigma1, which the caller
+    builds once for all its blocks.
 
     Row r is the r-th successive single draw `tests/oracles.draw_dataset(truth,
     gen)` would make, the reference the tests pin it to: m normals for theta,
@@ -94,7 +99,7 @@ def draw_replications(
     """
     m = truth.m
     z = gen.standard_normal((n, 2 * m))
-    theta = tri_mul(z[:, :m], truth.sigma1_chol)
+    theta = tri_mul(z[:, :m], sigma1_chol)
     theta += truth.theta0
     y = z[:, m:]
     y *= np.sqrt(truth.sigma0_sq)
@@ -172,7 +177,8 @@ class ModelSpec:
             a *= -self.scale * self.scale
             a[diag] += self.scale
             self.a = a
-            self.a_diag = a.diagonal()
+            # A copy: a view would keep A alive in every law built from the spec.
+            self.a_diag = a.diagonal().copy()
             if not np.all(self.a_diag > 0):
                 raise NotPositiveDefiniteError(
                     f"posterior covariance A of dim {self.m} has "

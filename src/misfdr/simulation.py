@@ -20,8 +20,13 @@ the m x m arrays they add (each dense spec's A, and a range point's own
 covariance) fit in the floats of one draw block of `fdr.replicate`,
 `_BLOCK_ROWS` x 2m. At m = 100 a whole built-in study takes one or two
 passes; at m = 900 one dense A fills the block, so each point is its own
-pass. Each spec's counts are those it would get alone on the stream, so the
-numbers do not depend on the grouping.
+pass. A range sweep scores its shared correct spec on its own, before the
+passes. When a sweep scores its datasets more than once and their n_reps x
+m floats fit in one draw block too (as for every built-in study of more
+than one pass), they are drawn once, before the passes, and kept
+(`fdr.keep_datasets`); otherwise each pass draws them. Each spec's counts
+are those it would get alone on the stream, so the numbers do not depend
+on the grouping or on whether the datasets are kept.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ import numpy as np
 from .covariance import CovarianceMatrix, GridLayout, ar2_cov, exponential_cov, identity_cov
 from .divergence import kl_laws
 from .errors import ParameterError
-from .fdr import block_floats, replicate, summarize_counts
+from .fdr import block_floats, keep_datasets, replicate, summarize_counts
 from .posterior import KnownVariance, ModelSpec, TrueProcess
 from .sampdist import law_known_var
 from .rng import stream
@@ -142,53 +147,58 @@ def paired_specs(config: ExperimentConfig, truth_cov, mis_cov, g: float):
             sweep_spec(config, mis_cov, g))
 
 
-def _sweep_pass(config: ExperimentConfig, truth: TrueProcess, mis_cov, law_cor, head,
-                values) -> tuple[list, list]:
-    """Score the sweep points `values` in one pass. The specs of the points,
-    after the built specs `head`, all score one draw of the sweep's datasets,
-    the first n_reps of a fresh `stream(seed, 0, 0)`; then each point builds
-    its laws and their KL divergence. A point builds what `run_sweep` does
-    not pass it to share: its misspecified covariance when `mis_cov` is None,
-    its correct spec and law when `law_cor` is None.
+def _score(config: ExperimentConfig, truth: TrueProcess, specs, kept) -> list:
+    """The counts of each of `specs` on the sweep's datasets: the `kept` ones,
+    or when they are None the first n_reps of a fresh `stream(seed, 0, 0)`."""
+    datasets = stream(config.root_seed, 0, 0) if kept is None else kept
+    return replicate(truth, specs, config.alpha_star, datasets, config.n_reps)
 
-    Returns the counts of `head` and, per point, (value, counts_cor,
-    counts_mis, kl), with counts_cor None where the correct spec is shared."""
-    pairs = []
-    for value in values:
-        point = config.at(float(value))
-        cov = mis_cov if mis_cov is not None else build_cov(point.mis_kernel, point.m, point.grid)
-        spec_cor = sweep_spec(point, truth.sigma1, point.g) if law_cor is None else None
-        pairs.append((point.sweep_values[0], spec_cor, sweep_spec(point, cov, point.g)))
-    specs = [*head, *(spec for pair in pairs for spec in pair[1:] if spec is not None)]
-    counts = iter(replicate(truth, specs, config.alpha_star, stream(config.root_seed, 0, 0),
-                            config.n_reps))
-    head_counts = [next(counts) for _ in head]
+
+def _sweep_pass(config: ExperimentConfig, truth: TrueProcess, mis_cov, law_cor, kept,
+                values) -> list:
+    """Score the sweep points `values` in one pass: their specs all score the
+    sweep's datasets in one `_score` call; then each point builds its laws
+    and their KL divergence, and each spec is dropped once its law is built.
+    A point builds what `run_sweep` does not pass it to share: its
+    misspecified covariance when `mis_cov` is None, its correct spec and law
+    when `law_cor` is None.
+
+    Returns, per point, (value, counts_cor, counts_mis, kl), with counts_cor
+    None where the correct spec is shared."""
+    points = [config.at(float(value)) for value in values]
+    specs = []
+    for point in points:
+        if law_cor is None:
+            specs.append(sweep_spec(point, truth.sigma1, point.g))
+        specs.append(sweep_spec(point, mis_cov if mis_cov is not None
+                                else build_cov(point.mis_kernel, point.m, point.grid), point.g))
+    counts = iter(_score(config, truth, specs, kept))
+    # Popped as its law is built, a spec and its m x m A are freed at once.
+    specs.reverse()
     scored = []
-    for value, spec_cor, spec_mis in pairs:
-        counts_cor = None if spec_cor is None else next(counts)
-        law = law_cor if spec_cor is None else law_known_var(truth, spec_cor)
-        scored.append((value, counts_cor, next(counts),
-                       kl_laws(law, law_known_var(truth, spec_mis))))
-    return head_counts, scored
+    for point in points:
+        counts_cor, law = None, law_cor
+        if law_cor is None:
+            counts_cor, law = next(counts), law_known_var(truth, specs.pop())
+        scored.append((point.sweep_values[0], counts_cor, next(counts),
+                       kl_laws(law, law_known_var(truth, specs.pop()))))
+    return scored
 
 
-def _passes(values, parts: int, cost: int, budget: int, used: int) -> list[list]:
+def _passes(values, parts: int, cost: int, budget: int) -> list[list]:
     """The points `values` in consecutive passes: `parts` runs of near-equal
     length, each cut before a point whose `cost` would take its pass past
-    `budget`. The first pass holds `used` before its points. A pass scores
-    at least one spec, so the first holds no point when a point does not fit
-    beside `used`."""
+    `budget`. A pass holds at least one point."""
     passes, n = [], len(values)
     for part in range(parts):
-        group = []
+        group, used = [], 0
         for value in values[n * part // parts:n * (part + 1) // parts]:
-            if (group or used) and used + cost > budget:
+            if group and used + cost > budget:
                 passes.append(group)
                 group, used = [], 0
             group.append(value)
             used += cost
         passes.append(group)
-        used = 0
     return passes
 
 
@@ -216,50 +226,57 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> list[SweepRow]:
 
     The truth is built once, and every point scores the same n_reps datasets,
     so the rows are paired with each other as well as within themselves. A
-    `mis.*` key leaves the correct spec alone: it is built and given its law
-    once, before the points, and scored once; any other key leaves the
-    shared misspecified covariance alone.
+    `mis.*` key leaves the correct spec alone: it is built, given its law and
+    scored once, before the points, and dropped once it is scored; any other
+    key leaves the shared misspecified covariance alone.
 
     The points are scored in passes of consecutive points, each of which
-    draws the datasets once for all its specs (`_sweep_pass`). A pass takes
+    scores the datasets once for all its specs (`_sweep_pass`). A pass takes
     points while the m x m arrays they add, each dense spec's A and a range
     point's own covariance, fit in the floats of one draw block
-    (`fdr.block_floats`); the shared correct spec joins the first pass if
-    it fits beside its first point, and is scored alone if not. With
-    `threads` > 1 the points are first split into min(threads, points) runs
-    of near-equal length, so there are at least as many passes; passes run
-    on at most that many workers. Every spec's counts are those of its own
-    `replicate` on the stream, so the rows do not depend on the grouping or
-    on `threads`. Output order always follows config.sweep_values.
+    (`fdr.block_floats`). With `threads` > 1 the points are first split into
+    min(threads, points) runs of near-equal length, so there are at least as
+    many passes; passes run on at most that many workers.
+
+    When the sweep scores its datasets more than once (more than one pass,
+    or a shared correct spec beside the passes) and their n_reps x m floats
+    fit in one draw block, they are drawn once, before the passes, and kept
+    (`fdr.keep_datasets`): at m = 900 and 1000 reps that is 900,000 floats
+    of the block's 921,600. Otherwise each scoring draws them from a fresh
+    stream, so a sweep never holds more datasets than one draw block. Every
+    spec's counts are those of its own `replicate` on the stream, so the
+    rows do not depend on the grouping, on keeping or on `threads`. Output
+    order always follows config.sweep_values.
     """
     truth = sweep_truth(config, build_cov(config.truth_kernel, config.m, config.grid))
     workers = min(threads, len(config.sweep_values))
-    square = config.m * config.m
+    square, budget = config.m * config.m, block_floats(config.m)
     try:
-        mis_cov = law_cor = None
-        head, used = [], 0
-        if config.sweep_key.startswith("mis."):
-            spec_cor = sweep_spec(config, truth.sigma1, config.g)
-            law_cor = law_known_var(truth, spec_cor)
-            head, used = [spec_cor], square * (not spec_cor.diagonal)
+        shared_cor = config.sweep_key.startswith("mis.")
+        mis_cov = law_cor = counts_shared = kept = None
+        if shared_cor:
             # A point builds its covariance and its spec's A.
             cost = 2 * square
         else:
             mis_cov = build_cov(config.mis_kernel, config.m, config.grid)
             cost = square * ((not truth.sigma1.is_diagonal) + (not mis_cov.is_diagonal))
-        passes = _passes(config.sweep_values, max(workers, 1), cost, block_floats(config.m),
-                         used)
-        heads = [head] + [[]] * (len(passes) - 1)
-        score = partial(_sweep_pass, config, truth, mis_cov, law_cor)
+        passes = _passes(config.sweep_values, max(workers, 1), cost, budget)
+        if len(passes) + shared_cor > 1 and config.n_reps * config.m <= budget:
+            kept = keep_datasets(truth, stream(config.root_seed, 0, 0), config.n_reps)
+        if shared_cor:
+            spec_cor = sweep_spec(config, truth.sigma1, config.g)
+            law_cor = law_known_var(truth, spec_cor)
+            (counts_shared,) = _score(config, truth, [spec_cor], kept)
+            del spec_cor
+        score = partial(_sweep_pass, config, truth, mis_cov, law_cor, kept)
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(score, heads, passes))
+                results = list(pool.map(score, passes))
         else:
-            results = list(map(score, heads, passes))
-        shared = results[0][0][0] if head else None
-        rows = [_sweep_row(config.m, value, shared if counts_cor is None else counts_cor,
-                           counts_mis, kl)
-                for _, scored in results for value, counts_cor, counts_mis, kl in scored]
+            results = list(map(score, passes))
+        rows = [_sweep_row(config.m, value,
+                           counts_shared if counts_cor is None else counts_cor, counts_mis, kl)
+                for scored in results for value, counts_cor, counts_mis, kl in scored]
     except ParameterError:
         raise
     except Exception as err:

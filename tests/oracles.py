@@ -38,6 +38,7 @@ from misfdr.errors import BoundaryError, ParameterError
 from misfdr.divergence import kl_laws
 from misfdr.fdr import _BLOCK_ROWS, DecisionSet, replicate, summarize_counts
 from misfdr.posterior import ModelSpec, TrueProcess, draw_replications
+from misfdr.linalg import chol
 from misfdr.rng import stream
 from misfdr.sampdist import SamplingLaw, _check_open_unit, law_known_var, require_density
 from misfdr.simulation import SweepRow, build_cov, sweep_spec, sweep_truth
@@ -58,10 +59,11 @@ class KLEstimate:
 
 
 def draw_dataset(truth: TrueProcess, rng) -> tuple[np.ndarray, np.ndarray]:
-    """One draw (theta, y): theta ~ N(theta0, Sigma1), y = theta + N(0, sigma0^2 I)."""
+    """One draw (theta, y): theta ~ N(theta0, Sigma1), y = theta + N(0, sigma0^2 I).
+    It factors Sigma1 itself, as the truth keeps no factor of it."""
     gen = np.random.default_rng(rng)
     z = gen.standard_normal(truth.m)
-    theta = truth.theta0 + truth.sigma1_chol @ z
+    theta = truth.theta0 + chol(truth.sigma1.entries) @ z
     eps = np.sqrt(truth.sigma0_sq) * gen.standard_normal(truth.m)
     return theta, theta + eps
 
@@ -133,7 +135,8 @@ def kl_known_var(
     """
     check_kl_specs(truth, spec_cor, spec_mis)
 
-    _, y = draw_replications(truth, np.random.default_rng(rng), n_draws)
+    _, y = draw_replications(truth, chol(truth.sigma1.entries), np.random.default_rng(rng),
+                             n_draws)
     # Work with phi = Phi^{-1}(h) computed directly from the standardized
     # posterior mean: round-tripping through h loses the tail (h saturates
     # at 1.0 in float64 once phi exceeds ~8.2) and would force exclusions.

@@ -30,6 +30,7 @@ from misfdr.posterior import (
     UnknownVariance,
     draw_replications,
 )
+from misfdr.linalg import chol
 from misfdr.rng import stream
 from misfdr.sampdist import law_known_var, law_unknown_var, marginal_cdf, xi_sampler, xi_to_h
 from misfdr.simulation import builtin_example, run_sweep
@@ -84,7 +85,7 @@ def test_criterion_1_example1_ratio_values():
 def test_criterion_2_known_var_marginal_law():
     truth, spec_cor, spec_mis = example1_specs(GridLayout(10, 10))
     n_draws = 10_000
-    _, y = draw_replications(truth, stream(123), n_draws)
+    _, y = draw_replications(truth, chol(truth.sigma1.entries), stream(123), n_draws)
     coords = [0, 17, 44, 77, 99]
     worst = 1.0
     for spec in (spec_cor, spec_mis):
@@ -111,7 +112,7 @@ def test_criterion_3_unknown_var_joint_law():
     ks_min, rho_dev = 1.0, 0.0
     for sigma_spec in (sigma1, identity_cov(grid.m)):
         spec = ModelSpec(np.zeros(grid.m), 1.0, sigma_spec, UnknownVariance(1.0, 1.0))
-        _, y = draw_replications(truth, stream(42, 0), n_draws)
+        _, y = draw_replications(truth, chol(truth.sigma1.entries), stream(42, 0), n_draws)
         h_sim = probs(spec, y)
 
         law = law_unknown_var(truth, spec)

@@ -14,7 +14,8 @@ from misfdr import posterior, sampdist
 from misfdr.covariance import CovarianceMatrix, identity_cov
 from misfdr.divergence import check_kl_specs, kl_laws
 from misfdr.errors import NotPositiveDefiniteError, ParameterError
-from misfdr.posterior import KnownVariance, ModelSpec, TrueProcess, UnknownVariance, draw_replications
+from misfdr.fdr import replicate
+from misfdr.posterior import KnownVariance, ModelSpec, TrueProcess, UnknownVariance
 from misfdr.rng import stream
 from misfdr.sampdist import joint_log_pdf, law_known_var, law_unknown_var
 from oracles import dense_twin, probs, random_truth_spec_pairs
@@ -111,10 +112,13 @@ class TestOneForm:
         assert law_matrices == ({"b_chol", "c"} if dense and not known else {"b_chol"})
         op_matrices = {name for name, v in vars(spec).items() if np.ndim(v) == 2}
         assert op_matrices == ({"a"} if dense else set())
-        # A draw reads the truth's own factor: Sigma_1 keeps its entries alone.
-        draw_replications(truth, stream(1), 3)
+        # The replications factor Sigma_1 for themselves and keep the factor
+        # nowhere: Sigma_1 keeps its entries alone, the truth V's factor alone.
+        replicate(truth, [spec], 0.05, stream(1), 3)
         cov_matrices = {name for name, v in vars(truth.sigma1).items() if np.ndim(v) == 2}
         assert cov_matrices == {"entries"}
+        truth_matrices = {name for name, v in vars(truth).items() if np.ndim(v) == 2}
+        assert truth_matrices == {"cov_y_chol"}
 
 
 def count_calls(monkeypatch, module, name):

@@ -11,6 +11,7 @@ from misfdr import fdr
 from misfdr.covariance import GridLayout, exponential_cov, identity_cov
 from misfdr.errors import ParameterError
 from misfdr.fdr import (
+    keep_datasets,
     operating_characteristics,
     replicate,
     step_up,
@@ -19,6 +20,7 @@ from misfdr.fdr import (
 )
 from misfdr.posterior import (KnownVariance, ModelSpec, TrueProcess, UnknownVariance,
                               draw_replications)
+from misfdr.linalg import chol
 from misfdr.rng import stream, streams
 from oracles import draw_dataset, probs, replication_counts, step_up_reference
 
@@ -357,7 +359,7 @@ class TestDecideFromScores:
         # One block of rows: the draws and scores are those of one batch.
         n = fdr._BLOCK_ROWS
         counts = replicate(truth, specs, alpha, stream(seed, 3), n)
-        theta, y = draw_replications(truth, stream(seed, 3), n)
+        theta, y = draw_replications(truth, chol(sigma1.entries), stream(seed, 3), n)
         for spec, got in zip(specs, counts):
             nulls = truth_labels(theta, spec.theta0)
             np.testing.assert_array_equal(got, replication_counts(probs(spec, y), nulls, alpha))
@@ -560,7 +562,7 @@ class TestRowBlocks:
         sigma1 = exponential_cov(GridLayout(5, 5), 5.0)
         truth = TrueProcess(np.zeros(25), 0.25, sigma1)
         spec = ModelSpec(np.zeros(25), 1.0, sigma1, KnownVariance(0.25))
-        theta, y = draw_replications(truth, stream(4), self.n)
+        theta, y = draw_replications(truth, chol(sigma1.entries), stream(4), self.n)
         whole = probs(spec, y)
         expected = replication_counts(whole, truth_labels(theta, spec.theta0), 0.05)
         (counts,) = replicate(truth, [spec], 0.05, stream(4), self.n)
@@ -568,21 +570,41 @@ class TestRowBlocks:
         gen = stream(4)
         for start in range(0, self.n, fdr._BLOCK_ROWS):
             rows = slice(start, start + fdr._BLOCK_ROWS)
-            _, y_rows = draw_replications(truth, gen, len(whole[rows]))
+            _, y_rows = draw_replications(truth, chol(sigma1.entries), gen, len(whole[rows]))
             np.testing.assert_allclose(probs(spec, y_rows), whole[rows], rtol=1e-12)
 
-    def test_draws_factor_nothing(self, monkeypatch):
-        # The truth and the spec own every factor the replications read, built
-        # with them: a draw never factors a matrix.
+    def test_draws_factor_sigma1_once(self, monkeypatch):
+        # The draws factor Sigma_1 once for all three blocks; the truth and the
+        # spec own every other factor the replications read.
         truth = TrueProcess(np.zeros(25), 0.25, exponential_cov(GridLayout(5, 5), 5.0))
         spec = ModelSpec(np.zeros(25), 1.0, identity_cov(25), KnownVariance(0.25))
-
-        def refuse(a):
-            raise AssertionError("a replication factored a matrix")
-
-        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        factored, cholesky = [], np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: factored.append(a) or cholesky(a))
         (counts,) = replicate(truth, [spec], 0.05, stream(8), self.n)
         assert counts.shape == (self.n, 3)
+        assert len(factored) == 1
+        np.testing.assert_array_equal(factored[0], truth.sigma1.entries)
+
+    def test_kept_datasets_score_as_drawn(self):
+        # Three blocks, the last partial: the kept blocks are the drawn ones.
+        sigma1 = exponential_cov(GridLayout(5, 5), 5.0)
+        truth = TrueProcess(np.zeros(25), 0.25, sigma1)
+        specs = [ModelSpec(np.zeros(25), 1.0, cov, KnownVariance(0.25))
+                 for cov in (sigma1, identity_cov(25))]
+        kept = keep_datasets(truth, stream(9), self.n)
+        assert [len(y) for y, _ in kept] == [fdr._BLOCK_ROWS, fdr._BLOCK_ROWS, 37]
+        for got, expected in zip(replicate(truth, specs, 0.05, kept, self.n),
+                                 replicate(truth, specs, 0.05, stream(9), self.n)):
+            np.testing.assert_array_equal(got, expected)
+
+    def test_kept_datasets_refuse_another_prior_mean_or_size(self):
+        truth, spec = self.diagonal_pair()
+        kept = keep_datasets(truth, stream(9), 40)
+        other = ModelSpec(np.full(25, 0.5), 1.0, identity_cov(25), KnownVariance(0.25))
+        with pytest.raises(ParameterError, match="prior mean"):
+            replicate(truth, [spec, other], 0.05, kept, 40)
+        with pytest.raises(ParameterError, match="not 41 replications"):
+            replicate(truth, [spec], 0.05, kept, 41)
 
     @pytest.mark.parametrize("diagonal", [False, True], ids=["dense", "diagonal"])
     def test_peak_memory_below_one_batch(self, diagonal):

@@ -13,6 +13,7 @@ from misfdr.posterior import (
     UnknownVariance,
     draw_replications,
 )
+from misfdr.linalg import chol
 from misfdr.rng import stream
 from misfdr.sampdist import law_known_var, law_unknown_var
 from oracles import draw_dataset, probs
@@ -45,14 +46,14 @@ class TestDrawDataset:
     def test_latent_correlation(self):
         sigma1 = CovarianceMatrix([[1.0, 0.9], [0.9, 1.0]])
         truth = TrueProcess(np.zeros(2), 0.25, sigma1)
-        theta, _ = draw_replications(truth, stream(11), 20_000)
+        theta, _ = draw_replications(truth, chol(sigma1.entries), stream(11), 20_000)
         assert np.corrcoef(theta.T)[0, 1] == pytest.approx(0.9, abs=0.02)
 
     def test_batched_rows_match_single_draws(self):
         # Row r is the r-th successive single draw of the same stream; an
         # identity truth makes the batch's matrix product exact.
         truth = TrueProcess(np.zeros(4), 0.5, identity_cov(4))
-        theta, y = draw_replications(truth, stream(5), 3)
+        theta, y = draw_replications(truth, chol(truth.sigma1.entries), stream(5), 3)
         twin = stream(5)
         for r in range(3):
             theta_r, y_r = draw_dataset(truth, twin)
@@ -64,7 +65,7 @@ class TestDrawDataset:
         # matrix-vector product, so the two agree to rounding.
         raw = np.random.default_rng(2).standard_normal((6, 6))
         truth = TrueProcess(np.ones(6), 0.5, CovarianceMatrix(raw @ raw.T + 6 * np.eye(6)))
-        theta, y = draw_replications(truth, stream(5, 1), 40)
+        theta, y = draw_replications(truth, chol(truth.sigma1.entries), stream(5, 1), 40)
         twin = stream(5, 1)
         for r in range(40):
             theta_r, y_r = draw_dataset(truth, twin)

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -271,6 +273,21 @@ class TestOneMatrixPerObject:
         square = [v for v in vars(spec).values()
                   if isinstance(v, np.ndarray) and v.shape == (spec.m, spec.m)]
         assert len(square) == 1 and square[0] is spec.a
+
+    @BOTH_MODES
+    def test_law_keeps_no_spec_matrix(self, noise, law_of):
+        # Once its spec is dropped, a law keeps the memory of the spec's A
+        # alive through nothing, not even a view of its diagonal. A is itself
+        # a view (`chol_inverse` returns a transpose), so the reference is to
+        # the array that owns its memory.
+        truth, spec_cor, _ = grid_setup(rows=3, cols=3)
+        spec = ModelSpec(spec_cor.theta0, 1.0, spec_cor.sigma_spec, noise)
+        a_memory = weakref.ref(spec.a if spec.a.base is None else spec.a.base)
+        law = law_of(truth, spec)
+        assert not np.shares_memory(law.a_diag, spec.a)
+        del spec
+        assert a_memory() is None
+        assert law.m == truth.m
 
     @BOTH_MODES
     def test_law_factors_b_once(self, monkeypatch, noise, law_of):

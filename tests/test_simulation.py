@@ -343,9 +343,9 @@ class TestPasses:
         drawn = []
         draw = fdr.draw_replications
 
-        def counting_draw(truth, gen, n):
+        def counting_draw(truth, sigma1_chol, gen, n):
             drawn.append(n)
-            return draw(truth, gen, n)
+            return draw(truth, sigma1_chol, gen, n)
 
         monkeypatch.setattr(fdr, "draw_replications", counting_draw)
         return drawn
@@ -370,6 +370,18 @@ class TestPasses:
         drawn = self.rows_drawn(monkeypatch)
         assert run_sweep(config) == expected
         assert sum(drawn) == (len(config.sweep_values) + extra) * config.n_reps
+
+    @pytest.mark.parametrize("threads", [1, 2, 8])
+    @pytest.mark.parametrize("variable", ["g", "rho"])
+    def test_kept_datasets_when_they_fit_in_one_block(self, monkeypatch, variable, threads):
+        # 32 reps of m = 100 are 3200 floats, exactly one 16-row block: each
+        # point is its own pass, and all passes score one kept draw.
+        config = replace(DESK_SWEEPS[variable], n_reps=32, sweep_values=(0.5, 2.0, 8.0))
+        monkeypatch.setattr(fdr, "_BLOCK_ROWS", 16)
+        expected = sweep_rows_per_point(config)
+        drawn = self.rows_drawn(monkeypatch)
+        assert run_sweep(config, threads=threads) == expected
+        assert sum(drawn) == config.n_reps
 
     @pytest.mark.parametrize("threads", [1, 2, 8])
     @pytest.mark.parametrize("variable", ["g", "rho"])
