@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Check that this tree's CLI writes the same CSVs, byte for byte, as another tree's.
+"""Check that this tree writes the same CSVs, byte for byte, as another tree's.
 
 Each request below runs once from this tree and once from OTHER_TREE, each
 in a fresh interpreter with PYTHONPATH=<tree>/src and every BLAS thread
-variable set to 1. The requests cover all six subcommands: studies 1-3 at
+variable set to 1. The CLI requests cover all six subcommands: studies 1-3 at
 full and desk scale, seed 0, with --threads 1 and 2 (at full scale each
 point is a pass of its own, at desk scale points share a pass, and at both
 each study draws its datasets once); four desk-size `simulate` runs from
@@ -14,7 +14,13 @@ floats of data exceed one draw block, so each pass draws them again, at
 exponential-vs-identity config; `gen-cov`
 for every kernel; `dist` at three ratios; and `fdr` on a CSV with a header
 and tied scores. The config files and the `fdr` input are written to the
-work directory first. Every CSV is compared byte for byte;
+work directory first. Four more requests call the public
+`operating_characteristics` (the path the benchmark's unknown-variance
+workload times) on a 10 x 10 exponential truth: known and unknown
+variance, each with a dense spec (the truth's covariance) and a diagonal
+one (the identity), at three g and 1100 replications, so the draws span
+three blocks, the last one partial. Each writes the repr of every FDR,
+FNR and their se to oc.csv. Every CSV is compared byte for byte;
 run-meta.txt, which records a timestamp, is skipped. One line is printed per
 artifact, and the exit code is 1 on any difference or failed run.
 
@@ -91,6 +97,28 @@ n_reps = 300
 seed = 4
 """
 
+# Fixed operating_characteristics cells: python -c OC_SCRIPT OUT_DIR NOISE COV.
+OC_SCRIPT = """\
+import sys
+
+import numpy as np
+
+import misfdr
+
+out, noise, cov = sys.argv[1:]
+layout = misfdr.GridLayout(10, 10)
+truth = misfdr.TrueProcess(np.zeros(layout.m), 0.25, misfdr.exponential_cov(layout, 5.0))
+noise = misfdr.KnownVariance(0.25) if noise == "known" else misfdr.UnknownVariance(2.0, 0.5)
+cov = truth.sigma1 if cov == "dense" else misfdr.identity_cov(layout.m)
+rows = ["g,fdr_hat,fdr_se,fnr_hat,fnr_se"]
+for i, g in enumerate((0.1, 1.0, 10.0)):
+    spec = misfdr.ModelSpec(truth.theta0, g, cov, noise)
+    oc = misfdr.operating_characteristics(truth, spec, 0.05, 1100, rng=misfdr.rng.stream(5, i))
+    rows.append(",".join(map(repr, (g, oc.fdr_hat, oc.fdr_se, oc.fnr_hat, oc.fnr_se))))
+with open(f"{out}/oc.csv", "w") as fh:
+    fh.write("\\n".join(rows) + "\\n")
+"""
+
 # The step-up rule at alpha 0.021 stops inside the run of tied 0.03 scores.
 FDR_INPUT = "i,h\n" + "".join(
     f"{i},{h}\n" for i, h in enumerate([0.03, 0.01, 0.2, 0.03, 0.9, 0.01, 0.03, 0.5]))
@@ -99,9 +127,13 @@ INPUTS = {"kl.cfg": KL_CONFIG, "range.cfg": RANGE_CONFIG, "redraw.cfg": REDRAW_C
           "g.cfg": G_CONFIG, "single.cfg": SINGLE_CONFIG, "scores.csv": FDR_INPUT}
 
 
-def requests(work: Path) -> dict[str, list[str]]:
-    """Named CLI argument lists, each written to its own output directory;
-    they read the INPUTS written to `work`."""
+CLI = ["-m", "misfdr.cli", "--output-dir"]
+
+
+def requests(work: Path) -> dict[str, tuple[list[str], list[str]]]:
+    """Named requests (head, tail), each run as `python *head OUT_DIR *tail`
+    with its own output directory; the CLI ones read the INPUTS written to
+    `work`."""
     runs = {
         f"example{which}-{scale}-threads{threads}":
             ["--seed", "0", "--threads", str(threads),
@@ -128,19 +160,20 @@ def requests(work: Path) -> dict[str, list[str]]:
         "dist": ["dist", "--r", "0.25", "--r", "1.0", "--r", "4.0", "--points", "50"],
         "fdr": ["fdr", "--input", str(work / "scores.csv"), "--alpha", "0.021"],
     })
-    return runs
+    cells = {f"oc-{noise}-{cov}": (["-c", OC_SCRIPT], [noise, cov])
+             for noise in ("known", "unknown") for cov in ("dense", "diagonal")}
+    return {**{name: (CLI, argv) for name, argv in runs.items()}, **cells}
 
 
-def run_cli(tree: Path, out_dir: Path, argv: list[str]) -> bool:
-    """Run the CLI of `tree` into `out_dir`; True when it exits 0."""
+def run_python(tree: Path, out_dir: Path, head: list[str], tail: list[str]) -> bool:
+    """Run `python *head out_dir *tail` on the package of `tree`; True when it exits 0."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1",
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    done = subprocess.run(
-        [sys.executable, "-m", "misfdr.cli", "--output-dir", str(out_dir), *argv],
-        env=env, cwd=tree, capture_output=True, text=True,
-    )
+    out_dir.mkdir(parents=True)
+    done = subprocess.run([sys.executable, *head, str(out_dir), *tail],
+                          env=env, cwd=tree, capture_output=True, text=True)
     if done.returncode != 0:
-        print(f"FAILED     {tree}: {' '.join(argv)} exited {done.returncode}: "
+        print(f"FAILED     {tree}: {' '.join(tail)} exited {done.returncode}: "
               f"{done.stderr.strip()}")
     return done.returncode == 0
 
@@ -178,9 +211,9 @@ def main() -> int:
         work = Path(work)
         for file, text in INPUTS.items():
             (work / file).write_text(text)
-        for name, argv in requests(work).items():
+        for name, (head, tail) in requests(work).items():
             outs = (work / "this" / name, work / "other" / name)
-            ran = [run_cli(tree, out, argv) for tree, out in zip((THIS_TREE, other), outs)]
+            ran = [run_python(tree, out, head, tail) for tree, out in zip((THIS_TREE, other), outs)]
             ok &= all(ran) and compare(name, *outs)
     print("all artifacts identical" if ok else "outputs differ")
     return 0 if ok else 1

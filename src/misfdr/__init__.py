@@ -17,7 +17,6 @@ from .fdr import (
     OperatingCharacteristics,
     operating_characteristics,
     step_up,
-    truth_labels,
 )
 from .posterior import (
     KnownVariance,

@@ -14,8 +14,8 @@ import numpy as np
 
 from .errors import ParameterError
 from .linalg import tri_solve
-from .posterior import KnownVariance, ModelSpec, TrueProcess
-from .sampdist import _SAME_TOL, SamplingLaw, _law, check_law, require_density
+from .posterior import _SAME_TOL, KnownVariance, ModelSpec, TrueProcess
+from .sampdist import SamplingLaw, _law, check_law, require_density
 
 
 def check_kl_specs(truth: TrueProcess, spec_cor: ModelSpec, spec_mis: ModelSpec) -> None:

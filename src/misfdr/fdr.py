@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .linalg import chol
-from .posterior import ModelSpec, TrueProcess, check_dims, draw_replications
+from .posterior import ModelSpec, TrueProcess, check_spec, draw_replications
 
 
 @dataclass(frozen=True)
@@ -21,21 +21,20 @@ class DecisionSet:
 class OperatingCharacteristics:
     fdr_hat: float
     fnr_hat: float
-    mean_rejection_rate: float
-    n_reps: int
     fdr_se: float
     fnr_se: float
 
 
-# Rows handled at once: `replicate` draws, scores and decides this many
-# replications per pass, so `step_up` is never handed more rows than this.
+# Rows handled at once: `drawn_datasets` draws, and `replicate` scores and
+# decides, this many replications per block, so `step_up` is never handed
+# more rows than this.
 # Not fewer: at 256 rows OpenBLAS re-packs a 900 x 900 scoring operand on
 # every call, and the scoring gemm ran 8% slower.
 _BLOCK_ROWS = 512
 
 
 def block_floats(m: int) -> int:
-    """Floats in one block of draws at dimension m: `replicate` draws
+    """Floats in one block of draws at dimension m: `drawn_datasets` draws
     `_BLOCK_ROWS` replications of 2m normals at a time. A caller that holds
     no more than this beside a `replicate` call keeps its working set within
     a few (_BLOCK_ROWS, m) arrays. A sweep whose n_reps x m floats of data
@@ -163,80 +162,61 @@ def _decide(x: np.ndarray, alpha_star: float, cdf=None) -> DecisionSet:
     return DecisionSet(rejected, k)
 
 
-def truth_labels(theta: np.ndarray, theta_bound: np.ndarray) -> np.ndarray:
-    """True where H0 holds, i.e. theta_i >= bound_i (boundary is null)."""
-    return np.asarray(theta) >= np.asarray(theta_bound)
-
-
-def _drawn_blocks(truth: TrueProcess, gen: np.random.Generator, n: int, bounds):
+def drawn_datasets(truth: TrueProcess, gen: np.random.Generator, n: int):
     """The next n datasets `gen` draws from `truth`, `_BLOCK_ROWS` at a time:
-    for each block, y and the null masks theta >= bound, one per bound of
-    `bounds`. Sigma_1 is factored once, before the first block, and the
-    factor is freed with the generator after the last; theta is freed once
-    the masks are taken."""
+    for each block, y and its null mask theta >= truth.theta0, H0i holding
+    on the boundary too. Sigma_1 is factored once, before the first block,
+    and the factor is freed with the generator after the last; theta is
+    freed once the mask is taken."""
     sigma1_chol = chol(truth.sigma1.entries)
     for start in range(0, n, _BLOCK_ROWS):
         theta, y = draw_replications(truth, sigma1_chol, gen, min(_BLOCK_ROWS, n - start))
-        nulls = [truth_labels(theta, bound) for bound in bounds]
+        null = theta >= truth.theta0
         del theta
-        yield y, nulls
+        yield y, null
 
 
 def keep_datasets(
     truth: TrueProcess, gen: np.random.Generator, n: int
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The next n datasets `gen` draws from `truth`, kept in the blocks
-    `replicate` draws: y and the null mask theta >= truth.theta0 of each.
-    `replicate` scores them in place of a Generator, for specs whose prior
-    mean is the truth's. They hold n x m floats and as many bools; theta is
-    not kept."""
+    """The blocks `drawn_datasets(truth, gen, n)` yields, kept as a list so
+    that `replicate` can score them more than once. They hold n x m floats
+    and as many bools; theta is not kept."""
     # y is a view of its block's (rows, 2m) normals: a copy keeps half of them.
-    return [(y.copy(), null) for y, (null,) in _drawn_blocks(truth, gen, n, [truth.theta0])]
+    return [(y.copy(), null) for y, null in drawn_datasets(truth, gen, n)]
 
 
-def replicate(
-    truth: TrueProcess, specs, alpha_star: float, gen, n: int
-) -> list[np.ndarray]:
+def replicate(truth: TrueProcess, specs, alpha_star: float, blocks) -> list[np.ndarray]:
     """(n, 3) per-replication (R, V, T) counts for each spec in `specs`, all
-    scored on the same n datasets. `gen` is a Generator, and the datasets
-    are the next n it draws from `truth`, H0i being theta_i >= the spec's
-    prior mean; or the blocks `keep_datasets` kept of n datasets of `truth`,
-    whose null mask is taken against the truth's prior mean, so every spec
-    must have that prior mean. R is the number of rejections, V the false
-    ones and T the true alternatives left unrejected. Each is at most m, so
-    the counts are int32: a sweep holds one array per spec.
+    scored on the same n datasets: the (y, null) blocks of `blocks`, drawn
+    as they are read (`drawn_datasets`) or kept (`keep_datasets`), n their
+    rows in all. Every spec must have the truth's dimension and prior mean
+    (`check_spec`), so one null mask, theta_i >= theta0_i, serves them all.
+    R is the number of rejections, V the false ones and T the true
+    alternatives left unrejected. Each is at most m, so the counts are
+    int32: a sweep holds one array per spec.
 
-    The datasets are drawn, scored and decided `_BLOCK_ROWS` at a time, in
-    order, so the working set is a few (_BLOCK_ROWS, m) arrays however large
-    n is. Row r is the r-th dataset of the stream whatever the block size, so
-    the first N rows of n > N replications are the N replications. A block
-    is decided from its standardized scores `spec.standardized(y)`: the
-    posterior CDF `spec.cdf` is applied only to the sorted prefix of each
-    row that the step-up rule reads (see `_decide`), and the counts are
-    those of `step_up(spec.cdf(spec.standardized(y)))`.
+    The blocks are scored and decided in order, one at a time, so the
+    working set is a few (_BLOCK_ROWS, m) arrays however large n is, and
+    the specs are checked before the first block is drawn. Row r is the
+    r-th dataset of the stream whatever the block size, so the first N rows
+    of n > N replications are the N replications. A block is decided from
+    its standardized scores `spec.standardized(y)`: the posterior CDF
+    `spec.cdf` is applied only to the sorted prefix of each row that the
+    step-up rule reads (see `_decide`), and the counts are those of
+    `step_up(spec.cdf(spec.standardized(y)))`.
     """
     for spec in specs:
-        check_dims(truth, spec)
-    if isinstance(gen, np.random.Generator):
-        blocks = _drawn_blocks(truth, gen, n, [spec.theta0 for spec in specs])
-    else:
-        if sum(len(y) for y, _ in gen) != n:
-            raise ParameterError(f"the kept datasets are not {n} replications")
-        if not all(np.array_equal(spec.theta0, truth.theta0) for spec in specs):
-            raise ParameterError("kept datasets score only specs with the truth's prior mean")
-        blocks = ((y, [null] * len(specs)) for y, null in gen)
-    counts = [np.empty((n, 3), dtype=np.int32) for _ in specs]
-    start = 0
-    for y, nulls in blocks:
-        stop = start + len(y)
-        for spec, null, out in zip(specs, nulls, counts):
+        check_spec(truth, spec)
+    counts = [[] for _ in specs]
+    for y, null in blocks:
+        for spec, out in zip(specs, counts):
             decision = _decide(spec.standardized(y), alpha_star, spec.cdf)
-            block = out[start:stop]
-            block[:, 0] = decision.k
-            block[:, 1] = np.count_nonzero(decision.rejected & null, axis=1)
-            block[:, 2] = np.count_nonzero(~(decision.rejected | null), axis=1)
-        start = stop
-    return counts
+            out.append(np.stack([decision.k,
+                                 np.count_nonzero(decision.rejected & null, axis=1),
+                                 np.count_nonzero(~(decision.rejected | null), axis=1)],
+                                axis=1, dtype=np.int32))
+    return [np.concatenate(out) for out in counts]
 
 
 def summarize_counts(
@@ -252,8 +232,6 @@ def summarize_counts(
     return OperatingCharacteristics(
         fdr_hat=float(fdp.mean()),
         fnr_hat=float(fnp.mean()),
-        mean_rejection_rate=float(rejections.mean() / m),
-        n_reps=n,
         fdr_se=fdr_se,
         fnr_se=fnr_se,
     )
@@ -274,5 +252,6 @@ def operating_characteristics(
     """
     if n_reps < 1:
         raise ParameterError("n_reps must be at least 1")
-    (counts,) = replicate(truth, [spec], alpha_star, np.random.default_rng(rng), n_reps)
+    datasets = drawn_datasets(truth, np.random.default_rng(rng), n_reps)
+    (counts,) = replicate(truth, [spec], alpha_star, datasets)
     return summarize_counts(counts, truth.m)

@@ -41,9 +41,10 @@ class TrueProcess:
     scores reads, built on construction. Sigma_1 is factored on construction
     too, so one that is not positive definite fails here, but its factor is
     not kept: only the draws read it, and whoever draws factors Sigma_1 once
-    for all its blocks (`fdr.replicate`, `fdr.keep_datasets`) and frees the
-    factor after the last. A truth keeps two m x m arrays, Sigma_1's entries
-    and `cov_y_chol`."""
+    for all its blocks (`fdr.drawn_datasets`) and frees the factor after the
+    last. A truth keeps two m x m arrays, Sigma_1's entries and `cov_y_chol`.
+    Its prior mean theta0 is the bound of every hypothesis, H0i being
+    theta_i >= theta0_i."""
 
     theta0: np.ndarray
     sigma0_sq: float
@@ -107,10 +108,21 @@ def draw_replications(
     return theta, y
 
 
-def check_dims(truth: TrueProcess, spec: ModelSpec) -> None:
-    """Raise unless `spec` has the dimension of `truth`."""
+# Tolerance, relative and absolute, for a spec's value to equal the truth's
+# entry by entry: its prior mean here, its covariance in `divergence`.
+_SAME_TOL = 1e-12
+
+
+def check_spec(truth: TrueProcess, spec: ModelSpec) -> None:
+    """Raise unless `spec` has the dimension and the prior mean of `truth`.
+    H0i is theta_i >= theta0_i for the truth's theta0, and the spec's scores
+    are centred on its own, so the two must agree for the scores to test
+    the hypotheses: the Monte Carlo (`fdr.replicate`) and the sampling laws
+    (`sampdist.check_law`) both require it."""
     if spec.m != truth.m:
         raise ParameterError(f"spec dimension {spec.m} does not match the truth's {truth.m}")
+    if not np.allclose(spec.theta0, truth.theta0, rtol=_SAME_TOL, atol=_SAME_TOL):
+        raise ParameterError("the spec's prior mean must equal the truth's")
 
 
 def require_noise(spec: ModelSpec, mode: type) -> None:

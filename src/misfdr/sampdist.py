@@ -14,12 +14,8 @@ from scipy.special import ndtr, ndtri, stdtr
 
 from .errors import BoundaryError, NotPositiveDefiniteError, ParameterError
 from .linalg import chol, chol_inverse, congruence, square, tri_mul, tri_solve
-from .posterior import (KnownVariance, ModelSpec, TrueProcess, UnknownVariance, check_dims,
+from .posterior import (KnownVariance, ModelSpec, TrueProcess, UnknownVariance, check_spec,
                         require_noise)
-
-# Tolerance, relative and absolute, for a spec's value to equal the truth's
-# entry by entry: its prior mean here, its covariance in `divergence`.
-_SAME_TOL = 1e-12
 
 
 class SamplingLaw:
@@ -81,11 +77,7 @@ def check_law(truth: TrueProcess, spec: ModelSpec, mode: type) -> None:
     truth's mean), and a known noise variance must equal the truth's. It
     factors nothing."""
     require_noise(spec, mode)
-    check_dims(truth, spec)
-    if not np.allclose(spec.theta0, truth.theta0, rtol=_SAME_TOL, atol=_SAME_TOL):
-        raise ParameterError(
-            "sampling-law theory requires the spec prior mean to equal the truth's"
-        )
+    check_spec(truth, spec)
     if mode is KnownVariance and not np.isclose(spec.noise.sigma0_sq, truth.sigma0_sq):
         raise ParameterError(
             "known-variance theory requires the spec noise variance to equal the truth"

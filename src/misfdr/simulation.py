@@ -17,7 +17,7 @@ misspecified covariance alone, so it is built once.
 The datasets are drawn once per pass, not once per point. A pass is a run
 of consecutive points whose specs all score one draw: it takes points while
 the m x m arrays they add (each dense spec's A, and a range point's own
-covariance) fit in the floats of one draw block of `fdr.replicate`,
+covariance) fit in the floats of one draw block of `fdr.drawn_datasets`,
 `_BLOCK_ROWS` x 2m. At m = 100 a whole built-in study takes one or two
 passes; at m = 900 one dense A fills the block, so each point is its own
 pass. A range sweep scores its shared correct spec on its own, before the
@@ -42,7 +42,7 @@ import numpy as np
 from .covariance import CovarianceMatrix, GridLayout, ar2_cov, exponential_cov, identity_cov
 from .divergence import kl_laws
 from .errors import ParameterError
-from .fdr import block_floats, keep_datasets, replicate, summarize_counts
+from .fdr import block_floats, drawn_datasets, keep_datasets, replicate, summarize_counts
 from .posterior import KnownVariance, ModelSpec, TrueProcess
 from .sampdist import law_known_var
 from .rng import stream
@@ -78,6 +78,13 @@ class ExperimentConfig:
                                  f"{prefix}.kernel must be {' or '.join(kinds)}")
         if not self.sweep_values:
             raise ParameterError("sweep.values must be nonempty")
+        # The positive parameters the points read, refused before any work:
+        # every key of SWEEP_KEYS is one, and a swept g replaces the config's.
+        positive = {"sigma0_sq": (self.sigma0_sq,), "g": (self.g,),
+                    self.sweep_key: self.sweep_values}
+        for key, values in positive.items():
+            if not all(0 < value < np.inf for value in values):
+                raise ParameterError(f"{key} must be positive and finite")
         if self.n_reps < 1:
             raise ParameterError("n_reps must be at least 1")
         if not 0.0 < self.alpha_star < 1.0:
@@ -150,8 +157,9 @@ def paired_specs(config: ExperimentConfig, truth_cov, mis_cov, g: float):
 def _score(config: ExperimentConfig, truth: TrueProcess, specs, kept) -> list:
     """The counts of each of `specs` on the sweep's datasets: the `kept` ones,
     or when they are None the first n_reps of a fresh `stream(seed, 0, 0)`."""
-    datasets = stream(config.root_seed, 0, 0) if kept is None else kept
-    return replicate(truth, specs, config.alpha_star, datasets, config.n_reps)
+    datasets = (drawn_datasets(truth, stream(config.root_seed, 0, 0), config.n_reps)
+                if kept is None else kept)
+    return replicate(truth, specs, config.alpha_star, datasets)
 
 
 def _sweep_pass(config: ExperimentConfig, truth: TrueProcess, mis_cov, law_cor, kept,

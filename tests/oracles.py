@@ -36,7 +36,7 @@ from misfdr.covariance import CovarianceMatrix
 from misfdr.divergence import check_kl_specs
 from misfdr.errors import BoundaryError, ParameterError
 from misfdr.divergence import kl_laws
-from misfdr.fdr import _BLOCK_ROWS, DecisionSet, replicate, summarize_counts
+from misfdr.fdr import _BLOCK_ROWS, DecisionSet, drawn_datasets, replicate, summarize_counts
 from misfdr.posterior import ModelSpec, TrueProcess, draw_replications
 from misfdr.linalg import chol
 from misfdr.rng import stream
@@ -251,8 +251,9 @@ def sweep_rows_per_point(config) -> list[SweepRow]:
         point = config.at(float(value))
         mis_cov = build_cov(point.mis_kernel, m, point.grid)
         spec_cor, spec_mis = (sweep_spec(point, cov, point.g) for cov in (truth.sigma1, mis_cov))
+        datasets = drawn_datasets(truth, stream(config.root_seed, 0, 0), config.n_reps)
         counts_cor, counts_mis = replicate(truth, [spec_cor, spec_mis], config.alpha_star,
-                                           stream(config.root_seed, 0, 0), config.n_reps)
+                                           datasets)
         oc_cor, oc_mis = summarize_counts(counts_cor, m), summarize_counts(counts_mis, m)
         kl = kl_laws(law_known_var(truth, spec_cor), law_known_var(truth, spec_mis))
         rows.append(SweepRow(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy
 
-from misfdr import cli
+from misfdr import cli, fdr
 from misfdr.cli import main
 from misfdr.errors import NotPositiveDefiniteError
 
@@ -292,14 +292,24 @@ class TestSimulateAndExample:
         assert "kl_draws" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
-    @pytest.mark.parametrize("value", ["0", "1", "1.5"])
-    def test_alpha_star_outside_unit_interval_rejected_before_any_work(
-            self, tmp_path, capsys, monkeypatch, value):
-        factored = []
+    @staticmethod
+    def count_work(monkeypatch):
+        """(factored, drawn): the matrices each package `chol` is handed and
+        the rows each `fdr.draw_replications` call draws, as they happen."""
+        factored, drawn = [], []
         for name, module in list(sys.modules.items()):
             if name.startswith("misfdr") and hasattr(module, "chol"):
                 monkeypatch.setattr(module, "chol",
                                     lambda a, _chol=module.chol: factored.append(a) or _chol(a))
+        draw = fdr.draw_replications
+        monkeypatch.setattr(fdr, "draw_replications",
+                            lambda *args: drawn.append(args[-1]) or draw(*args))
+        return factored, drawn
+
+    @pytest.mark.parametrize("value", ["0", "1", "1.5"])
+    def test_alpha_star_outside_unit_interval_rejected_before_any_work(
+            self, tmp_path, capsys, monkeypatch, value):
+        factored, _ = self.count_work(monkeypatch)
         config = tmp_path / "bad.cfg"
         config.write_text(CONFIG + f"alpha_star = {value}\n")
         assert run(tmp_path, "simulate", "--config", str(config)) == 1
@@ -310,6 +320,31 @@ class TestSimulateAndExample:
         config.write_text(CONFIG + "alpha_star = 0.05\n")
         assert run(tmp_path, "simulate", "--config", str(config)) == 0
         assert factored
+
+    RANGE_SWEEP = "mis.kernel = exponential\nsweep.variable = rho\n"
+
+    @pytest.mark.parametrize("bad, good, key", [
+        ("sweep.values = 1, -1", "sweep.values = 1, 2", "g"),
+        ("sweep.values = 0", "sweep.values = 2", "g"),
+        (RANGE_SWEEP + "sweep.values = 5, -2", RANGE_SWEEP + "sweep.values = 5, 2", "mis.range"),
+        (RANGE_SWEEP + "g = 0", RANGE_SWEEP + "g = 2", "g"),
+        ("sigma0_sq = -0.25", "sigma0_sq = 0.5", "sigma0_sq"),
+    ], ids=["g-sweep", "g-zero", "range-sweep", "g-beside-range-sweep", "sigma0_sq"])
+    def test_non_positive_parameter_rejected_before_any_work(
+            self, tmp_path, capsys, monkeypatch, bad, good, key):
+        # Each was once refused by the point that reads it, after the
+        # truth, its draws and the earlier points had run.
+        factored, drawn = self.count_work(monkeypatch)
+        config = tmp_path / "bad.cfg"
+        config.write_text(CONFIG + bad + "\n")
+        assert run(tmp_path, "simulate", "--config", str(config)) == 1
+        assert f"configuration error: {key} must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+        assert (factored, drawn) == ([], [])
+        # The counts are live: the sweep at a positive value factors and draws.
+        config.write_text(CONFIG + good + "\n")
+        assert run(tmp_path, "simulate", "--config", str(config)) == 0
+        assert factored and drawn
 
     def test_configuration_error_in_sweep_point(self, tmp_path, capsys):
         # the misspecified covariance is built inside each sweep point

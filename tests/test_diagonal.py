@@ -14,7 +14,7 @@ from misfdr import posterior, sampdist
 from misfdr.covariance import CovarianceMatrix, identity_cov
 from misfdr.divergence import check_kl_specs, kl_laws
 from misfdr.errors import NotPositiveDefiniteError, ParameterError
-from misfdr.fdr import replicate
+from misfdr.fdr import drawn_datasets, replicate
 from misfdr.posterior import KnownVariance, ModelSpec, TrueProcess, UnknownVariance
 from misfdr.rng import stream
 from misfdr.sampdist import joint_log_pdf, law_known_var, law_unknown_var
@@ -114,7 +114,7 @@ class TestOneForm:
         assert op_matrices == ({"a"} if dense else set())
         # The replications factor Sigma_1 for themselves and keep the factor
         # nowhere: Sigma_1 keeps its entries alone, the truth V's factor alone.
-        replicate(truth, [spec], 0.05, stream(1), 3)
+        replicate(truth, [spec], 0.05, drawn_datasets(truth, stream(1), 3))
         cov_matrices = {name for name, v in vars(truth.sigma1).items() if np.ndim(v) == 2}
         assert cov_matrices == {"entries"}
         truth_matrices = {name for name, v in vars(truth).items() if np.ndim(v) == 2}

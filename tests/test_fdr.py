@@ -11,12 +11,12 @@ from misfdr import fdr
 from misfdr.covariance import GridLayout, exponential_cov, identity_cov
 from misfdr.errors import ParameterError
 from misfdr.fdr import (
+    drawn_datasets,
     keep_datasets,
     operating_characteristics,
     replicate,
     step_up,
     summarize_counts,
-    truth_labels,
 )
 from misfdr.posterior import (KnownVariance, ModelSpec, TrueProcess, UnknownVariance,
                               draw_replications)
@@ -358,10 +358,10 @@ class TestDecideFromScores:
         alpha = float(rng.choice([0.01, 0.05, 0.2]))
         # One block of rows: the draws and scores are those of one batch.
         n = fdr._BLOCK_ROWS
-        counts = replicate(truth, specs, alpha, stream(seed, 3), n)
+        counts = replicate(truth, specs, alpha, drawn_datasets(truth, stream(seed, 3), n))
         theta, y = draw_replications(truth, chol(sigma1.entries), stream(seed, 3), n)
+        nulls = theta >= truth.theta0
         for spec, got in zip(specs, counts):
-            nulls = truth_labels(theta, spec.theta0)
             np.testing.assert_array_equal(got, replication_counts(probs(spec, y), nulls, alpha))
             assert_decides_as_reference(spec.standardized(y), alpha, spec.cdf, nulls)
 
@@ -459,12 +459,16 @@ class TestDecideFromScores:
         assert_decides_as_reference(z, 0.05, cdf)
 
 
-class TestTruthLabels:
-    def test_boundary_counts_as_null(self):
-        theta = np.array([-1.0, 0.0, 1.0])
-        np.testing.assert_array_equal(
-            truth_labels(theta, np.zeros(3)), [False, True, True]
-        )
+class TestDrawnDatasets:
+    def test_boundary_counts_as_null(self, monkeypatch):
+        # H0i is theta_i >= the truth's theta0_i: a draw on the bound is null.
+        truth = TrueProcess(np.array([0.5, -2.0, 3.0]), 0.25, identity_cov(3))
+        theta = truth.theta0 + np.array([[-1.0, 0.0, 1.0], [0.0, 1e-300, -1e-12]])
+        monkeypatch.setattr(fdr, "draw_replications",
+                            lambda truth, sigma1_chol, gen, n: (theta.copy(), theta.copy()))
+        ((y, null),) = drawn_datasets(truth, stream(0), 2)
+        np.testing.assert_array_equal(y, theta)
+        np.testing.assert_array_equal(null, [[False, True, True], [True, True, False]])
 
 
 class TestReplicationCounts:
@@ -480,8 +484,6 @@ class TestReplicationCounts:
         # fdp: 1/2 and 0/1 -> mean 0.25; fnp: 1/2 and 2/4 -> mean 0.5
         assert oc.fdr_hat == pytest.approx(0.25)
         assert oc.fnr_hat == pytest.approx(0.5)
-        assert oc.mean_rejection_rate == pytest.approx(0.25)
-        assert oc.n_reps == 2
 
 
 class TestOperatingCharacteristics:
@@ -496,8 +498,10 @@ class TestOperatingCharacteristics:
         # mean can qualify
         oc = operating_characteristics(self.truth, self.spec, 1e-300, n_reps=20, rng=0)
         assert oc.fdr_hat == 0.0
-        assert oc.mean_rejection_rate == 0.0
         assert oc.fnr_hat > 0.0
+        datasets = drawn_datasets(self.truth, np.random.default_rng(0), 20)
+        (counts,) = replicate(self.truth, [self.spec], 1e-300, datasets)
+        assert not counts[:, 0].any()
 
     def test_reproducible(self):
         a = operating_characteristics(self.truth, self.spec, 0.05, n_reps=50, rng=3)
@@ -506,7 +510,8 @@ class TestOperatingCharacteristics:
 
     def test_equals_replicate_on_the_same_streams(self):
         oc = operating_characteristics(self.truth, self.spec, 0.05, n_reps=30, rng=stream(8, 0, 1))
-        (counts,) = replicate(self.truth, [self.spec], 0.05, stream(8, 0, 1), 30)
+        (counts,) = replicate(self.truth, [self.spec], 0.05,
+                              drawn_datasets(self.truth, stream(8, 0, 1), 30))
         assert oc == summarize_counts(counts, self.truth.m)
 
     def test_no_reps_rejected(self):
@@ -534,26 +539,27 @@ class TestRowBlocks:
 
     def test_diagonal_spec_matches_single_replications(self):
         truth, spec = self.diagonal_pair()
-        (counts,) = replicate(truth, [spec], 0.05, stream(3, 0, 1), self.n)
+        (counts,) = replicate(truth, [spec], 0.05, drawn_datasets(truth, stream(3, 0, 1), self.n))
         twin = stream(3, 0, 1)
         expected = []
         for _ in range(self.n):
             theta, y = draw_dataset(truth, twin)
-            null = truth_labels(theta, spec.theta0)
+            null = theta >= truth.theta0
             expected.append(replication_counts(probs(spec, y), null, 0.05))
         np.testing.assert_array_equal(counts, expected)
 
     def test_counts_do_not_depend_on_block_rows(self, monkeypatch):
         truth, spec = self.diagonal_pair()
-        (default,) = replicate(truth, [spec], 0.05, stream(6), self.n)
+        (default,) = replicate(truth, [spec], 0.05, drawn_datasets(truth, stream(6), self.n))
         monkeypatch.setattr(fdr, "_BLOCK_ROWS", 7)
-        (small,) = replicate(truth, [spec], 0.05, stream(6), self.n)
+        (small,) = replicate(truth, [spec], 0.05, drawn_datasets(truth, stream(6), self.n))
         np.testing.assert_array_equal(small, default)
 
     def test_more_replications_keep_the_earlier_rows(self):
         truth, spec = self.diagonal_pair()
-        (fewer,) = replicate(truth, [spec], 0.05, stream(7, 0, 2), self.n)
-        (more,) = replicate(truth, [spec], 0.05, stream(7, 0, 2), self.n + 37)
+        (fewer,) = replicate(truth, [spec], 0.05, drawn_datasets(truth, stream(7, 0, 2), self.n))
+        more_datasets = drawn_datasets(truth, stream(7, 0, 2), self.n + 37)
+        (more,) = replicate(truth, [spec], 0.05, more_datasets)
         np.testing.assert_array_equal(more[: self.n], fewer)
 
     def test_dense_spec_matches_one_whole_batch(self):
@@ -564,8 +570,8 @@ class TestRowBlocks:
         spec = ModelSpec(np.zeros(25), 1.0, sigma1, KnownVariance(0.25))
         theta, y = draw_replications(truth, chol(sigma1.entries), stream(4), self.n)
         whole = probs(spec, y)
-        expected = replication_counts(whole, truth_labels(theta, spec.theta0), 0.05)
-        (counts,) = replicate(truth, [spec], 0.05, stream(4), self.n)
+        expected = replication_counts(whole, theta >= truth.theta0, 0.05)
+        (counts,) = replicate(truth, [spec], 0.05, drawn_datasets(truth, stream(4), self.n))
         np.testing.assert_array_equal(counts, expected)
         gen = stream(4)
         for start in range(0, self.n, fdr._BLOCK_ROWS):
@@ -580,7 +586,7 @@ class TestRowBlocks:
         spec = ModelSpec(np.zeros(25), 1.0, identity_cov(25), KnownVariance(0.25))
         factored, cholesky = [], np.linalg.cholesky
         monkeypatch.setattr(np.linalg, "cholesky", lambda a: factored.append(a) or cholesky(a))
-        (counts,) = replicate(truth, [spec], 0.05, stream(8), self.n)
+        (counts,) = replicate(truth, [spec], 0.05, drawn_datasets(truth, stream(8), self.n))
         assert counts.shape == (self.n, 3)
         assert len(factored) == 1
         np.testing.assert_array_equal(factored[0], truth.sigma1.entries)
@@ -593,18 +599,28 @@ class TestRowBlocks:
                  for cov in (sigma1, identity_cov(25))]
         kept = keep_datasets(truth, stream(9), self.n)
         assert [len(y) for y, _ in kept] == [fdr._BLOCK_ROWS, fdr._BLOCK_ROWS, 37]
-        for got, expected in zip(replicate(truth, specs, 0.05, kept, self.n),
-                                 replicate(truth, specs, 0.05, stream(9), self.n)):
+        drawn = drawn_datasets(truth, stream(9), self.n)
+        for got, expected in zip(replicate(truth, specs, 0.05, kept),
+                                 replicate(truth, specs, 0.05, drawn)):
             np.testing.assert_array_equal(got, expected)
 
-    def test_kept_datasets_refuse_another_prior_mean_or_size(self):
+    @pytest.mark.parametrize("kept", [False, True], ids=["drawn", "kept"])
+    def test_another_prior_mean_refused_before_any_draw(self, monkeypatch, kept):
+        # One null mask, against the truth's theta0, serves every spec: a
+        # spec centred elsewhere is refused before a row is drawn.
         truth, spec = self.diagonal_pair()
-        kept = keep_datasets(truth, stream(9), 40)
+        blocks = keep_datasets(truth, stream(9), 40)
+        drawn, draw = [], fdr.draw_replications
+        monkeypatch.setattr(fdr, "draw_replications",
+                            lambda *args: drawn.append(args[-1]) or draw(*args))
+        datasets = blocks if kept else drawn_datasets(truth, stream(9), 40)
         other = ModelSpec(np.full(25, 0.5), 1.0, identity_cov(25), KnownVariance(0.25))
         with pytest.raises(ParameterError, match="prior mean"):
-            replicate(truth, [spec, other], 0.05, kept, 40)
-        with pytest.raises(ParameterError, match="not 41 replications"):
-            replicate(truth, [spec], 0.05, kept, 41)
+            replicate(truth, [spec, other], 0.05, datasets)
+        assert drawn == []
+        # The count is live: the spec with the truth's prior mean draws.
+        (counts,) = replicate(truth, [spec], 0.05, drawn_datasets(truth, stream(9), 40))
+        assert drawn == [40] and counts.shape == (40, 3)
 
     @pytest.mark.parametrize("diagonal", [False, True], ids=["dense", "diagonal"])
     def test_peak_memory_below_one_batch(self, diagonal):
@@ -647,6 +663,6 @@ class TestSeeding:
         gen = stream(5, 1)
         first = operating_characteristics(truth, spec, 0.05, n_reps=40, rng=gen)
         second = operating_characteristics(truth, spec, 0.05, n_reps=30, rng=gen)
-        (counts,) = replicate(truth, [spec], 0.05, stream(5, 1), 70)
+        (counts,) = replicate(truth, [spec], 0.05, drawn_datasets(truth, stream(5, 1), 70))
         assert first == summarize_counts(counts[:40], truth.m)
         assert second == summarize_counts(counts[40:], truth.m)

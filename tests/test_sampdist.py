@@ -146,11 +146,15 @@ class TestPriorMeanMismatch:
         # within rounding, the truth's mean is the truth's mean
         law_of(truth, ModelSpec(np.full(3, 1e-13), 1.0, cov, noise))
 
-    def test_monte_carlo_accepts_shifted_theta0(self):
-        # The Monte Carlo labels nulls by the spec's theta0, so it has a meaning.
+    def test_monte_carlo_rejects_shifted_theta0(self):
+        # The Monte Carlo labels nulls by the truth's theta0, which the
+        # spec's scores must be centred on, as a law's are.
         truth, cov = self.truth_and_cov()
         spec = ModelSpec(np.ones(3), 1.0, cov, KnownVariance(0.25))
-        assert operating_characteristics(truth, spec, 0.05, n_reps=50, rng=0).n_reps == 50
+        with pytest.raises(ParameterError, match="prior mean"):
+            operating_characteristics(truth, spec, 0.05, n_reps=50, rng=0)
+        spec = ModelSpec(np.full(3, 1e-13), 1.0, cov, KnownVariance(0.25))
+        operating_characteristics(truth, spec, 0.05, n_reps=50, rng=0)
 
 
 class TestLawUnknownVar:

@@ -70,6 +70,24 @@ class TestConfigValidation:
         with pytest.raises(ParameterError, match=r"alpha_star must lie in \(0, 1\)"):
             tiny_config(alpha_star=alpha_star)
 
+    @pytest.mark.parametrize("overrides, key", [
+        (dict(sweep_values=(1.0, -1.0)), "g"),
+        (dict(sweep_values=(0.0,)), "g"),
+        (dict(sweep_variable="rho", sweep_values=(5.0, -2.0),
+              mis_kernel={"kind": "exponential", "range": 5.0}), "mis.range"),
+        (dict(sweep_variable="rho", sweep_values=(5.0,), g=0.0,
+              mis_kernel={"kind": "exponential", "range": 5.0}), "g"),
+        (dict(sigma0_sq=0.0), "sigma0_sq"),
+        (dict(sigma0_sq=-0.25), "sigma0_sq"),
+    ])
+    def test_non_positive_parameter(self, overrides, key):
+        with pytest.raises(ParameterError, match=f"{key} must be positive and finite"):
+            tiny_config(**overrides)
+
+    def test_swept_g_replaces_the_configs_own(self):
+        # A g sweep never reads the config's own g: each point sets it.
+        assert tiny_config(g=-1.0).at(0.1).g == 0.1
+
     def test_at_sets_the_swept_key(self):
         assert tiny_config().at(3.0) == tiny_config(g=3.0, sweep_values=(3.0,))
         ranged = tiny_config(**RANGE_SWEEP).at(7.0)
