@@ -22,12 +22,17 @@ one (the identity), at three g and 1100 replications, so the draws span
 three blocks, the last one partial. Each writes the repr of every FDR,
 FNR and their se to oc.csv. Every CSV is compared byte for byte;
 run-meta.txt, which records a timestamp, is skipped. One line is printed per
-artifact, and the exit code is 1 on any difference or failed run.
+artifact. Under a CSV that differs, one more line per differing column
+gives its largest relative difference, |a - b| / max(|a|, |b|) over its
+cells (inf where a cell is not a number in both). The exit code is 1 on any
+difference or failed run.
 
 Usage:
     python scripts/compare_outputs.py OTHER_TREE
 """
 
+import csv
+import math
 import os
 import subprocess
 import sys
@@ -178,6 +183,34 @@ def run_python(tree: Path, out_dir: Path, head: list[str], tail: list[str]) -> b
     return done.returncode == 0
 
 
+def relative_difference(a: str, b: str) -> float:
+    """|a - b| / max(|a|, |b|) of two differing cells; inf unless both are numbers."""
+    try:
+        x, y = float(a), float(b)
+    except ValueError:
+        return math.inf
+    diff = abs(x - y) / max(abs(x), abs(y))
+    return math.inf if math.isnan(diff) else diff
+
+
+def column_differences(ours: Path, theirs: Path) -> dict[str, float]:
+    """The largest relative difference of each column in which two CSVs
+    differ, by the column's header name (its index when the header does not
+    name it); {"shape": inf} when their rows or row lengths differ."""
+    rows = [list(csv.reader(path.read_text().splitlines())) for path in (ours, theirs)]
+    if len(rows[0]) != len(rows[1]) or any(len(a) != len(b) for a, b in zip(*rows)):
+        return {"shape": math.inf}
+    header = rows[0][0] if rows[0] else []
+    worst = {}
+    for index, (row_a, row_b) in enumerate(zip(*rows)):
+        for col, (a, b) in enumerate(zip(row_a, row_b)):
+            if a != b:
+                name = "header" if index == 0 else (
+                    header[col] if len(header) == len(row_a) else f"column {col}")
+                worst[name] = max(worst.get(name, 0.0), relative_difference(a, b))
+    return worst
+
+
 def compare(name: str, ours: Path, theirs: Path) -> bool:
     """Print one line per CSV of the two output directories; True when all match."""
     names = sorted({p.name for d in (ours, theirs) for p in d.glob("*.csv")})
@@ -185,8 +218,8 @@ def compare(name: str, ours: Path, theirs: Path) -> bool:
         print(f"MISSING    {name}: no CSV written")
         return False
     same = True
-    for csv in names:
-        a, b = ours / csv, theirs / csv
+    for artifact in names:
+        a, b = ours / artifact, theirs / artifact
         if not (a.exists() and b.exists()):
             status = "MISSING"
         elif a.read_bytes() == b.read_bytes():
@@ -194,7 +227,10 @@ def compare(name: str, ours: Path, theirs: Path) -> bool:
         else:
             status = "DIFFERS"
         same &= status == "identical"
-        print(f"{status:<10} {name}/{csv}")
+        print(f"{status:<10} {name}/{artifact}")
+        if status == "DIFFERS":
+            for column, diff in column_differences(a, b).items():
+                print(f"{'':<10}   {column}: max relative difference {diff:.3g}")
     return same
 
 

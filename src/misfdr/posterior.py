@@ -58,7 +58,7 @@ class TrueProcess:
         chol(self.sigma1.entries)
         cov_y = self.sigma1.entries.copy()
         cov_y[np.diag_indices(self.m)] += self.sigma0_sq
-        object.__setattr__(self, "cov_y_chol", chol(cov_y))
+        object.__setattr__(self, "cov_y_chol", chol(cov_y, overwrite=True))
 
     @property
     def m(self) -> int:
@@ -146,8 +146,9 @@ class ModelSpec:
     degrees of freedom, and its scale depends on y only through the quadratic
     form r' K^{-1} r = r.r - r.(S r), since s = 1. Nothing here inverts
     Sigma_spec, so an ill-conditioned specification is only ever factored
-    after adding s I. A is formed in place of K^{-1} (LAPACK potri from K's
-    factor) and is the one m x m array the spec builds, in either mode.
+    after adding s I. K is factored in place and A formed in place of K^{-1}
+    (LAPACK potri from K's factor), so A is the one m x m array the spec
+    builds, in either mode.
 
     A diagonal Sigma_spec = diag(d) needs no factor: A = diag(a) with
     a_i = s g d_i / (s + g d_i), and the spec keeps only the vector a
@@ -181,11 +182,10 @@ class ModelSpec:
             self.a_diag = self.scale * gd / (gd + self.scale)
         else:
             diag = np.diag_indices(self.m)
-            k = g * sigma_spec.entries
-            k[diag] += self.scale
-            k_chol = chol(k)
-            del k
-            a = chol_inverse(k_chol)
+            # K, its factor and A share one m x m buffer.
+            a = g * sigma_spec.entries
+            a[diag] += self.scale
+            a = chol_inverse(chol(a, overwrite=True), overwrite=True)
             a *= -self.scale * self.scale
             a[diag] += self.scale
             self.a = a

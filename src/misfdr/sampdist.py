@@ -45,7 +45,7 @@ class SamplingLaw:
     def copula(self) -> np.ndarray | None:
         """C = D_a^{1/2} B^{-1} D_a^{1/2} = (F F')^{-1}; None for an unknown-variance law."""
         if self.known:
-            return chol_inverse(self.b_chol / np.sqrt(self.a_diag)[:, None])
+            return chol_inverse(self.b_chol / np.sqrt(self.a_diag)[:, None], overwrite=True)
 
     @property
     def log_det_copula(self) -> float | None:
@@ -93,7 +93,8 @@ def _law(truth: TrueProcess, spec: ModelSpec) -> SamplingLaw:
     so its sampling covariance is B = S V S' with V = sigma0^2 I + Sigma_1,
     and L_B = S L_V from the truth's factor L_V. A diagonal spec has S =
     diag(a / s), so L_B is a row scaling of L_V, lower triangular as it
-    stands; otherwise B is formed as (S L_V)(S L_V)' and factored.
+    stands; otherwise B is formed as (S L_V)(S L_V)' and factored in place,
+    so a dense law holds at most two m x m arrays at once, (S L_V) and B.
     """
     if spec.diagonal:
         w = spec.a_diag / spec.scale
@@ -101,9 +102,8 @@ def _law(truth: TrueProcess, spec: ModelSpec) -> SamplingLaw:
         b_diag = w * w * (truth.sigma1.entries.diagonal() + truth.sigma0_sq)
     else:
         b = congruence(spec.a, truth.cov_y_chol, 1.0 / spec.scale)
-        b_chol = chol(b)
         b_diag = b.diagonal().copy()
-        del b
+        b_chol = chol(b, overwrite=True)
     if spec.known:
         c = None
     elif spec.diagonal:
@@ -111,14 +111,14 @@ def _law(truth: TrueProcess, spec: ModelSpec) -> SamplingLaw:
         p = 1.0 / (spec.g * spec.sigma_spec.entries.diagonal())
         c = (p * p + p) * b_diag
     else:
-        # A^-1 = I + P with P = Sigma_spec^-1 / g, so A^-2 - A^-1 = P (I + P),
-        # formed in place: Sigma_spec's factor lives only until P is formed,
-        # and P and C are the only other new m x m arrays.
-        p = chol_inverse(chol(spec.sigma_spec.entries))
-        p /= spec.g
-        c = square(p)
-        c += p
-        del p
+        # A^-1 = I + P with P = Sigma_spec^-1 / g, so A^-2 - A^-1 = P + P^2,
+        # formed in place: P is inverted in the buffer of Sigma_spec's factor
+        # and becomes C there. P^2 is the one temporary m x m array, and as it
+        # is made after C and freed first, it leaves no hole below C in the
+        # heap, where the next larger array could not reuse it.
+        c = chol_inverse(chol(spec.sigma_spec.entries), overwrite=True)
+        c /= spec.g
+        c += square(c)
         # C is positive definite because P is; a Cholesky factor certifies it
         # at a fraction of the cost of its eigenvalues.
         try:

@@ -299,8 +299,8 @@ class TestSimulateAndExample:
         factored, drawn = [], []
         for name, module in list(sys.modules.items()):
             if name.startswith("misfdr") and hasattr(module, "chol"):
-                monkeypatch.setattr(module, "chol",
-                                    lambda a, _chol=module.chol: factored.append(a) or _chol(a))
+                monkeypatch.setattr(module, "chol", lambda a, _chol=module.chol, **kw:
+                                    factored.append(a) or _chol(a, **kw))
         draw = fdr.draw_replications
         monkeypatch.setattr(fdr, "draw_replications",
                             lambda *args: drawn.append(args[-1]) or draw(*args))
@@ -427,10 +427,12 @@ class TestRunMetaEnvironment:
         monkeypatch.setenv("OMP_NUM_THREADS", "4")
         monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
         assert run(tmp_path, "--threads", "3", "gen-cov", "--kernel", "identity", "--m", "3") == 0
-        blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
         assert meta_field(tmp_path, "numpy") == np.__version__
         assert meta_field(tmp_path, "scipy") == scipy.__version__
-        assert meta_field(tmp_path, "blas") == f"{blas['name']} {blas['version']}"
+        for module in (np, scipy):
+            blas = module.__config__.CONFIG["Build Dependencies"]["blas"]
+            assert meta_field(tmp_path, f"{module.__name__}_blas") == (
+                f"{blas['name']} {blas['version']}")
         assert meta_field(tmp_path, "OPENBLAS_NUM_THREADS") == "1"
         assert meta_field(tmp_path, "OMP_NUM_THREADS") == "4"
         assert meta_field(tmp_path, "MKL_NUM_THREADS") == "unset"
@@ -445,8 +447,9 @@ class TestRunMetaEnvironment:
         assert meta_field(tmp_path, "threads") == "2"
 
     def test_blas_unknown_without_build_config(self, monkeypatch):
-        monkeypatch.delattr(np.__config__, "CONFIG")
-        assert cli._blas() == "unknown"
+        for module in (np, scipy):
+            monkeypatch.delattr(module.__config__, "CONFIG")
+            assert cli._blas(module) == "unknown"
 
 
 class TestRequestHash:
@@ -509,6 +512,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "numerical failure: matrix is not positive definite\n"
         assert not (tmp_path / "kl.csv").exists()
+
+    def test_covariance_without_a_factor_exits_2(self, tmp_path, capsys):
+        # At range 1e300 every entry rounds to 1: LAPACK finds a zero pivot.
+        argv = ["gen-cov", "--kernel", "exponential", "--rows", "3", "--cols", "3",
+                "--range", "1e300"]
+        assert run(tmp_path, *argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: matrix of dim 9 is not positive definite")
+        assert not (tmp_path / "cov.csv").exists()
 
 
 class TestVerbose:

@@ -124,7 +124,8 @@ class TestOneForm:
 def count_calls(monkeypatch, module, name):
     calls = []
     original = getattr(module, name)
-    monkeypatch.setattr(module, name, lambda *args: calls.append(name) or original(*args))
+    monkeypatch.setattr(module, name,
+                        lambda *args, **kw: calls.append(name) or original(*args, **kw))
     return calls
 
 

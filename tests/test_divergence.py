@@ -235,9 +235,9 @@ class TestKLExact:
         factored = []
         chol = sampdist.chol
 
-        def counting_chol(a):
+        def counting_chol(a, **kw):
             factored.append(a.shape)
-            return chol(a)
+            return chol(a, **kw)
 
         monkeypatch.setattr(sampdist, "chol", counting_chol)
         with pytest.raises(ParameterError, match=match):

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -584,8 +585,11 @@ class TestRowBlocks:
         # spec own every other factor the replications read.
         truth = TrueProcess(np.zeros(25), 0.25, exponential_cov(GridLayout(5, 5), 5.0))
         spec = ModelSpec(np.zeros(25), 1.0, identity_cov(25), KnownVariance(0.25))
-        factored, cholesky = [], np.linalg.cholesky
-        monkeypatch.setattr(np.linalg, "cholesky", lambda a: factored.append(a) or cholesky(a))
+        factored = []
+        for name, module in list(sys.modules.items()):
+            if name.startswith("misfdr") and hasattr(module, "chol"):
+                monkeypatch.setattr(module, "chol", lambda a, _chol=module.chol, **kw:
+                                    factored.append(a.copy()) or _chol(a, **kw))
         (counts,) = replicate(truth, [spec], 0.05, drawn_datasets(truth, stream(8), self.n))
         assert counts.shape == (self.n, 3)
         assert len(factored) == 1

@@ -32,3 +32,14 @@ def test_dense_algebra_only_in_linalg():
 def test_pattern_sees_linalg_itself():
     # The pattern is live: it flags the calls that linalg.py is there to make.
     assert offending_lines(PACKAGE / "linalg.py")
+
+
+def test_no_numpy_linalg_in_the_package():
+    # One LAPACK build, scipy's, factors and inverts: the package calls
+    # nothing in numpy.linalg, linalg.py included.
+    calls = re.compile(r"\bnp\.linalg\.")
+    found = [f"{path.name}:{number}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for number, line in enumerate(path.read_text().splitlines(), start=1)
+             if calls.search(line)]
+    assert found == []

@@ -209,7 +209,7 @@ class TestLawUnknownVar:
         truth, spec_cor, _ = grid_setup(rows=4, cols=4)
         spec = ModelSpec(spec_cor.theta0, 100.0, spec_cor.sigma_spec, UnknownVariance(1.0, 1.0))
         inverse = sampdist.chol_inverse
-        monkeypatch.setattr(sampdist, "chol_inverse", lambda chol: -inverse(chol))
+        monkeypatch.setattr(sampdist, "chol_inverse", lambda chol, **kw: -inverse(chol, **kw))
         with pytest.raises(ParameterError, match=r"A\^-2 - A\^-1 is not positive semidefinite"):
             law_unknown_var(truth, spec)
 
@@ -255,10 +255,12 @@ class TestBuiltPerMode:
 
 
 def count_calls(monkeypatch, module, name):
-    """Record the first argument of every call to `module.name`."""
+    """Record a copy of the first argument of every call to `module.name`,
+    taken before the call, which may overwrite it."""
     calls = []
     original = getattr(module, name)
-    monkeypatch.setattr(module, name, lambda a, *rest: calls.append(a) or original(a, *rest))
+    monkeypatch.setattr(module, name,
+                        lambda a, *rest, **kw: calls.append(a.copy()) or original(a, *rest, **kw))
     return calls
 
 

@@ -210,7 +210,7 @@ class TestRunSweep:
         inverted = []
         inverse = posterior.chol_inverse
         monkeypatch.setattr(posterior, "chol_inverse",
-                            lambda chol: inverted.append(chol) or inverse(chol))
+                            lambda chol, **kw: inverted.append(chol) or inverse(chol, **kw))
         config = tiny_config()
         run_sweep(config)
         assert len(inverted) == len(config.sweep_values)
