@@ -89,8 +89,11 @@ def _decide(x: np.ndarray, alpha_star: float, cdf=None) -> DecisionSet:
     included (ndtr(-40) == ndtr(-41) == 0.0), the row is decided on its whole
     h: the tied scores of lowest index are rejected, as a stable sort of h
     orders them. The decisions are those of sorting h itself wherever the
-    float `cdf` is non-decreasing; ndtr and stdtr can step down by an ulp,
-    but only between scores a few ulps apart.
+    float `cdf` is non-decreasing. ndtr and the Student-t kernel
+    (`posterior.StudentT`, Hill's transform with a fitted correction) can
+    step down by an ulp, but only between scores a few ulps apart; the
+    kernel also by up to 5e-13 relatively where it hands over to stdtr at
+    x = -37.
     """
     if not 0.0 < alpha_star < 1.0:
         raise ParameterError("alpha_star must lie in (0, 1)")

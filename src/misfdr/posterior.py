@@ -8,6 +8,14 @@ posterior CDF Psi at z. Psi is monotone, so the step-up rule sorts z and
 applies Psi only to the prefix of each sorted row it reads (`fdr.replicate`).
 Two noise modes are supported: known noise variance (Gaussian posterior) and
 unknown noise variance with an inverse-gamma prior (multivariate-t posterior).
+
+Psi is `ndtr` under known variance. Under the inverse-gamma prior it is the
+Student-t CDF with m + 2 alpha degrees of freedom, and `StudentT` is the one
+code that computes it, for `ModelSpec.cdf` and `sampdist.xi_to_h` alike:
+Hill's normalizing transform (CACM Algorithm 395) with a correction fitted
+on construction, within 4.5e-16 of the exact CDF for 1 <= dof <= 1e12, at
+about a fifth of the cost of `stdtr`, which it calls itself for |t| > 37,
+inf and NaN.
 """
 
 from __future__ import annotations
@@ -15,7 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr, stdtr
+from numpy.polynomial.chebyshev import cheb2poly
+from scipy.special import betainc, ndtr, ndtri, stdtr
 
 from .covariance import CovarianceMatrix
 from .errors import NotPositiveDefiniteError, ParameterError
@@ -84,6 +93,104 @@ class UnknownVariance:
     def __post_init__(self) -> None:
         if not (0 < self.alpha < np.inf and 0 < self.beta < np.inf):
             raise ParameterError("inverse-gamma parameters must be positive and finite")
+
+
+# The Student-t kernel's constants: the degree of its fitted correction, the
+# Chebyshev nodes it is fitted on, the |t| past which `stdtr` itself is
+# called, and the values per pass over one row of its scratch array.
+_T_DEGREE, _T_NODES, _T_CUT, _T_CHUNK = 24, 96, 37.0, 16384
+
+
+@dataclass(frozen=True)
+class StudentT:
+    """Psi, the Student-t CDF with `dof` >= 1 degrees of freedom, called as a
+    numpy ufunc is: `StudentT(dof)(t)` for t of any shape, 0-d included, or
+    with `out=`, a C-contiguous float64 array of t's shape or t itself.
+
+    Hill's normalizing transform (Hill 1970, CACM Algorithm 395): for t <= 0
+    and y = (dof - 1/2) log1p(t^2 / dof), Phi^{-1}(Psi(t)) = -sqrt(y) Q(y),
+    with Q - 1 small (about 1e-6 at dof 904). On construction Q - 1 is fitted
+    by a degree-24 Chebyshev series on y in [0, y(37)] from its values at 96
+    Chebyshev nodes, Phi^{-1} of the exact CDF there, and the series is
+    turned into powers of the Chebyshev variable, so that a call costs two
+    passes per degree (Horner). A call returns ndtr(r + r series) with
+    r = sign(t) sqrt(y): signs and symmetry are ndtr's, and so is the
+    accuracy of the upper tail.
+
+    Measured against `stdtr` for dof from 1 to 1e12 (against the Cauchy
+    CDF's closed form at dof 1, where `stdtr` is off by up to 2.4e-9 near
+    t = 0), the error is at most 4.5e-16 absolutely, 256 ulps relatively for
+    -8 <= t < 0 and 2e-12 relatively down to t = -37; against mpmath at dof
+    904 it is at most 4 times `stdtr`'s own. Values never decrease along a
+    sorted grid, but can step down between arguments a few ulps apart, as
+    `stdtr`'s do, and where `stdtr` takes over at t = -37, by up to 5e-13
+    relatively (over 300 dof from 1 to 1e12). Entries with |t| > 37, +-inf
+    and NaN get `stdtr` itself.
+
+    A call works in chunks of 16384 values with one (4, chunk) scratch array
+    of its own, so its memory is bounded and one kernel can serve concurrent
+    callers: it holds nothing but its coefficients.
+    """
+
+    dof: float
+    _u_scale: float = field(init=False, repr=False, compare=False)
+    _power: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if not 1.0 <= self.dof < np.inf:
+            raise ParameterError("Student-t degrees of freedom must be finite and at least 1")
+        nu = self.dof
+        y_max = (nu - 0.5) * np.log1p(_T_CUT * _T_CUT / nu)
+        angle = np.pi * (np.arange(_T_NODES) + 0.5) / _T_NODES
+        t = -np.sqrt(nu * np.expm1((np.cos(angle) + 1.0) * (0.5 * y_max / (nu - 0.5))))
+        cdf = stdtr(nu, t)
+        # Near the centre the CDF is 1/2 - I_x(1/2, dof/2) / 2 with
+        # x = t^2 / (dof + t^2), free of the cancellation that puts stdtr at
+        # dof 1 off by 1e-15 at t = -0.01 and 1e-11 at t = -1e-6 (mpmath).
+        centre = t > -0.5
+        t2 = t[centre] * t[centre]
+        cdf[centre] = 0.5 - 0.5 * betainc(0.5, 0.5 * nu, t2 / (nu + t2))
+        # Q - 1 at the y a call computes from each node's t.
+        q = -ndtri(cdf) / np.sqrt((nu - 0.5) * np.log1p(t * t / nu)) - 1.0
+        cheb = np.cos(np.outer(np.arange(_T_DEGREE + 1), angle)) @ q * (2.0 / _T_NODES)
+        cheb[0] *= 0.5
+        object.__setattr__(self, "_u_scale", 2.0 / y_max)
+        object.__setattr__(self, "_power", tuple(cheb2poly(cheb).tolist()))
+
+    def __call__(self, t, out: np.ndarray | None = None):
+        t = np.asarray(t, dtype=float)
+        result = np.empty(t.shape) if out is None else out
+        if result.shape != t.shape or result.dtype != float or not result.flags.c_contiguous:
+            raise ValueError("out must be a C-contiguous float64 array of the input's shape")
+        source, target = t.reshape(-1), result.reshape(-1)
+        work = np.empty((4, min(_T_CHUNK, source.size)))
+        for lo in range(0, source.size, _T_CHUNK):
+            x, h = source[lo:lo + _T_CHUNK], target[lo:lo + _T_CHUNK]
+            clamped, root, u, series = work[:, :x.size]
+            # Clamped before any arithmetic, so that inf raises no warning;
+            # the entries this changes, and NaN, get stdtr, read before h
+            # is written in case h is x.
+            np.clip(x, -_T_CUT, _T_CUT, out=clamped)
+            tail = np.flatnonzero(clamped != x)
+            exact = stdtr(self.dof, x[tail])
+            np.multiply(clamped, clamped, out=root)
+            root /= self.dof
+            np.log1p(root, out=root)
+            root *= self.dof - 0.5
+            np.multiply(root, self._u_scale, out=u)
+            u -= 1.0
+            np.sqrt(root, out=root)
+            np.copysign(root, clamped, out=root)
+            series.fill(self._power[-1])
+            for c in self._power[-2::-1]:
+                series *= u
+                series += c
+            # r (1 + series) as r + r series: 1 + series is never rounded.
+            series *= root
+            series += root
+            ndtr(series, out=h)
+            h[tail] = exact
+        return result if out is not None or t.ndim else result[()]
 
 
 def draw_replications(
@@ -198,6 +305,7 @@ class ModelSpec:
                 )
         self._sd = np.sqrt(self.a_diag)
         self.dof = None if self.known else self.m + 2 * noise.alpha
+        self._psi = ndtr if self.known else StudentT(self.dof)
 
     def _shift(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """(S r, r' K^{-1} r) with r = y - theta0, accepting (m,) or (n, m);
@@ -228,10 +336,12 @@ class ModelSpec:
         return z
 
     def cdf(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """h = Psi(z), the posterior CDF at the standardized score z: the
-        normal CDF when the variance is known, Student t with `dof` degrees
-        of freedom when it is not. `cdf(standardized(y))` is h_i =
-        P(theta_i >= theta0_i | y), for (m,) or (n, m) y; `out` is as for a
-        numpy ufunc."""
-        return ndtr(z, out=out) if self.known else stdtr(self.dof, z, out=out)
+        """h = Psi(z), the posterior CDF at the standardized score z: `ndtr`
+        when the variance is known, and the Student-t kernel `StudentT(dof)`
+        when it is not (Hill's transform with a fitted correction, within
+        4.5e-16 of the exact CDF, and `stdtr` itself for |z| > 37, inf and
+        NaN).
+        `cdf(standardized(y))` is h_i = P(theta_i >= theta0_i | y), for (m,)
+        or (n, m) y; `out` is as for a numpy ufunc, z itself included."""
+        return self._psi(z, out=out)
 

@@ -10,12 +10,15 @@ vector that we expose as a sampler.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtr, ndtri, stdtr
+from scipy.special import ndtr, ndtri
 
 from .errors import BoundaryError, NotPositiveDefiniteError, ParameterError
 from .linalg import chol, chol_inverse, congruence, square, tri_mul, tri_solve
-from .posterior import (KnownVariance, ModelSpec, TrueProcess, UnknownVariance, check_spec,
-                        require_noise)
+from .posterior import (KnownVariance, ModelSpec, StudentT, TrueProcess, UnknownVariance,
+                        check_spec, require_noise)
+
+# Rows of the draws whose quadratic forms `xi_sampler` forms at a time.
+_QUAD_ROWS = 128
 
 
 class SamplingLaw:
@@ -194,6 +197,24 @@ def joint_log_pdf(h: np.ndarray, law: SamplingLaw) -> float | np.ndarray:
     return 0.5 * law.log_det_copula + 0.5 * quad
 
 
+def _quadratic_forms(z: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """z_r' C z_r for each row z_r of the (n, m) z, with C as `SamplingLaw.c`
+    holds it (m x m, or its diagonal). `_QUAD_ROWS` rows at a time, in one
+    buffer, so no temporary as large as z is made."""
+    quad = np.empty(z.shape[0])
+    work = np.empty((min(_QUAD_ROWS, z.shape[0]), z.shape[1]))
+    for lo in range(0, z.shape[0], _QUAD_ROWS):
+        block = z[lo:lo + _QUAD_ROWS]
+        w, q = work[:len(block)], quad[lo:lo + len(block)]
+        if c.ndim == 1:
+            np.matmul(np.square(block, out=w), c, out=q)
+        else:
+            np.matmul(block, c, out=w)
+            w *= block
+            np.sum(w, axis=1, out=q)
+    return quad
+
+
 def xi_sampler(law: SamplingLaw, n_draws: int, rng: np.random.Generator) -> np.ndarray:
     """Draws of the scaled Gaussian vector governing the unknown-variance law.
 
@@ -205,19 +226,15 @@ def xi_sampler(law: SamplingLaw, n_draws: int, rng: np.random.Generator) -> np.n
         raise ParameterError("n_draws must be at least 1")
     z = tri_mul(rng.standard_normal((n_draws, law.m)), law.b_chol)
     z /= np.sqrt(law.b_diag)
-    if law.c.ndim == 1:
-        quad = np.square(z) @ law.c
-    else:
-        w = z @ law.c
-        w *= z
-        quad = np.sum(w, axis=1)
+    quad = _quadratic_forms(z, law.c)
     z *= np.sqrt(law.dof / (quad + 2.0 * law.mode.beta))[:, None]
     return z
 
 
 def xi_to_h(xi: np.ndarray, law: SamplingLaw) -> np.ndarray:
-    """Map xi draws to statistics: h_i = Psi_dof(xi_i / sqrt(r_i))."""
+    """Map xi draws to statistics: h_i = Psi_dof(xi_i / sqrt(r_i)), with the
+    Student-t kernel `posterior.StudentT`."""
     if law.known:
         raise ParameterError("xi-to-h mapping applies to the unknown-variance law")
     quotient = np.asarray(xi) / np.sqrt(law.r)
-    return stdtr(law.dof, quotient, out=quotient)
+    return StudentT(law.dof)(quotient, out=quotient)

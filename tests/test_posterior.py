@@ -1,14 +1,20 @@
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import stdtr
 
+from misfdr import posterior
 from misfdr.covariance import CovarianceMatrix, identity_cov
 from misfdr.errors import NotPositiveDefiniteError, ParameterError
 from misfdr.posterior import (
     KnownVariance,
     ModelSpec,
+    StudentT,
     TrueProcess,
     UnknownVariance,
     draw_replications,
@@ -305,3 +311,147 @@ class TestNoiseModeChecks:
     def test_unknown_var_law_rejects_known_spec(self):
         with pytest.raises(ParameterError, match="unknown-variance"):
             law_unknown_var(self.TRUTH, scalar_spec())
+
+
+# Degrees of freedom the Student-t kernel is pinned at: the Cauchy law and
+# just past it, small ones, the full-scale m + 2 alpha = 904, and far into the
+# normal limit.
+T_DOFS = pytest.mark.parametrize("dof", [1.0, 1.01, 2.0, 5.0, 30.0, 904.0, 1e5, 1e7, 1e12])
+# 50,000 sorted points out to the kernel's cut at |t| = 37, 10,000 of them
+# spaced geometrically from below towards t = 0.
+T_GRID = np.sort(np.concatenate([np.linspace(-37.0, 37.0, 40_001),
+                                 -np.geomspace(1e-12, 37.0, 10_000)]))
+EPS = np.finfo(float).eps
+
+
+def exact_t_cdf(dof, t):
+    """The Student-t CDF: stdtr, but the Cauchy CDF's closed form at dof 1,
+    where stdtr is off by up to 2.4e-9 near t = 0 (against mpmath)."""
+    if dof != 1.0:
+        return stdtr(dof, t)
+    return np.where(t < 0, np.arctan2(1.0, -t) / np.pi, 1.0 - np.arctan2(1.0, t) / np.pi)
+
+
+class TestStudentTKernel:
+    """`StudentT`, the one code that computes the unknown-variance CDF,
+    against stdtr, mpmath and its own out-of-place values."""
+
+    @T_DOFS
+    def test_accuracy(self, dof):
+        got, exact = StudentT(dof)(T_GRID), exact_t_cdf(dof, T_GRID)
+        error = np.abs(got - exact)
+        assert error.max() <= 4.5e-16
+        lower = T_GRID < 0
+        near = lower & (T_GRID >= -8.0)
+        assert np.all(error[near] <= 256 * EPS * exact[near])
+        assert np.all(error[lower] <= 2e-12 * exact[lower])
+
+    @T_DOFS
+    def test_monotone_on_sorted_grids(self, dof):
+        # The last two straddle the cut, where stdtr takes over.
+        kernel = StudentT(dof)
+        for grid in (T_GRID, np.linspace(-1e-3, 1e-3, 10_001), np.linspace(-8.5, -7.5, 10_001),
+                     np.linspace(-38.0, -36.0, 20_001), np.linspace(36.0, 38.0, 20_001)):
+            assert np.all(np.diff(kernel(grid)) >= 0)
+
+    def test_against_mpmath(self):
+        # At the full-scale dof, the kernel is off by at most 4 times what
+        # stdtr is off by on the same points (about 100 and 50 ulps).
+        mpmath = pytest.importorskip("mpmath")
+        dof = 904.0
+        t = np.random.default_rng(3).uniform(-8.0, 8.0, 400)
+        with mpmath.workdps(40):
+            nu = mpmath.mpf(dof)
+            lower = [mpmath.betainc(nu / 2, 0.5, 0, nu / (nu + mpmath.mpf(x) ** 2),
+                                    regularized=True) / 2 for x in t]
+            exact = [tail if x < 0 else 1 - tail for x, tail in zip(t, lower)]
+
+            def worst_ulps(values):
+                return max(float(abs(mpmath.mpf(v) - e) / np.spacing(float(e)))
+                           for v, e in zip(values, exact))
+
+            kernel_ulps, stdtr_ulps = worst_ulps(StudentT(dof)(t)), worst_ulps(stdtr(dof, t))
+        assert 0 < kernel_ulps <= 4 * stdtr_ulps
+
+    @T_DOFS
+    def test_stdtr_past_the_cut(self, dof):
+        t = np.array([-np.inf, np.inf, np.nan, -1e300, 1e300, -40.0, 37.5,
+                      np.nextafter(-37.0, -np.inf), np.nextafter(37.0, np.inf)])
+        np.testing.assert_array_equal(StudentT(dof)(t), stdtr(dof, t))
+
+    @T_DOFS
+    def test_no_floating_point_warnings(self, dof):
+        t = np.array([-np.inf, -1e308, -1e154, -37.0, -1e-300, -0.0, 0.0, 5e-324, 37.0,
+                      1e200, np.inf, np.nan])
+        # Raised, not warned; underflow to 0 is exact here and ignored, as
+        # numpy ignores it by default.
+        with np.errstate(all="raise", under="ignore"):
+            h = StudentT(dof)(t)
+        assert h[0] == 0.0 and h[-2] == 1.0 and np.isnan(h[-1])
+
+    @pytest.mark.parametrize("n", [0, 1, 16_383, 16_384, 16_385])
+    def test_in_place_and_chunk_edges(self, n):
+        assert posterior._T_CHUNK == 16_384
+        kernel = StudentT(904.0)
+        t = np.random.default_rng(n).standard_normal(n) * 12.0
+        got = kernel(t)
+        assert got.shape == (n,)
+        if n:
+            # The chunks' edges are computed as any other entry is.
+            for i in {0, min(n, 16_384) - 1, n - 1}:
+                assert kernel(t[i:i + 1])[0] == got[i]
+        np.testing.assert_allclose(got, stdtr(904.0, t), rtol=2e-12, atol=4.5e-16)
+        in_place = t.copy()
+        assert kernel(in_place, out=in_place) is in_place
+        np.testing.assert_array_equal(in_place, got)
+
+    def test_any_shape_and_zero_dimensional(self):
+        kernel = StudentT(904.0)
+        t = np.random.default_rng(4).standard_normal((3, 4, 5)) * 40.0
+        np.testing.assert_array_equal(kernel(t), kernel(t.ravel()).reshape(t.shape))
+        np.testing.assert_array_equal(kernel(t[:, ::2]), kernel(t[:, ::2].copy()))
+        value = kernel(-1.5)
+        assert np.ndim(value) == 0 and value == kernel(np.array([-1.5]))[0]
+        assert kernel(np.float64(50.0)) == stdtr(904.0, 50.0)
+        z = np.array(-1.5)
+        assert kernel(z, out=z) is z and z == value
+
+    def test_scratch_is_one_bounded_array(self):
+        # One (4, chunk) float array per call, whatever the input's size.
+        kernel = StudentT(904.0)
+        t = np.random.default_rng(5).standard_normal(200_000)
+        tracemalloc.start()
+        try:
+            kernel(t, out=t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 4 * 16_384 * 8 <= peak < 5 * 16_384 * 8
+
+    def test_shared_between_threads(self):
+        # The kernel holds only its coefficients, so concurrent callers of
+        # one kernel get what each would get alone.
+        kernel = StudentT(30.0)
+        inputs = [np.random.default_rng(seed).standard_normal(40_000) * 5 for seed in range(8)]
+        alone = [kernel(t) for t in inputs]
+        with ThreadPoolExecutor(4) as pool:
+            futures = [pool.submit(kernel, t) for t in inputs]
+            shared = [future.result(timeout=60) for future in futures]
+        for a, b in zip(alone, shared):
+            np.testing.assert_array_equal(a, b)
+
+    def test_unknown_variance_spec_cdf_is_the_kernel(self):
+        spec = ModelSpec(np.zeros(5), 1.0, identity_cov(5), UnknownVariance(2.0, 0.5))
+        z = np.linspace(-50.0, 50.0, 1001)
+        np.testing.assert_array_equal(spec.cdf(z), StudentT(spec.dof)(z))
+
+    @pytest.mark.parametrize("dof", [0.99, 0.0, -1.0, np.inf, np.nan])
+    def test_rejects_dof(self, dof):
+        with pytest.raises(ParameterError, match="degrees of freedom"):
+            StudentT(dof)
+
+    @pytest.mark.parametrize("out", [np.empty(4), np.empty(3, dtype=np.float32),
+                                     np.empty(6)[::2]], ids=["shape", "dtype", "strided"])
+    def test_rejects_out(self, out):
+        with pytest.raises(ValueError, match="out must be"):
+            StudentT(904.0)(np.zeros(3), out=out)

@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -11,7 +12,7 @@ from misfdr.linalg import chol, chol_inverse
 from misfdr import posterior, sampdist
 from misfdr.divergence import kl_exact
 from misfdr.fdr import operating_characteristics
-from misfdr.posterior import KnownVariance, ModelSpec, TrueProcess, UnknownVariance
+from misfdr.posterior import KnownVariance, ModelSpec, StudentT, TrueProcess, UnknownVariance
 from misfdr.rng import stream
 from misfdr.sampdist import (
     SamplingLaw,
@@ -519,7 +520,25 @@ class TestXiSampler:
         xi = np.sqrt(law.dof / (quad + 2.0 * law.mode.beta))[:, None] * z
         draws = xi_sampler(law, 300, stream(1, 5))
         np.testing.assert_array_equal(draws, xi)
-        np.testing.assert_array_equal(xi_to_h(draws, law), stdtr(law.dof, xi / np.sqrt(law.r)))
+        np.testing.assert_array_equal(xi_to_h(draws, law), StudentT(law.dof)(xi / np.sqrt(law.r)))
+
+    @pytest.mark.parametrize("diagonal", [True, False], ids=["diagonal", "dense"])
+    def test_peak_memory_is_the_draws_and_one_block(self, diagonal):
+        # The quadratic forms are made a block of rows at a time: beside the
+        # (n, m) draws, one (128, m) buffer and a few (n,) vectors.
+        truth, spec_cor, spec_mis = grid_setup(rows=10, cols=10)
+        cov = (spec_mis if diagonal else spec_cor).sigma_spec
+        law = law_unknown_var(truth, ModelSpec(truth.theta0, 1.0, cov, UnknownVariance(1.0, 1.0)))
+        n, gen = 1000, stream(1, 6)
+        tracemalloc.start()
+        try:
+            xi_sampler(law, n, gen)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        draws = n * law.m * 8
+        assert sampdist._QUAD_ROWS == 128
+        assert draws < peak < draws + 128 * law.m * 8 + 4 * n * 8
 
     @pytest.mark.parametrize("n_draws", [0, -3])
     def test_draw_count_must_be_positive(self, n_draws):
