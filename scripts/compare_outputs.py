@@ -4,10 +4,10 @@
 Each request below runs once from this tree and once from OTHER_TREE, each
 in a fresh interpreter with PYTHONPATH=<tree>/src and every BLAS thread
 variable set to 1. The CLI requests cover all six subcommands: studies 1-3 at
-full and desk scale, seed 0, with --threads 1 and 2 (at full scale each
-point is a pass of its own, at desk scale points share a pass, and at both
-each study draws its datasets once); four desk-size `simulate` runs from
-config files (a range sweep; a range sweep of 1100 reps, whose 110,000
+full and desk scale, seed 0, with --threads 1 and 2, which make the same
+passes (at full scale each point is a pass of its own, at desk scale points
+share a pass, and at both each study draws its datasets once); four
+desk-size `simulate` runs from config files (a range sweep; a range sweep of 1100 reps, whose 110,000
 floats of data exceed one draw block, so each pass draws them again, at
 --threads 1 and 2; a g sweep that sets `g` beside `sweep.values` and sets
 `kl_draws`; a single run with no `sweep.` key); `kl` on a 10 x 10

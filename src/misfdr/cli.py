@@ -48,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None, help="root seed override")
     parser.add_argument(
         "--threads", type=int,
-        help="worker parallelism cap, at least 1 (env fallback MISFDR_THREADS, else 1)",
+        help="sweep passes run at once, at least 1 (env fallback MISFDR_THREADS, else 1)",
     )
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="subcommand", required=True)

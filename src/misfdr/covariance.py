@@ -12,6 +12,7 @@ and the sampling law of a diagonal specification are closed form.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +32,8 @@ class GridLayout:
     spacing: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 1:
-            raise ParameterError("grid dimensions must be positive")
+        if not all(isinstance(n, numbers.Integral) and n >= 1 for n in (self.rows, self.cols)):
+            raise ParameterError("grid dimensions must be positive integers")
         if not 0 < self.spacing < np.inf:
             raise ParameterError("grid spacing must be positive and finite")
 
@@ -175,7 +176,9 @@ def separable_cov(
         raise ParameterError("range must be positive")
     if not 0 < alpha < 1:
         raise ParameterError("alpha must lie in (0, 1)")
-    locations = np.atleast_2d(np.asarray(locations, dtype=float))
+    locations = np.asarray(locations, dtype=float)
+    if locations.ndim != 2:
+        raise ParameterError("locations must be an (n, d) array, one station per row")
     times = np.asarray(times, dtype=float)
     spatial = np.exp(-_distances(locations) / range_)
     temporal = alpha ** np.abs(times[:, None] - times[None, :])

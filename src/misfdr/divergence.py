@@ -20,15 +20,17 @@ from .sampdist import SamplingLaw, _law, check_law, require_density
 
 def check_kl_specs(truth: TrueProcess, spec_cor: ModelSpec, spec_mis: ModelSpec) -> None:
     """Raise unless `spec_cor` uses the truth's covariance, entry by entry to
-    within rounding; warn when the two specs use different g. The noise mode,
-    dimension, prior mean and noise variance of each spec are checked by
-    `check_law`."""
+    within rounding, and a known noise variance equal to the truth's; warn
+    when the two specs use different g. The noise mode, dimension and prior
+    mean of each spec are checked by `check_law`."""
     spec_cov, true_cov = spec_cor.sigma_spec, truth.sigma1
     same_cov = spec_cov is true_cov or (spec_cov.dim == true_cov.dim and np.allclose(
         spec_cov.entries, true_cov.entries, rtol=_SAME_TOL, atol=_SAME_TOL
     ))
     if not same_cov:
         raise ParameterError("spec_cor must use the true covariance")
+    if spec_cor.known and not np.isclose(spec_cor.noise.sigma0_sq, truth.sigma0_sq):
+        raise ParameterError("spec_cor's noise variance must equal the truth's")
     if not np.isclose(spec_cor.g, spec_mis.g):
         warnings.warn("correct and misspecified specs use different g", stacklevel=3)
 
@@ -43,6 +45,8 @@ def kl_laws(law_cor: SamplingLaw, law_mis: SamplingLaw) -> float:
     with w = (diag A_mis / diag A_cor)^{1/2}, one solve in place.
     """
     require_density(law_cor, law_mis)
+    if law_cor.m != law_mis.m:
+        raise ParameterError(f"the laws have dimensions {law_cor.m} and {law_mis.m}")
     w = np.sqrt(law_mis.a_diag / law_cor.a_diag)
     diff = law_cor.b_chol * w[:, None]
     diff -= law_mis.b_chol
@@ -54,7 +58,7 @@ def kl_laws(law_cor: SamplingLaw, law_mis: SamplingLaw) -> float:
 def kl_exact(truth: TrueProcess, spec_cor: ModelSpec, spec_mis: ModelSpec) -> float:
     """KL(f_cor || f_mis) of the statistic vector in nats, in closed form: the
     checks of `check_kl_specs` and each spec's `check_law` (noise mode,
-    dimension, prior mean, noise variance), all before either law is built, then
+    dimension, prior mean), all before either law is built, then
     `kl_laws` of the two laws."""
     check_kl_specs(truth, spec_cor, spec_mis)
     for spec in (spec_cor, spec_mis):

@@ -60,6 +60,8 @@ def step_up(h: np.ndarray, alpha_star: float) -> DecisionSet:
     It is `_decide` on h as given, in one pass over each row: with no CDF to
     skip, more passes would only add overhead to a one-row call."""
     h = np.asarray(h, dtype=float)
+    if h.ndim not in (1, 2):
+        raise ParameterError(f"h must be an (m,) or (n, m) array, not {h.ndim}-d")
     decision = _decide(np.atleast_2d(h), alpha_star)
     if h.ndim == 1:
         return DecisionSet(decision.rejected[0], int(decision.k[0]))

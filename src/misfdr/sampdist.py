@@ -77,14 +77,10 @@ def check_law(truth: TrueProcess, spec: ModelSpec, mode: type) -> None:
     """Raise unless `_law` can build the law of `spec` in the noise mode `mode`
     on data from `truth`: the spec must use that mode, the truth's dimension
     and the truth's prior mean (the law is that of scores centred on the
-    truth's mean), and a known noise variance must equal the truth's. It
-    factors nothing."""
+    truth's mean). A known noise variance may differ from the truth's: the
+    law reads the spec's own s and the truth's V. It factors nothing."""
     require_noise(spec, mode)
     check_spec(truth, spec)
-    if mode is KnownVariance and not np.isclose(spec.noise.sigma0_sq, truth.sigma0_sq):
-        raise ParameterError(
-            "known-variance theory requires the spec noise variance to equal the truth"
-        )
 
 
 def _law(truth: TrueProcess, spec: ModelSpec) -> SamplingLaw:
@@ -190,6 +186,9 @@ def joint_log_pdf(h: np.ndarray, law: SamplingLaw) -> float | np.ndarray:
     """
     require_density(law)
     h = _check_open_unit(h)
+    if h.ndim not in (1, 2) or h.shape[-1] != law.m:
+        raise ParameterError(f"h must be an (m,) or (n, m) array with m = {law.m}, "
+                             f"not of shape {h.shape}")
     phi = ndtri(h)
     # phi' C phi = |F^{-1} phi|^2 with F^{-1} phi = L_B^{-1} D_a^{1/2} phi.
     white = tri_solve(law.b_chol, (phi * np.sqrt(law.a_diag)).T)

@@ -24,9 +24,11 @@ pass. A range sweep scores its shared correct spec on its own, before the
 passes. When a sweep scores its datasets more than once and their n_reps x
 m floats fit in one draw block too (as for every built-in study of more
 than one pass), they are drawn once, before the passes, and kept
-(`fdr.keep_datasets`); otherwise each pass draws them. Each spec's counts
-are those it would get alone on the stream, so the numbers do not depend
-on the grouping or on whether the datasets are kept.
+(`fdr.keep_datasets`); otherwise each pass draws them. The passes and the
+keeping follow from the config and its covariances alone: threads only run
+passes at once, and never outnumber them. Each spec's counts are those it
+would get alone on the stream, so the numbers do not depend on the
+grouping or on whether the datasets are kept.
 """
 
 from __future__ import annotations
@@ -162,52 +164,39 @@ def _score(config: ExperimentConfig, truth: TrueProcess, specs, kept) -> list:
     return replicate(truth, specs, config.alpha_star, datasets)
 
 
-def _sweep_pass(config: ExperimentConfig, truth: TrueProcess, mis_cov, law_cor, kept,
-                values) -> list:
-    """Score the sweep points `values` in one pass: their specs all score the
-    sweep's datasets in one `_score` call; then each point builds its laws
-    and their KL divergence, and each spec is dropped once its law is built.
-    A point builds what `run_sweep` does not pass it to share: its
-    misspecified covariance when `mis_cov` is None, its correct spec and law
-    when `law_cor` is None.
-
-    Returns, per point, (value, counts_cor, counts_mis, kl), with counts_cor
-    None where the correct spec is shared."""
+def _sweep_pass(config: ExperimentConfig, truth: TrueProcess, mis_cov, shared_cor, kept,
+                values) -> list[SweepRow]:
+    """The rows of the sweep points `values`, scored in one pass: their specs
+    all score the sweep's datasets in one `_score` call; then each point
+    builds its laws and their KL divergence, and each spec is dropped once
+    its law is built. A point builds what `run_sweep` does not pass it to
+    share: its misspecified covariance when `mis_cov` is None, its correct
+    spec, law and counts when `shared_cor`, the (law, counts) of a range
+    sweep's correct spec, is None."""
     points = [config.at(float(value)) for value in values]
     specs = []
     for point in points:
-        if law_cor is None:
+        if shared_cor is None:
             specs.append(sweep_spec(point, truth.sigma1, point.g))
         specs.append(sweep_spec(point, mis_cov if mis_cov is not None
                                 else build_cov(point.mis_kernel, point.m, point.grid), point.g))
     counts = iter(_score(config, truth, specs, kept))
     # Popped as its law is built, a spec and its m x m A are freed at once.
     specs.reverse()
-    scored = []
+    rows = []
     for point in points:
-        counts_cor, law = None, law_cor
-        if law_cor is None:
-            counts_cor, law = next(counts), law_known_var(truth, specs.pop())
-        scored.append((point.sweep_values[0], counts_cor, next(counts),
-                       kl_laws(law, law_known_var(truth, specs.pop()))))
-    return scored
+        law_cor, counts_cor = shared_cor or (law_known_var(truth, specs.pop()), next(counts))
+        counts_mis = next(counts)
+        kl = kl_laws(law_cor, law_known_var(truth, specs.pop()))
+        rows.append(_sweep_row(config.m, point.sweep_values[0], counts_cor, counts_mis, kl))
+    return rows
 
 
-def _passes(values, parts: int, cost: int, budget: int) -> list[list]:
-    """The points `values` in consecutive passes: `parts` runs of near-equal
-    length, each cut before a point whose `cost` would take its pass past
-    `budget`. A pass holds at least one point."""
-    passes, n = [], len(values)
-    for part in range(parts):
-        group, used = [], 0
-        for value in values[n * part // parts:n * (part + 1) // parts]:
-            if group and used + cost > budget:
-                passes.append(group)
-                group, used = [], 0
-            group.append(value)
-            used += cost
-        passes.append(group)
-    return passes
+def _passes(values, cost: int, budget: int) -> list:
+    """The points `values` in consecutive passes, each as many points as fit
+    their `cost` within `budget`, and at least one."""
+    size = max(1, budget // cost) if cost else len(values)
+    return [values[start:start + size] for start in range(0, len(values), size)]
 
 
 def _sweep_row(m: int, value: float, counts_cor, counts_mis, kl: float) -> SweepRow:
@@ -242,9 +231,8 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> list[SweepRow]:
     scores the datasets once for all its specs (`_sweep_pass`). A pass takes
     points while the m x m arrays they add, each dense spec's A and a range
     point's own covariance, fit in the floats of one draw block
-    (`fdr.block_floats`). With `threads` > 1 the points are first split into
-    min(threads, points) runs of near-equal length, so there are at least as
-    many passes; passes run on at most that many workers.
+    (`fdr.block_floats`). The passes follow from the config alone; `threads`
+    only sets how many run at once, on min(threads, passes) workers.
 
     When the sweep scores its datasets more than once (more than one pass,
     or a shared correct spec beside the passes) and their n_reps x m floats
@@ -257,34 +245,33 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> list[SweepRow]:
     order always follows config.sweep_values.
     """
     truth = sweep_truth(config, build_cov(config.truth_kernel, config.m, config.grid))
-    workers = min(threads, len(config.sweep_values))
     square, budget = config.m * config.m, block_floats(config.m)
     try:
-        shared_cor = config.sweep_key.startswith("mis.")
-        mis_cov = law_cor = counts_shared = kept = None
-        if shared_cor:
+        shares_cor = config.sweep_key.startswith("mis.")
+        mis_cov = shared_cor = kept = None
+        if shares_cor:
             # A point builds its covariance and its spec's A.
             cost = 2 * square
         else:
             mis_cov = build_cov(config.mis_kernel, config.m, config.grid)
             cost = square * ((not truth.sigma1.is_diagonal) + (not mis_cov.is_diagonal))
-        passes = _passes(config.sweep_values, max(workers, 1), cost, budget)
-        if len(passes) + shared_cor > 1 and config.n_reps * config.m <= budget:
+        passes = _passes(config.sweep_values, cost, budget)
+        if len(passes) + shares_cor > 1 and config.n_reps * config.m <= budget:
             kept = keep_datasets(truth, stream(config.root_seed, 0, 0), config.n_reps)
-        if shared_cor:
+        if shares_cor:
             spec_cor = sweep_spec(config, truth.sigma1, config.g)
-            law_cor = law_known_var(truth, spec_cor)
-            (counts_shared,) = _score(config, truth, [spec_cor], kept)
+            shared_cor = (law_known_var(truth, spec_cor), *_score(config, truth, [spec_cor], kept))
             del spec_cor
-        score = partial(_sweep_pass, config, truth, mis_cov, law_cor, kept)
+        score = partial(_sweep_pass, config, truth, mis_cov, shared_cor, kept)
+        workers = min(threads, len(passes))
+        # One worker scores on this thread, as a pool's thread would draw its
+        # arrays from an allocator arena of its own.
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(score, passes))
+                scored = list(pool.map(score, passes))
         else:
-            results = list(map(score, passes))
-        rows = [_sweep_row(config.m, value,
-                           counts_shared if counts_cor is None else counts_cor, counts_mis, kl)
-                for scored in results for value, counts_cor, counts_mis, kl in scored]
+            scored = list(map(score, passes))
+        rows = [row for pass_rows in scored for row in pass_rows]
     except ParameterError:
         raise
     except Exception as err:

@@ -49,6 +49,14 @@ class TestExponential:
         with pytest.raises(ParameterError, match="grid dimensions must be positive"):
             GridLayout(rows, cols)
 
+    @pytest.mark.parametrize("rows, cols", [(2.5, 3), (3, 2.5), (3.0, 3), (3, np.float64(3.0))])
+    def test_non_integer_grid_rejected(self, rows, cols):
+        with pytest.raises(ParameterError, match="grid dimensions must be positive integers"):
+            GridLayout(rows, cols)
+
+    def test_numpy_integer_grid_accepted(self):
+        assert GridLayout(np.int64(3), 4).m == 12
+
     def test_nonpositive_range_rejected(self):
         with pytest.raises(ParameterError):
             exponential_cov(GridLayout(2, 2), range_=0.0)
@@ -181,6 +189,13 @@ class TestSeparable:
     def test_parameter_domains(self, kwargs):
         with pytest.raises(ParameterError):
             separable_cov([[0.0, 0.0]], [1], **kwargs)
+
+    @pytest.mark.parametrize("locations", [[0.0, 1.0, 2.0], 1.0, np.zeros((2, 3, 2))],
+                             ids=["1-d", "0-d", "3-d"])
+    def test_locations_must_be_one_station_per_row(self, locations):
+        # A 1-d list is not one station in len(list) dimensions.
+        with pytest.raises(ParameterError, match=r"locations must be an \(n, d\) array"):
+            separable_cov(locations, [1.0, 2.0], delta=1.0, range_=2.0, alpha=0.5)
 
 
 def scipy_distances(points):

@@ -173,11 +173,6 @@ class TestErrorParity:
                     with pytest.raises(NotPositiveDefiniteError):
                         ModelSpec(np.zeros(3), 1.0, sigma, noise)
 
-    def test_mismatched_noise_rejected(self):
-        truth = TrueProcess(np.zeros(3), 0.25, identity_cov(3))
-        with pytest.raises(ParameterError, match="equal the truth"):
-            law_known_var(truth, ModelSpec(np.zeros(3), 1.0, identity_cov(3), KnownVariance(0.5)))
-
 
 class TestUsesTrueCov:
     """`check_kl_specs` accepts `spec_cor` exactly when the full comparison of

@@ -153,9 +153,10 @@ class TestKLEstimate:
         with pytest.raises(ParameterError, match="known-variance noise mode"):
             kl(truth, bad, spec_mis)
 
-    @pytest.mark.parametrize("which", ["cor", "mis"])
+    @pytest.mark.parametrize("which", ["cor"])
     def test_noise_variance_checked_by_the_law(self, which):
-        # `sampdist._law` is the one check of each spec's noise variance.
+        # spec_cor must use the truth's noise variance (`check_kl_specs`);
+        # spec_mis may use any, as its law reads the spec's own s.
         truth, spec_cor, spec_mis = desk_setup()
         specs = {"cor": spec_cor, "mis": spec_mis}
         bad = specs[which]
@@ -221,11 +222,10 @@ class TestKLExact:
     @pytest.mark.parametrize(
         "noise, grid, theta0, match",
         [(UnknownVariance(1.0, 1.0), GridLayout(10, 10), 0.0, "known-variance noise mode"),
-         (KnownVariance(0.5), GridLayout(10, 10), 0.0, "equal the truth"),
          (KnownVariance(0.25), GridLayout(9, 11), 0.0,
           "dimension 99 does not match the truth's 100"),
          (KnownVariance(0.25), GridLayout(10, 10), 1.0, "prior mean")],
-        ids=["noise-mode", "noise-variance", "dimension", "prior-mean"],
+        ids=["noise-mode", "dimension", "prior-mean"],
     )
     def test_both_specs_checked_before_any_factorization(self, monkeypatch, noise, grid,
                                                          theta0, match):
@@ -286,6 +286,39 @@ class TestKLLaws:
         for _, truth, sigma in random_truth_spec_pairs():
             scaled = [g * g * kl_laws(*law_pair(truth, sigma, g)) for g in (1e7, 1e8)]
             assert scaled[1] == pytest.approx(scaled[0], rel=1e-5, abs=0)
+
+    @pytest.mark.parametrize("m", [1, 6, 12])
+    @pytest.mark.parametrize("spec_var", [0.25 / 4, 0.25 * 4])
+    def test_mismatched_noise_variance_matches_dense_gaussian_kl(self, m, spec_var):
+        # The analyst's noise variance s differs from the truth's 0.25. phi =
+        # D_a^{-1/2} S r with S = I - s K^{-1}, K = s I + g Sigma_spec and
+        # r ~ N(0, V), V = 0.25 I + Sigma_1: both covariances of phi by dense
+        # textbook algebra, from none of the law's factors.
+        rng = np.random.default_rng(m)
+        truth = TrueProcess(np.zeros(m), 0.25, random_spd(rng, m))
+        v = truth.sigma1.entries + 0.25 * np.eye(m)
+
+        def phi_cov(sigma, s, g=2.0):
+            smoother = np.eye(m) - s * np.linalg.inv(s * np.eye(m) + g * sigma.entries)
+            d = 1.0 / np.sqrt(s * np.diag(smoother))
+            return d[:, None] * (smoother @ v @ smoother.T) * d
+
+        for sigma in (truth.sigma1, random_spd(rng, m), identity_cov(m)):
+            spec_cor = ModelSpec(np.zeros(m), 2.0, truth.sigma1, KnownVariance(0.25))
+            spec_mis = ModelSpec(np.zeros(m), 2.0, sigma, KnownVariance(spec_var))
+            s_cor, s_mis = phi_cov(truth.sigma1, 0.25), phi_cov(sigma, spec_var)
+            dense = 0.5 * (np.trace(np.linalg.solve(s_mis, s_cor)) - m
+                           + np.linalg.slogdet(s_mis)[1] - np.linalg.slogdet(s_cor)[1])
+            laws = (law_known_var(truth, spec_cor), law_known_var(truth, spec_mis))
+            assert dense > 0.0
+            assert kl_laws(*laws) == pytest.approx(dense, rel=1e-9, abs=0)
+            assert kl_exact(truth, spec_cor, spec_mis) == kl_laws(*laws)
+
+    def test_laws_of_different_dimension_rejected(self):
+        truth, spec_cor, _ = desk_setup()
+        small_truth, small_spec, _ = scalar_pair()
+        with pytest.raises(ParameterError, match="dimensions 100 and 1"):
+            kl_laws(law_known_var(truth, spec_cor), law_known_var(small_truth, small_spec))
 
     @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 8),
            g=st.floats(min_value=1e-3, max_value=1e6),

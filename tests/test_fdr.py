@@ -123,6 +123,11 @@ class TestStepUp:
         with pytest.raises(ParameterError):
             step_up(np.array([1.5]), 0.05)
 
+    @pytest.mark.parametrize("h", [0.01, np.full((2, 2, 2), 0.01)], ids=["0-d", "3-d"])
+    def test_wrong_dimension_rejected(self, h):
+        with pytest.raises(ParameterError, match=r"\(m,\) or \(n, m\) array, not [03]-d"):
+            step_up(h, 0.05)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_scores_rejected(self, bad):
         with pytest.raises(ParameterError, match="finite"):

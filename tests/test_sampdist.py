@@ -66,11 +66,21 @@ class TestLawKnownVar:
         with pytest.raises(ParameterError, match="only in the unknown-variance mode"):
             law.dof
 
-    def test_mismatched_noise_variance_rejected(self):
-        truth = scalar_truth()
-        spec = ModelSpec(np.zeros(1), 1.0, truth.sigma1, KnownVariance(0.5))
-        with pytest.raises(ParameterError):
-            law_known_var(truth, spec)
+    @pytest.mark.parametrize("spec_var", [0.25 / 4, 0.25 * 4])
+    @pytest.mark.parametrize("cov", [identity_cov(25), exponential_cov(GridLayout(5, 5), 2.0)],
+                             ids=["diagonal", "dense"])
+    def test_ratio_is_the_variance_of_z_at_any_noise_variance(self, cov, spec_var):
+        # The analyst's noise variance differs from the truth's 0.25: the law
+        # still gives 1 / r_i = Var(z_i) of the standardized scores, z being
+        # Phi^{-1}(h), centred on the truth's prior mean. Var(z_i) r_i is
+        # estimated with standard error sqrt(2 / n).
+        truth = TrueProcess(np.zeros(25), 0.25, exponential_cov(GridLayout(5, 5), 5.0))
+        spec = ModelSpec(np.zeros(25), 1.0, cov, KnownVariance(spec_var))
+        n = 40_000
+        _, y = posterior.draw_replications(truth, chol(truth.sigma1.entries), stream(29, 0, 0), n)
+        z = spec.standardized(y)
+        ratio = np.mean(z * z, axis=0) * law_known_var(truth, spec).r
+        assert np.abs(ratio - 1.0).max() < 4 * np.sqrt(2 / n)
 
     def test_vague_prior_ratio_limit(self):
         truth, spec_cor, spec_mis = grid_setup(rows=5, cols=5, g=1e8)
@@ -460,6 +470,12 @@ class TestJointLogPdf:
         law = diagonal_law([0.5, 0.5])
         with pytest.raises(BoundaryError):
             joint_log_pdf(np.array([0.5, 1.0]), law)
+
+    @pytest.mark.parametrize("h", [np.full(3, 0.5), np.full((4, 3), 0.5), np.full((2, 2, 2), 0.5)],
+                             ids=["short", "short-rows", "3-d"])
+    def test_wrong_shape_rejected(self, h):
+        with pytest.raises(ParameterError, match=r"\(m,\) or \(n, m\) array with m = 2"):
+            joint_log_pdf(h, diagonal_law([0.5, 0.5]))
 
 
 class TestJointCdfMc:

@@ -144,14 +144,20 @@ class TestRunSweep:
             assert row.kl_per_dim == 0.0
 
     @pytest.mark.parametrize("overrides", [{}, RANGE_SWEEP], ids=["g", "rho"])
-    def test_threaded_matches_serial(self, overrides):
+    def test_threaded_matches_serial(self, monkeypatch, overrides):
         # A range sweep replicates its correct spec before it starts the pool.
+        # A 16-row block holds fewer floats than two 25 x 25 arrays: each
+        # point is a pass of its own, so two threads run a pool.
+        monkeypatch.setattr(fdr, "_BLOCK_ROWS", 16)
         config = tiny_config(**overrides)
         serial = run_sweep(config, threads=1)
         threaded = run_sweep(config, threads=2)
         assert serial == threaded
 
     def test_workers_capped_at_sweep_points(self, monkeypatch):
+        # A 16-row block holds fewer floats than one 100 x 100 A: each of the
+        # three points is a pass of its own, and the passes cap the workers.
+        monkeypatch.setattr(fdr, "_BLOCK_ROWS", 16)
         config = replace(builtin_example(1, scale="desk"), sweep_values=(0.1, 1.0, 10.0))
         serial = run_sweep(config, threads=1)
         requested, workers = [], set()
@@ -240,7 +246,8 @@ class TestRunSweep:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_refcounting_frees_every_factor(self, monkeypatch, threads):
         # A reference cycle through a spec or a law would keep each
-        # point's m x m factors alive until the cyclic collector ran.
+        # point's m x m factors alive until the cyclic collector ran. Study 2
+        # takes two passes at desk scale, so two threads run a pool.
         made = []
         for cls in (ModelSpec, SamplingLaw):
             def tracking_init(self, *args, _init=cls.__init__, **kwargs):
@@ -250,7 +257,7 @@ class TestRunSweep:
             monkeypatch.setattr(cls, "__init__", tracking_init)
         gc.disable()
         try:
-            run_sweep(builtin_example(1, scale="desk"), threads=threads)
+            run_sweep(builtin_example(2, scale="desk"), threads=threads)
             alive = [ref() for ref in made if ref() is not None]
         finally:
             gc.enable()
@@ -400,6 +407,50 @@ class TestPasses:
         drawn = self.rows_drawn(monkeypatch)
         assert run_sweep(config, threads=threads) == expected
         assert sum(drawn) == config.n_reps
+
+    # name -> (config, _BLOCK_ROWS, points per pass, whether the datasets are kept)
+    PLANS = {
+        "study1": (builtin_example(1, scale="desk"), fdr._BLOCK_ROWS, [6], False),
+        "study2": (builtin_example(2, scale="desk"), fdr._BLOCK_ROWS, [5, 1], True),
+        "study3": (builtin_example(3, scale="desk"), fdr._BLOCK_ROWS, [5, 2], True),
+        "block16-kept": (replace(DESK_SWEEPS["g"], n_reps=32, sweep_values=(0.5, 2.0, 8.0)),
+                         16, [1, 1, 1], True),
+        "block16-drawn": (replace(DESK_SWEEPS["rho"], n_reps=60, sweep_values=(0.5, 2.0, 8.0)),
+                          16, [1, 1, 1], False),
+    }
+
+    @pytest.mark.parametrize("name", list(PLANS))
+    def test_plan_is_the_same_at_any_thread_count(self, monkeypatch, name):
+        # The passes, the rows drawn and whether the datasets are kept follow
+        # from the config: threads only run the passes at once.
+        config, block_rows, sizes, kept = self.PLANS[name]
+        monkeypatch.setattr(fdr, "_BLOCK_ROWS", block_rows)
+        drawn = self.rows_drawn(monkeypatch)
+        calls, keeps = [], []
+        sweep_pass, keep = simulation._sweep_pass, simulation.keep_datasets
+
+        def recording_pass(*args):
+            calls.append((tuple(args[-1]), args[-2] is not None))
+            return sweep_pass(*args)
+
+        monkeypatch.setattr(simulation, "_sweep_pass", recording_pass)
+        monkeypatch.setattr(simulation, "keep_datasets", lambda *args: keeps.append(args) or
+                            keep(*args))
+        plans = []
+        for threads in (1, 2, 8):
+            rows = run_sweep(config, threads=threads)
+            # Passes may finish in any order on a pool.
+            calls.sort(key=lambda call: config.sweep_values.index(call[0][0]))
+            plans.append((rows, list(calls), sorted(drawn), len(keeps)))
+            for log in (calls, drawn, keeps):
+                log.clear()
+        assert plans[0] == plans[1] == plans[2]
+        _, calls, drawn, n_keeps = plans[0]
+        assert [value for values, _ in calls for value in values] == list(config.sweep_values)
+        assert [len(values) for values, _ in calls] == sizes
+        assert {was_kept for _, was_kept in calls} == {kept} and n_keeps == kept
+        scorings = len(sizes) + config.sweep_key.startswith("mis.")
+        assert sum(drawn) == config.n_reps * (1 if kept else scorings)
 
     @pytest.mark.parametrize("threads", [1, 2, 8])
     @pytest.mark.parametrize("variable", ["g", "rho"])
