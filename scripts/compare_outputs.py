@@ -11,8 +11,9 @@ desk-size `simulate` runs from config files (a range sweep; a range sweep of 110
 floats of data exceed one draw block, so each pass draws them again, at
 --threads 1 and 2; a g sweep that sets `g` beside `sweep.values` and sets
 `kl_draws`; a single run with no `sweep.` key); `kl` on a 10 x 10
-exponential-vs-identity config; `gen-cov`
-for every kernel; `dist` at three ratios; and `fdr` on a CSV with a header
+exponential-vs-identity config and on an m = 50 AR(2) config whose truth
+sets `normalize = true` and whose misspecified spec leaves `normalize` out
+(its default); `gen-cov` for every kernel; `dist` at three ratios; and `fdr` on a CSV with a header
 and tied scores. The config files and the `fdr` input are written to the
 work directory first. Four more requests call the public
 `operating_characteristics` (the path the benchmark's unknown-variance
@@ -49,6 +50,20 @@ g = 1.0
 truth.kernel = exponential
 truth.range = 5.0
 mis.kernel = identity
+"""
+
+# AR(2) against AR(2): one kernel sets normalize, the other takes its default.
+AR2_KL_CONFIG = """\
+m = 50
+sigma0_sq = 0.25
+g = 1.0
+truth.kernel = ar2
+truth.rho1 = 1.5
+truth.rho2 = -0.9
+truth.normalize = true
+mis.kernel = ar2
+mis.rho1 = 0.6
+mis.rho2 = 0.3
 """
 
 RANGE_CONFIG = """\
@@ -128,8 +143,9 @@ with open(f"{out}/oc.csv", "w") as fh:
 FDR_INPUT = "i,h\n" + "".join(
     f"{i},{h}\n" for i, h in enumerate([0.03, 0.01, 0.2, 0.03, 0.9, 0.01, 0.03, 0.5]))
 
-INPUTS = {"kl.cfg": KL_CONFIG, "range.cfg": RANGE_CONFIG, "redraw.cfg": REDRAW_CONFIG,
-          "g.cfg": G_CONFIG, "single.cfg": SINGLE_CONFIG, "scores.csv": FDR_INPUT}
+INPUTS = {"kl.cfg": KL_CONFIG, "ar2.cfg": AR2_KL_CONFIG, "range.cfg": RANGE_CONFIG,
+          "redraw.cfg": REDRAW_CONFIG, "g.cfg": G_CONFIG, "single.cfg": SINGLE_CONFIG,
+          "scores.csv": FDR_INPUT}
 
 
 CLI = ["-m", "misfdr.cli", "--output-dir"]
@@ -152,6 +168,7 @@ def requests(work: Path) -> dict[str, tuple[list[str], list[str]]]:
     runs["simulate-g"] = ["simulate", "--config", str(work / "g.cfg")]
     runs["simulate-single"] = ["simulate", "--config", str(work / "single.cfg")]
     runs["kl"] = ["kl", "--config", str(work / "kl.cfg")]
+    runs["kl-ar2"] = ["kl", "--config", str(work / "ar2.cfg")]
     ar2 = ["gen-cov", "--kernel", "ar2", "--m", "50", "--rho1", "0.6", "--rho2", "0.3"]
     runs.update({
         "gen-cov-exponential": ["gen-cov", "--kernel", "exponential",

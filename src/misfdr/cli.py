@@ -4,7 +4,10 @@ Every subcommand writes its CSV artifacts plus a `run-meta.txt` (the seed it
 drew from or None, request hash, version, timestamp, the numpy, scipy and BLAS
 versions, the BLAS thread variables it saw and the worker thread cap) into the
 output directory. Exit codes:
-0 success, 1 configuration error, 2 numerical failure.
+0 success, 1 configuration error (`ParameterError`), 2 numerical failure
+(`NotPositiveDefiniteError`, `BoundaryError`), each printed with the error's
+own message. gen-cov builds the kinds of `simulation.KERNELS` with
+`build_cov`; only the separable kernel has a branch of its own.
 """
 
 from __future__ import annotations
@@ -21,13 +24,14 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .covariance import GridLayout, ar2_cov, exponential_cov, identity_cov, separable_cov
+from .covariance import GridLayout, separable_cov
 from .divergence import kl_exact
 from .errors import BoundaryError, NotPositiveDefiniteError, ParameterError
 from .fdr import step_up
 from .linalg import chol
 from .sampdist import marginal_cdf, marginal_pdf
 from .simulation import (
+    KERNELS,
     SWEEP_COLUMNS,
     build_cov,
     builtin_example,
@@ -55,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-cov", help="construct a covariance matrix and dump it to CSV")
     p.add_argument("--kernel", required=True,
-                   choices=["exponential", "ar2", "identity", "separable"])
+                   choices=[*KERNELS, "separable"])
     p.add_argument("--m", type=int, help="dimension (ar2, identity)")
     p.add_argument("--rows", type=int, help="grid rows (exponential)")
     p.add_argument("--cols", type=int, help="grid cols (exponential)")
@@ -149,29 +153,27 @@ def _request_bytes(args) -> bytes:
 
 
 def _cmd_gen_cov(args) -> tuple[bytes, None]:
-    if args.kernel == "exponential":
-        if args.rows is None or args.cols is None or args.range_ is None:
-            raise ParameterError("exponential kernel needs --rows, --cols, --range")
-        cov = exponential_cov(GridLayout(args.rows, args.cols, args.spacing), args.range_)
-    elif args.kernel == "ar2":
-        if args.m is None or args.rho1 is None or args.rho2 is None:
-            raise ParameterError("ar2 kernel needs --m, --rho1, --rho2")
-        cov = ar2_cov(args.m, args.rho1, args.rho2, normalize=args.normalize)
-    elif args.kernel == "identity":
-        if args.m is None:
-            raise ParameterError("identity kernel needs --m")
-        cov = identity_cov(args.m)
+    # The value of each flag by its name, `_` for `-`: --range's dest is range_.
+    flags = {**vars(args), "range": args.range_}
+    separable = args.kernel == "separable"
+    if separable:
+        needed = ["stations_rows", "stations_cols", "n_times", "delta", "range", "alpha"]
     else:
-        needed = (args.stations_rows, args.stations_cols, args.n_times,
-                  args.delta, args.range_, args.alpha)
-        if any(v is None for v in needed):
-            raise ParameterError(
-                "separable kernel needs --stations-rows, --stations-cols, "
-                "--n-times, --delta, --range, --alpha"
-            )
+        _, on_grid, keys = KERNELS[args.kernel]
+        needed = [*(("rows", "cols") if on_grid else ("m",)),
+                  *(name for name, (_, default) in keys.items() if default is None)]
+    if any(flags[name] is None for name in needed):
+        listed = ", ".join("--" + name.replace("_", "-") for name in needed)
+        raise ParameterError(f"{args.kernel} kernel needs {listed}")
+    if separable:
         layout = GridLayout(args.stations_rows, args.stations_cols, args.spacing)
         times = np.arange(1, args.n_times + 1)
         cov = separable_cov(layout.points(), times, args.delta, args.range_, args.alpha)
+    else:
+        grid = GridLayout(args.rows, args.cols, args.spacing) if on_grid else None
+        kernel = {"kind": args.kernel,
+                  **{name: flags[name] for name in keys if flags[name] is not None}}
+        cov = build_cov(kernel, args.m, grid)
     chol(cov.entries)  # certify positive definiteness before writing
     _write_artifact(args, [f"# covariance m={cov.dim} kernel={args.kernel}"], cov.entries,
                     f" (m={cov.dim}, kernel={args.kernel})")
@@ -347,7 +349,7 @@ def main(argv=None) -> int:
     except ParameterError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 1
-    except (BoundaryError, NotPositiveDefiniteError, RuntimeError) as err:
+    except (BoundaryError, NotPositiveDefiniteError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 2
 

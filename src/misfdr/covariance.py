@@ -7,7 +7,9 @@ immutable values and keep no factor: a `TrueProcess` or a `ModelSpec` that
 needs one builds it on construction with `linalg.chol`, which refuses a
 matrix that is not positive definite rather than ridging it. Whether a
 matrix is diagonal is read from its entries on construction; the posterior
-and the sampling law of a diagonal specification are closed form.
+and the sampling law of a diagonal specification are closed form. The
+kernels a config names are the table `simulation.KERNELS`, which calls these
+constructors by name.
 """
 
 from __future__ import annotations

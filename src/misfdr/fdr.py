@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -255,6 +256,8 @@ def operating_characteristics(
     draws: an int seed gives a fresh stream, so results are reproducible,
     and a Generator passed in is advanced by the draws.
     """
+    if not isinstance(n_reps, numbers.Integral):
+        raise ParameterError(f"n_reps must be an integer, not {n_reps!r}")
     if n_reps < 1:
         raise ParameterError("n_reps must be at least 1")
     datasets = drawn_datasets(truth, np.random.default_rng(rng), n_reps)

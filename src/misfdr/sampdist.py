@@ -9,6 +9,8 @@ vector that we expose as a sampler.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 from scipy.special import ndtr, ndtri
 
@@ -158,17 +160,28 @@ def _check_ratio(r_i) -> None:
         raise ParameterError("ratio a_ii/b_ii must be positive and finite")
 
 
-def marginal_cdf(h, r_i):
-    """CDF of one statistic: Phi(sqrt(r_i) * Phi^{-1}(h))."""
+def _check_marginal(h, r_i) -> np.ndarray:
+    """h as a float array, once it and the ratios r_i are checked and found to
+    broadcast together."""
     _check_ratio(r_i)
     h = _check_open_unit(h)
+    try:
+        np.broadcast_shapes(h.shape, np.shape(r_i))
+    except ValueError:
+        raise ParameterError(f"h of shape {h.shape} and r_i of shape {np.shape(r_i)} "
+                             "do not broadcast together") from None
+    return h
+
+
+def marginal_cdf(h, r_i):
+    """CDF of one statistic: Phi(sqrt(r_i) * Phi^{-1}(h))."""
+    h = _check_marginal(h, r_i)
     return ndtr(np.sqrt(r_i) * ndtri(h))
 
 
 def marginal_pdf(h, r_i):
     """Density of one statistic: sqrt(r_i) exp{(1 - r_i) phi^2 / 2}."""
-    _check_ratio(r_i)
-    h = _check_open_unit(h)
+    h = _check_marginal(h, r_i)
     phi = ndtri(h)
     return np.sqrt(r_i) * np.exp(0.5 * (1.0 - r_i) * phi**2)
 
@@ -221,6 +234,8 @@ def xi_sampler(law: SamplingLaw, n_draws: int, rng: np.random.Generator) -> np.n
     """
     if law.known:
         raise ParameterError("law has no C matrix; use the unknown-variance constructor")
+    if not isinstance(n_draws, numbers.Integral):
+        raise ParameterError(f"n_draws must be an integer, not {n_draws!r}")
     if n_draws < 1:
         raise ParameterError("n_draws must be at least 1")
     z = tri_mul(rng.standard_normal((n_draws, law.m)), law.b_chol)

@@ -29,6 +29,11 @@ keeping follow from the config and its covariances alone: threads only run
 passes at once, and never outnumber them. Each spec's counts are those it
 would get alone on the stream, so the numbers do not depend on the
 grouping or on whether the datasets are kept.
+
+`KERNELS` is the one table of kernel kinds: the config parser, the check of
+the swept key, `build_cov` and the CLI's gen-cov read it. A config file sets
+each key once. `run_sweep` raises the package's own errors unwrapped,
+whether the truth or a point's spec raised them.
 """
 
 from __future__ import annotations
@@ -41,7 +46,8 @@ from functools import partial
 
 import numpy as np
 
-from .covariance import CovarianceMatrix, GridLayout, ar2_cov, exponential_cov, identity_cov
+from . import covariance
+from .covariance import CovarianceMatrix, GridLayout
 from .divergence import kl_laws
 from .errors import ParameterError
 from .fdr import block_floats, drawn_datasets, keep_datasets, replicate, summarize_counts
@@ -74,7 +80,7 @@ class ExperimentConfig:
         if self.sweep_variable not in SWEEP_KEYS:
             raise ParameterError(f"sweep.variable must be one of {', '.join(SWEEP_KEYS)}")
         prefix, _, name = self.sweep_key.rpartition(".")
-        kinds = [kind for kind, keys in _KERNEL_KEYS.items() if name in keys]
+        kinds = [kind for kind, (_, _, keys) in KERNELS.items() if name in keys]
         if prefix and getattr(self, f"{prefix}_kernel").get("kind") not in kinds:
             raise ParameterError(f"a {self.sweep_variable!r} sweep varies {self.sweep_key}: "
                                  f"{prefix}.kernel must be {' or '.join(kinds)}")
@@ -126,18 +132,18 @@ class SweepRow:
 
 
 def build_cov(kernel: dict, m: int, grid: GridLayout | None) -> CovarianceMatrix:
-    """Construct a covariance from a kernel descriptor dict."""
+    """The covariance of a kernel dict, built as its kind's `KERNELS` entry says."""
     kind = kernel.get("kind")
-    if kind == "exponential":
-        if grid is None:
-            raise ParameterError("exponential kernel requires a grid layout")
-        return exponential_cov(grid, float(kernel["range"]))
-    if kind == "ar2":
-        return ar2_cov(m, float(kernel["rho1"]), float(kernel["rho2"]),
-                       normalize=bool(kernel.get("normalize", False)))
-    if kind == "identity":
-        return identity_cov(m)
-    raise ParameterError(f"unknown kernel kind: {kind!r}")
+    if kind not in KERNELS:
+        raise ParameterError(f"unknown kernel kind: {kind!r}")
+    constructor, on_grid, keys = KERNELS[kind]
+    if on_grid and grid is None:
+        raise ParameterError(f"{kind} kernel requires a grid layout")
+    values = [kernel.get(name, default) for name, (_, default) in keys.items()]
+    missing = [name for name, value in zip(keys, values) if value is None]
+    if missing:
+        raise ParameterError(f"{kind} kernel requires {', '.join(missing)}")
+    return getattr(covariance, constructor)(grid if on_grid else m, *values)
 
 
 def sweep_truth(config: ExperimentConfig, truth_cov: CovarianceMatrix) -> TrueProcess:
@@ -246,37 +252,31 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> list[SweepRow]:
     """
     truth = sweep_truth(config, build_cov(config.truth_kernel, config.m, config.grid))
     square, budget = config.m * config.m, block_floats(config.m)
-    try:
-        shares_cor = config.sweep_key.startswith("mis.")
-        mis_cov = shared_cor = kept = None
-        if shares_cor:
-            # A point builds its covariance and its spec's A.
-            cost = 2 * square
-        else:
-            mis_cov = build_cov(config.mis_kernel, config.m, config.grid)
-            cost = square * ((not truth.sigma1.is_diagonal) + (not mis_cov.is_diagonal))
-        passes = _passes(config.sweep_values, cost, budget)
-        if len(passes) + shares_cor > 1 and config.n_reps * config.m <= budget:
-            kept = keep_datasets(truth, stream(config.root_seed, 0, 0), config.n_reps)
-        if shares_cor:
-            spec_cor = sweep_spec(config, truth.sigma1, config.g)
-            shared_cor = (law_known_var(truth, spec_cor), *_score(config, truth, [spec_cor], kept))
-            del spec_cor
-        score = partial(_sweep_pass, config, truth, mis_cov, shared_cor, kept)
-        workers = min(threads, len(passes))
-        # One worker scores on this thread, as a pool's thread would draw its
-        # arrays from an allocator arena of its own.
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                scored = list(pool.map(score, passes))
-        else:
-            scored = list(map(score, passes))
-        rows = [row for pass_rows in scored for row in pass_rows]
-    except ParameterError:
-        raise
-    except Exception as err:
-        raise RuntimeError(f"sweep failed for {config.label!r}: {err}") from err
-    return rows
+    shares_cor = config.sweep_key.startswith("mis.")
+    mis_cov = shared_cor = kept = None
+    if shares_cor:
+        # A point builds its covariance and its spec's A.
+        cost = 2 * square
+    else:
+        mis_cov = build_cov(config.mis_kernel, config.m, config.grid)
+        cost = square * ((not truth.sigma1.is_diagonal) + (not mis_cov.is_diagonal))
+    passes = _passes(config.sweep_values, cost, budget)
+    if len(passes) + shares_cor > 1 and config.n_reps * config.m <= budget:
+        kept = keep_datasets(truth, stream(config.root_seed, 0, 0), config.n_reps)
+    if shares_cor:
+        spec_cor = sweep_spec(config, truth.sigma1, config.g)
+        shared_cor = (law_known_var(truth, spec_cor), *_score(config, truth, [spec_cor], kept))
+        del spec_cor
+    score = partial(_sweep_pass, config, truth, mis_cov, shared_cor, kept)
+    workers = min(threads, len(passes))
+    # One worker scores on this thread, as a pool's thread would draw its
+    # arrays from an allocator arena of its own.
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            scored = list(pool.map(score, passes))
+    else:
+        scored = list(map(score, passes))
+    return [row for pass_rows in scored for row in pass_rows]
 
 
 def builtin_example(which: int, scale: str = "full", root_seed: int = 0) -> ExperimentConfig:
@@ -325,8 +325,10 @@ def write_csv(path, header, rows) -> None:
 
 
 def parse_config_text(text: str) -> dict[str, str]:
-    """Parse the flat `key = value` config format; '#' starts a comment."""
+    """Parse the flat `key = value` config format; '#' starts a comment, and a
+    key may be set only once."""
     mapping: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -336,7 +338,9 @@ def parse_config_text(text: str) -> dict[str, str]:
         key, value = (part.strip() for part in line.split("=", 1))
         if not key or not value:
             raise ParameterError(f"config line {lineno}: empty key or value")
-        mapping[key] = value
+        if key in lines:
+            raise ParameterError(f"config line {lineno}: key {key!r} repeats line {lines[key]}")
+        mapping[key], lines[key] = value, lineno
     return mapping
 
 
@@ -362,21 +366,24 @@ def _seed(text: str) -> int:
     return value
 
 
-# kernel kind -> {key read after `<prefix>.kernel`: (cast, default or None if required)}
-_KERNEL_KEYS = {
-    "exponential": {"range": (_finite_float, None)},
-    "ar2": {"rho1": (_finite_float, None), "rho2": (_finite_float, None),
-            "normalize": (_boolean, False)},
-    "identity": {},
+# kernel kind -> (its `covariance` constructor's name, looked up at each call so a
+# wrapper rebound to it is called; whether it takes the grid, else m; {key read
+# after `<prefix>.kernel`, passed next in order: (cast, default or None if required)})
+KERNELS = {
+    "exponential": ("exponential_cov", True, {"range": (_finite_float, None)}),
+    "ar2": ("ar2_cov", False, {"rho1": (_finite_float, None), "rho2": (_finite_float, None),
+                               "normalize": (_boolean, False)}),
+    "identity": ("identity_cov", False, {}),
 }
 
 
 def _kernel_from_mapping(get, prefix: str) -> dict:
     kind = get(f"{prefix}.kernel")
-    if kind not in _KERNEL_KEYS:
+    if kind not in KERNELS:
         raise ParameterError(f"unknown kernel kind: {kind!r}")
+    _, _, keys = KERNELS[kind]
     return {"kind": kind, **{name: get(f"{prefix}.{name}", default, cast)
-                             for name, (cast, default) in _KERNEL_KEYS[kind].items()}}
+                             for name, (cast, default) in keys.items()}}
 
 
 def config_from_mapping(mapping: dict[str, str], label: str = "config",

@@ -7,6 +7,7 @@ import scipy
 from misfdr import cli, fdr
 from misfdr.cli import main
 from misfdr.errors import NotPositiveDefiniteError
+from misfdr.simulation import KERNELS, build_cov, config_from_mapping, parse_config_text
 
 CONFIG = """
 grid.rows = 5
@@ -26,8 +27,29 @@ seed = 0
 KL_CONFIG = CONFIG.replace("sweep.values = 0.1, 1.0\nn_reps = 40\nseed = 0\n", "")
 
 
+def with_lines(base, lines):
+    """The config `base` with each `key = value` of `lines` set in it: a key
+    that `base` already sets is dropped from it, as a config may set a key
+    only once."""
+    keys = {line.split("=")[0].strip() for line in lines.splitlines()}
+    kept = [line for line in base.splitlines() if line.split("=")[0].strip() not in keys]
+    return "\n".join([*kept, lines]) + "\n"
+
+
 def run(tmp_path, *argv):
     return main(["--output-dir", str(tmp_path), *argv])
+
+
+def truth_cov_bytes(config_text):
+    """The bytes of build_cov of the truth kernel a single-run config reads."""
+    config = config_from_mapping(parse_config_text(config_text), sweep=False)
+    return build_cov(config.truth_kernel, config.m, config.grid).entries.tobytes()
+
+
+def written_cov_bytes(path):
+    """The bytes of the matrix in a gen-cov CSV, each cell parsed back exactly."""
+    rows = path.read_text().splitlines()[1:]
+    return np.array([[float(cell) for cell in row.split(",")] for row in rows]).tobytes()
 
 
 class TestGenCov:
@@ -55,11 +77,49 @@ class TestGenCov:
         assert code == 0
         assert (tmp_path / "cov.csv").read_text().startswith("# covariance m=12")
 
-    @pytest.mark.parametrize("kernel", ["exponential", "ar2", "identity", "separable"])
+    @pytest.mark.parametrize("kernel", [*KERNELS, "separable"])
     def test_missing_parameters_exit_code(self, tmp_path, capsys, kernel):
+        # A kind of the table lists its layout's flags, then each required key's.
+        if kernel == "separable":
+            flags = ["--stations-rows", "--stations-cols", "--n-times", "--delta", "--range",
+                     "--alpha"]
+        else:
+            _, on_grid, keys = KERNELS[kernel]
+            flags = ["--rows", "--cols"] if on_grid else ["--m"]
+            flags += [f"--{name}" for name, (_, default) in keys.items() if default is None]
         assert run(tmp_path, "gen-cov", "--kernel", kernel) == 1
-        assert f"configuration error: {kernel} kernel needs --" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"configuration error: {kernel} kernel needs {', '.join(flags)}\n")
         assert not (tmp_path / "cov.csv").exists()
+
+    def test_kernel_choices_are_the_table_and_separable(self):
+        gen_cov = cli._build_parser()._subparsers._group_actions[0].choices["gen-cov"]
+        (kernel,) = [a for a in gen_cov._actions if a.dest == "kernel"]
+        assert kernel.choices == [*KERNELS, "separable"]
+
+    @pytest.mark.parametrize("kind", list(KERNELS))
+    def test_table_kernel_equals_build_cov_of_the_config(self, tmp_path, kind):
+        # Each required key of the kind at 0.25 (a positive range, a
+        # stationary AR(2)), each optional key at its default: gen-cov's CSV
+        # is build_cov of the kernel the config parser reads, bit for bit.
+        _, on_grid, keys = KERNELS[kind]
+        required = [name for name, (_, default) in keys.items() if default is None]
+        layout = ["--rows", "3", "--cols", "4"] if on_grid else ["--m", "12"]
+        flags = [arg for name in required for arg in (f"--{name}", "0.25")]
+        assert run(tmp_path, "gen-cov", "--kernel", kind, *layout, *flags) == 0
+        assert (tmp_path / "cov.csv").read_text().startswith(f"# covariance m=12 kernel={kind}\n")
+        assert written_cov_bytes(tmp_path / "cov.csv") == truth_cov_bytes(
+            "grid.rows = 3\ngrid.cols = 4\nsigma0_sq = 0.25\nmis.kernel = identity\n"
+            f"truth.kernel = {kind}\n" + "".join(f"truth.{name} = 0.25\n" for name in required))
+
+    def test_ar2_normalize_flag_equals_the_config_key(self, tmp_path):
+        assert run(tmp_path, "gen-cov", "--kernel", "ar2", "--m", "12", "--rho1", "1.5",
+                   "--rho2", "-0.9", "--normalize") == 0
+        normalized = truth_cov_bytes(
+            "m = 12\nsigma0_sq = 0.25\nmis.kernel = identity\ntruth.kernel = ar2\n"
+            "truth.rho1 = 1.5\ntruth.rho2 = -0.9\ntruth.normalize = true\n")
+        assert np.all(np.diag(np.frombuffer(normalized).reshape(12, 12)) == 1.0)
+        assert written_cov_bytes(tmp_path / "cov.csv") == normalized
 
     def test_nonstationary_ar2_exit_code(self, tmp_path):
         assert run(tmp_path, "gen-cov", "--kernel", "ar2", "--m", "4",
@@ -108,6 +168,15 @@ class TestKl:
         assert run(tmp_path, "kl", "--config", str(config)) == 0
         row = (tmp_path / "kl.csv").read_text().splitlines()[1]
         assert float(row.split(",")[3]) > 0.0
+
+    def test_repeated_key_rejected(self, tmp_path, capsys):
+        # The last value would otherwise win silently: g = 10, not g = 1.
+        config = tmp_path / "twice.cfg"
+        config.write_text(KL_CONFIG + "g = 10\n")
+        assert run(tmp_path, "kl", "--config", str(config)) == 1
+        assert capsys.readouterr().err == (
+            "configuration error: config line 9: key 'g' repeats line 5\n")
+        assert not (tmp_path / "kl.csv").exists()
 
     def test_unknown_variance_rejected(self, tmp_path, capsys):
         config = tmp_path / "bad.cfg"
@@ -336,13 +405,13 @@ class TestSimulateAndExample:
         # truth, its draws and the earlier points had run.
         factored, drawn = self.count_work(monkeypatch)
         config = tmp_path / "bad.cfg"
-        config.write_text(CONFIG + bad + "\n")
+        config.write_text(with_lines(CONFIG, bad))
         assert run(tmp_path, "simulate", "--config", str(config)) == 1
         assert f"configuration error: {key} must be positive" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
         assert (factored, drawn) == ([], [])
         # The counts are live: the sweep at a positive value factors and draws.
-        config.write_text(CONFIG + good + "\n")
+        config.write_text(with_lines(CONFIG, good))
         assert run(tmp_path, "simulate", "--config", str(config)) == 0
         assert factored and drawn
 
@@ -512,6 +581,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "numerical failure: matrix is not positive definite\n"
         assert not (tmp_path / "kl.csv").exists()
+
+    def test_sweep_numerical_failure_exits_2_unwrapped(self, tmp_path, capsys):
+        # At range 1e300 the misspecified covariance is all ones: the spec
+        # refuses it, and the message is the factorization's own.
+        config = tmp_path / "range.cfg"
+        config.write_text(KL_CONFIG.replace("mis.kernel = identity", "mis.kernel = exponential")
+                          + "sweep.variable = rho\nsweep.values = 2, 1e300\nn_reps = 20\n")
+        assert run(tmp_path, "simulate", "--config", str(config)) == 2
+        assert capsys.readouterr().err == (
+            "numerical failure: matrix of dim 25 is not positive definite (potrf info 2)\n")
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_covariance_without_a_factor_exits_2(self, tmp_path, capsys):
         # At range 1e300 every entry rounds to 1: LAPACK finds a zero pivot.

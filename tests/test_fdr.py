@@ -524,6 +524,15 @@ class TestOperatingCharacteristics:
         with pytest.raises(ParameterError, match="n_reps must be at least 1"):
             operating_characteristics(self.truth, self.spec, 0.05, n_reps=0, rng=0)
 
+    @pytest.mark.parametrize("n_reps", [2.5, 3.0, "3"])
+    def test_non_integer_reps_rejected(self, n_reps):
+        with pytest.raises(ParameterError, match=f"n_reps must be an integer, not {n_reps!r}"):
+            operating_characteristics(self.truth, self.spec, 0.05, n_reps=n_reps, rng=0)
+
+    def test_numpy_integer_reps_accepted(self):
+        oc = operating_characteristics(self.truth, self.spec, 0.05, n_reps=np.int32(30), rng=2)
+        assert oc == operating_characteristics(self.truth, self.spec, 0.05, n_reps=30, rng=2)
+
     def test_fdr_near_nominal_under_correct_spec(self):
         oc = operating_characteristics(self.truth, self.spec, 0.05, n_reps=400, rng=42)
         assert 0.0 < oc.fdr_hat < 0.10

@@ -398,6 +398,14 @@ class TestMarginals:
             with pytest.raises(ParameterError, match="positive and finite"):
                 marginal(0.3, r)
 
+    def test_shapes_that_do_not_broadcast_refused(self):
+        for marginal in (marginal_cdf, marginal_pdf):
+            with pytest.raises(ParameterError, match=r"h of shape \(3,\) and r_i of shape "
+                                                     r"\(2,\) do not broadcast together"):
+                marginal(np.full(3, 0.5), np.ones(2))
+            # Shapes that broadcast still give one value per pair.
+            assert marginal(np.full((2, 1), 0.5), np.ones(3)).shape == (2, 3)
+
     def test_pdf_fixed_points(self):
         grid = np.linspace(0.01, 0.99, 25)
         np.testing.assert_allclose(marginal_pdf(grid, 1.0), 1.0)
@@ -560,6 +568,16 @@ class TestXiSampler:
     def test_draw_count_must_be_positive(self, n_draws):
         with pytest.raises(ParameterError, match="n_draws"):
             xi_sampler(self.unknown_law(), n_draws, stream(1, 2))
+
+    @pytest.mark.parametrize("n_draws", [2.5, 3.0, "3"])
+    def test_draw_count_must_be_an_integer(self, n_draws):
+        with pytest.raises(ParameterError, match=f"n_draws must be an integer, not {n_draws!r}"):
+            xi_sampler(self.unknown_law(), n_draws, stream(1, 2))
+
+    def test_numpy_integer_draw_count_accepted(self):
+        law = self.unknown_law()
+        draws = xi_sampler(law, np.int64(3), stream(1, 2))
+        assert np.array_equal(draws, xi_sampler(law, 3, stream(1, 2)))
 
     def test_requires_unknown_variance_law(self):
         law = diagonal_law([0.5])

@@ -9,15 +9,16 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 
-from misfdr import fdr, posterior, simulation
-from misfdr.covariance import GridLayout
+from misfdr import covariance, fdr, posterior, simulation
+from misfdr.covariance import GridLayout, ar2_cov
 from misfdr.divergence import kl_exact
-from misfdr.errors import ParameterError
+from misfdr.errors import NotPositiveDefiniteError, ParameterError
 from misfdr.posterior import ModelSpec
 from misfdr.sampdist import SamplingLaw
 from misfdr.simulation import (
     DEFAULT_G_GRID,
     DEFAULT_RHO_GRID,
+    KERNELS,
     SWEEP_COLUMNS,
     SWEEP_KEYS,
     ExperimentConfig,
@@ -120,6 +121,42 @@ class TestBuildCov:
     def test_ar2_dispatch(self):
         cov = build_cov({"kind": "ar2", "rho1": 0.6, "rho2": 0.3}, 10, None)
         assert cov.dim == 10
+
+    @pytest.mark.parametrize("kernel, missing", [
+        ({"kind": "exponential"}, "range"),
+        ({"kind": "ar2", "rho1": None, "rho2": 0.3}, "rho1"),
+        ({"kind": "ar2", "rho2": 0.3}, "rho1"),
+        ({"kind": "ar2"}, "rho1, rho2"),
+    ])
+    def test_missing_required_key(self, kernel, missing):
+        with pytest.raises(ParameterError, match=f"{kernel['kind']} kernel requires {missing}$"):
+            build_cov(kernel, 25, GridLayout(5, 5))
+
+    def test_optional_key_takes_the_table_default(self):
+        # ar2's normalize defaults to False, the raw Yule-Walker autocovariance.
+        _, _, keys = KERNELS["ar2"]
+        assert keys["normalize"] == (simulation._boolean, False)
+        plain = build_cov({"kind": "ar2", "rho1": 0.6, "rho2": 0.3}, 10, None)
+        raw = build_cov({"kind": "ar2", "rho1": 0.6, "rho2": 0.3, "normalize": False}, 10, None)
+        assert np.array_equal(plain.entries, raw.entries)
+        assert np.array_equal(plain.entries, ar2_cov(10, 0.6, 0.3).entries)
+
+    @pytest.mark.parametrize("kind", list(KERNELS))
+    def test_table_entry_builds_through_its_constructor(self, monkeypatch, kind):
+        # Each kind calls its constructor by its module-level name at call
+        # time, so a wrapper rebound to that name (the benchmark's tracer)
+        # sees every build.
+        constructor, on_grid, keys = KERNELS[kind]
+        built = []
+        original = getattr(covariance, constructor)
+        monkeypatch.setattr(covariance, constructor,
+                            lambda *args: built.append(args) or original(*args))
+        kernel = {"kind": kind, **{name: 0.25 for name, (_, default) in keys.items()
+                                   if default is None}}
+        grid = GridLayout(3, 4)
+        cov = build_cov(kernel, 12, grid)
+        assert cov.dim == 12
+        assert len(built) == 1 and built[0][0] == (grid if on_grid else 12)
 
 
 RANGE_SWEEP = dict(sweep_variable="rho", sweep_values=(2.0, 5.0, 10.0),
@@ -346,9 +383,23 @@ class TestRunSweep:
         with pytest.raises(ParameterError, match="requires a grid"):
             run_sweep(config)
 
-    def test_error_wrapped_with_label(self):
+    def test_kernel_missing_a_key_refused_before_any_draw(self, monkeypatch):
+        # build_cov refuses the malformed kernel itself, so run_sweep raises
+        # the ParameterError before a single row is drawn.
+        drawn = []
+        monkeypatch.setattr(fdr, "draw_replications", lambda *args: drawn.append(args))
         config = tiny_config(mis_kernel={"kind": "exponential"})  # missing range
-        with pytest.raises(RuntimeError, match="tiny"):
+        with pytest.raises(ParameterError, match="exponential kernel requires range"):
+            run_sweep(config)
+        assert drawn == []
+
+    def test_numerical_failure_raised_unwrapped(self):
+        # At range 1e300 every entry of the misspecified covariance is 1.0: a
+        # singular matrix, refused with the package's own error, unrelabelled.
+        config = tiny_config(n_reps=20, sweep_variable="rho", sweep_values=(2.0, 1e300),
+                             mis_kernel={"kind": "exponential", "range": 2.0})
+        with pytest.raises(NotPositiveDefiniteError,
+                           match=r"^matrix of dim 25 is not positive definite \(potrf info 2\)$"):
             run_sweep(config)
 
 
@@ -565,6 +616,11 @@ class TestConfigParsing:
         assert config.m == 25
         assert config.sweep_values == (0.1, 1.0)
         assert config.truth_kernel == {"kind": "exponential", "range": 5.0}
+
+    def test_repeated_key_refused(self):
+        text = "g = 1\nsigma0_sq = 0.25\n# a comment\ng = 10\n"
+        with pytest.raises(ParameterError, match=r"config line 4: key 'g' repeats line 1$"):
+            parse_config_text(text)
 
     def test_comments_and_blank_lines_ignored(self):
         mapping = parse_config_text("a = 1  # trailing\n\n# whole line\nb = 2")
