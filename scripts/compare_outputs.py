@@ -4,17 +4,17 @@
 Each request below runs once from this tree and once from OTHER_TREE, each
 in a fresh interpreter with PYTHONPATH=<tree>/src and every BLAS thread
 variable set to 1. The CLI requests cover all six subcommands: studies 1-3 at
-full and desk scale, seed 0, with --threads 1 and 2, which make the same
-passes (at full scale each point is a pass of its own, at desk scale points
-share a pass, and at both each study draws its datasets once); four
-desk-size `simulate` runs from config files (a range sweep; a range sweep of 1100 reps, whose 110,000
-floats of data exceed one draw block, so each pass draws them again, at
---threads 1 and 2; a g sweep that sets `g` beside `sweep.values` and sets
-`kl_draws`; a single run with no `sweep.` key); `kl` on a 10 x 10
-exponential-vs-identity config and on an m = 50 AR(2) config whose truth
-sets `normalize = true` and whose misspecified spec leaves `normalize` out
-(its default); `gen-cov` for every kernel; `dist` at three ratios; and `fdr` on a CSV with a header
-and tied scores. The config files and the `fdr` input are written to the
+full and desk scale, seed 0 (at full scale each point is a pass of its own,
+at desk scale points share a pass, and at both each study draws its
+datasets once); four desk-size `simulate` runs from config files (a range
+sweep; a range sweep of 1100 reps, whose 110,000 floats of data exceed one
+draw block, so each pass draws them again; a g sweep that sets `g` beside
+`sweep.values` and sets `kl_draws`; a single run with no `sweep.` key);
+`kl` on a 10 x 10 exponential-vs-identity config and on an m = 50 AR(2)
+config whose truth sets `normalize = true` and whose misspecified spec
+leaves `normalize` out (its default); `gen-cov` for every kernel; `dist` at
+three ratios; and `fdr` on a CSV with a header and tied scores. The config
+files and the `fdr` input are written to the
 work directory first. Four more requests call the public
 `operating_characteristics` (the path the benchmark's unknown-variance
 workload times) on a 10 x 10 exponential truth: known and unknown
@@ -156,15 +156,12 @@ def requests(work: Path) -> dict[str, tuple[list[str], list[str]]]:
     with its own output directory; the CLI ones read the INPUTS written to
     `work`."""
     runs = {
-        f"example{which}-{scale}-threads{threads}":
-            ["--seed", "0", "--threads", str(threads),
-             "example", "--which", str(which), "--scale", scale]
-        for scale in ("full", "desk") for which in (1, 2, 3) for threads in (1, 2)
+        f"example{which}-{scale}": ["--seed", "0", "example", "--which", str(which),
+                                    "--scale", scale]
+        for scale in ("full", "desk") for which in (1, 2, 3)
     }
     runs["simulate-range"] = ["simulate", "--config", str(work / "range.cfg")]
-    for threads in (1, 2):
-        runs[f"simulate-redraw-threads{threads}"] = [
-            "--threads", str(threads), "simulate", "--config", str(work / "redraw.cfg")]
+    runs["simulate-redraw"] = ["simulate", "--config", str(work / "redraw.cfg")]
     runs["simulate-g"] = ["simulate", "--config", str(work / "g.cfg")]
     runs["simulate-single"] = ["simulate", "--config", str(work / "single.cfg")]
     runs["kl"] = ["kl", "--config", str(work / "kl.cfg")]

@@ -10,7 +10,7 @@ script finishes in well under a minute. Pass --scale full for the m = 900,
 
 Usage:
     python scripts/run_examples.py [--out-dir results] [--scale desk|full]
-                                   [--seed N] [--threads N]
+                                   [--seed N]
 """
 
 import argparse
@@ -25,7 +25,6 @@ def main() -> int:
     parser.add_argument("--out-dir", default="results")
     parser.add_argument("--scale", default="desk", choices=["desk", "full"])
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=2)
     args = parser.parse_args()
 
     plots = ["--plots"] if importlib.util.find_spec("matplotlib") else []
@@ -37,7 +36,6 @@ def main() -> int:
         code = cli_main([
             "--output-dir", out_dir,
             "--seed", str(args.seed),
-            "--threads", str(args.threads),
             "--verbose",
             "example", "--which", str(which), "--scale", args.scale, *plots,
         ])

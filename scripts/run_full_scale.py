@@ -8,7 +8,6 @@ prints a compact summary table per study, with the time each took.
 
 Usage:
     python scripts/run_full_scale.py [--out-dir results-full] [--seed N]
-                                     [--threads N]
 """
 
 import argparse
@@ -24,14 +23,13 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out-dir", default="results-full")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=2)
     args = parser.parse_args()
     os.makedirs(args.out_dir, exist_ok=True)
 
     for which in (1, 2, 3):
         config = builtin_example(which, scale="full", root_seed=args.seed)
         start = time.time()
-        rows = run_sweep(config, threads=args.threads)
+        rows = run_sweep(config)
         elapsed = time.time() - start
         out = os.path.join(args.out_dir, f"{config.label}.csv")
         write_csv(out, SWEEP_COLUMNS, map(astuple, rows))

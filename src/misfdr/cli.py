@@ -2,8 +2,9 @@
 
 Every subcommand writes its CSV artifacts plus a `run-meta.txt` (the seed it
 drew from or None, request hash, version, timestamp, the numpy, scipy and BLAS
-versions, the BLAS thread variables it saw and the worker thread cap) into the
-output directory. Exit codes:
+versions and the BLAS thread variables it saw) into the output directory. A
+sweep runs its passes in order on the calling thread: `--threads` and
+`MISFDR_THREADS` are accepted at 1 only. Exit codes:
 0 success, 1 configuration error (`ParameterError`), 2 numerical failure
 (`NotPositiveDefiniteError`, `BoundaryError`), each printed with the error's
 own message. gen-cov builds the kinds of `simulation.KERNELS` with
@@ -52,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None, help="root seed override")
     parser.add_argument(
         "--threads", type=int,
-        help="sweep passes run at once, at least 1 (env fallback MISFDR_THREADS, else 1)",
+        help="accepted at 1 only, as is MISFDR_THREADS: sweeps run on one thread",
     )
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -119,8 +120,7 @@ def _blas(module) -> str:
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _write_run_meta(output_dir: str, seed: int | None, config_bytes: bytes, argv,
-                    threads: int) -> None:
+def _write_run_meta(output_dir: str, seed: int | None, config_bytes: bytes, argv) -> None:
     digest = hashlib.sha256(config_bytes).hexdigest()
     path = os.path.join(output_dir, "run-meta.txt")
     with open(path, "w") as fh:
@@ -135,7 +135,6 @@ def _write_run_meta(output_dir: str, seed: int | None, config_bytes: bytes, argv
         fh.write(f"scipy_blas = {_blas(scipy)}\n")
         for name in _BLAS_THREAD_VARS:
             fh.write(f"{name} = {os.environ.get(name, 'unset')}\n")
-        fh.write(f"threads = {threads}\n")
 
 
 def _write_artifact(args, header, rows, note: str = "") -> None:
@@ -265,7 +264,7 @@ def _run_and_write_sweep(config, args) -> None:
             import matplotlib.pyplot as plt
         except ImportError as err:
             raise ParameterError("matplotlib is required for --plots") from err
-    rows = run_sweep(config, threads=args.threads)
+    rows = run_sweep(config)
     _write_artifact(args, SWEEP_COLUMNS, map(astuple, rows), f" ({len(rows)} sweep points)")
     if plt is not None:
         _write_plots(plt, config, rows, args.output_dir)
@@ -321,16 +320,12 @@ _COMMANDS = {
 }
 
 
-def _thread_count(threads: int | None) -> int:
-    if threads is None:
-        raw = os.environ.get("MISFDR_THREADS", "1")
-        try:
-            threads = int(raw)
-        except ValueError:
-            raise ParameterError(f"MISFDR_THREADS must be an integer, got {raw!r}") from None
-    if threads < 1:
-        raise ParameterError(f"thread count must be at least 1, got {threads}")
-    return threads
+def _check_threads(threads: int | None) -> None:
+    """Refuse a thread setting other than 1, so that none is quietly ignored."""
+    settings = {"--threads": threads, "MISFDR_THREADS": os.environ.get("MISFDR_THREADS")}
+    for name, value in settings.items():
+        if value not in (None, 1, "1"):
+            raise ParameterError(f"{name} must be 1, got {value!r}: sweeps run on one thread")
 
 
 def main(argv=None) -> int:
@@ -341,10 +336,10 @@ def main(argv=None) -> int:
     except SystemExit as err:
         return int(err.code or 0)
     try:
-        args.threads = _thread_count(args.threads)
+        _check_threads(args.threads)
         os.makedirs(args.output_dir, exist_ok=True)
         config_bytes, seed = _COMMANDS[args.subcommand](args)
-        _write_run_meta(args.output_dir, seed, config_bytes, argv, args.threads)
+        _write_run_meta(args.output_dir, seed, config_bytes, argv)
         return 0
     except ParameterError as err:
         print(f"configuration error: {err}", file=sys.stderr)

@@ -7,7 +7,8 @@ A Monte Carlo run draws from one stream: every point of a sweep with root
 seed s scores the same replications, the ones `stream(s, 0, 0)` draws, in
 order, and each point makes its own Generator from that path. The values
 depend only on the stream and the replication count, never on the order in
-which sweep points run or on the number of threads.
+which sweep points run. A sweep runs its passes in order on the calling
+thread.
 """
 
 from __future__ import annotations

@@ -25,10 +25,10 @@ passes. When a sweep scores its datasets more than once and their n_reps x
 m floats fit in one draw block too (as for every built-in study of more
 than one pass), they are drawn once, before the passes, and kept
 (`fdr.keep_datasets`); otherwise each pass draws them. The passes and the
-keeping follow from the config and its covariances alone: threads only run
-passes at once, and never outnumber them. Each spec's counts are those it
-would get alone on the stream, so the numbers do not depend on the
-grouping or on whether the datasets are kept.
+keeping follow from the config and its covariances alone, and the passes
+run in order on the calling thread. Each spec's counts are those it would
+get alone on the stream, so the numbers do not depend on the grouping or
+on whether the datasets are kept.
 
 `KERNELS` is the one table of kernel kinds: the config parser, the check of
 the swept key, `build_cov` and the CLI's gen-cov read it. A config file sets
@@ -39,10 +39,9 @@ whether the truth or a point's spec raised them.
 from __future__ import annotations
 
 import csv
+import numbers
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
-from functools import partial
 
 import numpy as np
 
@@ -93,6 +92,8 @@ class ExperimentConfig:
         for key, values in positive.items():
             if not all(0 < value < np.inf for value in values):
                 raise ParameterError(f"{key} must be positive and finite")
+        if not isinstance(self.n_reps, numbers.Integral):
+            raise ParameterError(f"n_reps must be an integer, not {self.n_reps!r}")
         if self.n_reps < 1:
             raise ParameterError("n_reps must be at least 1")
         if not 0.0 < self.alpha_star < 1.0:
@@ -132,11 +133,15 @@ class SweepRow:
 
 
 def build_cov(kernel: dict, m: int, grid: GridLayout | None) -> CovarianceMatrix:
-    """The covariance of a kernel dict, built as its kind's `KERNELS` entry says."""
+    """The covariance of a kernel dict, built as its kind's `KERNELS` entry
+    says; a key that the kind does not take is refused."""
     kind = kernel.get("kind")
     if kind not in KERNELS:
         raise ParameterError(f"unknown kernel kind: {kind!r}")
     constructor, on_grid, keys = KERNELS[kind]
+    foreign = [name for name in kernel if name != "kind" and name not in keys]
+    if foreign:
+        raise ParameterError(f"{kind} kernel takes no {', '.join(map(repr, foreign))}")
     if on_grid and grid is None:
         raise ParameterError(f"{kind} kernel requires a grid layout")
     values = [kernel.get(name, default) for name, (_, default) in keys.items()]
@@ -224,7 +229,7 @@ def _sweep_row(m: int, value: float, counts_cor, counts_mis, kl: float) -> Sweep
     )
 
 
-def run_sweep(config: ExperimentConfig, threads: int = 1) -> list[SweepRow]:
+def run_sweep(config: ExperimentConfig) -> list[SweepRow]:
     """Run every sweep point; deterministic given config.root_seed.
 
     The truth is built once, and every point scores the same n_reps datasets,
@@ -237,8 +242,8 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> list[SweepRow]:
     scores the datasets once for all its specs (`_sweep_pass`). A pass takes
     points while the m x m arrays they add, each dense spec's A and a range
     point's own covariance, fit in the floats of one draw block
-    (`fdr.block_floats`). The passes follow from the config alone; `threads`
-    only sets how many run at once, on min(threads, passes) workers.
+    (`fdr.block_floats`). The passes follow from the config alone and run
+    in order on the calling thread.
 
     When the sweep scores its datasets more than once (more than one pass,
     or a shared correct spec beside the passes) and their n_reps x m floats
@@ -247,8 +252,8 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> list[SweepRow]:
     of the block's 921,600. Otherwise each scoring draws them from a fresh
     stream, so a sweep never holds more datasets than one draw block. Every
     spec's counts are those of its own `replicate` on the stream, so the
-    rows do not depend on the grouping, on keeping or on `threads`. Output
-    order always follows config.sweep_values.
+    rows do not depend on the grouping or on keeping. Output order follows
+    config.sweep_values.
     """
     truth = sweep_truth(config, build_cov(config.truth_kernel, config.m, config.grid))
     square, budget = config.m * config.m, block_floats(config.m)
@@ -267,16 +272,8 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> list[SweepRow]:
         spec_cor = sweep_spec(config, truth.sigma1, config.g)
         shared_cor = (law_known_var(truth, spec_cor), *_score(config, truth, [spec_cor], kept))
         del spec_cor
-    score = partial(_sweep_pass, config, truth, mis_cov, shared_cor, kept)
-    workers = min(threads, len(passes))
-    # One worker scores on this thread, as a pool's thread would draw its
-    # arrays from an allocator arena of its own.
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            scored = list(pool.map(score, passes))
-    else:
-        scored = list(map(score, passes))
-    return [row for pass_rows in scored for row in pass_rows]
+    return [row for values in passes
+            for row in _sweep_pass(config, truth, mis_cov, shared_cor, kept, values)]
 
 
 def builtin_example(which: int, scale: str = "full", root_seed: int = 0) -> ExperimentConfig:

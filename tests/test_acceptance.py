@@ -63,13 +63,13 @@ def example1_specs(grid: GridLayout, g: float = 1.0, sigma0_sq: float = 0.25):
 @pytest.fixture(scope="module")
 def desk_sweep1():
     config = builtin_example(1, scale="desk", root_seed=42)
-    return config, run_sweep(config, threads=2)
+    return config, run_sweep(config)
 
 
 @pytest.fixture(scope="module")
 def full_sweep3():
     config = builtin_example(3, scale="full", root_seed=42)
-    return config, run_sweep(config, threads=2)
+    return config, run_sweep(config)
 
 
 def test_criterion_1_example1_ratio_values():

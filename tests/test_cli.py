@@ -442,8 +442,7 @@ class TestSimulateAndExample:
 
     def test_example_desk(self, tmp_path):
         pytest.importorskip("matplotlib")
-        assert run(tmp_path, "--threads", "2", "example",
-                   "--which", "3", "--scale", "desk", "--plots") == 0
+        assert run(tmp_path, "example", "--which", "3", "--scale", "desk", "--plots") == 0
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert len(lines) == 8  # header + seven range values
         for name in ("fdr", "fnr", "rejection_rate_diff", "kl_per_dim"):
@@ -495,7 +494,7 @@ class TestRunMetaEnvironment:
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         monkeypatch.setenv("OMP_NUM_THREADS", "4")
         monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
-        assert run(tmp_path, "--threads", "3", "gen-cov", "--kernel", "identity", "--m", "3") == 0
+        assert run(tmp_path, "--threads", "1", "gen-cov", "--kernel", "identity", "--m", "3") == 0
         assert meta_field(tmp_path, "numpy") == np.__version__
         assert meta_field(tmp_path, "scipy") == scipy.__version__
         for module in (np, scipy):
@@ -505,15 +504,20 @@ class TestRunMetaEnvironment:
         assert meta_field(tmp_path, "OPENBLAS_NUM_THREADS") == "1"
         assert meta_field(tmp_path, "OMP_NUM_THREADS") == "4"
         assert meta_field(tmp_path, "MKL_NUM_THREADS") == "unset"
-        assert meta_field(tmp_path, "threads") == "3"
+        # Sweeps run on one thread, so no line records a count of them.
+        with pytest.raises(KeyError):
+            meta_field(tmp_path, "threads")
         # The request hash is the one written before these keys were added.
         assert meta_field(tmp_path, "config_sha256") == (
             "31dfc3ffc9bc6bde99d8c1e3bb0ad1befb04b9d4fcc3279dc5a29df1930c2a2b")
 
-    def test_threads_from_environment(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MISFDR_THREADS", "2")
+    def test_threads_from_environment(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("MISFDR_THREADS", "1")
         assert run(tmp_path, "dist", "--r", "0.5", "--points", "3") == 0
-        assert meta_field(tmp_path, "threads") == "2"
+        monkeypatch.setenv("MISFDR_THREADS", "2")
+        assert run(tmp_path / "two", "dist", "--r", "0.5", "--points", "3") == 1
+        assert "MISFDR_THREADS must be 1, got '2'" in capsys.readouterr().err
+        assert not (tmp_path / "two").exists()
 
     def test_blas_unknown_without_build_config(self, monkeypatch):
         for module in (np, scipy):
@@ -528,7 +532,7 @@ class TestRequestHash:
     def test_independent_of_where_and_how_written(self, tmp_path):
         first, second = tmp_path / "a", tmp_path / "b"
         assert run(first, *self.GEN_COV) == 0
-        assert main(["--output-dir", str(second), "-v", "--threads", "2", *self.GEN_COV,
+        assert main(["--output-dir", str(second), "-v", "--threads", "1", *self.GEN_COV,
                      "--out", "other.csv"]) == 0
         assert meta_field(first, "config_sha256") == meta_field(second, "config_sha256")
 
@@ -652,28 +656,51 @@ class TestOnePointRangeConfig:
 
 
 class TestThreads:
-    @pytest.mark.parametrize("threads", ["0", "-1"])
-    def test_below_one_rejected(self, tmp_path, capsys, threads):
+    """Sweeps run on one thread: a thread setting other than 1 exits 1 with a
+    message and writes no CSV, so none is quietly ignored."""
+
+    @staticmethod
+    def refused(tmp_path, capsys, argv, message):
         config = tmp_path / "run.cfg"
         config.write_text(CONFIG)
-        assert run(tmp_path, "--threads", threads, "simulate", "--config", str(config)) == 1
-        assert "at least 1" in capsys.readouterr().err
+        assert run(tmp_path, *argv, "simulate", "--config", str(config)) == 1
+        assert capsys.readouterr().err == (
+            f"configuration error: {message}: sweeps run on one thread\n")
         assert not (tmp_path / "sweep.csv").exists()
 
-    def test_range_sweep_csv_identical_at_any_thread_count(self, tmp_path):
-        # The correct spec and law of a range sweep are shared by every point.
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_below_one_rejected(self, tmp_path, capsys, threads):
+        self.refused(tmp_path, capsys, ["--threads", threads],
+                     f"--threads must be 1, got {threads}")
+
+    def test_above_one_rejected(self, tmp_path, capsys):
+        self.refused(tmp_path, capsys, ["--threads", "2"], "--threads must be 1, got 2")
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_environment_other_than_one_rejected(self, tmp_path, capsys, monkeypatch, value):
+        # The variable is refused beside --threads 1 too: a flag does not hide it.
+        monkeypatch.setenv("MISFDR_THREADS", value)
+        self.refused(tmp_path, capsys, [], f"MISFDR_THREADS must be 1, got '{value}'")
+        self.refused(tmp_path, capsys, ["--threads", "1"],
+                     f"MISFDR_THREADS must be 1, got '{value}'")
+
+    def test_range_sweep_csv_identical_at_any_thread_count(self, tmp_path, monkeypatch):
+        # The one accepted count, by flag or environment, changes no byte of
+        # the default run; the correct spec and law of a range sweep are
+        # shared by every point.
         csvs = []
-        for threads in ("1", "2"):
-            out = tmp_path / threads
-            out.mkdir()
-            assert main(["--output-dir", str(out), "--threads", threads, "example",
+        for name, env, flag in (("default", None, []), ("flag", None, ["--threads", "1"]),
+                                ("env", "1", [])):
+            if env is None:
+                monkeypatch.delenv("MISFDR_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("MISFDR_THREADS", env)
+            out = tmp_path / name
+            assert main(["--output-dir", str(out), *flag, "example",
                          "--which", "3", "--scale", "desk"]) == 0
             csvs.append((out / "sweep.csv").read_bytes())
-        assert csvs[0] == csvs[1]
+        assert csvs[0] == csvs[1] == csvs[2]
 
     def test_non_integer_environment_rejected(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("MISFDR_THREADS", "abc")
-        config = tmp_path / "run.cfg"
-        config.write_text(CONFIG)
-        assert run(tmp_path, "simulate", "--config", str(config)) == 1
-        assert "MISFDR_THREADS" in capsys.readouterr().err
+        self.refused(tmp_path, capsys, [], "MISFDR_THREADS must be 1, got 'abc'")

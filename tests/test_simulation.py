@@ -1,9 +1,7 @@
 import gc
 import sys
-import threading
 import tracemalloc
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -61,9 +59,11 @@ class TestConfigValidation:
         with pytest.raises(ParameterError, match="nonempty"):
             tiny_config(sweep_values=())
 
-    @pytest.mark.parametrize("n_reps", [0, -1])
-    def test_no_reps(self, n_reps):
-        with pytest.raises(ParameterError, match="n_reps must be at least 1"):
+    @pytest.mark.parametrize("n_reps, message", [
+        (0, "at least 1"), (-1, "at least 1"), (2.5, "an integer, not 2.5"),
+    ], ids=["0", "-1", "2.5"])
+    def test_no_reps(self, n_reps, message):
+        with pytest.raises(ParameterError, match=f"n_reps must be {message}$"):
             tiny_config(n_reps=n_reps)
 
     @pytest.mark.parametrize("alpha_star", [0.0, 1.0, 1.5, -0.05])
@@ -141,6 +141,16 @@ class TestBuildCov:
         assert np.array_equal(plain.entries, raw.entries)
         assert np.array_equal(plain.entries, ar2_cov(10, 0.6, 0.3).entries)
 
+    @pytest.mark.parametrize("kernel, foreign", [
+        ({"kind": "ar2", "rho1": 0.6, "rho2": 0.3, "normalise": True}, "'normalise'"),
+        ({"kind": "identity", "range": 5.0, "rho1": 0.6}, "'range', 'rho1'"),
+    ], ids=["ar2-misspelled", "identity"])
+    def test_key_its_kind_does_not_take_refused(self, kernel, foreign):
+        # A misspelled or foreign key is refused, not dropped: ar2 would
+        # otherwise build its raw autocovariance, as normalize defaults to False.
+        with pytest.raises(ParameterError, match=f"^{kernel['kind']} kernel takes no {foreign}$"):
+            build_cov(kernel, 10, None)
+
     @pytest.mark.parametrize("kind", list(KERNELS))
     def test_table_entry_builds_through_its_constructor(self, monkeypatch, kind):
         # Each kind calls its constructor by its module-level name at call
@@ -179,41 +189,6 @@ class TestRunSweep:
             assert row.fnr_cor == row.fnr_mis
             assert row.rejection_rate_diff == 0.0
             assert row.kl_per_dim == 0.0
-
-    @pytest.mark.parametrize("overrides", [{}, RANGE_SWEEP], ids=["g", "rho"])
-    def test_threaded_matches_serial(self, monkeypatch, overrides):
-        # A range sweep replicates its correct spec before it starts the pool.
-        # A 16-row block holds fewer floats than two 25 x 25 arrays: each
-        # point is a pass of its own, so two threads run a pool.
-        monkeypatch.setattr(fdr, "_BLOCK_ROWS", 16)
-        config = tiny_config(**overrides)
-        serial = run_sweep(config, threads=1)
-        threaded = run_sweep(config, threads=2)
-        assert serial == threaded
-
-    def test_workers_capped_at_sweep_points(self, monkeypatch):
-        # A 16-row block holds fewer floats than one 100 x 100 A: each of the
-        # three points is a pass of its own, and the passes cap the workers.
-        monkeypatch.setattr(fdr, "_BLOCK_ROWS", 16)
-        config = replace(builtin_example(1, scale="desk"), sweep_values=(0.1, 1.0, 10.0))
-        serial = run_sweep(config, threads=1)
-        requested, workers = [], set()
-
-        class RecordingPool(ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                requested.append(max_workers)
-                super().__init__(max_workers)
-
-        point = simulation._sweep_pass
-
-        def recording_point(*args):
-            workers.add(threading.get_ident())
-            return point(*args)
-
-        monkeypatch.setattr(simulation, "ThreadPoolExecutor", RecordingPool)
-        monkeypatch.setattr(simulation, "_sweep_pass", recording_point)
-        assert run_sweep(config, threads=8) == serial
-        assert requested == [3] and 1 <= len(workers) <= 3
 
     @pytest.mark.parametrize(
         "overrides",
@@ -276,15 +251,14 @@ class TestRunSweep:
                 _init(self, *args, **kwargs)
 
             monkeypatch.setattr(cls, "__init__", counting_init)
-        run_sweep(config, threads=2)
+        run_sweep(config)
         n = len(config.sweep_values)
         assert built == {ModelSpec: builds(n), SamplingLaw: builds(n)}
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_refcounting_frees_every_factor(self, monkeypatch, threads):
+    def test_refcounting_frees_every_factor(self, monkeypatch):
         # A reference cycle through a spec or a law would keep each
         # point's m x m factors alive until the cyclic collector ran. Study 2
-        # takes two passes at desk scale, so two threads run a pool.
+        # takes two passes at desk scale.
         made = []
         for cls in (ModelSpec, SamplingLaw):
             def tracking_init(self, *args, _init=cls.__init__, **kwargs):
@@ -294,7 +268,7 @@ class TestRunSweep:
             monkeypatch.setattr(cls, "__init__", tracking_init)
         gc.disable()
         try:
-            run_sweep(builtin_example(2, scale="desk"), threads=threads)
+            run_sweep(builtin_example(2, scale="desk"))
             alive = [ref() for ref in made if ref() is not None]
         finally:
             gc.enable()
@@ -324,7 +298,7 @@ class TestRunSweep:
         monkeypatch.setattr(simulation, "sweep_truth", recording_truth)
         monkeypatch.setattr(simulation, "sweep_spec", recording_spec)
         monkeypatch.setattr(ModelSpec, "standardized", counting_standardized)
-        run_sweep(config, threads=2)
+        run_sweep(config)
         (truth,) = truths
         # The one spec on the truth's covariance is built before the points.
         on_truth = [cov is truth.sigma1 for cov, _ in specs]
@@ -345,7 +319,7 @@ class TestRunSweep:
         assert at_truth.kl_per_dim == 0.0
 
     def test_points_share_their_datasets(self):
-        rows = run_sweep(tiny_config(sweep_values=(1.0, 1.0)), threads=2)
+        rows = run_sweep(tiny_config(sweep_values=(1.0, 1.0)))
         assert rows[0] == rows[1]
 
     # Row 0 of each built-in desk study at seed 0, as version 0.2.0 wrote it
@@ -447,16 +421,15 @@ class TestPasses:
         assert run_sweep(config) == expected
         assert sum(drawn) == (len(config.sweep_values) + extra) * config.n_reps
 
-    @pytest.mark.parametrize("threads", [1, 2, 8])
     @pytest.mark.parametrize("variable", ["g", "rho"])
-    def test_kept_datasets_when_they_fit_in_one_block(self, monkeypatch, variable, threads):
+    def test_kept_datasets_when_they_fit_in_one_block(self, monkeypatch, variable):
         # 32 reps of m = 100 are 3200 floats, exactly one 16-row block: each
         # point is its own pass, and all passes score one kept draw.
         config = replace(DESK_SWEEPS[variable], n_reps=32, sweep_values=(0.5, 2.0, 8.0))
         monkeypatch.setattr(fdr, "_BLOCK_ROWS", 16)
         expected = sweep_rows_per_point(config)
         drawn = self.rows_drawn(monkeypatch)
-        assert run_sweep(config, threads=threads) == expected
+        assert run_sweep(config) == expected
         assert sum(drawn) == config.n_reps
 
     # name -> (config, _BLOCK_ROWS, points per pass, whether the datasets are kept)
@@ -473,7 +446,7 @@ class TestPasses:
     @pytest.mark.parametrize("name", list(PLANS))
     def test_plan_is_the_same_at_any_thread_count(self, monkeypatch, name):
         # The passes, the rows drawn and whether the datasets are kept follow
-        # from the config: threads only run the passes at once.
+        # from the config alone, and the passes run in order.
         config, block_rows, sizes, kept = self.PLANS[name]
         monkeypatch.setattr(fdr, "_BLOCK_ROWS", block_rows)
         drawn = self.rows_drawn(monkeypatch)
@@ -487,27 +460,17 @@ class TestPasses:
         monkeypatch.setattr(simulation, "_sweep_pass", recording_pass)
         monkeypatch.setattr(simulation, "keep_datasets", lambda *args: keeps.append(args) or
                             keep(*args))
-        plans = []
-        for threads in (1, 2, 8):
-            rows = run_sweep(config, threads=threads)
-            # Passes may finish in any order on a pool.
-            calls.sort(key=lambda call: config.sweep_values.index(call[0][0]))
-            plans.append((rows, list(calls), sorted(drawn), len(keeps)))
-            for log in (calls, drawn, keeps):
-                log.clear()
-        assert plans[0] == plans[1] == plans[2]
-        _, calls, drawn, n_keeps = plans[0]
+        run_sweep(config)
         assert [value for values, _ in calls for value in values] == list(config.sweep_values)
         assert [len(values) for values, _ in calls] == sizes
-        assert {was_kept for _, was_kept in calls} == {kept} and n_keeps == kept
+        assert {was_kept for _, was_kept in calls} == {kept} and len(keeps) == kept
         scorings = len(sizes) + config.sweep_key.startswith("mis.")
         assert sum(drawn) == config.n_reps * (1 if kept else scorings)
 
-    @pytest.mark.parametrize("threads", [1, 2, 8])
     @pytest.mark.parametrize("variable", ["g", "rho"])
-    def test_passes_change_no_number(self, variable, threads):
+    def test_passes_change_no_number(self, variable):
         config = DESK_SWEEPS[variable]
-        assert run_sweep(config, threads=threads) == sweep_rows_per_point(config)
+        assert run_sweep(config) == sweep_rows_per_point(config)
 
     def test_grouped_sweep_keeps_no_datasets(self):
         # The shape of the benchmark's reps-heavy sweep: all three points in
@@ -585,7 +548,7 @@ class TestBuiltinExamples:
         # nominal at g = 1, misspecification never helps FNR, and the KL
         # decreases as the prior becomes vaguer
         config = builtin_example(1, scale="desk", root_seed=42)
-        rows = run_sweep(config, threads=2)
+        rows = run_sweep(config)
         by_g = {row.sweep_value: row for row in rows}
         assert by_g[1.0].fdr_cor == pytest.approx(0.0389, abs=0.001)
         for row in rows:
@@ -752,19 +715,18 @@ class TestPointRule:
     one-point config drops sweep.values and keeps sweep.variable, which names
     the key whose value its row reports."""
 
-    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("sweep", [
         # g is set beside sweep.values; mis.range is left out.
         {"mis.kernel": "identity", "sweep.variable": "g", "sweep.values": "0.5, 2.0, 8.0"},
         {"mis.kernel": "exponential", "sweep.variable": "rho", "sweep.values": "1.0, 5.0, 10.0"},
     ], ids=["g", "rho"])
-    def test_each_row_is_the_one_point_run_of_its_value(self, sweep, threads):
+    def test_each_row_is_the_one_point_run_of_its_value(self, sweep):
         mapping = {**parse_config_text(POINT_RULE_TEXT), **sweep}
         key = SWEEP_KEYS[mapping["sweep.variable"]]
-        rows = run_sweep(config_from_mapping(mapping), threads=threads)
+        rows = run_sweep(config_from_mapping(mapping))
         values = [float(v) for v in sweep["sweep.values"].split(",")]
         assert [row.sweep_value for row in rows] == values
         for row in rows:
             one_point = {k: v for k, v in mapping.items() if k != "sweep.values"}
             one_point[key] = repr(row.sweep_value)
-            assert run_sweep(config_from_mapping(one_point), threads=threads) == [row]
+            assert run_sweep(config_from_mapping(one_point)) == [row]
