@@ -6,9 +6,11 @@ in a fresh interpreter with PYTHONPATH=<tree>/src and every BLAS thread
 variable set to 1. The CLI requests cover all six subcommands: studies 1-3 at
 full and desk scale, seed 0 (at full scale each point is a pass of its own,
 at desk scale points share a pass, and at both each study draws its
-datasets once); four desk-size `simulate` runs from config files (a range
+datasets once); five desk-size `simulate` runs from config files (a range
 sweep; a range sweep of 1100 reps, whose 110,000 floats of data exceed one
-draw block, so each pass draws them again; a g sweep that sets `g` beside
+draw block, so each pass draws them again; a range sweep at 0.001 and 5,
+where the kernel at range 0.001 underflows to the identity, a matrix
+built as a square and kept as its variances; a g sweep that sets `g` beside
 `sweep.values` and sets `kl_draws`; a single run with no `sweep.` key);
 `kl` on a 10 x 10 exponential-vs-identity config and on an m = 50 AR(2)
 config whose truth sets `normalize = true` and whose misspecified spec
@@ -85,6 +87,9 @@ seed = 3
 REDRAW_CONFIG = RANGE_CONFIG.replace("n_reps = 200", "n_reps = 1100").replace(
     "1.0, 2.5, 5.0, 10.0", "0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0")
 
+# exp(-1 / 0.001) underflows to 0.0: the first point's kernel is the identity.
+UNDERFLOW_CONFIG = RANGE_CONFIG.replace("1.0, 2.5, 5.0, 10.0", "0.001, 5")
+
 # The shape of the benchmark's reps-heavy config: g is set beside sweep.values,
 # and kl_draws is read and ignored.
 G_CONFIG = """\
@@ -144,8 +149,8 @@ FDR_INPUT = "i,h\n" + "".join(
     f"{i},{h}\n" for i, h in enumerate([0.03, 0.01, 0.2, 0.03, 0.9, 0.01, 0.03, 0.5]))
 
 INPUTS = {"kl.cfg": KL_CONFIG, "ar2.cfg": AR2_KL_CONFIG, "range.cfg": RANGE_CONFIG,
-          "redraw.cfg": REDRAW_CONFIG, "g.cfg": G_CONFIG, "single.cfg": SINGLE_CONFIG,
-          "scores.csv": FDR_INPUT}
+          "redraw.cfg": REDRAW_CONFIG, "underflow.cfg": UNDERFLOW_CONFIG, "g.cfg": G_CONFIG,
+          "single.cfg": SINGLE_CONFIG, "scores.csv": FDR_INPUT}
 
 
 CLI = ["-m", "misfdr.cli", "--output-dir"]
@@ -162,6 +167,7 @@ def requests(work: Path) -> dict[str, tuple[list[str], list[str]]]:
     }
     runs["simulate-range"] = ["simulate", "--config", str(work / "range.cfg")]
     runs["simulate-redraw"] = ["simulate", "--config", str(work / "redraw.cfg")]
+    runs["simulate-underflow"] = ["simulate", "--config", str(work / "underflow.cfg")]
     runs["simulate-g"] = ["simulate", "--config", str(work / "g.cfg")]
     runs["simulate-single"] = ["simulate", "--config", str(work / "single.cfg")]
     runs["kl"] = ["kl", "--config", str(work / "kl.cfg")]

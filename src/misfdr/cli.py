@@ -173,8 +173,10 @@ def _cmd_gen_cov(args) -> tuple[bytes, None]:
         kernel = {"kind": args.kernel,
                   **{name: flags[name] for name in keys if flags[name] is not None}}
         cov = build_cov(kernel, args.m, grid)
-    chol(cov.entries)  # certify positive definiteness before writing
-    _write_artifact(args, [f"# covariance m={cov.dim} kernel={args.kernel}"], cov.entries,
+    # A diagonal matrix keeps only its variances: its square is formed once, here.
+    entries = cov.entries
+    chol(entries)  # certify positive definiteness before writing
+    _write_artifact(args, [f"# covariance m={cov.dim} kernel={args.kernel}"], entries,
                     f" (m={cov.dim}, kernel={args.kernel})")
     return _request_bytes(args), None
 

@@ -6,10 +6,13 @@ the identity, and a separable space-time product kernel. Matrices are
 immutable values and keep no factor: a `TrueProcess` or a `ModelSpec` that
 needs one builds it on construction with `linalg.chol`, which refuses a
 matrix that is not positive definite rather than ridging it. Whether a
-matrix is diagonal is read from its entries on construction; the posterior
-and the sampling law of a diagonal specification are closed form. The
-kernels a config names are the table `simulation.KERNELS`, which calls these
-constructors by name.
+matrix is diagonal is read from its entries on construction, and it picks
+both the storage and the algebra: a diagonal matrix keeps only its m
+variances, and the posterior and the sampling law of a diagonal
+specification are closed form in them. The identity is built from a vector
+(`CovarianceMatrix.from_variances`), so building it forms no m x m array.
+The kernels a config names are the table `simulation.KERNELS`, which
+calls these constructors by name.
 """
 
 from __future__ import annotations
@@ -52,12 +55,16 @@ class GridLayout:
 
 
 class CovarianceMatrix:
-    """Symmetric matrix: its `entries`, `dim` and `is_diagonal`.
+    """Symmetric matrix: its `entries`, its diagonal `variances`, `dim` and
+    `is_diagonal`.
 
-    Immutable after construction, so instances are shared across concurrent
-    sweep points without a lock. Positive definiteness is certified by
+    Immutable after construction. Positive definiteness is certified by
     whoever factors the entries (`linalg.chol`).
-    `is_diagonal` is True when every off-diagonal entry is zero.
+    `is_diagonal` is True when every off-diagonal entry is zero. A diagonal
+    matrix keeps its variances alone, m floats: its `entries` are formed
+    from them on each read, a fresh read-only array, so a spec, its law and
+    the KL check read its variances instead. A dense matrix keeps its
+    entries, and its `variances` are a view of their diagonal.
     """
 
     def __init__(self, entries):
@@ -74,11 +81,40 @@ class CovarianceMatrix:
             if np.abs(entries - entries.T).max() > SYMMETRY_RTOL * scale:
                 raise ParameterError("covariance is not symmetric")
             entries = 0.5 * (entries + entries.T)
-        entries.setflags(write=False)
-        self.entries = entries
         # No off-diagonal entry is nonzero: one pass over the entries.
-        self.is_diagonal = bool(np.count_nonzero(entries) == np.count_nonzero(entries.diagonal()))
-        self.dim = entries.shape[0]
+        if np.count_nonzero(entries) == np.count_nonzero(entries.diagonal()):
+            self._keep(entries.diagonal().copy(), None)
+        else:
+            entries.setflags(write=False)
+            self._keep(entries.diagonal(), entries)
+
+    @classmethod
+    def from_variances(cls, variances) -> CovarianceMatrix:
+        """The diagonal matrix diag(variances), built and kept as its m
+        variances: no m x m array is formed."""
+        variances = np.array(variances, dtype=float)
+        if variances.ndim != 1 or variances.size == 0:
+            raise ParameterError("variances must be a nonempty vector")
+        if not np.isfinite(variances).all():
+            raise ParameterError("covariance entries must be finite")
+        cov = cls.__new__(cls)
+        cov._keep(variances, None)
+        return cov
+
+    def _keep(self, variances: np.ndarray, entries: np.ndarray | None) -> None:
+        """Keep the variances and, unless the matrix is diagonal, its entries."""
+        variances.setflags(write=False)
+        self.variances, self._entries = variances, entries
+        self.dim, self.is_diagonal = variances.shape[0], entries is None
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The m x m entries: those kept, or diag(variances) formed anew."""
+        if self._entries is not None:
+            return self._entries
+        entries = np.diag(self.variances)
+        entries.setflags(write=False)
+        return entries
 
     def __repr__(self) -> str:
         return f"CovarianceMatrix(dim={self.dim}, is_diagonal={self.is_diagonal})"
@@ -156,7 +192,7 @@ def ar2_cov(m: int, rho1: float, rho2: float, normalize: bool = False) -> Covari
 def identity_cov(m: int) -> CovarianceMatrix:
     if m < 1:
         raise ParameterError("m must be positive")
-    return CovarianceMatrix(np.eye(m))
+    return CovarianceMatrix.from_variances(np.ones(m))
 
 
 def separable_cov(

@@ -51,7 +51,8 @@ class TrueProcess:
     too, so one that is not positive definite fails here, but its factor is
     not kept: only the draws read it, and whoever draws factors Sigma_1 once
     for all its blocks (`fdr.drawn_datasets`) and frees the factor after the
-    last. A truth keeps two m x m arrays, Sigma_1's entries and `cov_y_chol`.
+    last. A truth keeps one m x m array, `cov_y_chol`, beside Sigma_1, which
+    keeps its entries when dense and only its variances when diagonal.
     Its prior mean theta0 is the bound of every hypothesis, H0i being
     theta_i >= theta0_i."""
 
@@ -128,8 +129,8 @@ class StudentT:
     and NaN get `stdtr` itself.
 
     A call works in chunks of 16384 values with one (4, chunk) scratch array
-    of its own, so its memory is bounded and one kernel can serve concurrent
-    callers: it holds nothing but its coefficients.
+    of its own, so its memory is bounded, and a kernel holds nothing but its
+    coefficients: its calls share no state.
     """
 
     dof: float
@@ -279,7 +280,7 @@ class ModelSpec:
         self.scale = noise.sigma0_sq if self.known else 1.0
         self.diagonal = sigma_spec.is_diagonal
         if self.diagonal:
-            d = sigma_spec.entries.diagonal()
+            d = sigma_spec.variances
             if not np.all(d > 0):
                 raise NotPositiveDefiniteError(
                     f"diagonal Sigma_spec of dim {self.m} is not positive definite: "

@@ -100,7 +100,7 @@ def _law(truth: TrueProcess, spec: ModelSpec) -> SamplingLaw:
     if spec.diagonal:
         w = spec.a_diag / spec.scale
         b_chol = truth.cov_y_chol * w[:, None]
-        b_diag = w * w * (truth.sigma1.entries.diagonal() + truth.sigma0_sq)
+        b_diag = w * w * (truth.sigma1.variances + truth.sigma0_sq)
     else:
         b = congruence(spec.a, truth.cov_y_chol, 1.0 / spec.scale)
         b_diag = b.diagonal().copy()
@@ -109,7 +109,7 @@ def _law(truth: TrueProcess, spec: ModelSpec) -> SamplingLaw:
         c = None
     elif spec.diagonal:
         # P = diag(1 / (g d)) for Sigma_spec = diag(d), so C is diagonal too.
-        p = 1.0 / (spec.g * spec.sigma_spec.entries.diagonal())
+        p = 1.0 / (spec.g * spec.sigma_spec.variances)
         c = (p * p + p) * b_diag
     else:
         # A^-1 = I + P with P = Sigma_spec^-1 / g, so A^-2 - A^-1 = P + P^2,

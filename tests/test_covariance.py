@@ -411,7 +411,48 @@ class TestCovarianceMatrix:
         assert cov.is_diagonal is diagonal
 
     def test_holds_only_its_entries_and_what_they_fix(self):
-        assert set(vars(identity_cov(3))) == {"entries", "dim", "is_diagonal"}
+        # A diagonal matrix keeps its variances and no m x m array; a dense
+        # one keeps its entries, and its variances are their diagonal's view.
+        for cov in (identity_cov(3), CovarianceMatrix(np.diag([2.0, 0.5, 3.0]))):
+            assert set(vars(cov)) == {"variances", "_entries", "dim", "is_diagonal"}
+            assert cov._entries is None and cov.variances.shape == (3,)
+        dense = exponential_cov(GridLayout(2, 2), 1.0)
+        assert dense._entries.shape == (4, 4)
+        assert np.shares_memory(dense.variances, dense._entries)
+
+    @pytest.mark.parametrize("cov", [identity_cov(4), CovarianceMatrix(np.diag([2.0, 0.5, 3.0])),
+                                     exponential_cov(GridLayout(3, 3), 1e-3)],
+                             ids=["identity", "heteroscedastic", "underflowed-exponential"])
+    def test_diagonal_entries_formed_anew_on_each_read(self, cov):
+        first, second = cov.entries, cov.entries
+        np.testing.assert_array_equal(first, np.diag(cov.variances), strict=True)
+        assert not first.flags.writeable
+        assert first is not second and not np.shares_memory(first, second)
+
+    @pytest.mark.parametrize("cov", [exponential_cov(GridLayout(3, 3), 5.0), ar2_cov(6, 0.6, 0.3),
+                                     CovarianceMatrix([[1.0, 1e-300], [1e-300, 2.0]])],
+                             ids=["exponential", "ar2", "tiny-off-diagonal"])
+    def test_dense_variances_are_the_diagonal(self, cov):
+        np.testing.assert_array_equal(cov.variances, cov.entries.diagonal(), strict=True)
+        assert not cov.variances.flags.writeable
+        assert cov.entries is cov.entries
+
+    def test_from_variances_is_the_diagonal_matrix(self):
+        d = [2.0, 0.5, 3.0]
+        cov, built = CovarianceMatrix.from_variances(d), CovarianceMatrix(np.diag(d))
+        assert cov.is_diagonal and cov.dim == 3
+        np.testing.assert_array_equal(cov.variances, built.variances, strict=True)
+        np.testing.assert_array_equal(cov.entries, built.entries, strict=True)
+        with pytest.raises(ValueError):
+            cov.variances[0] = 1.0
+
+    @pytest.mark.parametrize("bad, message", [
+        ([], "nonempty vector"), (np.eye(2), "nonempty vector"), ([1.0, np.nan], "finite"),
+        ([1.0, np.inf], "finite"),
+    ], ids=["empty", "square", "nan", "inf"])
+    def test_from_variances_refuses(self, bad, message):
+        with pytest.raises(ParameterError, match=message):
+            CovarianceMatrix.from_variances(bad)
 
     def test_entries_are_immutable(self):
         cov = identity_cov(2)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from misfdr import sampdist
-from misfdr.covariance import CovarianceMatrix, GridLayout, exponential_cov
+from misfdr.covariance import CovarianceMatrix, GridLayout, exponential_cov, identity_cov
 from misfdr.errors import NotPositiveDefiniteError
 from misfdr.linalg import chol, chol_inverse, congruence
 from misfdr.posterior import KnownVariance, ModelSpec, TrueProcess, UnknownVariance
@@ -140,15 +140,16 @@ class TestOverwrite:
 
 
 def covariances_built(monkeypatch):
-    """(matrix, copy of its entries) for every CovarianceMatrix built from now on."""
+    """(matrix, copy of its entries) for every CovarianceMatrix built from now
+    on, from entries or from variances: both constructors end in `_keep`."""
     built = []
-    init = CovarianceMatrix.__init__
+    keep = CovarianceMatrix._keep
 
-    def recording_init(self, entries):
-        init(self, entries)
+    def recording_keep(self, variances, entries):
+        keep(self, variances, entries)
         built.append((self, self.entries.copy()))
 
-    monkeypatch.setattr(CovarianceMatrix, "__init__", recording_init)
+    monkeypatch.setattr(CovarianceMatrix, "_keep", recording_keep)
     return built
 
 
@@ -175,14 +176,17 @@ class TestCovariancesUnchanged:
 
 M = 200
 SQUARE_BYTES = M * M * 8
+# A diagonal M x M input, built outside any traced call.
+DIAGONAL = np.diag(np.linspace(0.5, 2.0, M))
 
 
-def traced_peak(call):
-    """(result, peak bytes traced) of `call()`, counting only what it allocates."""
+def traced(call):
+    """(result, bytes kept, peak bytes) of `call()`, counting only what it
+    allocates: kept is what is still traced when it returns."""
     tracemalloc.start()
     try:
         result = call()
-        return result, tracemalloc.get_traced_memory()[1]
+        return (result, *tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
 
@@ -198,14 +202,14 @@ class TestSquareFootprint:
 
     def test_truth_factors_v_in_its_copy(self, setup):
         truth, _ = setup
-        _, peak = traced_peak(lambda: TrueProcess(truth.theta0, 0.25, truth.sigma1))
+        _, _, peak = traced(lambda: TrueProcess(truth.theta0, 0.25, truth.sigma1))
         assert peak < 1.5 * SQUARE_BYTES
 
     @pytest.mark.parametrize("noise", [KnownVariance(0.25), UnknownVariance(2.0, 0.5)],
                              ids=["known", "unknown"])
     def test_spec_builds_k_its_factor_and_a_in_one_buffer(self, setup, noise):
         truth, cov = setup
-        spec, peak = traced_peak(lambda: ModelSpec(truth.theta0, 1.0, cov, noise))
+        spec, _, peak = traced(lambda: ModelSpec(truth.theta0, 1.0, cov, noise))
         assert spec.a.shape == (M, M)
         assert peak < 1.5 * SQUARE_BYTES
 
@@ -232,5 +236,31 @@ class TestSquareFootprint:
         assert law.b_chol.shape == (M, M) and len(after_b) == 1
         assert after_b[0] > 0.9 * SQUARE_BYTES
         assert peak < after_b[0] + 0.5 * SQUARE_BYTES
-        _, whole = traced_peak(lambda: law_known_var(truth, spec))
+        _, _, whole = traced(lambda: law_known_var(truth, spec))
         assert whole < 2.5 * SQUARE_BYTES
+
+    @pytest.mark.parametrize("build", [lambda: identity_cov(M),
+                                       lambda: CovarianceMatrix(DIAGONAL)],
+                             ids=["identity", "diagonal-entries"])
+    def test_diagonal_covariance_keeps_no_square(self, build):
+        cov, kept, _ = traced(build)
+        assert cov.is_diagonal and kept < 0.1 * SQUARE_BYTES
+
+    def test_identity_built_without_a_square(self):
+        _, _, peak = traced(lambda: identity_cov(M))
+        assert peak < 0.1 * SQUARE_BYTES
+
+    @pytest.mark.parametrize("noise", [KnownVariance(0.25), UnknownVariance(2.0, 0.5)],
+                             ids=["known", "unknown"])
+    def test_diagonal_spec_keeps_no_square(self, setup, noise):
+        truth, _ = setup
+        cov = identity_cov(M)
+        spec, kept, _ = traced(lambda: ModelSpec(truth.theta0, 1.0, cov, noise))
+        assert spec.diagonal and kept < 0.1 * SQUARE_BYTES
+
+    def test_diagonal_law_allocates_only_its_factor(self, setup):
+        truth, _ = setup
+        spec = ModelSpec(truth.theta0, 1.0, identity_cov(M), KnownVariance(0.25))
+        law, kept, peak = traced(lambda: law_known_var(truth, spec))
+        assert law.b_chol.shape == (M, M)
+        assert 0.9 * SQUARE_BYTES < kept and peak < 1.5 * SQUARE_BYTES
