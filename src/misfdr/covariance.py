@@ -62,9 +62,10 @@ class CovarianceMatrix:
     whoever factors the entries (`linalg.chol`).
     `is_diagonal` is True when every off-diagonal entry is zero. A diagonal
     matrix keeps its variances alone, m floats: its `entries` are formed
-    from them on each read, a fresh read-only array, so a spec, its law and
-    the KL check read its variances instead. A dense matrix keeps its
-    entries, and its `variances` are a view of their diagonal.
+    from them on each read, a fresh read-only array, so a spec and its law
+    read its variances instead. A dense matrix keeps its entries, and its
+    `variances` are a view of their diagonal. `dim` and `is_diagonal` are
+    read from what is kept.
     """
 
     def __init__(self, entries):
@@ -105,7 +106,15 @@ class CovarianceMatrix:
         """Keep the variances and, unless the matrix is diagonal, its entries."""
         variances.setflags(write=False)
         self.variances, self._entries = variances, entries
-        self.dim, self.is_diagonal = variances.shape[0], entries is None
+
+    @property
+    def dim(self) -> int:
+        return self.variances.shape[0]
+
+    @property
+    def is_diagonal(self) -> bool:
+        """Whether every off-diagonal entry is zero: no entries are kept."""
+        return self._entries is None
 
     @property
     def entries(self) -> np.ndarray:

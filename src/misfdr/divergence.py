@@ -24,13 +24,8 @@ def check_kl_specs(truth: TrueProcess, spec_cor: ModelSpec, spec_mis: ModelSpec)
     when the two specs use different g. The noise mode, dimension and prior
     mean of each spec are checked by `check_law`."""
     spec_cov, true_cov = spec_cor.sigma_spec, truth.sigma1
-    if spec_cov.is_diagonal and true_cov.is_diagonal:
-        # Compared by their variances, with no m x m array.
-        spec_values, true_values = spec_cov.variances, true_cov.variances
-    else:
-        spec_values, true_values = spec_cov.entries, true_cov.entries
     same_cov = spec_cov is true_cov or (spec_cov.dim == true_cov.dim and np.allclose(
-        spec_values, true_values, rtol=_SAME_TOL, atol=_SAME_TOL
+        spec_cov.entries, true_cov.entries, rtol=_SAME_TOL, atol=_SAME_TOL
     ))
     if not same_cov:
         raise ParameterError("spec_cor must use the true covariance")

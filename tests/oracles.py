@@ -83,7 +83,8 @@ def dense_twin(cov: CovarianceMatrix) -> CovarianceMatrix:
     """`cov`'s entries in a covariance that takes the dense path: its operator
     factors K and inverts it, its law forms B by congruence and factors it."""
     twin = CovarianceMatrix(cov.entries)
-    twin.is_diagonal = False
+    # A matrix that keeps its entries is dense: `is_diagonal` reads which is kept.
+    twin._entries = cov.entries
     return twin
 
 

@@ -414,7 +414,7 @@ class TestCovarianceMatrix:
         # A diagonal matrix keeps its variances and no m x m array; a dense
         # one keeps its entries, and its variances are their diagonal's view.
         for cov in (identity_cov(3), CovarianceMatrix(np.diag([2.0, 0.5, 3.0]))):
-            assert set(vars(cov)) == {"variances", "_entries", "dim", "is_diagonal"}
+            assert set(vars(cov)) == {"variances", "_entries"}
             assert cov._entries is None and cov.variances.shape == (3,)
         dense = exponential_cov(GridLayout(2, 2), 1.0)
         assert dense._entries.shape == (4, 4)

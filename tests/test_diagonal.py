@@ -194,12 +194,8 @@ class TestUsesTrueCov:
         (np.eye(4) + 1e-13 * (1.0 - np.eye(4)), np.eye(4)),
         # A small superdiagonal, with a large entry elsewhere.
         (np.eye(4), np.eye(4) + 0.2 * (np.eye(4, k=3) + np.eye(4, k=-3))),
-        # Dense by its nonzero off-diagonals, the same matrix within the tolerance.
-        (np.eye(4), np.eye(4) + 1e-300 * (1.0 - np.eye(4))),
-        (np.eye(4) + 1e-300 * (1.0 - np.eye(4)), np.eye(4)),
     ], ids=["same", "diagonals-differ", "diagonals-within-rounding", "dense-truth",
-            "dense-spec", "near-diagonal-truth", "near-diagonal-spec", "far-corner",
-            "tiny-off-diagonal-truth", "tiny-off-diagonal-spec"])
+            "dense-spec", "near-diagonal-truth", "near-diagonal-spec", "far-corner"])
     def test_matches_full_comparison(self, spec_entries, true_entries):
         truth = TrueProcess(np.zeros(4), 0.25, CovarianceMatrix(true_entries))
         spec = ModelSpec(np.zeros(4), 1.0, CovarianceMatrix(spec_entries), KnownVariance(0.25))
@@ -208,16 +204,3 @@ class TestUsesTrueCov:
         else:
             with pytest.raises(ParameterError, match="true covariance"):
                 check_kl_specs(truth, spec, spec)
-
-    def test_two_diagonals_compared_by_their_variances(self, monkeypatch):
-        truth = TrueProcess(np.zeros(4), 0.25, identity_cov(4))
-        specs = [ModelSpec(np.zeros(4), 1.0, CovarianceMatrix.from_variances(d),
-                           KnownVariance(0.25))
-                 for d in ([1.0] * 4, [1.0, 1.0, 1.0, 1.0 + 1e-13], [1.0, 1.0, 1.0, 1.0 + 1e-9])]
-        # Neither diagonal matrix forms its m x m entries.
-        monkeypatch.setattr(CovarianceMatrix, "entries",
-                            property(lambda cov: pytest.fail("entries formed")))
-        check_kl_specs(truth, specs[0], specs[0])
-        check_kl_specs(truth, specs[1], specs[1])
-        with pytest.raises(ParameterError, match="true covariance"):
-            check_kl_specs(truth, specs[2], specs[2])
