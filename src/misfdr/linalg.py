@@ -110,11 +110,24 @@ def congruence(a: np.ndarray, chol_l: np.ndarray, alpha: float = 1.0) -> np.ndar
     BLAS trmm forms W = alpha a L and syrk its Gram matrix W W': 2 m^3 flops,
     where the two general products a V a' take 4 m^3.
     """
-    # L' in C order is L in the Fortran order BLAS reads, so L is not copied.
-    w = dtrmm(alpha, chol_l.T, a, side=1, lower=0, trans_a=1)
-    gram = dsyrk(1.0, w, lower=1)
-    del w
+    gram = dsyrk(1.0, _times_factor(a, chol_l, alpha), lower=1)
     return _mirror_lower(gram)
+
+
+def congruence_diagonal(a: np.ndarray, chol_l: np.ndarray) -> np.ndarray:
+    """diag(a V a') for V = L L' given its lower Cholesky factor L: the
+    squared row norms of W = a L, one BLAS trmm (m^3 flops), where
+    `congruence` adds the m^3 of a syrk for the whole matrix. W is the one
+    m x m temporary, squared in place."""
+    w = _times_factor(a, chol_l, 1.0)
+    w *= w
+    return w.sum(axis=1)
+
+
+def _times_factor(a: np.ndarray, chol_l: np.ndarray, alpha: float) -> np.ndarray:
+    """alpha a L for a lower triangular L, by one BLAS trmm into a new array."""
+    # L' in C order is L in the Fortran order BLAS reads, so L is not copied.
+    return dtrmm(alpha, chol_l.T, a, side=1, lower=0, trans_a=1)
 
 
 def square(p: np.ndarray) -> np.ndarray:

@@ -308,20 +308,6 @@ class ModelSpec:
         self.dof = None if self.known else self.m + 2 * noise.alpha
         self._psi = ndtr if self.known else StudentT(self.dof)
 
-    def _shift(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        """(S r, r' K^{-1} r) with r = y - theta0, accepting (m,) or (n, m);
-        the quadratic form is None when the variance is known."""
-        resid = np.asarray(y, dtype=float) - self.theta0
-        # A is symmetric, so r @ A is (A r')'; a diagonal A scales each column.
-        shift = resid * self.a_diag if self.diagonal else resid @ self.a
-        if self.known:
-            shift /= self.scale
-            return shift, None
-        # Row-wise dot products without an (n, m) temporary.
-        quad = np.einsum("...i,...i->...", resid, resid)
-        quad -= np.einsum("...i,...i->...", resid, shift)
-        return shift, quad
-
     def standardized(self, y: np.ndarray) -> np.ndarray:
         """(posterior mean - theta0) / posterior scale: the argument of the
         posterior CDF `cdf`, so Phi^{-1}(h) exactly when the variance is
@@ -330,10 +316,34 @@ class ModelSpec:
         Downstream density evaluations work with this quantity directly so
         that tail values are not lost to Phi saturating at 1.0 in float64.
         """
-        z, quad = self._shift(y)
-        z /= self._sd
+        return self.standardized_residual(np.asarray(y, dtype=float) - self.theta0)
+
+    def standardized_residual(self, resid: np.ndarray,
+                              out: np.ndarray | None = None) -> np.ndarray:
+        """The standardized score of the residual r = y - theta0, (m,) or
+        (n, m): S r / sqrt(diag A), divided under the inverse-gamma prior by
+        sqrt((2 beta + r' K^{-1} r) / dof), with the quadratic form
+        r' K^{-1} r = r.r - r.(S r). It is a fresh array, or written over
+        `out`, which may be `resid` itself. `standardized` scores data through
+        it, and `sampdist.xi_sampler` its draws of r, in place."""
+        # A is symmetric, so r @ A is (A r')'; a diagonal A scales each column,
+        # by einsum, which unlike a broadcasting multiply allocates no buffer.
+        z = np.einsum("...i,i->...i", resid, self.a_diag) if self.diagonal else resid @ self.a
         if not self.known:
-            z /= np.sqrt((2 * self.noise.beta + quad) / self.dof)[..., None]
+            # Row-wise dot products without an (n, m) temporary.
+            quad = np.einsum("...i,...i->...", resid, resid)
+            quad -= np.einsum("...i,...i->...", resid, z)
+        if out is not None:
+            # The fresh scores are freed before the broadcasting divisions,
+            # which allocate a buffer of their own.
+            np.copyto(out, z)
+            z = out
+        if self.known:
+            z /= self.scale
+            z /= self._sd
+            return z
+        z /= self._sd
+        z /= np.sqrt((2 * self.noise.beta + quad) / self.dof)[..., None]
         return z
 
     def cdf(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -4,7 +4,8 @@ Under a Gaussian truth and a (possibly misspecified) Gaussian model, the
 marginal law of each statistic is governed by the ratio r_i = a_ii / b_ii,
 and the joint law by the correlation matrix of B. The unknown-variance case
 replaces the Gaussian copula with a scaled-Gaussian-over-quadratic-form
-vector that we expose as a sampler.
+vector that we expose as a sampler: its draws are the spec's own
+standardized scores of residuals drawn from the truth, scaled by sqrt(r).
 """
 
 from __future__ import annotations
@@ -15,36 +16,90 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .errors import BoundaryError, NotPositiveDefiniteError, ParameterError
-from .linalg import chol, chol_inverse, congruence, square, tri_mul, tri_solve
+from .linalg import (chol, chol_inverse, congruence, congruence_diagonal, square, tri_mul,
+                     tri_solve)
 from .posterior import (KnownVariance, ModelSpec, StudentT, TrueProcess, UnknownVariance,
                         check_spec, require_noise)
 
-# Rows of the draws whose quadratic forms `xi_sampler` forms at a time.
-_QUAD_ROWS = 128
+# Rows of the draws `xi_sampler` scores at a time.
+_SCORE_ROWS = 128
 
 
 class SamplingLaw:
     """The law of the scores of one spec on data from one truth, fixed by the
-    matrices A, B and, under unknown variance, C; it keeps diag(A), diag(B),
-    B's lower Cholesky factor L_B and C.
+    matrices A, B = S V S' (S = A / s) and, under unknown variance, C. Every
+    law keeps diag(A) and diag(B), and the ratios r = diag(A) / diag(B).
 
-    The ratios are r = diag(A) / diag(B). Every joint quantity reads L_B:
-    phi = Phi^{-1}(h) of a known-variance law is N(0, F F') with
-    F = D_a^{-1/2} L_B, and P_b has the factor D_b^{-1/2} L_B. The copula
-    C = (F F')^{-1} and P_b are formed anew each time they are read, and
-    never kept.
+    A known-variance law needs `b_chol` and keeps B's lower Cholesky factor
+    L_B, and nothing of its spec: phi = Phi^{-1}(h) is N(0, F F') with
+    F = D_a^{-1/2} L_B. An unknown-variance law needs `spec` and `v_chol`
+    (a `ParameterError` otherwise) and keeps no matrix of its own: it refers to its spec, whose A (or diag(A)
+    when Sigma_spec is diagonal) it so keeps alive, and to the truth's factor
+    L_V of V, the two operators its sampler reads.
 
-    `c` is C as an m x m matrix, its diagonal as an (m,) vector when C is
-    diagonal, or None under known variance.
+    Everything else is formed anew each time it is read and never kept: the
+    copula (F F')^{-1} of a known law, C of an unknown one, the factor L_B of
+    an unknown law (`b_chol`) and the correlation matrix P_b, whose factor is
+    D_b^{-1/2} L_B.
     """
 
-    def __init__(self, a_diag: np.ndarray, b_diag: np.ndarray, b_chol: np.ndarray,
-                 c: np.ndarray | None, mode: KnownVariance | UnknownVariance):
-        self.a_diag, self.b_diag, self.b_chol, self.c = a_diag, b_diag, b_chol, c
-        self.mode, self.known = mode, c is None
+    def __init__(self, a_diag: np.ndarray, b_diag: np.ndarray,
+                 mode: KnownVariance | UnknownVariance, b_chol: np.ndarray | None = None, *,
+                 spec: ModelSpec | None = None, v_chol: np.ndarray | None = None):
+        self.a_diag, self.b_diag, self.mode = a_diag, b_diag, mode
+        self.known = isinstance(mode, KnownVariance)
+        if self.known:
+            if b_chol is None:
+                raise ParameterError("a known-variance law needs b_chol")
+            self._b_chol = b_chol
+        else:
+            if spec is None or v_chol is None:
+                raise ParameterError("an unknown-variance law needs spec and v_chol")
+            self.spec, self.v_chol = spec, v_chol
         self.r = a_diag / b_diag
         if not np.all(self.r > 0):
             raise ParameterError("all ratios a_ii/b_ii must be positive")
+
+    @property
+    def b_chol(self) -> np.ndarray:
+        """L_B: kept by a known-variance law, formed from the spec's A and
+        L_V on each read of an unknown-variance one."""
+        if self.known:
+            return self._b_chol
+        return _factor_b(self.v_chol, self.spec)[0]
+
+    @property
+    def c(self) -> np.ndarray | None:
+        """C = D_b^{1/2} (A^-2 - A^-1) D_b^{1/2} of an unknown-variance law
+        as an m x m matrix, or its (m,) diagonal for a diagonal Sigma_spec;
+        None under known variance. Formed on each read from the spec's
+        Sigma_spec and g: A^-1 = I + P with P = Sigma_spec^-1 / g, so
+        A^-2 - A^-1 = P + P^2. It is the matrix of the quadratic form
+        z_b' C z_b = r' K^{-1} r of z_b = S r / sqrt(diag B), which the
+        sampler computes from r itself."""
+        if self.known:
+            return None
+        spec = self.spec
+        if spec.diagonal:
+            p = 1.0 / (spec.g * spec.sigma_spec.variances)
+            return (p * p + p) * self.b_diag
+        # P is inverted in the buffer of Sigma_spec's factor and becomes C
+        # there; P^2 is the one temporary m x m array.
+        c = chol_inverse(chol(spec.sigma_spec.entries), overwrite=True)
+        c /= spec.g
+        c += square(c)
+        # C is positive definite because P is; a Cholesky factor certifies it
+        # at a fraction of the cost of its eigenvalues.
+        try:
+            chol(c)
+        except NotPositiveDefiniteError:
+            raise ParameterError("A^-2 - A^-1 is not positive semidefinite") from None
+        # diag(B)^{1/2} on both sides: this is what the substitution
+        # theta_post - theta0 = diag(B)^{1/2} z_b actually yields.
+        sd = np.sqrt(self.b_diag)
+        c *= sd[:, None]
+        c *= sd
+        return c
 
     @property
     def copula(self) -> np.ndarray | None:
@@ -85,54 +140,45 @@ def check_law(truth: TrueProcess, spec: ModelSpec, mode: type) -> None:
     check_spec(truth, spec)
 
 
+def _factor_b(v_chol: np.ndarray, spec: ModelSpec) -> tuple[np.ndarray, np.ndarray | None]:
+    """(L_B, diag(B)) with L_B = S L_V from the truth's factor L_V, and diag(B)
+    None for a diagonal spec. A diagonal spec has S = diag(a / s), so L_B is
+    a row scaling of L_V, lower triangular as it stands; otherwise B is
+    formed as (S L_V)(S L_V)', its diagonal read and B factored in place,
+    so at most two m x m arrays are held at once, (S L_V) and B."""
+    if spec.diagonal:
+        return v_chol * (spec.a_diag / spec.scale)[:, None], None
+    b = congruence(spec.a, v_chol, 1.0 / spec.scale)
+    b_diag = b.diagonal().copy()
+    return chol(b, overwrite=True), b_diag
+
+
 def _law(truth: TrueProcess, spec: ModelSpec) -> SamplingLaw:
     """Sampling law of the statistics of `spec` on data from `truth`, from
     the posterior the spec factored on construction. It checks nothing: its
     callers run `check_law` first.
 
     The posterior mean is theta0 + S (y - theta0) with the smoother S = A / s,
-    so its sampling covariance is B = S V S' with V = sigma0^2 I + Sigma_1,
-    and L_B = S L_V from the truth's factor L_V. A diagonal spec has S =
-    diag(a / s), so L_B is a row scaling of L_V, lower triangular as it
-    stands; otherwise B is formed as (S L_V)(S L_V)' and factored in place,
-    so a dense law holds at most two m x m arrays at once, (S L_V) and B.
+    so its sampling covariance is B = S V S' with V = sigma0^2 I + Sigma_1.
+    A diagonal spec has diag(B) = (a / s)^2 diag(V) in closed form. A
+    known-variance law factors B (`_factor_b`). An unknown-variance law
+    needs only diag(B), the squared row norms of S L_V (one trmm), and
+    certifies a dense Sigma_spec positive definite by one Cholesky attempt,
+    whose factor it drops.
     """
     if spec.diagonal:
         w = spec.a_diag / spec.scale
-        b_chol = truth.cov_y_chol * w[:, None]
         b_diag = w * w * (truth.sigma1.variances + truth.sigma0_sq)
-    else:
-        b = congruence(spec.a, truth.cov_y_chol, 1.0 / spec.scale)
-        b_diag = b.diagonal().copy()
-        b_chol = chol(b, overwrite=True)
     if spec.known:
-        c = None
-    elif spec.diagonal:
-        # P = diag(1 / (g d)) for Sigma_spec = diag(d), so C is diagonal too.
-        p = 1.0 / (spec.g * spec.sigma_spec.variances)
-        c = (p * p + p) * b_diag
-    else:
-        # A^-1 = I + P with P = Sigma_spec^-1 / g, so A^-2 - A^-1 = P + P^2,
-        # formed in place: P is inverted in the buffer of Sigma_spec's factor
-        # and becomes C there. P^2 is the one temporary m x m array, and as it
-        # is made after C and freed first, it leaves no hole below C in the
-        # heap, where the next larger array could not reuse it.
-        c = chol_inverse(chol(spec.sigma_spec.entries), overwrite=True)
-        c /= spec.g
-        c += square(c)
-        # C is positive definite because P is; a Cholesky factor certifies it
-        # at a fraction of the cost of its eigenvalues.
-        try:
-            chol(c)
-        except NotPositiveDefiniteError:
-            raise ParameterError("A^-2 - A^-1 is not positive semidefinite") from None
-        # diag(B)^{1/2} on both sides: this is what the substitution
-        # theta_post - theta0 = diag(B)^{1/2} z_b actually yields, and it is the
-        # unique scaling under which sampler and simulation agree in distribution.
-        sd = np.sqrt(b_diag)
-        c *= sd[:, None]
-        c *= sd
-    return SamplingLaw(spec.a_diag, b_diag, b_chol, c, spec.noise)
+        b_chol, dense_diag = _factor_b(truth.cov_y_chol, spec)
+        return SamplingLaw(spec.a_diag, b_diag if spec.diagonal else dense_diag, spec.noise,
+                           b_chol)
+    if not spec.diagonal:
+        # C is defined for a positive definite Sigma_spec only: its factor
+        # certifies that, and is dropped.
+        chol(spec.sigma_spec.entries)
+        b_diag = congruence_diagonal(spec.a, truth.cov_y_chol)
+    return SamplingLaw(spec.a_diag, b_diag, spec.noise, spec=spec, v_chol=truth.cov_y_chol)
 
 
 def law_known_var(truth: TrueProcess, spec: ModelSpec) -> SamplingLaw:
@@ -209,28 +255,20 @@ def joint_log_pdf(h: np.ndarray, law: SamplingLaw) -> float | np.ndarray:
     return 0.5 * law.log_det_copula + 0.5 * quad
 
 
-def _quadratic_forms(z: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """z_r' C z_r for each row z_r of the (n, m) z, with C as `SamplingLaw.c`
-    holds it (m x m, or its diagonal). `_QUAD_ROWS` rows at a time, in one
-    buffer, so no temporary as large as z is made."""
-    quad = np.empty(z.shape[0])
-    work = np.empty((min(_QUAD_ROWS, z.shape[0]), z.shape[1]))
-    for lo in range(0, z.shape[0], _QUAD_ROWS):
-        block = z[lo:lo + _QUAD_ROWS]
-        w, q = work[:len(block)], quad[lo:lo + len(block)]
-        if c.ndim == 1:
-            np.matmul(np.square(block, out=w), c, out=q)
-        else:
-            np.matmul(block, c, out=w)
-            w *= block
-            np.sum(w, axis=1, out=q)
-    return quad
-
-
 def xi_sampler(law: SamplingLaw, n_draws: int, rng: np.random.Generator) -> np.ndarray:
     """Draws of the scaled Gaussian vector governing the unknown-variance law.
 
     Each row is sqrt((m + 2 alpha) / (z' C z + 2 beta)) * z, z ~ N(0, P_b).
+    With z = S x / sqrt(diag B) for a residual x = L_V e ~ N(0, V), that row
+    is sqrt(r) times the spec's standardized score of x, z' C z being
+    x' K^{-1} x: so each row is drawn as x from one (n, m) block of normals
+    `e` and scored in place by `ModelSpec.standardized_residual`,
+    `_SCORE_ROWS` rows at a time.
+
+    Drawn this way, the rows of a dense spec differ at a given seed from
+    those drawn as z = D_b^{-1/2} L_B e through B's own Cholesky factor L_B
+    (S L_V is not lower triangular), but have the same law; for a diagonal
+    spec, S L_V is L_B, and the rows agree up to rounding.
     """
     if law.known:
         raise ParameterError("law has no C matrix; use the unknown-variance constructor")
@@ -238,11 +276,12 @@ def xi_sampler(law: SamplingLaw, n_draws: int, rng: np.random.Generator) -> np.n
         raise ParameterError(f"n_draws must be an integer, not {n_draws!r}")
     if n_draws < 1:
         raise ParameterError("n_draws must be at least 1")
-    z = tri_mul(rng.standard_normal((n_draws, law.m)), law.b_chol)
-    z /= np.sqrt(law.b_diag)
-    quad = _quadratic_forms(z, law.c)
-    z *= np.sqrt(law.dof / (quad + 2.0 * law.mode.beta))[:, None]
-    return z
+    x = tri_mul(rng.standard_normal((n_draws, law.m)), law.v_chol)
+    for lo in range(0, n_draws, _SCORE_ROWS):
+        block = x[lo:lo + _SCORE_ROWS]
+        law.spec.standardized_residual(block, out=block)
+    x *= np.sqrt(law.r)
+    return x
 
 
 def xi_to_h(xi: np.ndarray, law: SamplingLaw) -> np.ndarray:

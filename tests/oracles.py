@@ -10,6 +10,9 @@
   of the two copula matrices and their log determinants, the reference that
   `kl_laws` is pinned to.
 - `joint_cdf_mc`: the joint CDF of a known-variance law, by Monte Carlo.
+- `xi_sampler_c`: draws of the unknown-variance law's scaled Gaussian vector
+  from its C and L_B, the reference that `sampdist.xi_sampler`, which scores
+  residuals drawn from the truth, is pinned to.
 - `random_truth_spec_pairs`: random SPD truths and specifications.
 - `dense_twin`: a covariance with the same entries that the package treats as
   dense, the reference the closed forms of a diagonal specification are
@@ -169,7 +172,7 @@ def joint_cdf_mc(
     h: np.ndarray, law: SamplingLaw, n_draws: int, rng: np.random.Generator
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the joint CDF, with binomial standard error."""
-    if law.c is not None:
+    if not law.known:
         raise ParameterError("joint CDF evaluator applies to the known-variance law")
     h = _check_open_unit(h)
     thresholds = np.sqrt(law.r) * ndtri(h)
@@ -180,6 +183,18 @@ def joint_cdf_mc(
     p = float(hits.mean())
     se = float(np.sqrt(p * (1.0 - p) / n_draws))
     return p, se
+
+
+def xi_sampler_c(law: SamplingLaw, n_draws: int, rng: np.random.Generator) -> np.ndarray:
+    """Rows sqrt((m + 2 alpha) / (z' C z + 2 beta)) * z with z ~ N(0, P_b) drawn
+    through P_b's factor D_b^{-1/2} L_B, from one (n_draws, m) block of
+    normals: the unknown-variance sampler as the paper writes it, from the
+    law's C and L_B as read."""
+    z = rng.standard_normal((n_draws, law.m)) @ law.b_chol.T
+    z /= np.sqrt(law.b_diag)
+    c = law.c
+    quad = np.square(z) @ c if c.ndim == 1 else np.sum(z * (z @ c), axis=1)
+    return np.sqrt(law.dof / (quad + 2.0 * law.mode.beta))[:, None] * z
 
 
 def step_up_reference(h: np.ndarray, alpha_star: float) -> DecisionSet:

@@ -100,16 +100,23 @@ class TestOneForm:
     @KNOWN
     @pytest.mark.parametrize("dense", [False, True], ids=["diagonal", "dense"])
     def test_matrices_kept(self, dense, known):
-        # A law keeps L_B and, for a dense unknown-variance spec, C as m x m
-        # matrices; a dense operator keeps A, a diagonal one no matrix at all.
+        # A known-variance law keeps L_B as its one m x m matrix. An
+        # unknown-variance law keeps none of its own: its one 2-d attribute
+        # is the truth's L_V itself, and it refers to its spec, whose A (or
+        # diag(A)) its sampler reads. A dense operator keeps A, a diagonal
+        # one no matrix at all.
         _, truth, cov = next(diagonal_cases())
         spec = ModelSpec(truth.theta0, 1.0, dense_twin(cov) if dense else cov,
                          noise_of(truth, known))
         law = (law_known_var if known else law_unknown_var)(truth, spec)
-        # Reading the derived matrices keeps neither of them.
-        law.copula, law.p_b
-        law_matrices = {name for name, v in vars(law).items() if np.ndim(v) == 2}
-        assert law_matrices == ({"b_chol", "c"} if dense and not known else {"b_chol"})
+        # Reading the derived matrices keeps none of them.
+        law.copula, law.p_b, law.b_chol, law.c
+        law_matrices = {name: v for name, v in vars(law).items() if np.ndim(v) == 2}
+        if known:
+            assert law_matrices.keys() == {"_b_chol"}
+        else:
+            assert law_matrices.keys() == {"v_chol"} and law.v_chol is truth.cov_y_chol
+            assert law.spec is spec
         op_matrices = {name for name, v in vars(spec).items() if np.ndim(v) == 2}
         assert op_matrices == ({"a"} if dense else set())
         # The replications factor Sigma_1 for themselves and keep the factor

@@ -31,7 +31,7 @@ def desk_setup(g=1.0):
 
 def scalar_law(r):
     return SamplingLaw(
-        a_diag=np.array([r]), b_diag=np.ones(1), b_chol=np.eye(1), c=None,
+        a_diag=np.array([r]), b_diag=np.ones(1), b_chol=np.eye(1),
         mode=KnownVariance(1.0),
     )
 

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import ndtr, stdtr
+from scipy.stats import ks_2samp, spearmanr
 
 from misfdr.covariance import CovarianceMatrix, GridLayout, exponential_cov, identity_cov
-from misfdr.errors import BoundaryError, ParameterError
-from misfdr.linalg import chol, chol_inverse
+from misfdr.errors import BoundaryError, NotPositiveDefiniteError, ParameterError
+from misfdr.linalg import chol, chol_inverse, tri_mul
 from misfdr import posterior, sampdist
 from misfdr.divergence import kl_exact
 from misfdr.fdr import operating_characteristics
@@ -24,7 +25,9 @@ from misfdr.sampdist import (
     xi_sampler,
     xi_to_h,
 )
-from oracles import joint_cdf_mc, random_truth_spec_pairs
+from oracles import joint_cdf_mc, random_truth_spec_pairs, xi_sampler_c
+
+EPS = np.finfo(float).eps
 
 
 def scalar_truth():
@@ -216,12 +219,28 @@ class TestLawUnknownVar:
 
     def test_non_psd_c_rejected(self, monkeypatch):
         # With -P for P = Sigma_spec^-1 / g, C = P^2 - P; every eigenvalue of
-        # P is below 1 at g = 100, so C is negative definite.
+        # P is below 1 at g = 100, so C is negative definite. C is formed,
+        # and certified, where it is read.
         truth, spec_cor, _ = grid_setup(rows=4, cols=4)
         spec = ModelSpec(spec_cor.theta0, 100.0, spec_cor.sigma_spec, UnknownVariance(1.0, 1.0))
         inverse = sampdist.chol_inverse
         monkeypatch.setattr(sampdist, "chol_inverse", lambda chol, **kw: -inverse(chol, **kw))
+        law = law_unknown_var(truth, spec)
         with pytest.raises(ParameterError, match=r"A\^-2 - A\^-1 is not positive semidefinite"):
+            law.c
+
+    def test_indefinite_sigma_spec_rejected(self):
+        # Sigma_spec has eigenvalues 2, 1 and -0.1, so K = I + Sigma_spec
+        # (eigenvalues 3, 2, 0.9) is positive definite and the spec scores
+        # data, with every a_ii positive; but A has the eigenvalue -1/9 and
+        # C = A^-2 - A^-1 is not defined by a positive definite P. The law
+        # refuses it by Sigma_spec's one Cholesky attempt.
+        q = np.linalg.qr(np.random.default_rng(5).standard_normal((3, 3)))[0]
+        sigma = CovarianceMatrix(q @ np.diag([2.0, 1.0, -0.1]) @ q.T)
+        spec = ModelSpec(np.zeros(3), 1.0, sigma, UnknownVariance(2.0, 0.5))
+        assert np.all(spec.a_diag > 0) and np.linalg.eigvalsh(spec.a).min() < 0
+        truth = TrueProcess(np.zeros(3), 0.25, identity_cov(3))
+        with pytest.raises(NotPositiveDefiniteError, match="matrix of dim 3 is not positive"):
             law_unknown_var(truth, spec)
 
     def test_operating_characteristics_and_law_share_one_operator(self, monkeypatch):
@@ -293,33 +312,43 @@ class TestOneMatrixPerObject:
 
     @BOTH_MODES
     def test_law_keeps_no_spec_matrix(self, noise, law_of):
-        # Once its spec is dropped, a law keeps the memory of the spec's A
-        # alive through nothing, not even a view of its diagonal. A is itself
-        # a view (`chol_inverse` returns a transpose), so the reference is to
-        # the array that owns its memory.
+        # Once its spec is dropped, a known-variance law keeps the memory of
+        # the spec's A alive through nothing, not even a view of its
+        # diagonal. An unknown-variance law keeps no copy of A, but refers to
+        # its spec, whose A its sampler reads: A lives as long as the law. A
+        # is itself a view (`chol_inverse` returns a transpose), so the
+        # reference is to the array that owns its memory.
         truth, spec_cor, _ = grid_setup(rows=3, cols=3)
         spec = ModelSpec(spec_cor.theta0, 1.0, spec_cor.sigma_spec, noise)
         a_memory = weakref.ref(spec.a if spec.a.base is None else spec.a.base)
         law = law_of(truth, spec)
         assert not np.shares_memory(law.a_diag, spec.a)
+        known = isinstance(noise, KnownVariance)
+        assert known or law.spec is spec
         del spec
-        assert a_memory() is None
+        assert (a_memory() is None) == known
         assert law.m == truth.m
+        del law
+        assert a_memory() is None
 
     @BOTH_MODES
     def test_law_factors_b_once(self, monkeypatch, noise, law_of):
         truth, spec_cor, _ = grid_setup(rows=3, cols=3)
         spec = ModelSpec(spec_cor.theta0, 1.0, spec_cor.sigma_spec, noise)
-        factored = count_calls(monkeypatch, sampdist, "chol")
-        inverted = count_calls(monkeypatch, sampdist, "chol_inverse")
+        calls = {name: count_calls(monkeypatch, sampdist, name)
+                 for name in ("chol", "chol_inverse", "square", "congruence")}
         law = law_of(truth, spec)
-        # B is factored first; the unknown-variance law then factors Sigma_spec
-        # to form Sigma_spec^-1 and certifies C by a factor, the known-variance
-        # law does neither.
+        # A known-variance law forms B by one congruence and factors it once.
+        # An unknown-variance law forms neither B nor C: its one Cholesky
+        # attempt certifies Sigma_spec, and it inverts and squares nothing.
         known = isinstance(noise, KnownVariance)
-        assert len(factored) == (1 if known else 3)
-        assert (inverted == []) == known
-        np.testing.assert_allclose(law.b_chol @ law.b_chol.T, factored[0], rtol=1e-12, atol=0)
+        counts = {name: len(made) for name, made in calls.items()}
+        assert counts == {"chol": 1, "chol_inverse": 0, "square": 0, "congruence": int(known)}
+        factored = calls["chol"][0]
+        if known:
+            np.testing.assert_allclose(law.b_chol @ law.b_chol.T, factored, rtol=1e-12, atol=0)
+        else:
+            np.testing.assert_array_equal(factored, spec.sigma_spec.entries)
 
     def test_sampler_factors_nothing(self, monkeypatch):
         truth, spec_cor, _ = grid_setup(rows=3, cols=3)
@@ -349,7 +378,7 @@ class TestCorrelationFactor:
     def test_hand_built_law_derives_p_b(self):
         b = np.array([[2.0, 0.6, 0.0], [0.6, 1.0, -0.3], [0.0, -0.3, 0.5]])
         law = SamplingLaw(a_diag=np.array([0.5, 0.4, 0.2]), b_diag=np.diag(b),
-                          b_chol=np.linalg.cholesky(b), c=None, mode=KnownVariance(1.0))
+                          b_chol=np.linalg.cholesky(b), mode=KnownVariance(1.0))
         sd = np.sqrt(np.diag(b))
         np.testing.assert_allclose(law.p_b, b / np.outer(sd, sd), rtol=0, atol=1e-15)
         np.testing.assert_allclose(law.r, [0.25, 0.4, 0.4], rtol=1e-15)
@@ -358,7 +387,19 @@ class TestCorrelationFactor:
     def test_hand_built_law_rejects_a_nonpositive_ratio(self):
         with pytest.raises(ParameterError, match="ratios a_ii/b_ii must be positive"):
             SamplingLaw(a_diag=np.array([0.5, -0.1]), b_diag=np.ones(2), b_chol=np.eye(2),
-                        c=None, mode=KnownVariance(1.0))
+                        mode=KnownVariance(1.0))
+
+    def test_hand_built_law_needs_the_operators_its_mode_reads(self):
+        # A known law reads its L_B; an unknown one its spec and L_V, from
+        # which C and the draws are formed. Neither is built without them.
+        truth, spec_cor, _ = grid_setup(rows=2, cols=2)
+        spec = ModelSpec(spec_cor.theta0, 1.0, spec_cor.sigma_spec, UnknownVariance(1.0, 1.0))
+        diag = {"a_diag": np.ones(4), "b_diag": np.ones(4)}
+        with pytest.raises(ParameterError, match="known-variance law needs b_chol"):
+            SamplingLaw(**diag, mode=KnownVariance(1.0))
+        for operators in ({"spec": spec}, {"v_chol": truth.cov_y_chol}, {"b_chol": np.eye(4)}):
+            with pytest.raises(ParameterError, match="unknown-variance law needs spec and v_chol"):
+                SamplingLaw(**diag, mode=spec.noise, **operators)
 
 
 class TestCopulaIdentity:
@@ -436,13 +477,11 @@ class TestMarginals:
                 assert marginal_pdf(h, r) == pytest.approx(slope, rel=1e-6)
 
 
-def diagonal_law(r_values, mode=None):
-    """Sampling law with independent coordinates and given ratios."""
+def diagonal_law(r_values):
+    """Known-variance sampling law with independent coordinates and given ratios."""
     r = np.asarray(r_values, dtype=float)
     m = r.size
-    return SamplingLaw(
-        a_diag=r, b_diag=np.ones(m), b_chol=np.eye(m), c=None, mode=mode or KnownVariance(1.0),
-    )
+    return SamplingLaw(a_diag=r, b_diag=np.ones(m), b_chol=np.eye(m), mode=KnownVariance(1.0))
 
 
 class TestJointLogPdf:
@@ -516,13 +555,14 @@ class TestXiSampler:
         assert np.all(np.abs(draws.mean(axis=0)) < 3 * se)
 
     def test_degenerate_quadratic_form(self):
-        law = self.unknown_law()
-        law_c0 = SamplingLaw(
-            a_diag=law.a_diag, b_diag=law.b_diag, b_chol=law.b_chol,
-            c=np.zeros((law.m, law.m)), mode=law.mode,
-        )
-        draws = xi_sampler(law_c0, 5_000, stream(1, 1))
-        # denominator collapses to 2 beta, so draws are scaled Gaussians
+        # At g = 1e8, K^-1 = (I + g Sigma_spec)^-1 is about 1e-8, so the
+        # quadratic form r' K^-1 r = z' C z vanishes beside 2 beta: the
+        # denominator collapses to 2 beta, and the draws are scaled Gaussians.
+        truth, spec_cor, _ = grid_setup(rows=3, cols=3)
+        spec = ModelSpec(spec_cor.theta0, 1e8, spec_cor.sigma_spec, UnknownVariance(1.0, 1.0))
+        law = law_unknown_var(truth, spec)
+        assert np.abs(law.c).max() < 1e-6
+        draws = xi_sampler(law, 5_000, stream(1, 1))
         expected_sd = np.sqrt(law.dof / (2.0 * law.mode.beta))
         assert draws.std() == pytest.approx(expected_sd, rel=0.05)
 
@@ -534,22 +574,30 @@ class TestXiSampler:
 
     @pytest.mark.parametrize("diagonal", [True, False], ids=["diagonal", "dense"])
     def test_draws_match_the_out_of_place_expressions(self, diagonal):
+        # x = L_V e, S x = x A, r' K^-1 r = x.x - x.(S x), and the draw is
+        # sqrt(r) S x / sqrt(diag A) / sqrt((2 beta + x' K^-1 x) / dof), with
+        # S x formed 128 rows at a time as the sampler forms it.
         truth, spec_cor, spec_mis = grid_setup(rows=3, cols=3)
         cov = (spec_mis if diagonal else spec_cor).sigma_spec
-        law = law_unknown_var(truth, ModelSpec(truth.theta0, 1.0, cov, UnknownVariance(1.0, 1.0)))
-        assert (law.c.ndim == 1) is diagonal
-        z = stream(1, 5).standard_normal((300, law.m)) @ law.b_chol.T
-        z /= np.sqrt(law.b_diag)
-        quad = np.square(z) @ law.c if diagonal else np.sum(z * (z @ law.c), axis=1)
-        xi = np.sqrt(law.dof / (quad + 2.0 * law.mode.beta))[:, None] * z
+        spec = ModelSpec(truth.theta0, 1.0, cov, UnknownVariance(1.0, 1.0))
+        law = law_unknown_var(truth, spec)
+        x = tri_mul(stream(1, 5).standard_normal((300, law.m)), truth.cov_y_chol)
+        z = np.empty_like(x)
+        for lo in range(0, 300, 128):
+            xb = x[lo:lo + 128]
+            shift = np.einsum("...i,i->...i", xb, spec.a_diag) if diagonal else xb @ spec.a
+            quad = np.einsum("...i,...i->...", xb, xb) - np.einsum("...i,...i->...", xb, shift)
+            z[lo:lo + 128] = (shift / np.sqrt(spec.a_diag)
+                              / np.sqrt((2.0 * law.mode.beta + quad) / law.dof)[:, None])
         draws = xi_sampler(law, 300, stream(1, 5))
-        np.testing.assert_array_equal(draws, xi)
-        np.testing.assert_array_equal(xi_to_h(draws, law), StudentT(law.dof)(xi / np.sqrt(law.r)))
+        np.testing.assert_array_equal(draws, z * np.sqrt(law.r))
+        np.testing.assert_array_equal(xi_to_h(draws, law),
+                                      StudentT(law.dof)(draws / np.sqrt(law.r)))
 
     @pytest.mark.parametrize("diagonal", [True, False], ids=["diagonal", "dense"])
     def test_peak_memory_is_the_draws_and_one_block(self, diagonal):
-        # The quadratic forms are made a block of rows at a time: beside the
-        # (n, m) draws, one (128, m) buffer and a few (n,) vectors.
+        # The draws are scored a block of rows at a time, in place: beside the
+        # (n, m) draws, one (128, m) block of scores and a few (n,) vectors.
         truth, spec_cor, spec_mis = grid_setup(rows=10, cols=10)
         cov = (spec_mis if diagonal else spec_cor).sigma_spec
         law = law_unknown_var(truth, ModelSpec(truth.theta0, 1.0, cov, UnknownVariance(1.0, 1.0)))
@@ -561,8 +609,28 @@ class TestXiSampler:
         finally:
             tracemalloc.stop()
         draws = n * law.m * 8
-        assert sampdist._QUAD_ROWS == 128
+        assert sampdist._SCORE_ROWS == 128
         assert draws < peak < draws + 128 * law.m * 8 + 4 * n * 8
+
+    def test_h_are_the_spec_scores_of_residuals_drawn_from_the_truth(self):
+        # Each 128-row block of the draws is exactly sqrt(r) times the spec's
+        # standardized scores of y = theta0 + L_V e (theta0 = 0, so y - theta0
+        # is L_V e) from the same normals e. h = Psi(xi / sqrt(r)) is then the
+        # spec's posterior CDF at the scores of all of y to a few ulps of 1:
+        # dividing by sqrt(r) rounds, and one product by A over all rows
+        # rounds apart from products over blocks of rows.
+        truth, spec_cor, _ = grid_setup(rows=10, cols=10)
+        spec = ModelSpec(spec_cor.theta0, 0.5, spec_cor.sigma_spec, UnknownVariance(2.0, 0.5))
+        law = law_unknown_var(truth, spec)
+        assert not truth.theta0.any()
+        for n in (1, 300):
+            xi = xi_sampler(law, n, stream(7, n))
+            y = truth.theta0 + tri_mul(stream(7, n).standard_normal((n, law.m)),
+                                       truth.cov_y_chol)
+            blocks = [spec.standardized(y[lo:lo + 128]) for lo in range(0, n, 128)]
+            np.testing.assert_array_equal(xi, np.concatenate(blocks) * np.sqrt(law.r))
+            np.testing.assert_allclose(xi_to_h(xi, law), spec.cdf(spec.standardized(y)),
+                                       rtol=0, atol=8 * EPS)
 
     @pytest.mark.parametrize("n_draws", [0, -3])
     def test_draw_count_must_be_positive(self, n_draws):
@@ -585,3 +653,52 @@ class TestXiSampler:
             xi_sampler(law, 10, stream(1, 2))
         with pytest.raises(ParameterError):
             xi_to_h(np.array([0.0]), law)
+
+
+PIN_SPECS = pytest.mark.parametrize("spec_cov, g", [
+    (exponential_cov(GridLayout(4, 4), 5.0), 1.0),
+    (exponential_cov(GridLayout(4, 4), 1.0), 0.3),
+    (CovarianceMatrix(np.diag(np.linspace(0.2, 3.0, 16))), 2.0),
+], ids=["correct", "dense-misspecified", "diagonal"])
+
+
+class TestSamplerPin:
+    """`xi_sampler` scores residuals drawn from the truth; `oracles.xi_sampler_c`
+    draws z ~ N(0, P_b) through L_B and scales it by z' C z, as the paper
+    writes the law. The two agree in law, and the quadratic forms agree draw
+    by draw."""
+
+    @staticmethod
+    def law(spec_cov, g):
+        truth = TrueProcess(np.zeros(16), 0.25, exponential_cov(GridLayout(4, 4), 5.0))
+        return truth, law_unknown_var(truth, ModelSpec(truth.theta0, g, spec_cov,
+                                                       UnknownVariance(2.0, 0.5)))
+
+    @PIN_SPECS
+    def test_marginals_and_ranks_match_the_c_sampler(self, spec_cov, g):
+        # Per coordinate, a two-sample KS test; jointly, the Spearman rank
+        # correlations, whose difference between two independent samples of
+        # n has a standard error of at most sqrt(2 / n).
+        _, law = self.law(spec_cov, g)
+        n = 40_000
+        draws = xi_sampler(law, n, stream(11, 0))
+        reference = xi_sampler_c(law, n, stream(11, 1))
+        ks_min = min(ks_2samp(draws[:, i], reference[:, i]).pvalue for i in range(law.m))
+        assert ks_min > 1e-4
+        rho_dev = np.abs(spearmanr(draws).statistic - spearmanr(reference).statistic).max()
+        assert rho_dev < 5 * np.sqrt(2 / n)
+
+    @PIN_SPECS
+    def test_quadratic_form_of_each_draw(self, spec_cov, g):
+        # u' (P + P^2) u = x.x - x.(S x) with u = S x, for each residual x
+        # drawn from the truth: the C read from the law holds P + P^2
+        # scaled by diag(B)^{1/2} on both sides, so it meets u / sqrt(diag B).
+        truth, law = self.law(spec_cov, g)
+        spec = law.spec
+        x = stream(11, 2).standard_normal((50, law.m)) @ truth.cov_y_chol.T
+        u = x * spec.a_diag if spec.diagonal else x @ spec.a
+        z_b = u / np.sqrt(law.b_diag)
+        c = law.c
+        via_c = np.square(z_b) @ c if c.ndim == 1 else np.sum(z_b * (z_b @ c), axis=1)
+        direct = np.sum(x * x, axis=1) - np.sum(x * u, axis=1)
+        np.testing.assert_allclose(via_c, direct, rtol=1e-10, atol=0)
