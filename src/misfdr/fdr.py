@@ -39,8 +39,8 @@ def block_floats(m: int) -> int:
     `_BLOCK_ROWS` replications of 2m normals at a time. A caller that holds
     no more than this beside a `replicate` call keeps its working set within
     a few (_BLOCK_ROWS, m) arrays. A sweep whose n_reps x m floats of data
-    fit in it keeps its datasets (`keep_datasets`) rather than draw them
-    again for each `replicate` call."""
+    fit in it keeps its datasets, the list of `drawn_datasets`' blocks,
+    rather than draw them again for each `replicate` call."""
     return _BLOCK_ROWS * 2 * m
 
 
@@ -170,34 +170,24 @@ def _decide(x: np.ndarray, alpha_star: float, cdf=None) -> DecisionSet:
 
 def drawn_datasets(truth: TrueProcess, gen: np.random.Generator, n: int):
     """The next n datasets `gen` draws from `truth`, `_BLOCK_ROWS` at a time:
-    for each block, y and its null mask theta >= truth.theta0, H0i holding
-    on the boundary too. Sigma_1 is factored once, before the first block,
-    and the factor is freed with the generator after the last; theta is
-    freed once the mask is taken."""
+    for each block, the residuals y - truth.theta0 and their null mask
+    theta >= truth.theta0 (`posterior.draw_replications`). Each block owns
+    its arrays, so a list of the blocks keeps n x m floats and as many
+    bools. Sigma_1 is factored once, before the first block, and the factor
+    is freed with the generator after the last."""
     sigma1_chol = chol(truth.sigma1.entries)
     for start in range(0, n, _BLOCK_ROWS):
-        theta, y = draw_replications(truth, sigma1_chol, gen, min(_BLOCK_ROWS, n - start))
-        null = theta >= truth.theta0
-        del theta
-        yield y, null
-
-
-def keep_datasets(
-    truth: TrueProcess, gen: np.random.Generator, n: int
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The blocks `drawn_datasets(truth, gen, n)` yields, kept as a list so
-    that `replicate` can score them more than once. They hold n x m floats
-    and as many bools; theta is not kept."""
-    # y is a view of its block's (rows, 2m) normals: a copy keeps half of them.
-    return [(y.copy(), null) for y, null in drawn_datasets(truth, gen, n)]
+        null, resid = draw_replications(truth, sigma1_chol, gen, min(_BLOCK_ROWS, n - start))
+        yield resid, null
 
 
 def replicate(truth: TrueProcess, specs, alpha_star: float, blocks) -> list[np.ndarray]:
     """(n, 3) per-replication (R, V, T) counts for each spec in `specs`, all
-    scored on the same n datasets: the (y, null) blocks of `blocks`, drawn
-    as they are read (`drawn_datasets`) or kept (`keep_datasets`), n their
-    rows in all. Every spec must have the truth's dimension and prior mean
-    (`check_spec`), so one null mask, theta_i >= theta0_i, serves them all.
+    scored on the same n datasets: the (resid, null) blocks of `blocks`,
+    drawn as they are read (`drawn_datasets`) or kept in a list of them, n
+    their rows in all. Every spec must have the truth's dimension and prior
+    mean (`check_spec`), so one null mask, theta_i >= theta0_i, serves them
+    all.
     R is the number of rejections, V the false ones and T the true
     alternatives left unrejected. Each is at most m, so the counts are
     int32: a sweep holds one array per spec.
@@ -207,17 +197,17 @@ def replicate(truth: TrueProcess, specs, alpha_star: float, blocks) -> list[np.n
     the specs are checked before the first block is drawn. Row r is the
     r-th dataset of the stream whatever the block size, so the first N rows
     of n > N replications are the N replications. A block is decided from
-    its standardized scores `spec.standardized(y)`: the posterior CDF
-    `spec.cdf` is applied only to the sorted prefix of each row that the
-    step-up rule reads (see `_decide`), and the counts are those of
-    `step_up(spec.cdf(spec.standardized(y)))`.
+    its standardized scores `spec.standardized_residual(resid)`: the
+    posterior CDF `spec.cdf` is applied only to the sorted prefix of each
+    row that the step-up rule reads (see `_decide`), and the counts are
+    those of `step_up(spec.cdf(spec.standardized_residual(resid)))`.
     """
     for spec in specs:
         check_spec(truth, spec)
     counts = [[] for _ in specs]
-    for y, null in blocks:
+    for resid, null in blocks:
         for spec, out in zip(specs, counts):
-            decision = _decide(spec.standardized(y), alpha_star, spec.cdf)
+            decision = _decide(spec.standardized_residual(resid), alpha_star, spec.cdf)
             out.append(np.stack([decision.k,
                                  np.count_nonzero(decision.rejected & null, axis=1),
                                  np.count_nonzero(~(decision.rejected | null), axis=1)],

@@ -2,9 +2,12 @@
 
 The statistic for hypothesis i is h_i = P(theta_i >= theta0_i | y): the
 posterior probability, under the analyst's assumed model, that theta_i is at
-least its prior mean theta0_i. A spec scores data in two steps: the
-standardized score z = `spec.standardized(y)`, then h = `spec.cdf(z)`, the
-posterior CDF Psi at z. Psi is monotone, so the step-up rule sorts z and
+least its prior mean theta0_i. It depends on y only through the residual
+y - theta0, and the null theta_i >= theta0_i on theta only through
+theta - theta0, so the Monte Carlo draws residuals and never theta0
+(`draw_replications`). A spec scores a residual r in two steps: the
+standardized score z = `spec.standardized_residual(r)`, then h = `spec.cdf(z)`,
+the posterior CDF Psi at z. Psi is monotone, so the step-up rule sorts z and
 applies Psi only to the prefix of each sorted row it reads (`fdr.replicate`).
 Two noise modes are supported: known noise variance (Gaussian posterior) and
 unknown noise variance with an inverse-gamma prior (multivariate-t posterior).
@@ -197,23 +200,27 @@ class StudentT:
 def draw_replications(
     truth: TrueProcess, sigma1_chol: np.ndarray, gen: np.random.Generator, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(theta, y) as (n, m) arrays, the next n replications of `gen`:
-    theta ~ N(theta0, Sigma1), y = theta + N(0, sigma0^2 I), with
-    `sigma1_chol` the lower Cholesky factor of Sigma1, which the caller
-    builds once for all its blocks.
+    """(null, resid) as (n, m) arrays, the next n replications of `gen`: the
+    null masks theta >= theta0 and the residuals y - theta0, for
+    theta ~ N(theta0, Sigma1) and y = theta + N(0, sigma0^2 I). Both are
+    functions of theta - theta0 = L1 z alone, so theta0 is never added.
+    `sigma1_chol` is L1, the lower Cholesky factor of Sigma1, which the
+    caller builds once for all its blocks.
 
     Row r is the r-th successive single draw `tests/oracles.draw_dataset(truth,
-    gen)` would make, the reference the tests pin it to: m normals for theta,
-    then m for the noise, all n rows from one `standard_normal` call.
+    gen)` would make, less theta0, the reference the tests pin it to: m
+    normals for theta, then m for the noise, all n rows from one
+    `standard_normal` call.
     """
     m = truth.m
     z = gen.standard_normal((n, 2 * m))
-    theta = tri_mul(z[:, :m], sigma1_chol)
-    theta += truth.theta0
-    y = z[:, m:]
-    y *= np.sqrt(truth.sigma0_sq)
-    y += theta
-    return theta, y
+    # tri_mul copies the strided slice, so resid keeps none of z alive.
+    resid = tri_mul(z[:, :m], sigma1_chol)
+    null = resid >= 0.0
+    noise = z[:, m:]
+    noise *= np.sqrt(truth.sigma0_sq)
+    resid += noise
+    return null, resid
 
 
 # Tolerance, relative and absolute, for a spec's value to equal the truth's
@@ -223,10 +230,10 @@ _SAME_TOL = 1e-12
 
 def check_spec(truth: TrueProcess, spec: ModelSpec) -> None:
     """Raise unless `spec` has the dimension and the prior mean of `truth`.
-    H0i is theta_i >= theta0_i for the truth's theta0, and the spec's scores
-    are centred on its own, so the two must agree for the scores to test
-    the hypotheses: the Monte Carlo (`fdr.replicate`) and the sampling laws
-    (`sampdist.check_law`) both require it."""
+    H0i is theta_i >= theta0_i for the truth's theta0, the Monte Carlo's
+    residuals are taken from it, and the spec's statistic is centred on its
+    own, so the two must agree: the Monte Carlo (`fdr.replicate`) and the
+    sampling laws (`sampdist.check_law`) both require it."""
     if spec.m != truth.m:
         raise ParameterError(f"spec dimension {spec.m} does not match the truth's {truth.m}")
     if not np.allclose(spec.theta0, truth.theta0, rtol=_SAME_TOL, atol=_SAME_TOL):
@@ -308,24 +315,17 @@ class ModelSpec:
         self.dof = None if self.known else self.m + 2 * noise.alpha
         self._psi = ndtr if self.known else StudentT(self.dof)
 
-    def standardized(self, y: np.ndarray) -> np.ndarray:
-        """(posterior mean - theta0) / posterior scale: the argument of the
-        posterior CDF `cdf`, so Phi^{-1}(h) exactly when the variance is
-        known and the Student-t quantile of h when it is not.
-
-        Downstream density evaluations work with this quantity directly so
-        that tail values are not lost to Phi saturating at 1.0 in float64.
-        """
-        return self.standardized_residual(np.asarray(y, dtype=float) - self.theta0)
-
     def standardized_residual(self, resid: np.ndarray,
                               out: np.ndarray | None = None) -> np.ndarray:
         """The standardized score of the residual r = y - theta0, (m,) or
-        (n, m): S r / sqrt(diag A), divided under the inverse-gamma prior by
+        (n, m), the spec's one scoring entry: (posterior mean - theta0) /
+        posterior scale, the argument of `cdf`, which density evaluations
+        read directly, as h saturates at 1.0 in float64 far in the tail.
+        It is S r / sqrt(diag A), divided under the inverse-gamma prior by
         sqrt((2 beta + r' K^{-1} r) / dof), with the quadratic form
-        r' K^{-1} r = r.r - r.(S r). It is a fresh array, or written over
-        `out`, which may be `resid` itself. `standardized` scores data through
-        it, and `sampdist.xi_sampler` its draws of r, in place."""
+        r' K^{-1} r = r.r - r.(S r): a fresh array, or written over `out`,
+        which may be `resid` itself. `fdr.replicate` scores the drawn
+        residuals through it, and `sampdist.xi_sampler` its draws, in place."""
         # A is symmetric, so r @ A is (A r')'; a diagonal A scales each column,
         # by einsum, which unlike a broadcasting multiply allocates no buffer.
         z = np.einsum("...i,i->...i", resid, self.a_diag) if self.diagonal else resid @ self.a
@@ -352,7 +352,7 @@ class ModelSpec:
         when it is not (Hill's transform with a fitted correction, within
         4.5e-16 of the exact CDF, and `stdtr` itself for |z| > 37, inf and
         NaN).
-        `cdf(standardized(y))` is h_i = P(theta_i >= theta0_i | y), for (m,)
-        or (n, m) y; `out` is as for a numpy ufunc, z itself included."""
+        `cdf(standardized_residual(y - theta0))` is h_i = P(theta_i >= theta0_i | y),
+        for (m,) or (n, m) y; `out` is as for a numpy ufunc, z itself included."""
         return self._psi(z, out=out)
 

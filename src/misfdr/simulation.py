@@ -23,10 +23,10 @@ passes; at m = 900 one dense A fills the block, so each point is its own
 pass. A range sweep scores its shared correct spec on its own, before the
 passes. When a sweep scores its datasets more than once and their n_reps x
 m floats fit in one draw block too (as for every built-in study of more
-than one pass), they are drawn once, before the passes, and kept
-(`fdr.keep_datasets`); otherwise each pass draws them. The passes and the
-keeping follow from the config and its covariances alone, and the passes
-run in order on the calling thread. Each spec's counts are those it would
+than one pass), they are drawn once, before the passes, and kept as the
+list of `fdr.drawn_datasets`' blocks; otherwise each pass draws them. The
+passes and the keeping follow from the config and its covariances alone,
+and the passes run in order on the calling thread. Each spec's counts are those it would
 get alone on the stream, so the numbers do not depend on the grouping or
 on whether the datasets are kept.
 
@@ -49,7 +49,7 @@ from . import covariance
 from .covariance import CovarianceMatrix, GridLayout
 from .divergence import kl_laws
 from .errors import ParameterError
-from .fdr import block_floats, drawn_datasets, keep_datasets, replicate, summarize_counts
+from .fdr import block_floats, drawn_datasets, replicate, summarize_counts
 from .posterior import KnownVariance, ModelSpec, TrueProcess
 from .sampdist import law_known_var
 from .rng import stream
@@ -248,9 +248,10 @@ def run_sweep(config: ExperimentConfig) -> list[SweepRow]:
     When the sweep scores its datasets more than once (more than one pass,
     or a shared correct spec beside the passes) and their n_reps x m floats
     fit in one draw block, they are drawn once, before the passes, and kept
-    (`fdr.keep_datasets`): at m = 900 and 1000 reps that is 900,000 floats
-    of the block's 921,600. Otherwise each scoring draws them from a fresh
-    stream, so a sweep never holds more datasets than one draw block. Every
+    as the list of `fdr.drawn_datasets`' blocks: at m = 900 and 1000 reps
+    that is 900,000 floats of the block's 921,600. Otherwise each scoring
+    draws them from a fresh stream, so a sweep never holds more datasets
+    than one draw block. Every
     spec's counts are those of its own `replicate` on the stream, so the
     rows do not depend on the grouping or on keeping. Output order follows
     config.sweep_values.
@@ -267,7 +268,7 @@ def run_sweep(config: ExperimentConfig) -> list[SweepRow]:
         cost = square * ((not truth.sigma1.is_diagonal) + (not mis_cov.is_diagonal))
     passes = _passes(config.sweep_values, cost, budget)
     if len(passes) + shares_cor > 1 and config.n_reps * config.m <= budget:
-        kept = keep_datasets(truth, stream(config.root_seed, 0, 0), config.n_reps)
+        kept = list(drawn_datasets(truth, stream(config.root_seed, 0, 0), config.n_reps))
     if shares_cor:
         spec_cor = sweep_spec(config, truth.sigma1, config.g)
         shared_cor = (law_known_var(truth, spec_cor), *_score(config, truth, [spec_cor], kept))

@@ -1,7 +1,8 @@
 """Reference draws and Monte Carlo oracles for the package; only tests use them.
 
 - `draw_dataset`: one (theta, y) draw from a seed or Generator, the reference that
-  `draw_replications` reproduces row for row: its rows are successive draws.
+  `draw_replications` reproduces row for row as (theta >= theta0, y - theta0):
+  its rows are successive draws.
 - `kl_known_var`: the KL divergence between the correct and misspecified
   known-variance laws of the scores, by Monte Carlo, against `kl_exact`.
 - `log_density_ratio`: log f_cor(h) - log f_mis(h), the summand of that
@@ -19,6 +20,8 @@
   pinned to.
 - `step_up_reference`: the step-up rule in its earlier, many-pass form, the
   reference whose k and rejections `fdr.step_up` reproduces exactly.
+- `standardized`: a spec's standardized scores z of data y, from the spec's
+  own theta0.
 - `probs`: a spec's scores h = Psi(z) on every coordinate of y.
 - `replication_counts`: (R, V, T) from scores h by `step_up_reference`, the
   reference that `fdr.replicate`, which decides from the standardized
@@ -139,12 +142,12 @@ def kl_known_var(
     """
     check_kl_specs(truth, spec_cor, spec_mis)
 
-    _, y = draw_replications(truth, chol(truth.sigma1.entries), np.random.default_rng(rng),
-                             n_draws)
+    _, resid = draw_replications(truth, chol(truth.sigma1.entries),
+                                 np.random.default_rng(rng), n_draws)
     # Work with phi = Phi^{-1}(h) computed directly from the standardized
     # posterior mean: round-tripping through h loses the tail (h saturates
     # at 1.0 in float64 once phi exceeds ~8.2) and would force exclusions.
-    phi = spec_cor.standardized(y)
+    phi = spec_cor.standardized_residual(resid)
 
     interior = np.all(np.isfinite(phi), axis=1)
     n_excluded = int(n_draws - interior.sum())
@@ -243,9 +246,15 @@ def step_up_reference(h: np.ndarray, alpha_star: float) -> DecisionSet:
     return DecisionSet(rejected, k)
 
 
+def standardized(spec: ModelSpec, y: np.ndarray) -> np.ndarray:
+    """(posterior mean - theta0) / posterior scale under `spec`, for (m,) or
+    (n, m) data y: the spec's scores of the residual y - theta0."""
+    return spec.standardized_residual(np.asarray(y, dtype=float) - spec.theta0)
+
+
 def probs(spec: ModelSpec, y: np.ndarray) -> np.ndarray:
     """h_i = P(theta_i >= theta0_i | y) under `spec`, for (m,) or (n, m) y."""
-    return spec.cdf(spec.standardized(y))
+    return spec.cdf(standardized(spec, y))
 
 
 def replication_counts(h: np.ndarray, null_mask: np.ndarray, alpha_star: float) -> np.ndarray:

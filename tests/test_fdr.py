@@ -13,7 +13,6 @@ from misfdr.covariance import GridLayout, exponential_cov, identity_cov
 from misfdr.errors import ParameterError
 from misfdr.fdr import (
     drawn_datasets,
-    keep_datasets,
     operating_characteristics,
     replicate,
     step_up,
@@ -365,11 +364,11 @@ class TestDecideFromScores:
         # One block of rows: the draws and scores are those of one batch.
         n = fdr._BLOCK_ROWS
         counts = replicate(truth, specs, alpha, drawn_datasets(truth, stream(seed, 3), n))
-        theta, y = draw_replications(truth, chol(sigma1.entries), stream(seed, 3), n)
-        nulls = theta >= truth.theta0
+        nulls, resid = draw_replications(truth, chol(sigma1.entries), stream(seed, 3), n)
         for spec, got in zip(specs, counts):
-            np.testing.assert_array_equal(got, replication_counts(probs(spec, y), nulls, alpha))
-            assert_decides_as_reference(spec.standardized(y), alpha, spec.cdf, nulls)
+            z = spec.standardized_residual(resid)
+            np.testing.assert_array_equal(got, replication_counts(spec.cdf(z), nulls, alpha))
+            assert_decides_as_reference(z, alpha, spec.cdf, nulls)
 
     @noise_kinds
     @given(shape=wide_batches, data=st.data(), alpha=st.sampled_from([0.02, 0.05, 0.3]))
@@ -467,14 +466,33 @@ class TestDecideFromScores:
 
 class TestDrawnDatasets:
     def test_boundary_counts_as_null(self, monkeypatch):
-        # H0i is theta_i >= the truth's theta0_i: a draw on the bound is null.
+        # H0i is theta_i >= the truth's theta0_i: a factor of Sigma_1 with a
+        # zero row puts theta_1 on the bound in every draw, and it is null
+        # there; theta_0 and theta_2 fall on either side.
         truth = TrueProcess(np.array([0.5, -2.0, 3.0]), 0.25, identity_cov(3))
-        theta = truth.theta0 + np.array([[-1.0, 0.0, 1.0], [0.0, 1e-300, -1e-12]])
-        monkeypatch.setattr(fdr, "draw_replications",
-                            lambda truth, sigma1_chol, gen, n: (theta.copy(), theta.copy()))
-        ((y, null),) = drawn_datasets(truth, stream(0), 2)
-        np.testing.assert_array_equal(y, theta)
-        np.testing.assert_array_equal(null, [[False, True, True], [True, True, False]])
+        monkeypatch.setattr(fdr, "chol", lambda a: np.diag([1.0, 0.0, 1.0]))
+        ((_, null),) = drawn_datasets(truth, stream(0), 50)
+        assert null[:, 1].all()
+        assert 0 < np.count_nonzero(null[:, 0]) < 50 and 0 < np.count_nonzero(null[:, 2]) < 50
+
+    def test_blocks_own_their_residuals(self):
+        # Each block owns its residuals, C-contiguous and not a view of the
+        # (rows, 2m) normals they were drawn from, so a kept list of the
+        # blocks holds n m floats and n m bools.
+        truth = TrueProcess(np.zeros(25), 0.25, exponential_cov(GridLayout(5, 5), 5.0))
+        n, m = fdr._BLOCK_ROWS + 37, truth.m
+        tracemalloc.start()
+        try:
+            kept = list(drawn_datasets(truth, stream(2), n))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert [len(resid) for resid, _ in kept] == [fdr._BLOCK_ROWS, 37]
+        for resid, null in kept:
+            owner = resid if resid.base is None else resid.base
+            assert resid.flags.c_contiguous and null.flags.owndata
+            assert owner.nbytes == resid.nbytes == len(resid) * m * 8
+        assert n * m * 9 <= held < n * m * 9 + 4096
 
 
 class TestReplicationCounts:
@@ -583,16 +601,16 @@ class TestRowBlocks:
         sigma1 = exponential_cov(GridLayout(5, 5), 5.0)
         truth = TrueProcess(np.zeros(25), 0.25, sigma1)
         spec = ModelSpec(np.zeros(25), 1.0, sigma1, KnownVariance(0.25))
-        theta, y = draw_replications(truth, chol(sigma1.entries), stream(4), self.n)
-        whole = probs(spec, y)
-        expected = replication_counts(whole, theta >= truth.theta0, 0.05)
+        null, resid = draw_replications(truth, chol(sigma1.entries), stream(4), self.n)
+        whole = probs(spec, resid)
+        expected = replication_counts(whole, null, 0.05)
         (counts,) = replicate(truth, [spec], 0.05, drawn_datasets(truth, stream(4), self.n))
         np.testing.assert_array_equal(counts, expected)
         gen = stream(4)
         for start in range(0, self.n, fdr._BLOCK_ROWS):
             rows = slice(start, start + fdr._BLOCK_ROWS)
-            _, y_rows = draw_replications(truth, chol(sigma1.entries), gen, len(whole[rows]))
-            np.testing.assert_allclose(probs(spec, y_rows), whole[rows], rtol=1e-12)
+            _, resid_rows = draw_replications(truth, chol(sigma1.entries), gen, len(whole[rows]))
+            np.testing.assert_allclose(probs(spec, resid_rows), whole[rows], rtol=1e-12)
 
     def test_draws_factor_sigma1_once(self, monkeypatch):
         # The draws factor Sigma_1 once for all three blocks; the truth and the
@@ -615,8 +633,8 @@ class TestRowBlocks:
         truth = TrueProcess(np.zeros(25), 0.25, sigma1)
         specs = [ModelSpec(np.zeros(25), 1.0, cov, KnownVariance(0.25))
                  for cov in (sigma1, identity_cov(25))]
-        kept = keep_datasets(truth, stream(9), self.n)
-        assert [len(y) for y, _ in kept] == [fdr._BLOCK_ROWS, fdr._BLOCK_ROWS, 37]
+        kept = list(drawn_datasets(truth, stream(9), self.n))
+        assert [len(resid) for resid, _ in kept] == [fdr._BLOCK_ROWS, fdr._BLOCK_ROWS, 37]
         drawn = drawn_datasets(truth, stream(9), self.n)
         for got, expected in zip(replicate(truth, specs, 0.05, kept),
                                  replicate(truth, specs, 0.05, drawn)):
@@ -627,7 +645,7 @@ class TestRowBlocks:
         # One null mask, against the truth's theta0, serves every spec: a
         # spec centred elsewhere is refused before a row is drawn.
         truth, spec = self.diagonal_pair()
-        blocks = keep_datasets(truth, stream(9), 40)
+        blocks = list(drawn_datasets(truth, stream(9), 40))
         drawn, draw = [], fdr.draw_replications
         monkeypatch.setattr(fdr, "draw_replications",
                             lambda *args: drawn.append(args[-1]) or draw(*args))
@@ -639,6 +657,28 @@ class TestRowBlocks:
         # The count is live: the spec with the truth's prior mean draws.
         (counts,) = replicate(truth, [spec], 0.05, drawn_datasets(truth, stream(9), 40))
         assert drawn == [40] and counts.shape == (40, 3)
+
+    @noise_kinds
+    def test_counts_do_not_depend_on_the_prior_mean(self, kind):
+        # The draws never add theta0: the null masks and residuals, and so
+        # the counts, of a truth and specs at theta0 = 3.7 are those at
+        # theta0 = 0, bit for bit, on one stream.
+        sigma1 = exponential_cov(GridLayout(5, 5), 5.0)
+        noise = KnownVariance(0.25) if kind == "known" else UnknownVariance(2.0, 0.5)
+        blocks, counts, ocs = [], [], []
+        for level in (0.0, 3.7):
+            theta0 = np.full(25, level)
+            truth = TrueProcess(theta0, 0.25, sigma1)
+            specs = [ModelSpec(theta0, 1.0, cov, noise) for cov in (sigma1, identity_cov(25))]
+            blocks.append(list(drawn_datasets(truth, stream(12), self.n)))
+            counts.append(replicate(truth, specs, 0.05, blocks[-1]))
+            ocs.append(operating_characteristics(truth, specs[0], 0.05, self.n, stream(12)))
+        for at_zero, shifted in zip(*blocks):
+            for a, b in zip(at_zero, shifted):
+                np.testing.assert_array_equal(b, a)
+        for at_zero, shifted in zip(*counts):
+            np.testing.assert_array_equal(shifted, at_zero)
+        assert ocs[0] == ocs[1]
 
     @pytest.mark.parametrize("diagonal", [False, True], ids=["dense", "diagonal"])
     def test_peak_memory_below_one_batch(self, diagonal):

@@ -22,7 +22,7 @@ from misfdr.posterior import (
 from misfdr.linalg import chol
 from misfdr.rng import stream
 from misfdr.sampdist import law_known_var, law_unknown_var
-from oracles import draw_dataset, probs
+from oracles import draw_dataset, probs, standardized
 
 
 def scalar_spec(g=1.0, sigma0_sq=0.25, noise=None):
@@ -50,33 +50,40 @@ class TestDrawDataset:
         assert np.var(y) == pytest.approx(1.25, rel=0.03)
 
     def test_latent_correlation(self):
+        # The residuals have covariance Sigma_1 + sigma0^2 I, and the null
+        # masks of two latent coordinates of correlation rho both hold with
+        # probability 1/4 + asin(rho) / (2 pi).
         sigma1 = CovarianceMatrix([[1.0, 0.9], [0.9, 1.0]])
         truth = TrueProcess(np.zeros(2), 0.25, sigma1)
-        theta, _ = draw_replications(truth, chol(sigma1.entries), stream(11), 20_000)
-        assert np.corrcoef(theta.T)[0, 1] == pytest.approx(0.9, abs=0.02)
+        null, resid = draw_replications(truth, chol(sigma1.entries), stream(11), 20_000)
+        np.testing.assert_allclose(np.cov(resid.T), [[1.25, 0.9], [0.9, 1.25]], atol=0.05)
+        both = np.mean(null[:, 0] & null[:, 1])
+        assert both == pytest.approx(0.25 + np.arcsin(0.9) / (2 * np.pi), abs=0.015)
 
     def test_batched_rows_match_single_draws(self):
-        # Row r is the r-th successive single draw of the same stream; an
-        # identity truth makes the batch's matrix product exact.
+        # Row r is (theta >= theta0, y - theta0) of the r-th successive single
+        # draw of the same stream; an identity truth at theta0 = 0 makes the
+        # batch's matrix product, and so each row, exact.
         truth = TrueProcess(np.zeros(4), 0.5, identity_cov(4))
-        theta, y = draw_replications(truth, chol(truth.sigma1.entries), stream(5), 3)
+        null, resid = draw_replications(truth, chol(truth.sigma1.entries), stream(5), 3)
         twin = stream(5)
         for r in range(3):
             theta_r, y_r = draw_dataset(truth, twin)
-            np.testing.assert_array_equal(theta[r], theta_r)
-            np.testing.assert_array_equal(y[r], y_r)
+            np.testing.assert_array_equal(null[r], theta_r >= truth.theta0)
+            np.testing.assert_array_equal(resid[r], y_r - truth.theta0)
 
     def test_dense_rows_match_single_draws_to_rounding(self):
         # A dense factor multiplies a batch in one gemm and a single draw in a
-        # matrix-vector product, so the two agree to rounding.
+        # matrix-vector product, and the draw adds theta0 = 1 that the
+        # residual never holds, so the two agree to rounding.
         raw = np.random.default_rng(2).standard_normal((6, 6))
         truth = TrueProcess(np.ones(6), 0.5, CovarianceMatrix(raw @ raw.T + 6 * np.eye(6)))
-        theta, y = draw_replications(truth, chol(truth.sigma1.entries), stream(5, 1), 40)
+        null, resid = draw_replications(truth, chol(truth.sigma1.entries), stream(5, 1), 40)
         twin = stream(5, 1)
         for r in range(40):
             theta_r, y_r = draw_dataset(truth, twin)
-            np.testing.assert_allclose(theta[r], theta_r, rtol=1e-12)
-            np.testing.assert_allclose(y[r], y_r, rtol=1e-12)
+            np.testing.assert_array_equal(null[r], theta_r >= truth.theta0)
+            np.testing.assert_allclose(resid[r], y_r - truth.theta0, rtol=1e-12)
 
 
 class TestKnownVariance:
@@ -131,7 +138,7 @@ class TestKnownVariance:
         sigma = CovarianceMatrix([[1.0, 0.4], [0.4, 1.0]])
         spec = ModelSpec(np.zeros(2), 1e8, sigma, KnownVariance(0.25))
         y = np.array([1.0, -2.0])
-        mean = spec.standardized(y) * np.sqrt(np.diag(spec.a))
+        mean = standardized(spec, y) * np.sqrt(np.diag(spec.a))
         assert np.linalg.norm(mean - y) < 1e-4 * np.linalg.norm(y)
         np.testing.assert_allclose(np.diag(spec.a), 0.25, atol=1e-6)
 
@@ -214,8 +221,8 @@ class TestPosteriorOperatorPin:
             post_cov = np.linalg.inv(np.eye(m) / sigma0_sq + sigma_inv / g)
             mean = (y / sigma0_sq + sigma_inv @ theta0 / g) @ post_cov
             z = (mean - theta0) / np.sqrt(np.diag(post_cov))
-            np.testing.assert_allclose(spec.standardized(y), z, rtol=1e-10, atol=0)
-            np.testing.assert_allclose(spec.standardized(y[0]), z[0], rtol=1e-10, atol=0)
+            np.testing.assert_allclose(standardized(spec, y), z, rtol=1e-10, atol=0)
+            np.testing.assert_allclose(standardized(spec, y[0]), z[0], rtol=1e-10, atol=0)
 
     @pytest.mark.parametrize("g", PIN_GS)
     def test_unknown_variance(self, g):
@@ -233,7 +240,7 @@ class TestPosteriorOperatorPin:
             np.testing.assert_allclose(spec.a, shape, rtol=1e-10, atol=0)
             # the quadratic form enters only through the t scale
             z = (mean - theta0) / np.sqrt(scale[:, None] * np.diag(shape))
-            np.testing.assert_allclose(spec.standardized(y), z, rtol=1e-10, atol=0)
+            np.testing.assert_allclose(standardized(spec, y), z, rtol=1e-10, atol=0)
 
 
 NON_FINITE = pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

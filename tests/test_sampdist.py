@@ -25,7 +25,7 @@ from misfdr.sampdist import (
     xi_sampler,
     xi_to_h,
 )
-from oracles import joint_cdf_mc, random_truth_spec_pairs, xi_sampler_c
+from oracles import joint_cdf_mc, random_truth_spec_pairs, standardized, xi_sampler_c
 
 EPS = np.finfo(float).eps
 
@@ -80,8 +80,9 @@ class TestLawKnownVar:
         truth = TrueProcess(np.zeros(25), 0.25, exponential_cov(GridLayout(5, 5), 5.0))
         spec = ModelSpec(np.zeros(25), 1.0, cov, KnownVariance(spec_var))
         n = 40_000
-        _, y = posterior.draw_replications(truth, chol(truth.sigma1.entries), stream(29, 0, 0), n)
-        z = spec.standardized(y)
+        _, resid = posterior.draw_replications(truth, chol(truth.sigma1.entries),
+                                               stream(29, 0, 0), n)
+        z = spec.standardized_residual(resid)
         ratio = np.mean(z * z, axis=0) * law_known_var(truth, spec).r
         assert np.abs(ratio - 1.0).max() < 4 * np.sqrt(2 / n)
 
@@ -627,9 +628,9 @@ class TestXiSampler:
             xi = xi_sampler(law, n, stream(7, n))
             y = truth.theta0 + tri_mul(stream(7, n).standard_normal((n, law.m)),
                                        truth.cov_y_chol)
-            blocks = [spec.standardized(y[lo:lo + 128]) for lo in range(0, n, 128)]
+            blocks = [standardized(spec, y[lo:lo + 128]) for lo in range(0, n, 128)]
             np.testing.assert_array_equal(xi, np.concatenate(blocks) * np.sqrt(law.r))
-            np.testing.assert_allclose(xi_to_h(xi, law), spec.cdf(spec.standardized(y)),
+            np.testing.assert_allclose(xi_to_h(xi, law), spec.cdf(standardized(spec, y)),
                                        rtol=0, atol=8 * EPS)
 
     @pytest.mark.parametrize("n_draws", [0, -3])

@@ -281,7 +281,7 @@ class TestRunSweep:
         config = tiny_config(**RANGE_SWEEP, n_reps=1100)
         truths, specs, scored = [], [], []
         make_truth, make_spec, standardized = (simulation.sweep_truth, simulation.sweep_spec,
-                                               ModelSpec.standardized)
+                                               ModelSpec.standardized_residual)
 
         def recording_truth(*args):
             truths.append(make_truth(*args))
@@ -291,13 +291,13 @@ class TestRunSweep:
             specs.append((cov, make_spec(config, cov, g)))
             return specs[-1][1]
 
-        def counting_standardized(self, y):
+        def counting_standardized(self, resid, out=None):
             scored.append(self)
-            return standardized(self, y)
+            return standardized(self, resid, out)
 
         monkeypatch.setattr(simulation, "sweep_truth", recording_truth)
         monkeypatch.setattr(simulation, "sweep_spec", recording_spec)
-        monkeypatch.setattr(ModelSpec, "standardized", counting_standardized)
+        monkeypatch.setattr(ModelSpec, "standardized_residual", counting_standardized)
         run_sweep(config)
         (truth,) = truths
         # The one spec on the truth's covariance is built before the points.
@@ -450,22 +450,23 @@ class TestPasses:
         config, block_rows, sizes, kept = self.PLANS[name]
         monkeypatch.setattr(fdr, "_BLOCK_ROWS", block_rows)
         drawn = self.rows_drawn(monkeypatch)
-        calls, keeps = [], []
-        sweep_pass, keep = simulation._sweep_pass, simulation.keep_datasets
+        calls, draws = [], []
+        sweep_pass, draw = simulation._sweep_pass, simulation.drawn_datasets
 
         def recording_pass(*args):
             calls.append((tuple(args[-1]), args[-2] is not None))
             return sweep_pass(*args)
 
         monkeypatch.setattr(simulation, "_sweep_pass", recording_pass)
-        monkeypatch.setattr(simulation, "keep_datasets", lambda *args: keeps.append(args) or
-                            keep(*args))
+        monkeypatch.setattr(simulation, "drawn_datasets", lambda *args: draws.append(args) or
+                            draw(*args))
         run_sweep(config)
         assert [value for values, _ in calls for value in values] == list(config.sweep_values)
         assert [len(values) for values, _ in calls] == sizes
-        assert {was_kept for _, was_kept in calls} == {kept} and len(keeps) == kept
+        assert {was_kept for _, was_kept in calls} == {kept}
         scorings = len(sizes) + config.sweep_key.startswith("mis.")
-        assert sum(drawn) == config.n_reps * (1 if kept else scorings)
+        assert len(draws) == (1 if kept else scorings)
+        assert sum(drawn) == config.n_reps * len(draws)
 
     @pytest.mark.parametrize("variable", ["g", "rho"])
     def test_passes_change_no_number(self, variable):
